@@ -9,7 +9,7 @@ from volterra_control.scenario import (
     load_scenario, save_scenario, validate,
 )
 
-FIXTURES = ("zero", "lq", "fbsde", "quadratic", "annulus")
+FIXTURES = ("zero", "lq", "fbsde", "quadratic", "annulus", "lq_multi")
 
 
 class TestLoading:
