@@ -20,6 +20,12 @@ strictly upper triangular (its dual is the strictly lower-triangular
 forward Euler scheme).  The 0..i sums in F_i and in the control gradient
 include the diagonal for the same reason.  These choices make the
 difference-quotient identity for the cost exact in exact arithmetic.
+
+The xi and (p, q) equations are each written down once, as free-term
+rows plus kernels (``_xi_equation``, ``_pq_equation``); the solver in
+``assemble_adjoint`` and the check in ``adjoint_residuals`` both read
+that one statement.  mu and nu come with the (p, q) solve, which takes
+theta as its boundary term.
 """
 
 from __future__ import annotations
@@ -28,16 +34,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backward import BackwardSolution, MSolution, solve_linear_backward
+from .backward import (BackwardSolution, MSolution, backward_row_residual,
+                       msolution_identity_residual, solve_linear_backward)
 from .forward import ForwardPath
 from .lattice import AdaptedProcess, Tree
 from .scenario import Scenario
-
-
-def _tmatvec(tree: Tree, mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """Transpose kernel application mat' vec at the common level."""
-    lev = max(tree.level_of(mat), tree.level_of(vec))
-    return np.einsum("kde,kd->ke", tree.embed(mat, lev), tree.embed(vec, lev))
 
 
 @dataclass
@@ -83,10 +84,10 @@ def solve_fredholm(tree: Tree, dim: int, alpha_rows, A=None, B=None, D=None,
             raise ValueError(f"alpha row {i} must be adapted at level {i}")
         for j in range(i):
             if A is not None:
-                known = known + tree.dt * _tmatvec(
-                    tree, tree.embed(A(j, i), i), tree.cond_expect(xi[j], i))
+                known = known + tree.dt * tree.tmatvec(
+                    A(j, i), tree.cond_expect(xi[j], i))
             if B is not None:
-                proj = tree.cond_expect(_tmatvec(tree, B(j, i), xi[j]), j)
+                proj = tree.cond_expect(tree.tmatvec(B(j, i), xi[j]), j)
                 known = known + tree.embed(
                     np.repeat(proj, 2, axis=0) * tree.dw(j)[:, None], i)
             if beta is not None:
@@ -102,7 +103,7 @@ def solve_fredholm(tree: Tree, dim: int, alpha_rows, A=None, B=None, D=None,
         for r in range(i, N):
             incr = np.zeros_like(cur)
             if D is not None:
-                incr = incr + _tmatvec(tree, tree.embed(D(i, r), r), cur)
+                incr = incr + tree.tmatvec(D(i, r), cur)
             if beta is not None:
                 incr = incr + tree.embed(beta(i, r), r)
             cur = np.repeat(cur, 2, axis=0) + np.repeat(
@@ -122,19 +123,18 @@ def fredholm_row_residual(tree: Tree, sol: FredholmSolution, i: int, alpha_rows,
     hi = min(i, N - 1) if include_diag_A else i - 1
     for j in range(hi + 1):
         if A is not None:
-            rhs = rhs + tree.dt * tree.embed(_tmatvec(
-                tree, tree.embed(A(j, i), i), tree.cond_expect(sol.xi[j], i)), N)
+            rhs = rhs + tree.dt * tree.embed(tree.tmatvec(
+                A(j, i), tree.cond_expect(sol.xi[j], i)), N)
     for j in range(i):
         if B is not None:
-            proj = tree.cond_expect(_tmatvec(tree, B(j, i), sol.xi[j]), j)
+            proj = tree.cond_expect(tree.tmatvec(B(j, i), sol.xi[j]), j)
             rhs = rhs + tree.embed(
                 np.repeat(proj, 2, axis=0) * tree.dw(j)[:, None], N)
     if beta is not None:
         rhs = rhs + tree.ito_sum(lambda j: tree.embed(beta(i, j), j), 0, N)
     for j in range(i, N):
         if D is not None:
-            term = _tmatvec(tree, tree.embed(D(i, j), j),
-                            tree.cond_expect(sol.xi[i], j))
+            term = tree.tmatvec(D(i, j), tree.cond_expect(sol.xi[i], j))
             rhs = rhs + tree.embed(
                 np.repeat(term, 2, axis=0) * tree.dw(j)[:, None], N)
     return float(np.abs(sol.xi[i] - rhs).max())
@@ -150,18 +150,10 @@ def solve_lambda0(tree: Tree, fz: AdaptedProcess, gz0, mean0: np.ndarray):
     levels = [np.tile(np.asarray(mean0, dtype=float), (1, 1))]
     for j in range(tree.N):
         lam = levels[j]
-        incr = fz.level(j) + _tmatvec(tree, tree.embed(gz0(j), j),
-                                      tree.embed(lam, j))
-        levels.append(np.repeat(tree.embed(lam, j), 2, axis=0)
+        incr = fz.level(j) + tree.tmatvec(gz0(j), lam)
+        levels.append(np.repeat(lam, 2, axis=0)
                       + np.repeat(incr, 2, axis=0) * tree.dw(j)[:, None])
     return levels[-1], AdaptedProcess(levels)
-
-
-def solve_mu_nu(tree: Tree, theta: np.ndarray):
-    """mu_i = E_i[theta] and the representation integrands nu."""
-    _, nus = tree.martingale_repr(theta, 0)
-    mu = AdaptedProcess([tree.cond_expect(theta, i) for i in range(tree.N + 1)])
-    return mu, AdaptedProcess(nus)
 
 
 class FrozenCoefficients:
@@ -242,6 +234,35 @@ class AdjointBundle:
     frozen: FrozenCoefficients
 
 
+def _xi_equation(tree: Tree, fro: FrozenCoefficients, Lambda: AdaptedProcess):
+    """The xi equation as ``solve_fredholm`` arguments: the free-term rows
+    alpha_i = g_y(0,i)' Lambda_i + f_y(i) and the keyword arguments
+    A = g_y, D = g_z, diagonal included."""
+    alpha_rows = [tree.tmatvec(fro.g_slot("y", 0, i), Lambda.level(i))
+                  + fro.f_slot("y", i) for i in range(tree.N)]
+    return alpha_rows, {"A": lambda j, i: fro.g_slot("y", j, i),
+                        "D": lambda i, j: fro.g_slot("z", i, j),
+                        "include_diag_A": True}
+
+
+def _pq_equation(tree: Tree, fro: FrozenCoefficients, Lambda: AdaptedProcess,
+                 xi_rows, theta: np.ndarray):
+    """The (p, q) equation as ``solve_linear_backward`` arguments: the
+    free-term rows F_i and the keyword arguments A = b_x', B = sigma_x'
+    (transposed, slots swapped), boundary theta, strict A-sum."""
+    N = tree.N
+    p_rows = []
+    for i in range(N):
+        row = tree.embed(fro.f_slot("x", i) + tree.tmatvec(
+            fro.g_slot("x", 0, i), Lambda.level(i)), N)
+        for k in range(i + 1):
+            row = row + tree.dt * tree.tmatvec(fro.g_slot("x", k, i), xi_rows[k])
+        p_rows.append(row)
+    return p_rows, {"A": lambda i, j: np.swapaxes(fro.b_x(j, i), 1, 2),
+                    "B": lambda i, j: np.swapaxes(fro.sigma_x(j, i), 1, 2),
+                    "theta": theta, "include_diag_A": False}
+
+
 def assemble_adjoint(scenario: Scenario, fwd: ForwardPath, bwd, u: AdaptedProcess,
                      tree: Tree | None = None) -> AdjointBundle:
     """Chain the four adjoint solves along the state triple (fwd, bwd, u)."""
@@ -254,39 +275,19 @@ def assemble_adjoint(scenario: Scenario, fwd: ForwardPath, bwd, u: AdaptedProces
     lambda0, Lambda = solve_lambda0(tree, fz, lambda j: fro.g_slot("z", 0, j),
                                     mean0)
 
-    alpha_rows = [
-        _tmatvec(tree, tree.embed(fro.g_slot("y", 0, i), i),
-                 tree.embed(Lambda.level(i), i)) + fro.f_slot("y", i)
-        for i in range(N)
-    ]
-    xi = solve_fredholm(tree, m, alpha_rows,
-                        A=lambda j, i: fro.g_slot("y", j, i),
-                        D=lambda i, j: fro.g_slot("z", i, j),
-                        include_diag_A=True)
+    alpha_rows, xi_kernels = _xi_equation(tree, fro, Lambda)
+    xi = solve_fredholm(tree, m, alpha_rows, **xi_kernels)
 
-    theta = fro.h_x() + _tmatvec(tree, fro.psi_x(0), lambda0)
+    theta = fro.h_x() + tree.tmatvec(fro.psi_x(0), lambda0)
     for j in range(N):
-        theta = theta + tree.dt * _tmatvec(tree, fro.psi_x(j), xi.xi[j])
-    mu, nu = solve_mu_nu(tree, theta)
+        theta = theta + tree.dt * tree.tmatvec(fro.psi_x(j), xi.xi[j])
 
-    p_rows = []
-    for i in range(N):
-        row = fro.f_slot("x", i) + _tmatvec(
-            tree, tree.embed(fro.g_slot("x", 0, i), i),
-            tree.embed(Lambda.level(i), i))
-        row = tree.embed(row, N)
-        for k in range(i + 1):
-            row = row + tree.dt * tree.embed(_tmatvec(
-                tree, tree.embed(fro.g_slot("x", k, i), N), xi.xi[k]), N)
-        p_rows.append(row)
-    pq_sol = solve_linear_backward(
-        tree, n, p_rows,
-        A=lambda i, j: np.swapaxes(fro.b_x(j, i), 1, 2),
-        B=lambda i, j: np.swapaxes(fro.sigma_x(j, i), 1, 2),
-        theta=theta, include_diag_A=False)
+    p_rows, pq_kernels = _pq_equation(tree, fro, Lambda, xi.xi, theta)
+    pq_sol = solve_linear_backward(tree, n, p_rows, **pq_kernels)
 
     return AdjointBundle(lambda0=lambda0, Lambda=Lambda, xi=xi, theta=theta,
-                         mu=mu, nu=nu, pq=pq_sol.as_msolution(), frozen=fro)
+                         mu=pq_sol.mu, nu=pq_sol.nu, pq=pq_sol.as_msolution(),
+                         frozen=fro)
 
 
 def hamiltonian_gradient(scenario: Scenario, bundle: AdjointBundle,
@@ -303,22 +304,18 @@ def hamiltonian_gradient(scenario: Scenario, bundle: AdjointBundle,
     fro = bundle.frozen
     levels = []
     for j in range(N):
-        h = fro.f_slot("u", j) + _tmatvec(
-            tree, tree.embed(fro.g_slot("u", 0, j), j),
-            tree.embed(bundle.Lambda.level(j), j))
+        h = fro.f_slot("u", j) + tree.tmatvec(fro.g_slot("u", 0, j),
+                                              bundle.Lambda.level(j))
         for i in range(j + 1):
-            h = h + tree.dt * _tmatvec(tree, tree.embed(fro.g_slot("u", i, j), j),
-                                       bundle.xi.cond_exp(i, j))
-        h = h + _tmatvec(tree, tree.embed(fro.b_u(N, j), j),
-                         tree.embed(bundle.mu.level(j), j))
-        h = h + _tmatvec(tree, tree.embed(fro.sigma_u(N, j), j),
-                         tree.embed(bundle.nu.level(j), j))
+            h = h + tree.dt * tree.tmatvec(fro.g_slot("u", i, j),
+                                           bundle.xi.cond_exp(i, j))
+        h = h + tree.tmatvec(fro.b_u(N, j), bundle.mu.level(j))
+        h = h + tree.tmatvec(fro.sigma_u(N, j), bundle.nu.level(j))
         for i in range(j + 1, N):
-            h = h + tree.dt * _tmatvec(
-                tree, tree.embed(fro.b_u(i, j), j),
-                tree.cond_expect(bundle.pq.p.level(i), j))
-            h = h + tree.dt * _tmatvec(tree, tree.embed(fro.sigma_u(i, j), j),
-                                       bundle.pq.q.value(i, j))
+            h = h + tree.dt * tree.tmatvec(
+                fro.b_u(i, j), tree.cond_expect(bundle.pq.p.level(i), j))
+            h = h + tree.dt * tree.tmatvec(fro.sigma_u(i, j),
+                                           bundle.pq.q.value(i, j))
         levels.append(h)
     return AdaptedProcess(levels)
 
@@ -335,22 +332,16 @@ def adjoint_residuals(scenario: Scenario, bundle: AdjointBundle,
     fro = bundle.frozen
 
     # first equation: lambda0 forward identity
-    integrand = lambda j: (fro.f_slot("z", j) + _tmatvec(
-        tree, tree.embed(fro.g_slot("z", 0, j), j),
-        tree.embed(bundle.Lambda.level(j), j)))
+    integrand = lambda j: (fro.f_slot("z", j) + tree.tmatvec(
+        fro.g_slot("z", 0, j), bundle.Lambda.level(j)))
     recon = tree.embed(np.tile(tree.expectation(fro.h_y()), (1, 1)), N) \
         + tree.ito_sum(integrand, 0, N)
     res1 = float(np.abs(bundle.lambda0 - recon).max())
 
     # second equation rows
-    alpha_rows = [
-        _tmatvec(tree, tree.embed(fro.g_slot("y", 0, i), i),
-                 tree.embed(bundle.Lambda.level(i), i)) + fro.f_slot("y", i)
-        for i in range(N)
-    ]
-    res2 = max(fredholm_row_residual(
-        tree, bundle.xi, i, alpha_rows, A=lambda j, k: fro.g_slot("y", j, k),
-        D=lambda k, j: fro.g_slot("z", k, j)) for i in range(N))
+    alpha_rows, xi_kernels = _xi_equation(tree, fro, bundle.Lambda)
+    res2 = max(fredholm_row_residual(tree, bundle.xi, i, alpha_rows, **xi_kernels)
+               for i in range(N))
 
     # third equation: mu_i = theta - sum_{j>=i} nu_j dW_j
     res3 = 0.0
@@ -360,24 +351,12 @@ def adjoint_residuals(scenario: Scenario, bundle: AdjointBundle,
             tree.embed(bundle.mu.level(i), N) - recon).max()))
 
     # fourth equation rows + M-identity
-    from .backward import backward_row_residual, msolution_identity_residual
-    p_rows = []
-    for i in range(N):
-        row = fro.f_slot("x", i) + _tmatvec(
-            tree, tree.embed(fro.g_slot("x", 0, i), i),
-            tree.embed(bundle.Lambda.level(i), i))
-        row = tree.embed(row, N)
-        for k in range(i + 1):
-            row = row + tree.dt * tree.embed(_tmatvec(
-                tree, tree.embed(fro.g_slot("x", k, i), N), bundle.xi.xi[k]), N)
-        p_rows.append(row)
+    p_rows, pq_kernels = _pq_equation(tree, fro, bundle.Lambda, bundle.xi.xi,
+                                      bundle.theta)
     sol = BackwardSolution(Y=bundle.pq.p, Z=bundle.pq.q, mu=bundle.mu,
                            nu=bundle.nu)
-    res4 = max(backward_row_residual(
-        tree, sol, i, p_rows,
-        A=lambda i_, j_: np.swapaxes(fro.b_x(j_, i_), 1, 2),
-        B=lambda i_, j_: np.swapaxes(fro.sigma_x(j_, i_), 1, 2),
-        theta=bundle.theta, include_diag_A=False) for i in range(N))
+    res4 = max(backward_row_residual(tree, sol, i, p_rows, **pq_kernels)
+               for i in range(N))
     res_m = msolution_identity_residual(tree, sol)
     return {"lambda0": res1, "xi": res2, "mu_nu": res3, "pq": res4,
             "m_identity": res_m}

@@ -2,13 +2,18 @@
 
 Three layers:
 
-* ``solve_bsde``: plain backward recursion with an implicit driver step.
+* ``solve_bsde``: plain backward recursion with an implicit driver step,
+  the BSDE that a BSVIE with a time-invariant generator reduces to.
 * ``solve_bsvie``: C-adapted solutions of nonlinear backward Volterra
   equations via outer Picard iteration on the diagonal Y and one
   parameterized row recursion per grid time, each row solved on the whole
   horizon so that Z(t, s) exists for every s.
 * ``solve_linear_backward``: the linear backward Volterra family in
   M-solution form used by the adjoint system and the duality checks.
+
+The BSVIE rows and the linear family share one descending row run,
+``_row_run``: a level-by-level martingale step from a leaf field plus an
+explicit drift term.
 
 Discrete conventions (used identically by the primal solvers, so that
 every duality identity is an exact transpose statement):
@@ -67,16 +72,6 @@ class BackwardSolution:
         return MSolution(p=self.Y, q=self.Z)
 
 
-def _mat_vec(tree: Tree, mat: np.ndarray, vec: np.ndarray,
-             transpose: bool = False) -> np.ndarray:
-    """Batched kernel application at the common refinement level."""
-    lev = max(tree.level_of(mat), tree.level_of(vec))
-    m = tree.embed(mat, lev)
-    v = tree.embed(vec, lev)
-    return np.einsum("kde,kd->ke", m, v) if transpose else np.einsum(
-        "kde,ke->kd", m, v)
-
-
 def solve_bsde(tree: Tree, terminal: np.ndarray, driver,
                picard_tol: float = 1e-12, picard_max_iter: int = 200):
     """Backward recursion Y_j = E_j[Y_{j+1}] + driver(t_j, Y_j, Z_j) dt.
@@ -108,20 +103,33 @@ def solve_bsde(tree: Tree, terminal: np.ndarray, driver,
     return AdaptedProcess(y_levels), AdaptedProcess(z_levels)
 
 
+def _row_run(tree: Tree, leaf: np.ndarray, stop: int, drift=None):
+    """Descending row run from a leaf field down to level ``stop``:
+
+        run[r] = E_r[run[r+1]] + dt * drift(r, z_r),   r = N-1..stop,
+
+    with z_r the representation integrand of run[r+1] (no drift term when
+    ``drift`` is None).  Returns (run, z) as lists indexed by level;
+    entries below ``stop`` are None.
+    """
+    run = [None] * (tree.N + 1)
+    zs = [None] * tree.N
+    run[tree.N] = cur = leaf
+    for r in range(tree.N - 1, stop - 1, -1):
+        mean, z = tree.repr_step(cur)
+        zs[r] = z
+        cur = mean if drift is None else mean + tree.dt * drift(r, z)
+        run[r] = cur
+    return run, zs
+
+
 def _bsvie_row_sweep(tree, terminal_rows, driver, y_prev, rows):
     """One Picard sweep: solve each row BSDE with the previous diagonal."""
     lam_rows, z_rows, diag = [], [], []
     for i in rows:
-        lam_run = [None] * (tree.N + 1)
-        z_cols = [None] * tree.N
-        cur = terminal_rows[i]
-        lam_run[tree.N] = cur
-        for r in range(tree.N - 1, -1, -1):
-            mean, z = tree.repr_step(cur)
-            z_cols[r] = z
-            gval = driver(i, r, y_prev.level(r), z)
-            cur = mean + tree.dt * gval
-            lam_run[r] = cur
+        lam_run, z_cols = _row_run(
+            tree, terminal_rows[i], 0,
+            lambda r, z: driver(i, r, y_prev.level(r), z))
         lam_rows.append(lam_run)
         z_rows.append(z_cols)
         diag.append(lam_run[i])
@@ -151,7 +159,6 @@ def solve_bsvie(scenario: Scenario, fwd, u: AdaptedProcess,
     tol = scenario.tolerances.picard_tol
     history = []
     rows = list(range(tree.N + 1))
-    floor = 1e-300
     for sweep in range(scenario.tolerances.picard_max_iter):
         lam_rows, z_rows, diag = _bsvie_row_sweep(tree, terminal_rows, driver,
                                                   y, rows)
@@ -166,7 +173,6 @@ def solve_bsvie(scenario: Scenario, fwd, u: AdaptedProcess,
             raise PicardError(
                 "Picard residuals stopped decreasing before reaching "
                 f"picard_tol; history={history}", history)
-        floor = residual
     raise PicardError(
         f"no contraction within {scenario.tolerances.picard_max_iter} sweeps; "
         f"history={history}", history)
@@ -216,50 +222,41 @@ def solve_linear_backward(tree: Tree, dim: int, psi_rows, A=None, B=None,
         raise ValueError(f"expected {N} free-term rows, got {len(psi_rows)}")
     mu = nu = None
     if theta is not None:
-        mean, nus = tree.martingale_repr(theta, 0)
+        _, nus = tree.martingale_repr(theta, 0)
         nu = AdaptedProcess(nus)
         mu = AdaptedProcess([tree.cond_expect(theta, i) for i in range(N + 1)])
 
     y_levels = [None] * N
-    z_rows = [[None] * N for _ in range(N)]
+    z_rows = [None] * N
     for i in range(N - 1, -1, -1):
         g_leaf = np.array(psi_rows[i], dtype=float)
         if tree.level_of(g_leaf) != N:
             raise ValueError(f"free-term row {i} must be a leaf field")
         if theta is not None:
             if A is not None:
-                g_leaf = g_leaf + _mat_vec(tree, A(i, N), theta)
+                g_leaf = g_leaf + tree.matvec(A(i, N), theta)
             if B is not None:
-                g_leaf = g_leaf + tree.embed(
-                    _mat_vec(tree, B(i, N), nu.level(i)), N)
+                g_leaf = g_leaf + tree.embed(tree.matvec(B(i, N), nu.level(i)), N)
         for j in range(i + 1, N):
             if A is not None:
                 g_leaf = g_leaf + tree.dt * tree.embed(
-                    _mat_vec(tree, A(i, j), y_levels[j]), N)
+                    tree.matvec(A(i, j), y_levels[j]), N)
             if B is not None:
                 g_leaf = g_leaf + tree.dt * tree.embed(
-                    _mat_vec(tree, B(i, j), z_rows[j][i]), N)
-        # row run: collapse one level per step, absorbing the D-terms
-        cur = g_leaf
-        for r in range(N - 1, i - 1, -1):
-            mean, z = tree.repr_step(cur)
-            z_rows[i][r] = z
-            if D is not None:
-                mean = mean + tree.dt * tree.embed(
-                    _mat_vec(tree, D(i, r), z), r)
-            cur = mean
+                    tree.matvec(B(i, j), z_rows[j][i]), N)
+        # row run down to level i, absorbing the D-terms
+        run, z_cols = _row_run(tree, g_leaf, i, None if D is None else (
+            lambda r, z: tree.matvec(D(i, r), z)))
+        cur = run[i]
         if include_diag_B and B is not None:
-            cur = cur + tree.dt * tree.embed(
-                _mat_vec(tree, B(i, i), z_rows[i][i]), i)
+            cur = cur + tree.dt * tree.matvec(B(i, i), z_cols[i])
         if include_diag_A and A is not None:
             mats = tree.embed(A(i, i), i)
             lhs = np.eye(dim)[None, :, :] - tree.dt * mats
             cur = np.linalg.solve(lhs, cur[..., None])[..., 0]
         y_levels[i] = cur
-        run = cur
-        for r in range(i - 1, -1, -1):
-            run, z = tree.repr_step(run)
-            z_rows[i][r] = z
+        _, z_cols[:i] = tree.martingale_repr(cur, 0)
+        z_rows[i] = z_cols
     return BackwardSolution(Y=AdaptedProcess(y_levels),
                             Z=TwoParamProcess(z_rows), mu=mu, nu=nu)
 
@@ -273,23 +270,23 @@ def backward_row_residual(tree: Tree, sol: BackwardSolution, i: int, psi_rows,
     rhs = np.array(psi_rows[i], dtype=float)
     if theta is not None:
         if A is not None:
-            rhs = rhs + _mat_vec(tree, A(i, N), theta)
+            rhs = rhs + tree.matvec(A(i, N), theta)
         if B is not None:
-            rhs = rhs + tree.embed(_mat_vec(tree, B(i, N), sol.nu.level(i)), N)
+            rhs = rhs + tree.embed(tree.matvec(B(i, N), sol.nu.level(i)), N)
     lo_A = i if include_diag_A else i + 1
     lo_B = i if include_diag_B else i + 1
     for j in range(lo_A, N):
         if A is not None:
             rhs = rhs + tree.dt * tree.embed(
-                _mat_vec(tree, A(i, j), sol.Y.level(j)), N)
+                tree.matvec(A(i, j), sol.Y.level(j)), N)
     for j in range(lo_B, N):
         if B is not None:
             rhs = rhs + tree.dt * tree.embed(
-                _mat_vec(tree, B(i, j), sol.Z.value(j, i)), N)
+                tree.matvec(B(i, j), sol.Z.value(j, i)), N)
     for j in range(i, N):
         if D is not None:
             rhs = rhs + tree.dt * tree.embed(
-                _mat_vec(tree, D(i, j), sol.Z.value(i, j)), N)
+                tree.matvec(D(i, j), sol.Z.value(i, j)), N)
     rhs = rhs - tree.ito_sum(lambda j: sol.Z.value(i, j), i, N)
     return float(np.abs(tree.embed(sol.Y.level(i), N) - rhs).max())
 

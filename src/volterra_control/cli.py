@@ -85,11 +85,6 @@ def _run_check_duality(scenario, tree, args, seed):
     return (0 if passed else 1), report, ("identity", "lhs", "rhs", "gap"), rows
 
 
-def _nc_rows(rep):
-    return [(level, node, val, kind, resid)
-            for level, node, val, kind, resid in rep.rows]
-
-
 def _run_check_nc(scenario, tree, args):
     u = scenario.default_control(tree)
     rep = check_pointwise_nc(scenario, u, tree)
@@ -98,7 +93,7 @@ def _run_check_nc(scenario, tree, args):
     passed = rep.certified(scale_tol)
     report = dict(rep.to_json(), tolerance=scale_tol, passed=passed)
     return (0 if passed else 1), report, (
-        "level", "node", "minValue", "cone_kind", "residual"), _nc_rows(rep)
+        "level", "node", "minValue", "cone_kind", "residual"), rep.rows
 
 
 def _run_optimize(scenario, tree, args):

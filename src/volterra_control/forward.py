@@ -69,21 +69,23 @@ def simulate_forward(scenario: Scenario, u: AdaptedProcess,
     _check_control(scenario, tree, u, check_constraint)
     co = scenario.coeffs
     levels = [co.phi.value(tree, 0)]
-    for i in range(1, tree.N + 1):
-        t = tree.t(i)
-        acc = co.phi.value(tree, i)
-        for j in range(i):
-            xj, uj = levels[j], u.level(j)
-            drift = co.b.value(t, tree.t(j), x=xj, u=uj)
-            diff = co.sigma.value(t, tree.t(j), x=xj, u=uj)
-            _check_finite(drift, j, f"b(t_{i}, t_{j})")
-            _check_finite(diff, j, f"sigma(t_{i}, t_{j})")
-            inc = tree.dt * tree.embed(drift, i)
-            inc = inc + tree.embed(
-                np.repeat(diff, 2, axis=0) * tree.dw(j)[:, None], i)
-            acc = acc + inc
-        _check_finite(acc, i, f"X(t_{i})")
-        levels.append(acc)
+    # overflow surfaces as the first non-finite term named by _check_finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, tree.N + 1):
+            t = tree.t(i)
+            acc = co.phi.value(tree, i)
+            for j in range(i):
+                xj, uj = levels[j], u.level(j)
+                drift = co.b.value(t, tree.t(j), x=xj, u=uj)
+                diff = co.sigma.value(t, tree.t(j), x=xj, u=uj)
+                _check_finite(drift, j, f"b(t_{i}, t_{j})")
+                _check_finite(diff, j, f"sigma(t_{i}, t_{j})")
+                inc = tree.dt * tree.embed(drift, i)
+                inc = inc + tree.embed(
+                    np.repeat(diff, 2, axis=0) * tree.dw(j)[:, None], i)
+                acc = acc + inc
+            _check_finite(acc, i, f"X(t_{i})")
+            levels.append(acc)
     return ForwardPath(X=AdaptedProcess(levels), u=u)
 
 
@@ -100,23 +102,22 @@ def simulate_forward_linear(scenario: Scenario, base: ForwardPath,
         raise SimulationError(f"direction dim {v.dim}, scenario wants {scenario.l}")
     co = scenario.coeffs
     levels = [np.zeros((1, scenario.n))]
-    for i in range(1, tree.N + 1):
-        t = tree.t(i)
-        acc = np.zeros((tree.n_nodes(i), scenario.n))
-        for j in range(i):
-            xj, uj = base.X.level(j), base.u.level(j)
-            x1j, vj = levels[j], v.level(j)
-            bx = co.b.jacobian("x", t, tree.t(j), x=xj, u=uj)
-            bu = co.b.jacobian("u", t, tree.t(j), x=xj, u=uj)
-            sx = co.sigma.jacobian("x", t, tree.t(j), x=xj, u=uj)
-            su = co.sigma.jacobian("u", t, tree.t(j), x=xj, u=uj)
-            drift = np.einsum("kab,kb->ka", bx, x1j) + np.einsum(
-                "kab,kb->ka", bu, vj)
-            diff = np.einsum("kab,kb->ka", sx, x1j) + np.einsum(
-                "kab,kb->ka", su, vj)
-            acc = acc + tree.dt * tree.embed(drift, i)
-            acc = acc + tree.embed(
-                np.repeat(diff, 2, axis=0) * tree.dw(j)[:, None], i)
-        _check_finite(acc, i, f"X1(t_{i})")
-        levels.append(acc)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, tree.N + 1):
+            t = tree.t(i)
+            acc = np.zeros((tree.n_nodes(i), scenario.n))
+            for j in range(i):
+                xj, uj = base.X.level(j), base.u.level(j)
+                x1j, vj = levels[j], v.level(j)
+                bx = co.b.jacobian("x", t, tree.t(j), x=xj, u=uj)
+                bu = co.b.jacobian("u", t, tree.t(j), x=xj, u=uj)
+                sx = co.sigma.jacobian("x", t, tree.t(j), x=xj, u=uj)
+                su = co.sigma.jacobian("u", t, tree.t(j), x=xj, u=uj)
+                drift = tree.matvec(bx, x1j) + tree.matvec(bu, vj)
+                diff = tree.matvec(sx, x1j) + tree.matvec(su, vj)
+                acc = acc + tree.dt * tree.embed(drift, i)
+                acc = acc + tree.embed(
+                    np.repeat(diff, 2, axis=0) * tree.dw(j)[:, None], i)
+            _check_finite(acc, i, f"X1(t_{i})")
+            levels.append(acc)
     return AdaptedProcess(levels)

@@ -194,13 +194,21 @@ class Tree:
         zs.reverse()
         return cur, zs
 
-    def repr_integrand(self, values: np.ndarray, j: int) -> np.ndarray:
-        """Representation integrand of a field at step j: E_j[x dW_j] / dt."""
-        from_level = self.level_of(values)
-        if j >= from_level:
-            raise ValueError(f"step {j} not below source level {from_level}")
-        at_next = self.cond_expect(values, j + 1)
-        return self.repr_step(at_next)[1]
+    # -- kernel application ---------------------------------------------
+
+    def _common_level(self, mat: np.ndarray, vec: np.ndarray):
+        lev = max(self.level_of(mat), self.level_of(vec))
+        return self.embed(mat, lev), self.embed(vec, lev)
+
+    def matvec(self, mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
+        """Per-node kernel application mat @ vec at the common refinement
+        level of a (2**i, d, e) matrix field and a (2**j, e) vector field."""
+        return np.einsum("kde,ke->kd", *self._common_level(mat, vec))
+
+    def tmatvec(self, mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
+        """Transposed per-node kernel application mat' @ vec at the common
+        level of a (2**i, d, e) matrix field and a (2**j, d) vector field."""
+        return np.einsum("kde,kd->ke", *self._common_level(mat, vec))
 
 
 class AdaptedProcess:

@@ -134,10 +134,6 @@ class AffineCoefficient:
     def is_affine(self) -> bool:
         return all(not q.any() for q in self.quads.values())
 
-    @property
-    def state_independent(self) -> bool:
-        return not self.matrices["x"].any() and not self.quads["x"].any()
-
     def value(self, t: float, s: float, **args) -> np.ndarray:
         k = self.kernel(t, s)
         nodes = next(iter(args.values())).shape[0]
@@ -392,6 +388,8 @@ class ControlConstraint:
         self.variant = variant
         self.dim = dim
         self.data = data
+        # data is never modified after construction
+        self._radial = self._radial_bounds()
 
     # -- constructors ---------------------------------------------------
 
@@ -482,19 +480,9 @@ class ControlConstraint:
     def _is_torus(self):
         if self.variant != "quadratics" or self.dim != 2:
             return False
-        radial = self._radial_bounds()
-        return radial is not None and radial == (2.0, 4.0)
+        return self._radial == (2.0, 4.0)
 
     # -- inequality interface -------------------------------------------
-
-    def n_inequalities(self) -> int:
-        if self.variant == "unconstrained":
-            return 0
-        if self.variant in ("ball",):
-            return 1
-        if self.variant == "halfspaces":
-            return self.data["normals"].shape[0]
-        return len(self.data["terms"])
 
     def values(self, u: np.ndarray) -> np.ndarray:
         """Constraint values g_i(u); membership is all(g_i <= 0)."""
@@ -549,7 +537,7 @@ class ControlConstraint:
     def has_exact_projection(self) -> bool:
         if self.variant in ("unconstrained", "ball", "halfspaces"):
             return True
-        return self._radial_bounds() is not None
+        return self._radial is not None
 
     def project(self, u: np.ndarray) -> np.ndarray:
         """Euclidean projection onto U (exact for the catalog variants)."""
@@ -563,7 +551,7 @@ class ControlConstraint:
             return u.copy() if norm <= r else c + gap * (r / norm)
         if self.variant == "halfspaces":
             return self._project_halfspaces(u)
-        radial = self._radial_bounds()
+        radial = self._radial
         if radial is None:
             raise ProjectionUnavailable(
                 "no closed-form projection for this quadratics constraint")
@@ -779,9 +767,8 @@ def _fd_check(name, value_fn, jac_fn, args, slot, rtol, out):
 def validate(scenario: Scenario, n_probes: int = 6) -> list:
     """Cross-check supplied derivatives and dimensions; empty list iff clean.
 
-    The (t, t') continuity modulus is probed on grid points but only
-    reported through ``continuity_report`` -- point probes cannot refute
-    a modulus bound, so it never rejects here.
+    The (t, t') continuity modulus is not checked: point probes on the
+    grid cannot refute a modulus bound.
     """
     out: list[Diagnostic] = []
     co, cost = scenario.coeffs, scenario.cost
@@ -850,33 +837,6 @@ def validate(scenario: Scenario, n_probes: int = 6) -> list:
                     for a in coeff.slots)
         if not math.isfinite(bound):
             out.append(Diagnostic(name, "derivative bound is not finite", math.inf))
-    return out
-
-
-def continuity_report(scenario: Scenario) -> dict:
-    """Probe the modulus of continuity in the first time slot on the grid.
-
-    Informational only: returns per-coefficient max increments between
-    adjacent grid times at unit arguments.
-    """
-    co = scenario.coeffs
-    ts = scenario.grid.points
-    x = np.ones((1, scenario.n))
-    u = np.ones((1, scenario.l))
-    y = np.ones((1, scenario.m))
-    z = np.ones((1, scenario.m))
-    out = {}
-    for name, coeff, args in (("b", co.b, {"x": x, "u": u}),
-                              ("sigma", co.sigma, {"x": x, "u": u}),
-                              ("g", co.g, {"x": x, "y": y, "z": z, "u": u})):
-        inc = 0.0
-        for i in range(len(ts) - 1):
-            v0 = coeff.value(float(ts[i]), float(ts[0]), **args)
-            v1 = coeff.value(float(ts[i + 1]), float(ts[0]), **args)
-            inc = max(inc, float(np.abs(v1 - v0).max()))
-        out[name] = inc
-    out["psi"] = float(np.abs(co.psi.value(float(ts[-1]), x)
-                              - co.psi.value(float(ts[0]), x)).max())
     return out
 
 

@@ -13,7 +13,10 @@ import time
 import numpy as np
 import pytest
 
-from oracles import dense_bsvie_oracle
+from oracles import (
+    dense_bsvie_oracle, operator_transpose_oracle, qp_oracle,
+    random_duality_instance,
+)
 
 from volterra_control.adjoint import adjoint_residuals
 from volterra_control.backward import solve_bsvie
@@ -24,8 +27,7 @@ from volterra_control.scenario import ControlConstraint, fixture_path, load_scen
 from volterra_control.verify import (
     check_duality_1, check_duality_2, check_pointwise_nc, control_pairing,
     convergence_test, degenerate_duality_gaps, degenerate_fbsde_check,
-    full_pipeline, gateaux_vs_hamiltonian, operator_transpose_oracle,
-    qp_oracle, random_duality_instance, smooth_duality_instance,
+    full_pipeline, gateaux_vs_hamiltonian, smooth_duality_instance,
 )
 
 

@@ -1,26 +1,16 @@
-import math
-
 import numpy as np
 import pytest
 
+from oracles import dw_leaf, projector
+
 from volterra_control.adjoint import (
     FredholmSolution, adjoint_residuals, assemble_adjoint, fredholm_row_residual,
-    hamiltonian_gradient, solve_fredholm, solve_lambda0, solve_mu_nu,
+    hamiltonian_gradient, solve_fredholm, solve_lambda0,
 )
-from volterra_control.backward import MSolution, solve_bsvie
+from volterra_control.backward import MSolution, solve_bsvie, solve_linear_backward
 from volterra_control.forward import simulate_forward
 from volterra_control.lattice import AdaptedProcess, Tree, TwoParamProcess
 from volterra_control.scenario import fixture_path, load_scenario
-
-
-def projector(tree, level):
-    block = 1 << (tree.N - level)
-    return np.kron(np.eye(1 << level), np.full((block, block), 1.0 / block))
-
-
-def dw_leaf(tree, j):
-    return np.tile(np.repeat(np.array([-tree.sqdt, tree.sqdt]),
-                             1 << (tree.N - 1 - j)), 1 << j)
 
 
 class TestSolveLambda0:
@@ -141,16 +131,25 @@ class TestSolveFredholm:
 
 
 class TestSolveMuNu:
+    """mu_i = E_i[theta] and its integrands nu, as the (p, q) solve
+    returns them for the boundary term theta."""
+
+    @staticmethod
+    def mu_nu(tree, theta):
+        rows = [np.zeros_like(theta) for _ in range(tree.N)]
+        sol = solve_linear_backward(tree, theta.shape[1], rows, theta=theta)
+        return sol.mu, sol.nu
+
     def test_constant_theta(self):
         tree = Tree.build(1.0, 4)
-        mu, nu = solve_mu_nu(tree, np.full((16, 1), 3.0))
+        mu, nu = self.mu_nu(tree, np.full((16, 1), 3.0))
         assert np.allclose(mu.level(2), 3.0)
         assert nu.sup_norm() == 0.0
 
     def test_brownian_theta_gives_unit_nu(self):
         tree = Tree.build(1.0, 5)
         theta = tree.w(tree.N).reshape(-1, 1)
-        mu, nu = solve_mu_nu(tree, theta)
+        mu, nu = self.mu_nu(tree, theta)
         for j in range(tree.N):
             assert np.allclose(nu.level(j), 1.0, atol=1e-13)
 

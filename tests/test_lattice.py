@@ -127,14 +127,6 @@ class TestMartingaleRepr:
                     lambda j, zs=zs, k=k: zs[j - k], k, n)
                 assert np.max(np.abs(back - x)) <= 1e-13
 
-    def test_repr_integrand_matches_full_decomposition(self):
-        tree = Tree.build(1.0, 5)
-        rng = np.random.default_rng(3)
-        x = rng.standard_normal((tree.n_leaves, 2))
-        _, zs = tree.martingale_repr(x, 0)
-        for j in range(5):
-            assert np.allclose(tree.repr_integrand(x, j), zs[j], atol=1e-14)
-
 
 class TestProcessContainers:
     def test_adapted_process_shape_enforced(self):

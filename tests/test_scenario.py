@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from volterra_control.scenario import (
-    ControlConstraint, Scenario, ScenarioError, continuity_report, fixture_path,
-    load_scenario, save_scenario, validate,
+    ControlConstraint, Scenario, ScenarioError, fixture_path, load_scenario,
+    save_scenario, validate,
 )
 
 FIXTURES = ("zero", "lq", "fbsde", "quadratic", "annulus", "lq_multi")
@@ -83,12 +83,6 @@ class TestValidate:
         assert any(p.field == "b.dx" for p in problems)
         bad = next(p for p in problems if p.field == "b.dx")
         assert bad.discrepancy > 1e-3
-
-    def test_continuity_report_finite(self):
-        s = load_scenario(fixture_path("lq"))
-        rep = continuity_report(s)
-        assert set(rep) == {"b", "sigma", "g", "psi"}
-        assert all(math.isfinite(v) for v in rep.values())
 
     def test_deterministic_evaluators(self):
         s = load_scenario(fixture_path("lq"))

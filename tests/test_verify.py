@@ -4,13 +4,15 @@ import math
 import numpy as np
 import pytest
 
+from oracles import operator_transpose_oracle, qp_oracle, random_duality_instance
+
+from volterra_control import verify
 from volterra_control.lattice import AdaptedProcess, Tree
 from volterra_control.scenario import Scenario, fixture_path, load_scenario
 from volterra_control.verify import (
     DualityInstance, check_duality_1, check_duality_2, check_pointwise_nc,
     control_pairing, convergence_test, degenerate_duality_gaps, evaluate_cost,
-    full_pipeline, gateaux_vs_hamiltonian, operator_transpose_oracle,
-    projected_gradient, qp_oracle, random_duality_instance,
+    full_pipeline, gateaux_vs_hamiltonian, projected_gradient,
     smooth_duality_instance, solve_state, solve_variational,
 )
 
@@ -196,6 +198,34 @@ class TestGateaux:
         # centered quotient is exact for the LQ cost at any eps
         for e in eps_seq:
             assert rep.gap(e) <= 1e-10
+
+    def test_infeasible_backward_step_gives_nan(self):
+        # u on the outer ring, v pointing inward: u - eps v leaves the region
+        s = load_scenario(fixture_path("annulus"))
+        tree = s.tree(3)
+        u = AdaptedProcess.constant([2.0, 0.0], tree.N - 1)
+        v = AdaptedProcess.constant([-1.0, 0.0], tree.N - 1)
+        rep = gateaux_vs_hamiltonian(s, u, v, [1e-2], tree)
+        assert np.isfinite(rep.quotients[1e-2])
+        assert np.isnan(rep.centered[1e-2])
+
+    def test_other_down_step_errors_propagate(self, monkeypatch):
+        s = load_scenario(fixture_path("lq"))
+        tree = s.tree(4)
+        u = AdaptedProcess.constant([0.1], tree.N - 1)
+        v = adapted_rng(tree, 1, 9)
+        real_cost = verify.evaluate_cost
+        calls = []
+
+        def failing_down_step(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 3:  # j0, the up step, then the down step
+                raise FloatingPointError("down-step cost")
+            return real_cost(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "evaluate_cost", failing_down_step)
+        with pytest.raises(FloatingPointError, match="down-step cost"):
+            gateaux_vs_hamiltonian(s, u, v, [1e-3], tree)
 
 
 class TestPointwiseNC:
