@@ -88,12 +88,10 @@ def solve_fredholm(tree: Tree, dim: int, alpha_rows, A=None, B=None, D=None,
                     A(j, i), tree.cond_expect(xi[j], i))
             if B is not None:
                 proj = tree.cond_expect(tree.tmatvec(B(j, i), xi[j]), j)
-                known = known + tree.embed(
-                    np.repeat(proj, 2, axis=0) * tree.dw(j)[:, None], i)
+                known = known + tree.embed(tree.dw_term(proj, j), i)
             if beta is not None:
                 known = known + tree.embed(
-                    np.repeat(tree.embed(beta(i, j), j), 2, axis=0)
-                    * tree.dw(j)[:, None], i)
+                    tree.dw_term(tree.embed(beta(i, j), j), j), i)
         if include_diag_A and A is not None and i <= N - 1:
             mats = tree.embed(A(i, i), i)
             lhs = np.eye(dim)[None, :, :] - tree.dt * np.swapaxes(mats, 1, 2)
@@ -106,8 +104,7 @@ def solve_fredholm(tree: Tree, dim: int, alpha_rows, A=None, B=None, D=None,
                 incr = incr + tree.tmatvec(D(i, r), cur)
             if beta is not None:
                 incr = incr + tree.embed(beta(i, r), r)
-            cur = np.repeat(cur, 2, axis=0) + np.repeat(
-                incr, 2, axis=0) * tree.dw(r)[:, None]
+            cur = np.repeat(cur, 2, axis=0) + tree.dw_term(incr, r)
             run.append(cur)
         xi.append(cur)
         cond.append(run)
@@ -128,15 +125,13 @@ def fredholm_row_residual(tree: Tree, sol: FredholmSolution, i: int, alpha_rows,
     for j in range(i):
         if B is not None:
             proj = tree.cond_expect(tree.tmatvec(B(j, i), sol.xi[j]), j)
-            rhs = rhs + tree.embed(
-                np.repeat(proj, 2, axis=0) * tree.dw(j)[:, None], N)
+            rhs = rhs + tree.embed(tree.dw_term(proj, j), N)
     if beta is not None:
         rhs = rhs + tree.ito_sum(lambda j: tree.embed(beta(i, j), j), 0, N)
     for j in range(i, N):
         if D is not None:
             term = tree.tmatvec(D(i, j), tree.cond_expect(sol.xi[i], j))
-            rhs = rhs + tree.embed(
-                np.repeat(term, 2, axis=0) * tree.dw(j)[:, None], N)
+            rhs = rhs + tree.embed(tree.dw_term(term, j), N)
     return float(np.abs(sol.xi[i] - rhs).max())
 
 
@@ -151,8 +146,7 @@ def solve_lambda0(tree: Tree, fz: AdaptedProcess, gz0, mean0: np.ndarray):
     for j in range(tree.N):
         lam = levels[j]
         incr = fz.level(j) + tree.tmatvec(gz0(j), lam)
-        levels.append(np.repeat(lam, 2, axis=0)
-                      + np.repeat(incr, 2, axis=0) * tree.dw(j)[:, None])
+        levels.append(np.repeat(lam, 2, axis=0) + tree.dw_term(incr, j))
     return levels[-1], AdaptedProcess(levels)
 
 

@@ -81,8 +81,7 @@ def simulate_forward(scenario: Scenario, u: AdaptedProcess,
                 _check_finite(drift, j, f"b(t_{i}, t_{j})")
                 _check_finite(diff, j, f"sigma(t_{i}, t_{j})")
                 inc = tree.dt * tree.embed(drift, i)
-                inc = inc + tree.embed(
-                    np.repeat(diff, 2, axis=0) * tree.dw(j)[:, None], i)
+                inc = inc + tree.embed(tree.dw_term(diff, j), i)
                 acc = acc + inc
             _check_finite(acc, i, f"X(t_{i})")
             levels.append(acc)
@@ -116,8 +115,7 @@ def simulate_forward_linear(scenario: Scenario, base: ForwardPath,
                 drift = tree.matvec(bx, x1j) + tree.matvec(bu, vj)
                 diff = tree.matvec(sx, x1j) + tree.matvec(su, vj)
                 acc = acc + tree.dt * tree.embed(drift, i)
-                acc = acc + tree.embed(
-                    np.repeat(diff, 2, axis=0) * tree.dw(j)[:, None], i)
+                acc = acc + tree.embed(tree.dw_term(diff, j), i)
             _check_finite(acc, i, f"X1(t_{i})")
             levels.append(acc)
     return AdaptedProcess(levels)

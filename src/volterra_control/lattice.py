@@ -152,14 +152,17 @@ class Tree:
             h = np.asarray(get(j), dtype=float)
             if self.level_of(h) != j:
                 raise ValueError(f"integrand at step {j} is not level-{j}")
-            term = np.repeat(h, 2, axis=0) * self._dw[j].reshape(
-                (-1,) + (1,) * (h.ndim - 1))
-            term = self.embed(term, self.N)
+            term = self.embed(self.dw_term(h, j), self.N)
             out = term if out is None else out + term
         if out is None:
             dim = integrands.dim if isinstance(integrands, AdaptedProcess) else 1
             return np.zeros((self.n_leaves, dim))
         return out
+
+    def dw_term(self, h: np.ndarray, j: int) -> np.ndarray:
+        """The increment h dW_j of a level-j integrand, a level-(j+1) field."""
+        return np.repeat(h, 2, axis=0) * self._dw[j].reshape(
+            (-1,) + (1,) * (h.ndim - 1))
 
     def repr_step(self, values: np.ndarray):
         """One backward martingale step: level k+1 -> (E_k mean, integrand).

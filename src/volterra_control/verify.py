@@ -498,8 +498,7 @@ def fbsde_reduced_gradient(scenario: Scenario, u: AdaptedProcess,
     L = [solve_gy(h_y_mean[None, :] + tree.dt * fro.f_slot("y", 0), 0)]
     for j in range(N):
         incr = fro.f_slot("z", j) + tree.tmatvec(fro.g_slot("z", 0, j), L[j])
-        nxt = np.repeat(L[j], 2, axis=0) \
-            + np.repeat(incr, 2, axis=0) * tree.dw(j)[:, None]
+        nxt = np.repeat(L[j], 2, axis=0) + tree.dw_term(incr, j)
         if j + 1 <= N - 1:
             nxt = solve_gy(nxt + tree.dt * fro.f_slot("y", j + 1), j + 1)
         L.append(nxt)
