@@ -3,7 +3,8 @@
 Three layers:
 
 * ``solve_bsde``: plain backward recursion with an implicit driver step,
-  the BSDE that a BSVIE with a time-invariant generator reduces to.
+  the BSDE that a BSVIE reduces to when neither its generator nor its
+  terminal map depends on t.
 * ``solve_bsvie``: C-adapted solutions of nonlinear backward Volterra
   equations via outer Picard iteration on the diagonal Y and one
   parameterized row recursion per grid time, each row solved on the whole
