@@ -7,15 +7,19 @@ programs, independently of the package's sweep solvers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from volterra_control.backward import solve_bsvie, solve_linear_backward
+from volterra_control.cones import adjacent_cone, cone_min_linear, kkt_multipliers
 from volterra_control.forward import simulate_forward
 from volterra_control.lattice import AdaptedProcess, Tree
-from volterra_control.scenario import Scenario
-from volterra_control.verify import DualityInstance
+from volterra_control.scenario import (ControlConstraint, ProjectionUnavailable,
+                                       Scenario)
+from volterra_control.verify import DualityInstance, NCReport
 
 
 def projector(tree, level):
@@ -437,3 +441,112 @@ def _active_set_qp(scenario, tree, coords, H, grad0, max_iter=200):
         if hit is not None:
             active.append(hit)
     raise RuntimeError("active-set QP did not converge")
+
+
+# ---------------------------------------------------------------------------
+# per-point control-region geometry and the per-node NC sweep
+
+
+def point_values(c: ControlConstraint, u: np.ndarray) -> np.ndarray:
+    """Constraint values g_i(u) at one point, written out per variant."""
+    u = np.asarray(u, dtype=float)
+    if c.variant == "unconstrained":
+        return np.zeros(0)
+    if c.variant == "ball":
+        centre, r = c.data["center"], c.data["radius"]
+        return np.array([float((u - centre) @ (u - centre)) - r * r])
+    if c.variant == "halfspaces":
+        return c.data["normals"] @ u - c.data["offsets"]
+    return np.array([float(u @ t["quad"] @ u + t["lin"] @ u + t["const"])
+                     for t in c.data["terms"]])
+
+
+def point_contains(c: ControlConstraint, u: np.ndarray, tol: float = 1e-9) -> bool:
+    vals = point_values(c, u)
+    return bool(vals.size == 0 or np.all(vals <= tol * (1.0 + np.abs(vals))))
+
+
+def point_project(c: ControlConstraint, u: np.ndarray) -> np.ndarray:
+    """Euclidean projection of one point, written out per variant."""
+    u = np.asarray(u, dtype=float)
+    if c.variant == "unconstrained":
+        return u.copy()
+    if c.variant == "ball":
+        centre, r = c.data["center"], c.data["radius"]
+        gap = u - centre
+        norm = float(np.linalg.norm(gap))
+        return u.copy() if norm <= r else centre + gap * (r / norm)
+    if c.variant == "halfspaces":
+        A, b = c.data["normals"], c.data["offsets"]
+        if np.all(A @ u <= b + 1e-12):
+            return u.copy()
+        best, best_d = None, math.inf
+        for size in range(1, min(A.shape[0], c.dim) + 1):
+            for rows in combinations(range(A.shape[0]), size):
+                As = A[list(rows)]
+                try:
+                    lam = np.linalg.solve(As @ As.T, As @ u - b[list(rows)])
+                except np.linalg.LinAlgError:
+                    continue
+                if np.any(lam < -1e-12):
+                    continue
+                cand = u - As.T @ lam
+                if np.all(A @ cand <= b + 1e-9):
+                    d = float(np.linalg.norm(cand - u))
+                    if d < best_d:
+                        best, best_d = cand, d
+        if best is None:
+            raise ProjectionUnavailable("halfspace projection: no feasible KKT point")
+        return best
+    if c._radial is None:
+        raise ProjectionUnavailable(
+            "no closed-form projection for this quadratics constraint")
+    lo, hi = math.sqrt(c._radial[0]), math.sqrt(c._radial[1])
+    norm = float(np.linalg.norm(u))
+    if norm == 0.0:
+        out = np.zeros(c.dim)
+        out[0] = lo
+        return out
+    return u * (min(max(norm, lo), hi) / norm)
+
+
+def nc_sweep_oracle(scenario: Scenario, u: AdaptedProcess, tree: Tree,
+                    hu: AdaptedProcess) -> NCReport:
+    """The pointwise NC sweep one node at a time: the adjacent cone of
+    every node, then its linear minimum and KKT residual."""
+    tol = scenario.tolerances.activity_tol
+    worst = 0.0
+    worst_loc = (0, 0)
+    n_nodes = 0
+    n_trivial = 0
+    max_resid = 0.0
+    rows = []
+    sup_grad = 0.0
+    for level in range(tree.N):
+        hu_level = hu.level(level)
+        u_level = u.level(level)
+        for node in range(hu_level.shape[0]):
+            n_nodes += 1
+            grad = hu_level[node]
+            sup_grad = max(sup_grad, float(np.linalg.norm(grad)))
+            cone = adjacent_cone(scenario.constraint, u_level[node], tol)
+            if cone.is_full_space:
+                kind = "full"
+                residual = float(np.linalg.norm(grad))
+            else:
+                if cone.is_trivial():
+                    n_trivial += 1
+                    kind = "trivial"
+                else:
+                    kind = "polyhedral"
+                _, residual = kkt_multipliers(grad, cone.normals)
+            val, _ = cone_min_linear(grad, cone)
+            max_resid = max(max_resid, residual)
+            if val < worst:
+                worst = val
+                worst_loc = (level, node)
+            rows.append((level, node, val, kind, residual))
+    return NCReport(worst_value=worst, worst_location=worst_loc,
+                    trivial_fraction=n_trivial / max(n_nodes, 1),
+                    max_kkt_residual=max_resid, rows=rows,
+                    sup_gradient=sup_grad)

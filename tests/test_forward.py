@@ -90,6 +90,16 @@ class TestSimulateForward:
         with pytest.raises(SimulationError, match="level 0, node 0"):
             simulate_forward(s, u, tree)
 
+    def test_first_violation_reported(self):
+        s = load_scenario(fixture_path("annulus"))
+        tree = s.tree()
+        u = AdaptedProcess.constant([1.5, 0.0], tree.N - 1)
+        u.level(3)[5] = [0.5, 0.0]  # inside the inner ring
+        u.level(3)[6] = [2.5, 0.0]  # a later node outside the outer ring
+        u.level(4)[0] = [0.0, 0.0]  # and a later level
+        with pytest.raises(SimulationError, match=r"at level 3, node 5$"):
+            simulate_forward(s, u, tree)
+
     def test_nonfinite_detected(self):
         s = scenario_with({"coefficients.phi": {"const": [1e308], "slope": [0.0]},
                            "coefficients.b": {"x": [[10.0]]}})
