@@ -57,7 +57,7 @@ class FredholmSolution:
         return self.cond[i][r - i]
 
 
-def solve_fredholm(tree: Tree, dim: int, alpha_rows, A=None, B=None, D=None,
+def solve_fredholm(tree: Tree, alpha_rows, A=None, B=None, D=None,
                    beta=None, include_diag_A: bool = True) -> FredholmSolution:
     """Ascending construction for the conditional-expectation Fredholm
     equation
@@ -93,9 +93,7 @@ def solve_fredholm(tree: Tree, dim: int, alpha_rows, A=None, B=None, D=None,
                 known = known + tree.embed(
                     tree.dw_term(tree.embed(beta(i, j), j), j), i)
         if include_diag_A and A is not None and i <= N - 1:
-            mats = tree.embed(A(i, i), i)
-            lhs = np.eye(dim)[None, :, :] - tree.dt * np.swapaxes(mats, 1, 2)
-            known = np.linalg.solve(lhs, known[..., None])[..., 0]
+            known = tree.implicit_solve(np.swapaxes(A(i, i), 1, 2), known)
         run = [known]
         cur = known
         for r in range(i, N):
@@ -141,7 +139,6 @@ def solve_lambda0(tree: Tree, fz: AdaptedProcess, gz0, mean0: np.ndarray):
     Lambda_0 = mean0; Lambda_{j+1} = Lambda_j + (fz_j + gz0(j)' Lambda_j) dW_j.
     Returns (lambda0 leaf field, Lambda with Lambda_r = E_r[lambda0]).
     """
-    m = fz.dim
     levels = [np.tile(np.asarray(mean0, dtype=float), (1, 1))]
     for j in range(tree.N):
         lam = levels[j]
@@ -261,7 +258,7 @@ def assemble_adjoint(scenario: Scenario, fwd: ForwardPath, bwd, u: AdaptedProces
                      tree: Tree | None = None) -> AdjointBundle:
     """Chain the four adjoint solves along the state triple (fwd, bwd, u)."""
     tree = tree or scenario.tree()
-    N, m, n = tree.N, scenario.m, scenario.n
+    N = tree.N
     fro = FrozenCoefficients(scenario, tree, fwd, bwd, u)
 
     fz = AdaptedProcess([fro.f_slot("z", j) for j in range(N)])
@@ -270,14 +267,14 @@ def assemble_adjoint(scenario: Scenario, fwd: ForwardPath, bwd, u: AdaptedProces
                                     mean0)
 
     alpha_rows, xi_kernels = _xi_equation(tree, fro, Lambda)
-    xi = solve_fredholm(tree, m, alpha_rows, **xi_kernels)
+    xi = solve_fredholm(tree, alpha_rows, **xi_kernels)
 
     theta = fro.h_x() + tree.tmatvec(fro.psi_x(0), lambda0)
     for j in range(N):
         theta = theta + tree.dt * tree.tmatvec(fro.psi_x(j), xi.xi[j])
 
     p_rows, pq_kernels = _pq_equation(tree, fro, Lambda, xi.xi, theta)
-    pq_sol = solve_linear_backward(tree, n, p_rows, **pq_kernels)
+    pq_sol = solve_linear_backward(tree, p_rows, **pq_kernels)
 
     return AdjointBundle(lambda0=lambda0, Lambda=Lambda, xi=xi, theta=theta,
                          mu=pq_sol.mu, nu=pq_sol.nu, pq=pq_sol.as_msolution(),

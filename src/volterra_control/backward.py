@@ -196,7 +196,7 @@ def recompute_bsvie_row(scenario: Scenario, fwd, u: AdaptedProcess,
     return lam_rows[0], z_rows[0]
 
 
-def solve_linear_backward(tree: Tree, dim: int, psi_rows, A=None, B=None,
+def solve_linear_backward(tree: Tree, psi_rows, A=None, B=None,
                           D=None, theta: np.ndarray | None = None,
                           include_diag_A: bool = True,
                           include_diag_B: bool = False) -> BackwardSolution:
@@ -252,9 +252,7 @@ def solve_linear_backward(tree: Tree, dim: int, psi_rows, A=None, B=None,
         if include_diag_B and B is not None:
             cur = cur + tree.dt * tree.matvec(B(i, i), z_cols[i])
         if include_diag_A and A is not None:
-            mats = tree.embed(A(i, i), i)
-            lhs = np.eye(dim)[None, :, :] - tree.dt * mats
-            cur = np.linalg.solve(lhs, cur[..., None])[..., 0]
+            cur = tree.implicit_solve(A(i, i), cur)
         y_levels[i] = cur
         _, z_cols[:i] = tree.martingale_repr(cur, 0)
         z_rows[i] = z_cols

@@ -116,13 +116,10 @@ def adjacent_cone(constraint: ControlConstraint, u: np.ndarray,
     gradients are rank deficient, and ValueError when u is infeasible.
     """
     u = np.asarray(u, dtype=float)
-    if constraint.variant == "unconstrained":
-        return ConeRep.full_space(u.size)
-    vals = constraint.values(u)
-    bands = activity_tol * (1.0 + np.abs(vals))
-    if np.any(vals > bands):
-        raise ValueError(f"point is outside the control region: g = {vals}")
-    active = np.abs(vals) <= bands
+    within, active = constraint.activity(u, activity_tol)
+    if not within.all():
+        raise ValueError(f"point is outside the control region: "
+                         f"g = {constraint.values(u)}")
     if not active.any():
         return ConeRep.full_space(u.size)
     normals = constraint.gradients(u)[active]
@@ -194,18 +191,12 @@ def dist_limit_probe(constraint: ControlConstraint, u: np.ndarray,
     if h_sequence is None:
         h_sequence = [2.0 ** -k for k in range(2, 13)]
     quotients = []
-    y_h = None
     for h in h_sequence:
         point = u + h * v
-        quotients.append(constraint.dist(point) / h)
-        if constraint.has_exact_projection:
-            y_h = constraint.project(point)
-        else:
-            y_h = constraint._project_iterative(point)
-    if len(quotients) >= 2:
-        limit = 2.0 * quotients[-1] - quotients[-2]
-    else:
-        limit = quotients[-1]
+        y_h = constraint.nearest(point)
+        quotients.append(float(np.linalg.norm(y_h - point)) / h)
+    limit = (2.0 * quotients[-1] - quotients[-2] if len(quotients) >= 2
+             else quotients[-1])
     member = limit <= probe_tol * (1.0 + float(np.linalg.norm(v)))
     v_h = (y_h - u) / h_sequence[-1]
     return quotients, member, v_h

@@ -50,11 +50,10 @@ def _check_control(scenario: Scenario, tree: Tree, u: AdaptedProcess,
         return
     tol = scenario.tolerances.activity_tol
     for j in range(tree.N):
-        vals = u.level(j)
-        for node in range(vals.shape[0]):
-            if not constraint.contains(vals[node], tol):
-                raise SimulationError(
-                    f"control violates the constraint at level {j}, node {node}")
+        inside = constraint.contains(u.level(j), tol)
+        if not inside.all():
+            raise SimulationError(f"control violates the constraint at level "
+                                  f"{j}, node {int(np.argmin(inside))}")
 
 
 def simulate_forward(scenario: Scenario, u: AdaptedProcess,

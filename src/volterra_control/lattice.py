@@ -213,6 +213,11 @@ class Tree:
         level of a (2**i, d, e) matrix field and a (2**j, d) vector field."""
         return np.einsum("kde,kd->ke", *self._common_level(mat, vec))
 
+    def implicit_solve(self, mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Per-node solve of (I - dt mat) x = rhs at the level of rhs."""
+        lhs = np.eye(rhs.shape[-1]) - self.dt * self.embed(mat, self.level_of(rhs))
+        return np.linalg.solve(lhs, rhs[..., None])[..., 0]
+
 
 class AdaptedProcess:
     """Node-indexed adapted process: one (2**i, d) table per level.

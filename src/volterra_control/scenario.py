@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +58,16 @@ def _vector(entry, size, context):
     if arr.shape != (size,):
         raise ScenarioError(f"{context}: expected length {size}, got {arr.shape}")
     return arr
+
+
+# Row-wise mat @ row and Euclidean norm over (..., d) tables; each row's
+# result is bit for bit that of the single vector (np.linalg.norm).
+def _rowmat(mat: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    return np.matmul(mat, rows[..., None])[..., 0]
+
+
+def _norm(rows: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.vecdot(rows, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +393,10 @@ class ControlConstraint:
     (smooth inequalities u'S_i u + b_i.u + c_i <= 0).  The torus fixture of
     the two-ring annulus is the quadratics instance {|u|^2 - 4 <= 0,
     2 - |u|^2 <= 0} and carries a radial closed-form projection.
+
+    ``values``, ``activity``, ``contains`` and ``project`` take (..., l)
+    node tables, one point per row, bit for bit as if row by row; an
+    (l,) point is the one-row case.
     """
 
     def __init__(self, variant, dim, data):
@@ -485,17 +500,18 @@ class ControlConstraint:
     # -- inequality interface -------------------------------------------
 
     def values(self, u: np.ndarray) -> np.ndarray:
-        """Constraint values g_i(u); membership is all(g_i <= 0)."""
+        """Constraint values g_i(u), shape (..., k); membership is all(g_i <= 0)."""
         u = np.asarray(u, dtype=float)
         if self.variant == "unconstrained":
-            return np.zeros(0)
+            return np.zeros(u.shape[:-1] + (0,))
         if self.variant == "ball":
-            c, r = self.data["center"], self.data["radius"]
-            return np.array([float((u - c) @ (u - c)) - r * r])
+            gap = u - self.data["center"]
+            r = self.data["radius"]
+            return np.vecdot(gap, gap)[..., None] - r * r
         if self.variant == "halfspaces":
-            return self.data["normals"] @ u - self.data["offsets"]
-        return np.array([float(u @ t["quad"] @ u + t["lin"] @ u + t["const"])
-                         for t in self.data["terms"]])
+            return _rowmat(self.data["normals"], u) - self.data["offsets"]
+        return np.stack([np.vecdot(u @ t["quad"], u) + np.vecdot(u, t["lin"])
+                         + t["const"] for t in self.data["terms"]], axis=-1)
 
     def gradients(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
@@ -508,9 +524,16 @@ class ControlConstraint:
         return np.stack([(t["quad"] + t["quad"].T) @ u + t["lin"]
                          for t in self.data["terms"]])
 
-    def contains(self, u: np.ndarray, tol: float = 1e-9) -> bool:
+    def activity(self, u: np.ndarray, tol: float):
+        """Masks (within, active), shape (..., k), of the band rule: g_i <=
+        tol (1 + |g_i|) within U, |g_i| <= tol (1 + |g_i|) active."""
         vals = self.values(u)
-        return bool(vals.size == 0 or np.all(vals <= tol * (1.0 + np.abs(vals))))
+        band = tol * (1.0 + np.abs(vals))
+        return vals <= band, np.abs(vals) <= band
+
+    def contains(self, u: np.ndarray, tol: float = 1e-9):
+        """Membership of each row of u, shape (...)."""
+        return np.all(self.activity(u, tol)[0], axis=-1)
 
     # -- projection / distance ------------------------------------------
 
@@ -540,15 +563,16 @@ class ControlConstraint:
         return self._radial is not None
 
     def project(self, u: np.ndarray) -> np.ndarray:
-        """Euclidean projection onto U (exact for the catalog variants)."""
+        """Euclidean projection of each row of u onto U (exact for the
+        catalog variants)."""
         u = np.asarray(u, dtype=float)
         if self.variant == "unconstrained":
             return u.copy()
         if self.variant == "ball":
             c, r = self.data["center"], self.data["radius"]
             gap = u - c
-            norm = float(np.linalg.norm(gap))
-            return u.copy() if norm <= r else c + gap * (r / norm)
+            norm = _norm(gap)[..., None]
+            return np.where(norm <= r, u, c + gap * (r / np.maximum(norm, r)))
         if self.variant == "halfspaces":
             return self._project_halfspaces(u)
         radial = self._radial
@@ -556,55 +580,55 @@ class ControlConstraint:
             raise ProjectionUnavailable(
                 "no closed-form projection for this quadratics constraint")
         lo, hi = math.sqrt(radial[0]), math.sqrt(radial[1])
-        norm = float(np.linalg.norm(u))
-        if norm == 0.0:
-            out = np.zeros(self.dim)
-            out[0] = lo
-            return out
-        return u * (min(max(norm, lo), hi) / norm)
+        norm = _norm(u)[..., None]
+        zero = norm == 0.0
+        # norm + zero is the norm, or 1 at the origin (sent to the inner ring)
+        out = u * (np.minimum(np.maximum(norm, lo), hi) / (norm + zero))
+        if zero.any():
+            out[zero[..., 0]] = np.eye(self.dim)[0] * lo
+        return out
 
     def _project_halfspaces(self, u):
-        # active-set enumeration; exact for the small systems in the catalog
-        from itertools import combinations
+        # active-set enumeration, each subset solved for every row at once;
+        # exact for the small systems in the catalog
         A, b = self.data["normals"], self.data["offsets"]
-        if np.all(A @ u <= b + 1e-12):
-            return u.copy()
-        k = A.shape[0]
-        best, best_d = None, math.inf
-        for size in range(1, min(k, self.dim) + 1):
-            for rows in combinations(range(k), size):
+        inside = np.all(_rowmat(A, u) <= b + 1e-12, axis=-1)
+        best, best_d = u.copy(), np.where(inside, 0.0, math.inf)
+        for size in range(1, min(A.shape[0], self.dim) + 1):
+            for rows in combinations(range(A.shape[0]), size):
                 As = A[list(rows)]
-                gram = As @ As.T
+                rhs = _rowmat(As, u) - b[list(rows)]
                 try:
-                    lam = np.linalg.solve(gram, As @ u - b[list(rows)])
+                    lam = np.linalg.solve(np.broadcast_to(
+                        As @ As.T, rhs.shape + (size,)), rhs[..., None])[..., 0]
                 except np.linalg.LinAlgError:
                     continue
-                if np.any(lam < -1e-12):
-                    continue
-                cand = u - As.T @ lam
-                if np.all(A @ cand <= b + 1e-9):
-                    d = float(np.linalg.norm(cand - u))
-                    if d < best_d:
-                        best, best_d = cand, d
-        if best is None:
+                cand = u - _rowmat(As.T, lam)
+                d = _norm(cand - u)
+                better = (np.all(lam >= -1e-12, axis=-1)
+                          & np.all(_rowmat(A, cand) <= b + 1e-9, axis=-1)
+                          & (d < best_d))
+                best[better], best_d[better] = cand[better], d[better]
+        if np.isinf(best_d).any():
             raise ProjectionUnavailable("halfspace projection: no feasible KKT point")
         return best
 
-    def dist(self, u: np.ndarray) -> float:
-        """Distance to U; via the exact projection where available."""
+    def nearest(self, u: np.ndarray) -> np.ndarray:
+        """A nearest point of U; the exact projection where available."""
         u = np.asarray(u, dtype=float)
-        if self.has_exact_projection:
-            return float(np.linalg.norm(self.project(u) - u))
-        return float(np.linalg.norm(self._project_iterative(u) - u))
+        return self.project(u) if self.has_exact_projection else self._project_iterative(u)
+
+    def dist(self, u: np.ndarray) -> float:
+        return float(np.linalg.norm(self.nearest(u) - u))
 
     def _project_iterative(self, u, max_iter=80):
         # local Gauss-Newton flow onto the most violated smooth inequality
         y = u.copy()
         for _ in range(max_iter):
+            if self.contains(y, 1e-13):
+                return y
             vals = self.values(y)
             worst = int(np.argmax(vals))
-            if vals[worst] <= 1e-13 * (1.0 + abs(vals[worst])):
-                return y
             grad = self.gradients(y)[worst]
             denom = float(grad @ grad)
             if denom == 0.0:

@@ -176,10 +176,10 @@ def check_duality_1(inst: DualityInstance, mode: str = "transpose") -> DualityRe
     """
     if mode not in ("transpose", "continuum"):
         raise ValueError(f"unknown duality mode {mode!r}")
-    tree, m = inst.tree, inst.dim
-    xi = solve_fredholm(tree, m, inst.alpha, A=inst.A, B=inst.B, D=inst.D,
+    tree = inst.tree
+    xi = solve_fredholm(tree, inst.alpha, A=inst.A, B=inst.B, D=inst.D,
                         beta=inst.beta, include_diag_A=(mode == "transpose"))
-    bwd = solve_linear_backward(tree, m, inst.psi_rows, A=inst.A, B=inst.B,
+    bwd = solve_linear_backward(tree, inst.psi_rows, A=inst.A, B=inst.B,
                                 D=inst.D, theta=inst.theta,
                                 include_diag_A=True,
                                 include_diag_B=(mode == "continuum"))
@@ -207,10 +207,10 @@ def check_duality_2(inst: DualityInstance, mode: str = "transpose") -> DualityRe
     """
     if mode not in ("transpose", "continuum"):
         raise ValueError(f"unknown duality mode {mode!r}")
-    tree, m = inst.tree, inst.dim
-    xi = solve_fredholm(tree, m, inst.alpha, A=inst.A, B=inst.B, D=inst.D,
+    tree = inst.tree
+    xi = solve_fredholm(tree, inst.alpha, A=inst.A, B=inst.B, D=inst.D,
                         beta=inst.beta, include_diag_A=(mode == "transpose"))
-    tilde = solve_linear_backward(tree, m, inst.psi_tilde_rows, A=inst.A_tilde,
+    tilde = solve_linear_backward(tree, inst.psi_tilde_rows, A=inst.A_tilde,
                                   D=inst.D, theta=None, include_diag_A=True)
     xi0 = xi.xi[0]
     lhs = _pair(tree, xi0, inst.psi_tilde_rows[0])
@@ -258,7 +258,7 @@ def solve_variational(scenario: Scenario, fwd, bwd, u: AdaptedProcess,
     tree = tree or scenario.tree()
     fro = FrozenCoefficients(scenario, tree, fwd, bwd, u)
     x1 = simulate_forward_linear(scenario, fwd, v, tree)
-    N, m = tree.N, scenario.m
+    N = tree.N
     x1_leaf = x1.level(N)
     rows = []
     for i in range(N):
@@ -268,7 +268,7 @@ def solve_variational(scenario: Scenario, fwd, bwd, u: AdaptedProcess,
                 + tree.matvec(fro.g_slot("u", i, j), v.level(j))
             row = row + tree.dt * tree.embed(term, N)
         rows.append(row)
-    sol = solve_linear_backward(tree, m, rows,
+    sol = solve_linear_backward(tree, rows,
                                 A=lambda i, j: fro.g_slot("y", i, j),
                                 D=lambda i, j: fro.g_slot("z", i, j),
                                 include_diag_A=True)
@@ -284,7 +284,7 @@ def feasible_direction(scenario: Scenario, u: AdaptedProcess,
     when the region is convex)."""
     if scenario.constraint.variant == "unconstrained":
         return v
-    moved = _project_control(scenario, u + eps * v)
+    moved = (u + eps * v).map(scenario.constraint.project)
     return AdaptedProcess([(y - x) / eps for y, x in zip(moved.levels, u.levels)])
 
 
@@ -415,47 +415,49 @@ def check_pointwise_nc(scenario: Scenario, u: AdaptedProcess,
 
     On the lattice the sweep covers every node, which is strictly
     stronger than the almost-everywhere statement it discretizes.
-    Cone-trivial nodes are counted, not certified.
+    ``ControlConstraint.activity`` classifies each level at once; interior
+    and unconstrained nodes have the full space as cone (minimum -|H_u|,
+    KKT residual |H_u|), and only nodes with an active inequality build
+    a cone and reach NNLS.  Cone-trivial nodes are counted, not
+    certified.  Raises ValueError naming the first infeasible node.
     """
     tree = tree or scenario.tree()
-    if state is None:
-        _, _, _, hu = full_pipeline(scenario, u, tree)
-    else:
-        hu = state
+    hu = state if state is not None else full_pipeline(scenario, u, tree)[3]
+    constraint = scenario.constraint
     tol = scenario.tolerances.activity_tol
     worst = 0.0
     worst_loc = (0, 0)
-    n_nodes = 0
     n_trivial = 0
     max_resid = 0.0
     rows = []
     sup_grad = 0.0
     for level in range(tree.N):
-        hu_level = hu.level(level)
-        u_level = u.level(level)
-        for node in range(hu_level.shape[0]):
-            n_nodes += 1
-            grad = hu_level[node]
-            sup_grad = max(sup_grad, float(np.linalg.norm(grad)))
-            cone = adjacent_cone(scenario.constraint, u_level[node], tol)
-            if cone.is_full_space:
-                kind = "full"
-                residual = float(np.linalg.norm(grad))
-            else:
-                if cone.is_trivial():
-                    n_trivial += 1
-                    kind = "trivial"
-                else:
-                    kind = "polyhedral"
-                _, residual = kkt_multipliers(grad, cone.normals)
-            val, _ = cone_min_linear(grad, cone)
-            max_resid = max(max_resid, residual)
-            if val < worst:
-                worst = val
-                worst_loc = (level, node)
-            rows.append((level, node, val, kind, residual))
+        grads, u_level = hu.level(level), u.level(level)
+        within, active = constraint.activity(u_level, tol)
+        if not within.all():
+            node = int(np.argmin(within.all(axis=1)))
+            raise ValueError(f"control outside the region at level {level}, "
+                             f"node {node}: g = {constraint.values(u_level[node])}")
+        norms = np.sqrt(np.vecdot(grads, grads))
+        vals = np.where(norms == 0.0, 0.0, -norms)
+        resids = norms.copy()
+        kinds = ["full"] * len(norms)
+        for node in np.flatnonzero(active.any(axis=1)):
+            cone = adjacent_cone(constraint, u_level[node], tol)
+            kinds[node] = "trivial" if cone.is_trivial() else "polyhedral"
+            _, resids[node] = kkt_multipliers(grads[node], cone.normals)
+            vals[node], _ = cone_min_linear(grads[node], cone)
+        n_trivial += kinds.count("trivial")
+        # fmax/fmin skip NaN entries, as the node-by-node comparisons did
+        sup_grad = max(sup_grad, float(np.fmax.reduce(norms)))
+        max_resid = max(max_resid, float(np.fmax.reduce(resids)))
+        low = float(np.fmin.reduce(vals))
+        if low < worst:
+            worst, worst_loc = low, (level, int(np.argmax(vals == low)))
+        rows.extend(zip([level] * len(norms), range(len(norms)), vals.tolist(),
+                        kinds, resids.tolist()))
     return NCReport(worst_value=worst, worst_location=worst_loc,
-                    trivial_fraction=n_trivial / max(n_nodes, 1),
+                    trivial_fraction=n_trivial / max(len(rows), 1),
                     max_kkt_residual=max_resid, rows=rows,
                     sup_gradient=sup_grad)
 
@@ -487,12 +489,10 @@ def fbsde_reduced_gradient(scenario: Scenario, u: AdaptedProcess,
         raise ValueError("the reduction needs time-invariant coefficients")
     fwd, bwd = solve_state(scenario, u, tree)
     fro = FrozenCoefficients(scenario, tree, fwd, bwd, u)
-    N, m, n = tree.N, scenario.m, scenario.n
+    N = tree.N
 
     def solve_gy(rhs, j):
-        gy = tree.embed(fro.g_slot("y", 0, j), j)
-        lhs = np.eye(m)[None, :, :] - tree.dt * np.swapaxes(gy, 1, 2)
-        return np.linalg.solve(lhs, rhs[..., None])[..., 0]
+        return tree.implicit_solve(np.swapaxes(fro.g_slot("y", 0, j), 1, 2), rhs)
 
     h_y_mean = tree.expectation(fro.h_y())
     L = [solve_gy(h_y_mean[None, :] + tree.dt * fro.f_slot("y", 0), 0)]
@@ -574,20 +574,6 @@ def degenerate_fbsde_check(scenario: Scenario, u: AdaptedProcess,
 # optimization
 
 
-def _project_control(scenario: Scenario, u: AdaptedProcess) -> AdaptedProcess:
-    constraint = scenario.constraint
-    if constraint.variant == "unconstrained":
-        return u
-    levels = []
-    for j in range(u.last_level + 1):
-        vals = u.level(j)
-        out = np.empty_like(vals)
-        for node in range(vals.shape[0]):
-            out[node] = constraint.project(vals[node])
-        levels.append(out)
-    return AdaptedProcess(levels)
-
-
 def projected_gradient(scenario: Scenario, u0: AdaptedProcess,
                        step: float = 0.5, max_iter: int = 200,
                        grad_tol: float = 1e-9,
@@ -601,25 +587,25 @@ def projected_gradient(scenario: Scenario, u0: AdaptedProcess,
             f"projected gradient needs a pointwise projection for variant "
             f"{scenario.constraint.variant!r}")
     u = u0
-    fwd, bwd, bundle, hu = full_pipeline(scenario, u, tree)
-    cost = evaluate_cost(scenario, u, tree, state=(fwd, bwd))
+    state = solve_state(scenario, u, tree)
+    cost = evaluate_cost(scenario, u, tree, state=state)
     history = [cost]
     for _ in range(max_iter):
+        bundle = assemble_adjoint(scenario, *state, u, tree)
+        hu = hamiltonian_gradient(scenario, bundle, *state, u, tree)
         trial_step = step
-        moved = False
         for _ in range(40):
-            cand = _project_control(scenario, u + (-trial_step) * hu)
+            cand = (u + (-trial_step) * hu).map(scenario.constraint.project)
             gap = (cand - u).sup_norm()
             if gap / trial_step < grad_tol:
                 return u, history
-            cand_cost = evaluate_cost(scenario, cand, tree)
+            cand_state = solve_state(scenario, cand, tree)
+            cand_cost = evaluate_cost(scenario, cand, tree, state=cand_state)
             if cand_cost <= cost + 1e-14 * (1.0 + abs(cost)):
-                u, cost = cand, cand_cost
-                moved = True
+                u, state, cost = cand, cand_state, cand_cost
                 break
             trial_step *= 0.5
+        else:  # no step lowered the cost
+            return u, history + [cost]
         history.append(cost)
-        if not moved:
-            return u, history
-        fwd, bwd, bundle, hu = full_pipeline(scenario, u, tree)
     return u, history

@@ -234,7 +234,7 @@ def operator_transpose_oracle(inst: DualityInstance,
         else:
             rem = out_idx - N * row_size
             theta[rem // m, rem % m] = 1.0
-        sol = solve_linear_backward(tree, m, rows, A=Ab, B=Bb, D=Db,
+        sol = solve_linear_backward(tree, rows, A=Ab, B=Bb, D=Db,
                                     theta=theta, include_diag_A=include_diag_A)
         colvec = np.zeros(n_in)
         pos = 0

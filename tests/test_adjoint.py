@@ -78,7 +78,7 @@ class TestSolveFredholm:
         tree = Tree.build(1.0, 5)
         rng = np.random.default_rng(2)
         alphas = [rng.standard_normal((1 << i, 2)) for i in range(tree.N + 1)]
-        sol = solve_fredholm(tree, 2, alphas)
+        sol = solve_fredholm(tree, alphas)
         for i in range(tree.N + 1):
             assert np.allclose(sol.xi[i], tree.embed(alphas[i], tree.N),
                                atol=1e-14)
@@ -88,7 +88,7 @@ class TestSolveFredholm:
         tree = Tree.build(1.0, 5)
         d = 0.6
         alphas = [np.full((1 << i, 1), 1.0 + 0.1 * i) for i in range(tree.N + 1)]
-        sol = solve_fredholm(tree, 1, alphas,
+        sol = solve_fredholm(tree, alphas,
                              D=lambda i, j: np.full((1, 1, 1), d))
         for i in range(tree.N + 1):
             for leaf in range(tree.n_leaves):
@@ -113,7 +113,7 @@ class TestSolveFredholm:
         kB = lambda j, i: np.full((1, 1, 1), coefB[j, i])
         kD = lambda i, j: np.full((1, 1, 1), coefD[i, j])
         kbeta = lambda i, j: betas[(i, j)]
-        sol = solve_fredholm(tree, 1, alphas, A=kA, B=kB, D=kD, beta=kbeta,
+        sol = solve_fredholm(tree, alphas, A=kA, B=kB, D=kD, beta=kbeta,
                              include_diag_A=include_diag_A)
         oracle = dense_fredholm_oracle(
             tree, alphas, lambda j, i: coefA[j, i], lambda j, i: coefB[j, i],
@@ -137,7 +137,7 @@ class TestSolveMuNu:
     @staticmethod
     def mu_nu(tree, theta):
         rows = [np.zeros_like(theta) for _ in range(tree.N)]
-        sol = solve_linear_backward(tree, theta.shape[1], rows, theta=theta)
+        sol = solve_linear_backward(tree, rows, theta=theta)
         return sol.mu, sol.nu
 
     def test_constant_theta(self):

@@ -170,14 +170,14 @@ class TestSolveLinearBackward:
     def test_all_zero(self):
         tree = Tree.build(1.0, 4)
         rows = [np.zeros((tree.n_leaves, 1)) for _ in range(tree.N)]
-        sol = solve_linear_backward(tree, 1, rows)
+        sol = solve_linear_backward(tree, rows)
         assert sol.Y.sup_norm() == 0.0
 
     def test_deterministic_free_term(self):
         tree = Tree.build(1.0, 5)
         rho = [math.sin(1.0 + tree.t(i)) for i in range(tree.N)]
         rows = [np.full((tree.n_leaves, 1), rho[i]) for i in range(tree.N)]
-        sol = solve_linear_backward(tree, 1, rows)
+        sol = solve_linear_backward(tree, rows)
         for i in range(tree.N):
             assert np.allclose(sol.Y.level(i), rho[i], atol=1e-14)
             for j in range(tree.N):
@@ -192,7 +192,7 @@ class TestSolveLinearBackward:
         kA = lambda i, j: np.full((1, 1, 1), 0.4)
         kB = lambda i, j: np.full((1, 1, 1), 0.3)
         kD = lambda i, j: np.full((1, 1, 1), 0.5)
-        sol = solve_linear_backward(tree, 1, rows, A=kA, B=kB, D=kD,
+        sol = solve_linear_backward(tree, rows, A=kA, B=kB, D=kD,
                                     theta=theta, include_diag_A=include_diag_A)
         Yo, Zo = dense_msolution_oracle(tree, rows, kA, kB, kD, theta,
                                         include_diag_A)
@@ -215,7 +215,7 @@ class TestSolveLinearBackward:
                                                 (1, 2, 2))
 
         kA, kB, kD = kernel(0.0), kernel(0.1), kernel(-0.1)
-        sol = solve_linear_backward(tree, 2, rows, A=kA, B=kB, D=kD, theta=theta)
+        sol = solve_linear_backward(tree, rows, A=kA, B=kB, D=kD, theta=theta)
         for i in range(tree.N):
             res = backward_row_residual(tree, sol, i, rows, A=kA, B=kB, D=kD,
                                         theta=theta)
@@ -227,7 +227,7 @@ class TestSolveLinearBackward:
         rng = np.random.default_rng(4)
         theta = rng.standard_normal((tree.n_leaves, 1))
         rows = [np.zeros((tree.n_leaves, 1)) for _ in range(tree.N)]
-        sol = solve_linear_backward(tree, 1, rows, theta=theta)
+        sol = solve_linear_backward(tree, rows, theta=theta)
         # mu(t_i) + sum_{j>=i} nu_j dW_j = theta exactly
         for i in range(tree.N + 1):
             recon = tree.embed(sol.mu.level(i), tree.N) + tree.ito_sum(

@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -14,20 +13,21 @@ SQRT2 = math.sqrt(2.0)
 
 
 def grid_search_projection(normals, x, half_width=3.0, steps=61, rounds=3):
-    """Coarse-to-fine grid minimizer of ||x - v|| over {W v <= 0}."""
+    """Coarse-to-fine grid minimizer of ||x - v|| over {W v <= 0}.
+
+    Each round scans the grid points in itertools.product order and
+    keeps the first feasible point of least distance."""
     dim = x.size
     center = np.zeros(dim)
     width = half_width
     best = np.zeros(dim)
     for _ in range(rounds):
         axes = [np.linspace(c - width, c + width, steps) for c in center]
-        best_d = math.inf
-        for point in itertools.product(*axes):
-            v = np.array(point)
-            if np.all(normals @ v <= 1e-12):
-                d = float(np.linalg.norm(v - x))
-                if d < best_d:
-                    best_d, best = d, v
+        points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
+        feasible = np.all(points @ normals.T <= 1e-12, axis=1)
+        dist = np.where(feasible, np.linalg.norm(points - x, axis=1), math.inf)
+        if feasible.any():
+            best = points[int(np.argmin(dist))]
         center = best
         width = 2.0 * (2.0 * width / (steps - 1))
     return best

@@ -262,6 +262,18 @@ class TestPointwiseNC:
         assert rep.trivial_fraction == 0.0
 
 
+    def test_infeasible_control_names_node(self):
+        s = load_scenario(fixture_path("annulus"))
+        tree = s.tree()
+        u = s.default_control(tree)
+        _, _, _, hu = full_pipeline(s, u, tree)
+        bad = u.copy()
+        bad.level(2)[3] = [0.5, 0.0]  # inside the inner ring
+        bad.level(3)[0] = [3.0, 0.0]
+        with pytest.raises(ValueError, match=r"level 2, node 3: g = "):
+            check_pointwise_nc(s, bad, tree, state=hu)
+
+
 class TestProjectedGradient:
     def test_matches_qp_oracle(self):
         s = load_scenario(fixture_path("lq"))
