@@ -589,8 +589,8 @@ class ControlConstraint:
         return out
 
     def _project_halfspaces(self, u):
-        # active-set enumeration, each subset solved for every row at once;
-        # exact for the small systems in the catalog
+        # exact active-set enumeration (small catalog systems), each subset
+        # solved for all rows at once; rows already inside keep u at distance 0
         A, b = self.data["normals"], self.data["offsets"]
         inside = np.all(_rowmat(A, u) <= b + 1e-12, axis=-1)
         best, best_d = u.copy(), np.where(inside, 0.0, math.inf)

@@ -56,10 +56,13 @@ def assert_rows_match_reference(c, table, tol=1e-8):
         assert np.array_equal(
             c.contains(batch, tol),
             np.array([c.contains(x, tol) for x in rows]).reshape(batch.shape[:-1]))
-        if c.has_exact_projection:
-            assert np.array_equal(
-                c.project(batch),
-                np.stack([c.project(x) for x in rows]).reshape(batch.shape))
+        try:
+            projected = np.stack([c.project(x) for x in rows]).reshape(batch.shape)
+        except ProjectionUnavailable:
+            with pytest.raises(ProjectionUnavailable):
+                c.project(batch)
+        else:
+            assert np.array_equal(c.project(batch), projected)
 
 
 @PROPERTY
@@ -97,6 +100,11 @@ def test_halfspace_corner_geometry(seed):
         table = np.vstack([random_table(rng, dim, rows=8),
                            np.abs(random_table(rng, dim, rows=8)), np.zeros(dim)])
         assert_rows_match_reference(c, table)
+
+
+def test_empty_halfspace_region_raises():
+    c = ControlConstraint.halfspaces([[1.0], [-1.0]], [-1.0, -1.0])  # u <= -1 <= 1 <= u
+    assert_rows_match_reference(c, np.array([[0.0], [2.0], [-2.0]]))
 
 
 @PROPERTY
