@@ -6,15 +6,18 @@ Three layers:
   the BSDE that a BSVIE reduces to when neither its generator nor its
   terminal map depends on t.
 * ``solve_bsvie``: C-adapted solutions of nonlinear backward Volterra
-  equations via outer Picard iteration on the diagonal Y and one
-  parameterized row recursion per grid time, each row solved on the whole
-  horizon so that Z(t, s) exists for every s.
+  equations, one parameterized row recursion per grid time, in two
+  passes.  Row i needs the diagonal Y(t_r) only for r >= i, and only
+  r = i is implicit, so pass 1 runs the rows i = N..0 from the leaves
+  down to their diagonals and fixes Y exactly; pass 2 continues each row
+  below its diagonal so that Z(t, s) exists for every s.
 * ``solve_linear_backward``: the linear backward Volterra family in
   M-solution form used by the adjoint system and the duality checks.
 
 The BSVIE rows and the linear family share one descending row run,
-``_row_run``: a level-by-level martingale step from a leaf field plus an
-explicit drift term.
+``_row_run``: a level-by-level martingale step plus an explicit drift
+term, continued from any level.  ``solve_bsde`` and the BSVIE diagonal
+share one implicit step, ``_implicit_step``.
 
 Discrete conventions (used identically by the primal solvers, so that
 every duality identity is an exact transpose statement):
@@ -40,9 +43,7 @@ from .scenario import Scenario
 
 
 class PicardError(RuntimeError):
-    def __init__(self, message, history=None):
-        super().__init__(message)
-        self.history = list(history or [])
+    """An implicit step that does not contract, with its level and node."""
 
 
 @dataclass
@@ -73,13 +74,38 @@ class BackwardSolution:
         return MSolution(p=self.Y, q=self.Z)
 
 
+def _implicit_step(mean: np.ndarray, step, tol: float, max_iter: int,
+                   level: int) -> tuple[np.ndarray, float]:
+    """Solve y = mean + step(y) at one level by fixed-point iteration from
+    y = mean, all nodes at once (a contraction for dt * Lip < 1).
+
+    Returns (y, final gap).  Raises PicardError naming the level and the
+    node with the largest gap (the first NaN one once the iterates
+    overflow) when the gap is not below ``tol`` within ``max_iter`` steps.
+    """
+    y = mean
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(max_iter):
+            y_new = mean + step(y)
+            gaps = np.abs(y_new - y).max(axis=1)
+            y = y_new
+            gap = float(gaps.max())
+            if gap < tol:
+                return y, gap
+    node = int(np.argmax(gaps))
+    raise PicardError(
+        f"implicit step failed to contract at level {level}, node {node} "
+        f"(gap {gaps[node]:.3g}); use a finer grid (dt * Lip must stay "
+        f"below 1)")
+
+
 def solve_bsde(tree: Tree, terminal: np.ndarray, driver,
                picard_tol: float = 1e-12, picard_max_iter: int = 200):
     """Backward recursion Y_j = E_j[Y_{j+1}] + driver(t_j, Y_j, Z_j) dt.
 
     Z_j is the representation integrand of Y_{j+1}; the driver step is
-    implicit in y and solved by an inner fixed point (contraction for
-    dt * Lip < 1).  Returns (Y levels 0..N, Z levels 0..N-1).
+    implicit in y and solved by ``_implicit_step``.  Returns (Y levels
+    0..N, Z levels 0..N-1).
     """
     if tree.level_of(terminal) != tree.N:
         raise ValueError("terminal value must be a leaf field")
@@ -88,112 +114,73 @@ def solve_bsde(tree: Tree, terminal: np.ndarray, driver,
     y_levels[tree.N] = np.asarray(terminal, dtype=float)
     for j in range(tree.N - 1, -1, -1):
         mean, z = tree.repr_step(y_levels[j + 1])
-        y = mean.copy()
-        for it in range(picard_max_iter):
-            y_new = mean + tree.dt * driver(tree.t(j), y, z)
-            gap = float(np.abs(y_new - y).max())
-            y = y_new
-            if gap < picard_tol:
-                break
-        else:
-            raise PicardError(
-                f"inner driver fixed point failed to contract at level {j}; "
-                f"use a finer grid (dt * Lip must stay below 1)")
-        y_levels[j] = y
+        y_levels[j], _ = _implicit_step(
+            mean, lambda y: tree.dt * driver(tree.t(j), y, z),
+            picard_tol, picard_max_iter, j)
         z_levels[j] = z
     return AdaptedProcess(y_levels), AdaptedProcess(z_levels)
 
 
-def _row_run(tree: Tree, leaf: np.ndarray, stop: int, drift=None):
-    """Descending row run from a leaf field down to level ``stop``:
+def _row_run(tree: Tree, run: list, zs: list, start: int, stop: int,
+             drift=None) -> None:
+    """Continue a descending row run in place from level ``start`` down to
+    level ``stop``:
 
-        run[r] = E_r[run[r+1]] + dt * drift(r, z_r),   r = N-1..stop,
+        run[r] = E_r[run[r+1]] + dt * drift(r, z_r),   r = start-1..stop,
 
-    with z_r the representation integrand of run[r+1] (no drift term when
-    ``drift`` is None).  Returns (run, z) as lists indexed by level;
-    entries below ``stop`` are None.
+    with zs[r] = z_r the representation integrand of run[r+1] (no drift
+    term when ``drift`` is None).  ``run`` is indexed by level 0..N and
+    must hold level ``start``; ``zs`` is indexed by level 0..N-1.
     """
-    run = [None] * (tree.N + 1)
-    zs = [None] * tree.N
-    run[tree.N] = cur = leaf
-    for r in range(tree.N - 1, stop - 1, -1):
-        mean, z = tree.repr_step(cur)
-        zs[r] = z
-        cur = mean if drift is None else mean + tree.dt * drift(r, z)
+    cur = run[start]
+    for r in range(start - 1, stop - 1, -1):
+        mean, zs[r] = tree.repr_step(cur)
+        cur = mean if drift is None else mean + tree.dt * drift(r, zs[r])
         run[r] = cur
-    return run, zs
-
-
-def _bsvie_row_sweep(tree, terminal_rows, driver, y_prev, rows):
-    """One Picard sweep: solve each row BSDE with the previous diagonal."""
-    lam_rows, z_rows, diag = [], [], []
-    for i in rows:
-        lam_run, z_cols = _row_run(
-            tree, terminal_rows[i], 0,
-            lambda r, z: driver(i, r, y_prev.level(r), z))
-        lam_rows.append(lam_run)
-        z_rows.append(z_cols)
-        diag.append(lam_run[i])
-    return lam_rows, z_rows, diag
 
 
 def solve_bsvie(scenario: Scenario, fwd, u: AdaptedProcess,
                 tree: Tree | None = None) -> BackwardPath:
     """C-adapted solution of the controlled backward Volterra equation.
 
-    Outer Picard on the diagonal Y (zero start), inner family of row
-    recursions with driver g(t_i, s, X(s), Y_prev(s), Z(t_i, s), u(s));
-    every row is run over the full grid.  Residuals must decrease after
-    the first sweep and reach picard_tol within picard_max_iter.
+    Row i runs lam_i(N) = psi(t_i, X_N) and
+
+        lam_i(r) = E_r[lam_i(r+1)]
+                   + dt * g(t_i, t_r, X_r, Y_r, Z(t_i, t_r), u_r)
+
+    down to r = 0, with the diagonal Y_r = lam_r(r).  Pass 1 runs rows
+    i = N..0 from the leaf down to level i with the diagonals Y_r, r > i,
+    of the rows before it; Y_i itself is the implicit step at r = i.
+    Pass 2 continues every row below its diagonal, where each Y_r is known.
+    ``residual_history`` holds the worst final gap of the implicit steps.
     """
     tree = tree or scenario.tree()
-    co = scenario.coeffs
-    m = scenario.m
-    x_leaf = fwd.X.level(tree.N)
-    terminal_rows = [co.psi.value(tree.t(i), x_leaf) for i in range(tree.N + 1)]
+    co, tols = scenario.coeffs, scenario.tolerances
+    N = tree.N
+    x_leaf = fwd.X.level(N)
 
-    def driver(i, r, y_r, z_r):
+    def g(i, r, y_r, z_r):
         return co.g.value(tree.t(i), tree.t(r), x=fwd.X.level(r), y=y_r,
                           z=z_r, u=u.level(r))
 
-    y = AdaptedProcess.zeros(tree.N, m)
-    tol = scenario.tolerances.picard_tol
-    history = []
-    rows = list(range(tree.N + 1))
-    for sweep in range(scenario.tolerances.picard_max_iter):
-        lam_rows, z_rows, diag = _bsvie_row_sweep(tree, terminal_rows, driver,
-                                                  y, rows)
-        y_new = AdaptedProcess(diag)
-        residual = (y_new - y).sup_norm()
-        history.append(residual)
-        y = y_new
-        if residual < tol:
-            return BackwardPath(Y=y, Z=TwoParamProcess(z_rows), lam=lam_rows,
-                                residual_history=history)
-        if sweep >= 2 and history[-1] >= history[-2] and history[-1] > 1e-13:
-            raise PicardError(
-                "Picard residuals stopped decreasing before reaching "
-                f"picard_tol; history={history}", history)
-    raise PicardError(
-        f"no contraction within {scenario.tolerances.picard_max_iter} sweeps; "
-        f"history={history}", history)
-
-
-def recompute_bsvie_row(scenario: Scenario, fwd, u: AdaptedProcess,
-                        bwd: BackwardPath, i: int, tree: Tree | None = None):
-    """Re-run row i from the converged diagonal (uniqueness made executable)."""
-    tree = tree or scenario.tree()
-    co = scenario.coeffs
-    x_leaf = fwd.X.level(tree.N)
-
-    def driver(row, r, y_r, z_r):
-        return co.g.value(tree.t(row), tree.t(r), x=fwd.X.level(r), y=y_r,
-                          z=z_r, u=u.level(r))
-
-    lam_rows, z_rows, _ = _bsvie_row_sweep(
-        tree, [co.psi.value(tree.t(i), x_leaf)], lambda _i, r, yr, zr: driver(
-            i, r, yr, zr), bwd.Y, [0])
-    return lam_rows[0], z_rows[0]
+    lam = [[None] * N + [co.psi.value(tree.t(i), x_leaf)]
+           for i in range(N + 1)]
+    z_rows = [[None] * N for _ in range(N + 1)]
+    y = [None] * N + [lam[N][N]]
+    worst = 0.0
+    for i in range(N - 1, -1, -1):
+        row, zs = lam[i], z_rows[i]
+        _row_run(tree, row, zs, N, i + 1, lambda r, z: g(i, r, y[r], z))
+        mean, zs[i] = tree.repr_step(row[i + 1])
+        row[i], gap = _implicit_step(
+            mean, lambda y_i: tree.dt * g(i, i, y_i, zs[i]),
+            tols.picard_tol, tols.picard_max_iter, i)
+        y[i] = row[i]
+        worst = max(worst, gap)
+    for i in range(1, N + 1):
+        _row_run(tree, lam[i], z_rows[i], i, 0, lambda r, z: g(i, r, y[r], z))
+    return BackwardPath(Y=AdaptedProcess(y), Z=TwoParamProcess(z_rows),
+                        lam=lam, residual_history=[worst])
 
 
 def solve_linear_backward(tree: Tree, psi_rows, A=None, B=None,
@@ -246,7 +233,8 @@ def solve_linear_backward(tree: Tree, psi_rows, A=None, B=None,
                 g_leaf = g_leaf + tree.dt * tree.embed(
                     tree.matvec(B(i, j), z_rows[j][i]), N)
         # row run down to level i, absorbing the D-terms
-        run, z_cols = _row_run(tree, g_leaf, i, None if D is None else (
+        run, z_cols = [None] * N + [g_leaf], [None] * N
+        _row_run(tree, run, z_cols, N, i, None if D is None else (
             lambda r, z: tree.matvec(D(i, r), z)))
         cur = run[i]
         if include_diag_B and B is not None:

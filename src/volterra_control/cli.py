@@ -64,8 +64,7 @@ def _run_simulate(scenario, tree, args):
     rows = [(i, float(np.abs(fwd.X.level(i)).max()),
              float(np.abs(bwd.Y.level(i)).max())) for i in range(tree.N + 1)]
     report = {"cost": cost,
-              "picard_sweeps": len(bwd.residual_history),
-              "final_picard_residual": bwd.residual_history[-1]}
+              "bsvie_diagonal_residual": bwd.residual_history[-1]}
     return 0, report, ("level", "sup_X", "sup_Y"), rows
 
 

@@ -6,13 +6,15 @@ import pytest
 
 from volterra_control.backward import (
     PicardError, backward_row_residual, msolution_identity_residual,
-    recompute_bsvie_row, solve_bsde, solve_bsvie, solve_linear_backward,
+    solve_bsde, solve_bsvie, solve_linear_backward,
 )
 from volterra_control.forward import simulate_forward
 from volterra_control.lattice import AdaptedProcess, Tree
 from volterra_control.scenario import Scenario, fixture_path, load_scenario
 
-from oracles import dense_bsvie_oracle, projector, repr_operator
+from oracles import (dense_bsvie_oracle, picard_bsvie_oracle, projector,
+                     recompute_bsvie_row, repr_operator)
+from test_scenario import FIXTURES
 
 
 class TestSolveBsde:
@@ -106,7 +108,7 @@ class TestSolveBsvie:
             for j in range(tree.N):
                 gotz = np.repeat(bwd.Z.value(i, j)[:, 0], 1 << (tree.N - j))
                 assert np.max(np.abs(gotz - Z_oracle[i][j])) <= 1e-10
-        hist = bwd.residual_history
+        hist = picard_bsvie_oracle(s, fwd, u, tree).residual_history
         assert all(hist[k + 1] < hist[k] for k in range(len(hist) - 1))
 
     def test_row_recompute_consistency(self):
@@ -121,6 +123,37 @@ class TestSolveBsvie:
                 assert np.allclose(lam_run[r], bwd.lam[i][r], atol=1e-10)
             for r in range(tree.N):
                 assert np.allclose(z_cols[r], bwd.Z.value(i, r), atol=1e-10)
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_matches_picard_oracle(self, name):
+        s = load_scenario(fixture_path(name))
+        tree = s.tree(6)
+        rng = np.random.default_rng(5)
+        noise = AdaptedProcess([0.3 * rng.standard_normal((1 << i, s.l))
+                                for i in range(tree.N)])
+        u = (s.default_control(tree) + noise).map(s.constraint.project)
+        fwd = simulate_forward(s, u, tree)
+        bwd = solve_bsvie(s, fwd, u, tree)
+        ref = picard_bsvie_oracle(s, fwd, u, tree)
+        for i in range(tree.N + 1):
+            assert np.abs(bwd.Y.level(i) - ref.Y.level(i)).max() <= 1e-12
+            for r in range(tree.N):
+                assert np.abs(bwd.Z.value(i, r)
+                              - ref.Z.value(i, r)).max() <= 1e-12
+            for r in range(tree.N + 1):
+                assert np.abs(bwd.lam[i][r] - ref.lam[i][r]).max() <= 1e-12
+        assert bwd.residual_history[0] < s.tolerances.picard_tol
+
+    def test_diagonal_fixed_point_failure_names_node(self):
+        doc = json.loads(fixture_path("lq").read_text())
+        doc["coefficients"]["g"]["y"] = [[4.0]]  # dt * Lip = 2 at N = 2
+        s = Scenario.from_json(doc)
+        tree = s.tree(2)
+        u = AdaptedProcess.constant([0.1], tree.N - 1)
+        fwd = simulate_forward(s, u, tree)
+        with pytest.raises(PicardError,
+                           match=r"level 1, node \d+ .*finer grid"):
+            solve_bsvie(s, fwd, u, tree)
 
     def test_diagonal_matches_lambda(self):
         s = load_scenario(fixture_path("lq"))

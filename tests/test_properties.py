@@ -26,7 +26,7 @@ PROPERTY = settings(max_examples=25, deadline=None)
 
 def random_scenario(dims, steps, seed, time_invariant=False, quadratic=False):
     """Scenario with random non-symmetric coefficients, small enough for
-    the Picard iteration to contract on a unit horizon."""
+    the implicit BSVIE steps to contract on a unit horizon."""
     n, m, l = dims
     rng = np.random.default_rng(seed)
 
