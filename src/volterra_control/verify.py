@@ -419,7 +419,8 @@ def check_pointwise_nc(scenario: Scenario, u: AdaptedProcess,
     and unconstrained nodes have the full space as cone (minimum -|H_u|,
     KKT residual |H_u|), and only nodes with an active inequality build
     a cone and reach NNLS.  Cone-trivial nodes are counted, not
-    certified.  Raises ValueError naming the first infeasible node.
+    certified.  Raises ValueError naming the first infeasible node or the
+    first node whose gradient is not finite.
     """
     tree = tree or scenario.tree()
     hu = state if state is not None else full_pipeline(scenario, u, tree)[3]
@@ -438,6 +439,11 @@ def check_pointwise_nc(scenario: Scenario, u: AdaptedProcess,
             node = int(np.argmin(within.all(axis=1)))
             raise ValueError(f"control outside the region at level {level}, "
                              f"node {node}: g = {constraint.values(u_level[node])}")
+        finite = np.isfinite(grads).all(axis=1)
+        if not finite.all():
+            node = int(np.argmin(finite))
+            raise ValueError(f"non-finite gradient at level {level}, "
+                             f"node {node}: H_u = {grads[node]}")
         norms = np.sqrt(np.vecdot(grads, grads))
         vals = np.where(norms == 0.0, 0.0, -norms)
         resids = norms.copy()
@@ -448,10 +454,9 @@ def check_pointwise_nc(scenario: Scenario, u: AdaptedProcess,
             _, resids[node] = kkt_multipliers(grads[node], cone.normals)
             vals[node], _ = cone_min_linear(grads[node], cone)
         n_trivial += kinds.count("trivial")
-        # fmax/fmin skip NaN entries, as the node-by-node comparisons did
-        sup_grad = max(sup_grad, float(np.fmax.reduce(norms)))
-        max_resid = max(max_resid, float(np.fmax.reduce(resids)))
-        low = float(np.fmin.reduce(vals))
+        sup_grad = max(sup_grad, float(norms.max()))
+        max_resid = max(max_resid, float(resids.max()))
+        low = float(vals.min())
         if low < worst:
             worst, worst_loc = low, (level, int(np.argmax(vals == low)))
         rows.extend(zip([level] * len(norms), range(len(norms)), vals.tolist(),

@@ -273,6 +273,18 @@ class TestPointwiseNC:
         with pytest.raises(ValueError, match=r"level 2, node 3: g = "):
             check_pointwise_nc(s, bad, tree, state=hu)
 
+    def test_nonfinite_gradient_names_node(self):
+        s = load_scenario(fixture_path("lq"))
+        tree = s.tree(4)
+        u = s.default_control(tree)
+        _, _, _, hu = full_pipeline(s, u, tree)
+        bad = hu.copy()
+        bad.level(2)[1] = np.nan
+        bad.level(3)[0] = np.nan
+        with pytest.raises(ValueError,
+                           match=r"non-finite gradient at level 2, node 1: "):
+            check_pointwise_nc(s, u, tree, state=bad)
+
 
 class TestProjectedGradient:
     def test_matches_qp_oracle(self):
