@@ -93,7 +93,7 @@ def _run_check_nc(scenario, tree, args, seed):
     scale_tol, passed = _nc_verdict(scenario, rep, args)
     report = dict(rep.to_json(), tolerance=scale_tol, passed=passed)
     return (0 if passed else 1), report, (
-        "level", "node", "minValue", "cone_kind", "residual"), rep.rows
+        "level", "node", "minValue", "cone_kind"), rep.rows
 
 
 def _run_optimize(scenario, tree, args, seed):

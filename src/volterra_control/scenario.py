@@ -686,10 +686,6 @@ class Scenario:
     def l(self):
         return self.coeffs.l
 
-    @property
-    def is_lq(self) -> bool:
-        return self.coeffs.is_affine
-
     def tree(self, steps: int | None = None) -> Tree:
         if steps is None:
             return Tree(self.grid)

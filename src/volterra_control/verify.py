@@ -22,15 +22,15 @@ checks and the projected gradient all consume the same cost functional
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .adjoint import (FrozenCoefficients, assemble_adjoint,
                       hamiltonian_gradient, solve_fredholm)
 from .backward import solve_bsvie, solve_linear_backward
-from .cones import adjacent_cone, cone_min_linear, kkt_multipliers
-from .forward import SimulationError, simulate_forward, simulate_forward_linear
+from .cones import adjacent_cone, cone_min_linear
+from .forward import simulate_forward, simulate_forward_linear
 from .lattice import AdaptedProcess, Tree
 from .scenario import ProjectionUnavailable, Scenario
 
@@ -225,28 +225,6 @@ def check_duality_2(inst: DualityInstance, mode: str = "transpose") -> DualityRe
     return DualityReport(lhs=lhs, rhs=rhs)
 
 
-def degenerate_duality_gaps(horizon: float, steps: int, m: int,
-                            seed: int = 0) -> dict:
-    """Gaps of the theta = 0 and beta = 0 reductions in transpose mode."""
-    zero_beta = lambda i, j: np.zeros((1, m))
-    inst = smooth_duality_instance(horizon, steps, m, seed)
-    no_theta = DualityInstance(
-        tree=inst.tree, dim=m, alpha=inst.alpha, beta=inst.beta,
-        theta=np.zeros((inst.tree.n_leaves, m)), psi_rows=inst.psi_rows,
-        psi_tilde_rows=inst.psi_tilde_rows, A=inst.A, B=inst.B, D=inst.D,
-        A_tilde=inst.A_tilde)
-    no_beta = DualityInstance(
-        tree=inst.tree, dim=m, alpha=inst.alpha, beta=zero_beta,
-        theta=inst.theta, psi_rows=inst.psi_rows,
-        psi_tilde_rows=inst.psi_tilde_rows, A=inst.A, B=inst.B, D=inst.D,
-        A_tilde=inst.A_tilde)
-    return {
-        "duality1_theta0": abs(check_duality_1(no_theta).gap),
-        "duality1_beta0": abs(check_duality_1(no_beta).gap),
-        "duality2_beta0": abs(check_duality_2(no_beta).gap),
-    }
-
-
 # ---------------------------------------------------------------------------
 # variational system and convergence
 
@@ -336,47 +314,6 @@ def convergence_test(scenario: Scenario, u: AdaptedProcess, v: AdaptedProcess,
     return ConvergenceReport(eps=list(eps_sequence), err_x=err_x, err_yz=err_yz)
 
 
-@dataclass
-class GateauxReport:
-    pairing: float
-    quotients: dict      # eps -> one-sided quotient
-    centered: dict       # eps -> centered quotient
-
-    def gap(self, eps: float) -> float:
-        return abs(self.centered[eps] - self.pairing)
-
-
-def gateaux_vs_hamiltonian(scenario: Scenario, u: AdaptedProcess,
-                           v: AdaptedProcess, eps_sequence,
-                           tree: Tree | None = None,
-                           state=None) -> GateauxReport:
-    """Difference quotients of the cost against the gradient pairing.
-
-    For admissible directions of a feasible control the one-sided
-    quotient converges to the pairing; for affine dynamics with quadratic
-    cost the centered quotient equals it for every eps.
-    """
-    tree = tree or scenario.tree()
-    if state is None:
-        fwd, bwd, bundle, hu = full_pipeline(scenario, u, tree)
-        j0 = evaluate_cost(scenario, u, tree, state=(fwd, bwd))
-    else:
-        fwd, bwd, bundle, hu, j0 = state
-    pairing = control_pairing(tree, hu, v)
-    quotients, centered = {}, {}
-    for eps in eps_sequence:
-        v_eps = feasible_direction(scenario, u, v, eps)
-        j_up = evaluate_cost(scenario, u + eps * v_eps, tree)
-        quotients[eps] = (j_up - j0) / eps
-        try:
-            j_dn = evaluate_cost(scenario, u + (-eps) * v_eps, tree)
-        except SimulationError:  # the backward step left the control region
-            centered[eps] = float("nan")
-        else:
-            centered[eps] = (j_up - j_dn) / (2.0 * eps)
-    return GateauxReport(pairing=pairing, quotients=quotients, centered=centered)
-
-
 # ---------------------------------------------------------------------------
 # pointwise necessary condition
 
@@ -385,10 +322,8 @@ def gateaux_vs_hamiltonian(scenario: Scenario, u: AdaptedProcess,
 class NCReport:
     worst_value: float
     worst_location: tuple
-    trivial_fraction: float
-    max_kkt_residual: float
-    rows: list = field(default_factory=list)
-    sup_gradient: float = 0.0
+    rows: list
+    sup_gradient: float
 
     def certified(self, tol: float) -> bool:
         return self.worst_value >= -tol
@@ -398,8 +333,6 @@ class NCReport:
             "worst_value": self.worst_value,
             "worst_level": self.worst_location[0],
             "worst_node": self.worst_location[1],
-            "trivial_fraction": self.trivial_fraction,
-            "max_kkt_residual": self.max_kkt_residual,
             "sup_gradient": self.sup_gradient,
         }
 
@@ -413,11 +346,13 @@ def check_pointwise_nc(scenario: Scenario, u: AdaptedProcess,
     On the lattice the sweep covers every node, which is strictly
     stronger than the almost-everywhere statement it discretizes.
     ``ControlConstraint.activity`` classifies each level at once; interior
-    and unconstrained nodes have the full space as cone (minimum -|H_u|,
-    KKT residual |H_u|), and only nodes with an active inequality build
-    a cone and reach NNLS.  Cone-trivial nodes are counted, not
-    certified.  Raises ValueError naming the first infeasible node or the
-    first node whose gradient is not finite.
+    and unconstrained nodes have the full space as cone (minimum -|H_u|),
+    and only nodes with an active inequality build a cone and reach one
+    NNLS.  Each row is (level, node, minValue, cone kind), the kind
+    "full" or "polyhedral"; -minValue is also the KKT residual
+    min_{lambda >= 0} |H_u + W' lambda| of the node.  Raises ValueError
+    naming the first infeasible node or the first node whose gradient is
+    not finite.
     """
     tree = tree or scenario.tree()
     hu = state if state is not None else full_pipeline(scenario, u, tree)[3]
@@ -425,8 +360,6 @@ def check_pointwise_nc(scenario: Scenario, u: AdaptedProcess,
     tol = scenario.tolerances.activity_tol
     worst = 0.0
     worst_loc = (0, 0)
-    n_trivial = 0
-    max_resid = 0.0
     rows = []
     sup_grad = 0.0
     for level in range(tree.N):
@@ -443,24 +376,18 @@ def check_pointwise_nc(scenario: Scenario, u: AdaptedProcess,
                              f"node {node}: H_u = {grads[node]}")
         norms = np.sqrt(np.vecdot(grads, grads))
         vals = np.where(norms == 0.0, 0.0, -norms)
-        resids = norms.copy()
         kinds = ["full"] * len(norms)
         for node in np.flatnonzero(active.any(axis=1)):
-            cone = adjacent_cone(constraint, u_level[node], tol)
-            kinds[node] = "trivial" if cone.is_trivial() else "polyhedral"
-            _, resids[node] = kkt_multipliers(grads[node], cone.normals)
-            vals[node], _ = cone_min_linear(grads[node], cone)
-        n_trivial += kinds.count("trivial")
+            kinds[node] = "polyhedral"
+            vals[node], _ = cone_min_linear(
+                grads[node], adjacent_cone(constraint, u_level[node], tol))
         sup_grad = max(sup_grad, float(norms.max()))
-        max_resid = max(max_resid, float(resids.max()))
         low = float(vals.min())
         if low < worst:
             worst, worst_loc = low, (level, int(np.argmax(vals == low)))
         rows.extend(zip([level] * len(norms), range(len(norms)), vals.tolist(),
-                        kinds, resids.tolist()))
-    return NCReport(worst_value=worst, worst_location=worst_loc,
-                    trivial_fraction=n_trivial / max(len(rows), 1),
-                    max_kkt_residual=max_resid, rows=rows,
+                        kinds))
+    return NCReport(worst_value=worst, worst_location=worst_loc, rows=rows,
                     sup_gradient=sup_grad)
 
 

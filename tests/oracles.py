@@ -1,8 +1,10 @@
 """Shared brute-force oracles used by the unit and acceptance tests.
 
 Everything here works on dense leaf-resolution matrices assembled from
-the defining discrete equations, or on exhaustive finite-dimensional
-programs, independently of the package's sweep solvers.
+the defining discrete equations, on exhaustive finite-dimensional
+programs, or one point at a time (control-region geometry, the NC sweep,
+KKT multipliers, the limit definition of the adjacent cone, difference
+quotients of the cost), independently of the package's sweep solvers.
 """
 
 from __future__ import annotations
@@ -15,12 +17,15 @@ import numpy as np
 
 from volterra_control.backward import (BackwardPath, PicardError, solve_bsvie,
                                        solve_linear_backward)
-from volterra_control.cones import adjacent_cone, cone_min_linear, kkt_multipliers
-from volterra_control.forward import simulate_forward
+from volterra_control.cones import adjacent_cone, cone_min_linear, nnls
+from volterra_control.forward import SimulationError, simulate_forward
 from volterra_control.lattice import AdaptedProcess, Tree, TwoParamProcess
 from volterra_control.scenario import (ControlConstraint, ProjectionUnavailable,
                                        Scenario)
-from volterra_control.verify import DualityInstance, NCReport
+from volterra_control.verify import (DualityInstance, NCReport, check_duality_1,
+                                     check_duality_2, control_pairing,
+                                     evaluate_cost, feasible_direction,
+                                     full_pipeline, smooth_duality_instance)
 
 
 def projector(tree, level):
@@ -178,6 +183,28 @@ def random_duality_instance(horizon: float, steps: int, m: int,
         psi_tilde_rows=[rng.standard_normal((tree.n_leaves, m))
                         for _ in range(tree.N)],
         A=A, B=B, D=D, A_tilde=A_tilde)
+
+
+def degenerate_duality_gaps(horizon: float, steps: int, m: int,
+                            seed: int = 0) -> dict:
+    """Gaps of the theta = 0 and beta = 0 reductions in transpose mode."""
+    zero_beta = lambda i, j: np.zeros((1, m))
+    inst = smooth_duality_instance(horizon, steps, m, seed)
+    no_theta = DualityInstance(
+        tree=inst.tree, dim=m, alpha=inst.alpha, beta=inst.beta,
+        theta=np.zeros((inst.tree.n_leaves, m)), psi_rows=inst.psi_rows,
+        psi_tilde_rows=inst.psi_tilde_rows, A=inst.A, B=inst.B, D=inst.D,
+        A_tilde=inst.A_tilde)
+    no_beta = DualityInstance(
+        tree=inst.tree, dim=m, alpha=inst.alpha, beta=zero_beta,
+        theta=inst.theta, psi_rows=inst.psi_rows,
+        psi_tilde_rows=inst.psi_tilde_rows, A=inst.A, B=inst.B, D=inst.D,
+        A_tilde=inst.A_tilde)
+    return {
+        "duality1_theta0": abs(check_duality_1(no_theta).gap),
+        "duality1_beta0": abs(check_duality_1(no_beta).gap),
+        "duality2_beta0": abs(check_duality_2(no_beta).gap),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +392,7 @@ def qp_oracle(scenario: Scenario, tree: Tree | None = None,
     per-node half-space regions use a primal active-set loop.
     """
     tree = tree or scenario.tree()
-    if not scenario.is_lq:
+    if not scenario.coeffs.is_affine:
         raise ValueError("qp_oracle needs affine coefficients (LQ scenario)")
     if tree.N > max_steps:
         raise ValueError(f"qp_oracle capped at N <= {max_steps}")
@@ -580,40 +607,119 @@ def point_project(c: ControlConstraint, u: np.ndarray) -> np.ndarray:
 def nc_sweep_oracle(scenario: Scenario, u: AdaptedProcess, tree: Tree,
                     hu: AdaptedProcess) -> NCReport:
     """The pointwise NC sweep one node at a time: the adjacent cone of
-    every node, then its linear minimum and KKT residual."""
+    every node, then the linear minimum over it and the unit ball."""
     tol = scenario.tolerances.activity_tol
     worst = 0.0
     worst_loc = (0, 0)
-    n_nodes = 0
-    n_trivial = 0
-    max_resid = 0.0
     rows = []
     sup_grad = 0.0
     for level in range(tree.N):
         hu_level = hu.level(level)
         u_level = u.level(level)
         for node in range(hu_level.shape[0]):
-            n_nodes += 1
             grad = hu_level[node]
             sup_grad = max(sup_grad, float(np.linalg.norm(grad)))
-            cone = adjacent_cone(scenario.constraint, u_level[node], tol)
-            if cone.is_full_space:
-                kind = "full"
-                residual = float(np.linalg.norm(grad))
-            else:
-                if cone.is_trivial():
-                    n_trivial += 1
-                    kind = "trivial"
-                else:
-                    kind = "polyhedral"
-                _, residual = kkt_multipliers(grad, cone.normals)
-            val, _ = cone_min_linear(grad, cone)
-            max_resid = max(max_resid, residual)
+            normals = adjacent_cone(scenario.constraint, u_level[node], tol)
+            kind = "polyhedral" if len(normals) else "full"
+            val, _ = cone_min_linear(grad, normals)
             if val < worst:
                 worst = val
                 worst_loc = (level, node)
-            rows.append((level, node, val, kind, residual))
-    return NCReport(worst_value=worst, worst_location=worst_loc,
-                    trivial_fraction=n_trivial / max(n_nodes, 1),
-                    max_kkt_residual=max_resid, rows=rows,
+            rows.append((level, node, val, kind))
+    return NCReport(worst_value=worst, worst_location=worst_loc, rows=rows,
                     sup_gradient=sup_grad)
+
+
+# ---------------------------------------------------------------------------
+# adjacent cones: KKT multipliers and the limit definition
+
+
+def cone_contains(normals: np.ndarray, v: np.ndarray, tol: float = 1e-10) -> bool:
+    """Membership of v in {v : normals @ v <= 0}, relative to |v|."""
+    scale = 1.0 + float(np.linalg.norm(v))
+    return bool(np.all(normals @ v <= tol * scale))
+
+
+def kkt_multipliers(F: np.ndarray, active_normals):
+    """Multipliers lambda >= 0 minimizing ||F + sum lambda_i w_i||.
+
+    A residual near zero certifies the inclusion form of the first-order
+    condition: -F lies in the cone generated by the active gradients.
+    """
+    F = np.asarray(F, dtype=float)
+    W = np.atleast_2d(np.asarray(active_normals, dtype=float))
+    if W.shape[0] == 0:
+        return np.zeros(0), float(np.linalg.norm(F))
+    lam, resid = nnls(W.T, -F)
+    return lam, resid
+
+
+def dist_limit_probe(constraint: ControlConstraint, u: np.ndarray,
+                     v: np.ndarray, h_sequence=None, probe_tol: float = 1e-6):
+    """Difference quotients dist(u + h v, U) / h along a shrinking h-grid.
+
+    Returns (quotients, member, v_h) where membership extrapolates the
+    last two quotients linearly to h = 0 (an admissible tangent direction
+    has quotient O(h), an outward one a positive limit) and v_h is the
+    feasible perturbation (y_h - u)/h built from a nearest point y_h at
+    the smallest h.
+    """
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if h_sequence is None:
+        h_sequence = [2.0 ** -k for k in range(2, 13)]
+    quotients = []
+    for h in h_sequence:
+        point = u + h * v
+        y_h = constraint.nearest(point)
+        quotients.append(float(np.linalg.norm(y_h - point)) / h)
+    limit = (2.0 * quotients[-1] - quotients[-2] if len(quotients) >= 2
+             else quotients[-1])
+    member = limit <= probe_tol * (1.0 + float(np.linalg.norm(v)))
+    v_h = (y_h - u) / h_sequence[-1]
+    return quotients, member, v_h
+
+
+# ---------------------------------------------------------------------------
+# Gateaux derivative of the cost against the Hamiltonian pairing
+
+
+@dataclass
+class GateauxReport:
+    pairing: float
+    quotients: dict      # eps -> one-sided quotient
+    centered: dict       # eps -> centered quotient
+
+    def gap(self, eps: float) -> float:
+        return abs(self.centered[eps] - self.pairing)
+
+
+def gateaux_vs_hamiltonian(scenario: Scenario, u: AdaptedProcess,
+                           v: AdaptedProcess, eps_sequence,
+                           tree: Tree | None = None,
+                           state=None) -> GateauxReport:
+    """Difference quotients of the cost against the gradient pairing.
+
+    For admissible directions of a feasible control the one-sided
+    quotient converges to the pairing; for affine dynamics with quadratic
+    cost the centered quotient equals it for every eps.
+    """
+    tree = tree or scenario.tree()
+    if state is None:
+        fwd, bwd, bundle, hu = full_pipeline(scenario, u, tree)
+        j0 = evaluate_cost(scenario, u, tree, state=(fwd, bwd))
+    else:
+        fwd, bwd, bundle, hu, j0 = state
+    pairing = control_pairing(tree, hu, v)
+    quotients, centered = {}, {}
+    for eps in eps_sequence:
+        v_eps = feasible_direction(scenario, u, v, eps)
+        j_up = evaluate_cost(scenario, u + eps * v_eps, tree)
+        quotients[eps] = (j_up - j0) / eps
+        try:
+            j_dn = evaluate_cost(scenario, u + (-eps) * v_eps, tree)
+        except SimulationError:  # the backward step left the control region
+            centered[eps] = float("nan")
+        else:
+            centered[eps] = (j_up - j_dn) / (2.0 * eps)
+    return GateauxReport(pairing=pairing, quotients=quotients, centered=centered)

@@ -65,6 +65,22 @@ class TestExitCodes:
         assert csv_files[0].read_text().startswith("level,sup_X,sup_Y")
 
 
+class TestCheckNcSchema:
+    def test_annulus_report_columns_and_keys(self, tmp_path):
+        code = run(tmp_path, "check-nc", "--scenario",
+                   str(fixture_path("annulus")))
+        assert code == 1  # the default control is not stationary
+        header, *rows = next(tmp_path.glob("check-nc-*.csv")).read_text() \
+            .splitlines()
+        assert header == "level,node,minValue,cone_kind"
+        assert len(rows) == (1 << 5) - 1  # every node of the N = 5 fixture
+        assert {row.split(",")[3] for row in rows} <= {"full", "polyhedral"}
+        report = json.loads(next(tmp_path.glob("check-nc-*.json")).read_text())
+        assert set(report["report"]) == {
+            "worst_value", "worst_level", "worst_node", "sup_gradient",
+            "tolerance", "passed"}
+
+
 class TestDeterminism:
     def test_identical_config_byte_identical_reports(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from oracles import cone_contains, dist_limit_probe, kkt_multipliers
+
 from volterra_control.cones import (
-    ConeRep, LicqError, adjacent_cone, cone_min_linear, dist_limit_probe,
-    kkt_multipliers, nnls, project_polyhedral_cone,
+    LicqError, adjacent_cone, cone_min_linear, nnls, project_polyhedral_cone,
 )
 from volterra_control.scenario import ControlConstraint
 
@@ -47,6 +48,13 @@ class TestNnls:
             assert np.all(np.abs(grad[x > 1e-12]) <= 1e-9)
             assert resid == pytest.approx(float(np.linalg.norm(A @ x - b)))
 
+    def test_no_columns_is_the_plain_residual(self):
+        # the full-space cone: no normals, lambda = [] and x left as it is
+        b = np.array([3.0, -4.0])
+        x, resid = nnls(np.zeros((2, 0)), b)
+        assert x.shape == (0,)
+        assert resid == 5.0
+
     def test_unconstrained_solution_when_positive(self):
         A = np.array([[1.0, 0.0], [0.0, 2.0]])
         b = np.array([3.0, 4.0])
@@ -59,24 +67,23 @@ class TestAdjacentCone:
     def test_torus_interior_full_space(self):
         torus = ControlConstraint.torus()
         cone = adjacent_cone(torus, np.array([1.5, 0.0]))
-        assert cone.is_full_space and cone.dim == 2
+        assert cone.shape == (0, 2)
 
     def test_torus_outer_boundary(self):
         torus = ControlConstraint.torus()
         cone = adjacent_cone(torus, np.array([2.0, 0.0]))
-        assert not cone.is_full_space
-        assert np.allclose(cone.normals, [[4.0, 0.0]])
-        assert cone.contains(np.array([-1.0, 0.5]))
-        assert not cone.contains(np.array([0.1, 0.0]))
+        assert cone.shape == (1, 2) and np.allclose(cone, [[4.0, 0.0]])
+        assert cone_contains(cone, np.array([-1.0, 0.5]))
+        assert not cone_contains(cone, np.array([0.1, 0.0]))
 
     def test_torus_inner_boundary(self):
         # inner ring of the shipped torus is |u|^2 = 2
         torus = ControlConstraint.torus()
         u = np.array([SQRT2, 0.0])
         cone = adjacent_cone(torus, u)
-        assert np.allclose(cone.normals, [[-2.0 * SQRT2, 0.0]])
-        assert cone.contains(np.array([1.0, 0.0]))   # v_1 >= 0
-        assert not cone.contains(np.array([-1.0, 0.0]))
+        assert cone.shape == (1, 2) and np.allclose(cone, [[-2.0 * SQRT2, 0.0]])
+        assert cone_contains(cone, np.array([1.0, 0.0]))   # v_1 >= 0
+        assert not cone_contains(cone, np.array([-1.0, 0.0]))
 
     def test_infeasible_point_rejected(self):
         torus = ControlConstraint.torus()
@@ -94,12 +101,12 @@ class TestAdjacentCone:
 
 class TestProjection:
     def test_halfplane_example(self):
-        cone = ConeRep.polyhedral([[1.0, 0.0]])
+        cone = np.array([[1.0, 0.0]])
         assert np.allclose(project_polyhedral_cone(cone, np.array([1.0, 1.0])),
                            [0.0, 1.0], atol=1e-12)
 
     def test_member_unchanged(self):
-        cone = ConeRep.polyhedral([[1.0, 0.0], [0.0, 1.0]])
+        cone = np.array([[1.0, 0.0], [0.0, 1.0]])
         x = np.array([-0.5, -2.0])
         assert np.allclose(project_polyhedral_cone(cone, x), x)
 
@@ -110,15 +117,14 @@ class TestProjection:
             k = rng.integers(1, dim + 1)
             normals = rng.standard_normal((k, dim))
             x = rng.standard_normal(dim) * 1.5
-            got = project_polyhedral_cone(ConeRep.polyhedral(normals), x)
+            got = project_polyhedral_cone(normals, x)
             ref = grid_search_projection(normals, x)
             assert np.linalg.norm(got - x) <= np.linalg.norm(ref - x) + 1e-9
             assert np.linalg.norm(got - ref) <= 0.05
 
     def test_idempotent_and_nonexpansive(self):
         rng = np.random.default_rng(13)
-        normals = rng.standard_normal((2, 3))
-        cone = ConeRep.polyhedral(normals)
+        cone = rng.standard_normal((2, 3))
         for _ in range(25):
             x = rng.standard_normal(3) * 2.0
             y = rng.standard_normal(3) * 2.0
@@ -132,23 +138,23 @@ class TestProjection:
 
 class TestConeMinLinear:
     def test_full_space(self):
-        val, arg = cone_min_linear(np.array([3.0, 4.0]), ConeRep.full_space(2))
+        val, arg = cone_min_linear(np.array([3.0, 4.0]), np.zeros((0, 2)))
         assert val == pytest.approx(-5.0)
         assert np.allclose(arg, [-0.6, -0.8])
 
     def test_halfplane(self):
-        cone = ConeRep.polyhedral([[1.0, 0.0]])
+        cone = np.array([[1.0, 0.0]])
         val, arg = cone_min_linear(np.array([1.0, 0.0]), cone)
         assert val == pytest.approx(-1.0)
         assert np.allclose(arg, [-1.0, 0.0], atol=1e-12)
 
     def test_zero_vector(self):
-        val, arg = cone_min_linear(np.zeros(3), ConeRep.full_space(3))
+        val, arg = cone_min_linear(np.zeros(3), np.zeros((0, 3)))
         assert val == 0.0 and np.all(arg == 0.0)
 
     def test_positive_homogeneity(self):
         rng = np.random.default_rng(17)
-        cone = ConeRep.polyhedral(rng.standard_normal((2, 3)))
+        cone = rng.standard_normal((2, 3))
         F = rng.standard_normal(3)
         v1, a1 = cone_min_linear(F, cone)
         v2, a2 = cone_min_linear(2.5 * F, cone)
@@ -157,7 +163,7 @@ class TestConeMinLinear:
 
     def test_grid_search_oracle(self):
         # min over the unit ball intersected with the cone, brute force
-        cone = ConeRep.polyhedral([[1.0, 1.0]])
+        cone = np.array([[1.0, 1.0]])
         F = np.array([1.0, 0.0])
         val, _ = cone_min_linear(F, cone)
         best = 0.0
@@ -194,7 +200,7 @@ class TestKktMultipliers:
                 normals = rng.standard_normal((k, dim))
             F = rng.standard_normal(dim)
             lam, resid = kkt_multipliers(F, normals)
-            val, _ = cone_min_linear(F, ConeRep.polyhedral(normals))
+            val, _ = cone_min_linear(F, normals)
             assert abs(resid - (-val)) <= 1e-10
 
     def test_residual_matches_coarse_grid(self):
@@ -261,18 +267,7 @@ class TestDistLimitProbe:
             cone = adjacent_cone(torus, u)
             for v in directions:
                 _, member, _ = dist_limit_probe(torus, u, v)
-                if member != cone.contains(v, tol=1e-9):
+                if member != cone_contains(cone, v, tol=1e-9):
                     disagreements += 1
         assert disagreements == 0
 
-
-class TestTriviality:
-    def test_full_space_not_trivial(self):
-        assert not ConeRep.full_space(2).is_trivial()
-
-    def test_halfplane_not_trivial(self):
-        assert not ConeRep.polyhedral([[1.0, 0.0]]).is_trivial()
-
-    def test_opposing_normals_in_1d_trivial(self):
-        cone = ConeRep.polyhedral([[1.0], [-1.0]])
-        assert cone.is_trivial()

@@ -14,8 +14,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (nc_sweep_oracle, point_contains, point_project,
-                     point_values, qp_oracle)
+from oracles import (kkt_multipliers, nc_sweep_oracle, point_contains,
+                     point_project, point_values, qp_oracle)
+
+from volterra_control.cones import adjacent_cone
 
 from volterra_control.lattice import AdaptedProcess
 from volterra_control.scenario import (ControlConstraint, ProjectionUnavailable,
@@ -150,9 +152,15 @@ def assert_same_nc(scenario, u, tree):
         [type(v) for row in ref.rows for v in row]
     assert rep.worst_value == ref.worst_value
     assert rep.worst_location == ref.worst_location
-    assert rep.trivial_fraction == ref.trivial_fraction
-    assert rep.max_kkt_residual == ref.max_kkt_residual
     assert rep.sup_gradient == ref.sup_gradient
+    # Moreau: the KKT residual min |H_u + W' lambda| over lambda >= 0 is
+    # -minValue at every node, so the sweep reports it once, as minValue
+    for level, node, val, _ in rep.rows:
+        grad = hu.level(level)[node]
+        normals = adjacent_cone(scenario.constraint, u.level(level)[node],
+                                scenario.tolerances.activity_tol)
+        _, resid = kkt_multipliers(grad, normals)
+        assert abs(resid + val) <= 1e-15 * (1.0 + float(np.linalg.norm(grad)))
     return {row[3] for row in ref.rows}
 
 
@@ -187,3 +195,20 @@ def test_nc_matches_reference_halfspace_qp_optimum(normal, offset, kinds):
     s = Scenario.from_json(doc)
     tree = s.tree()
     assert assert_same_nc(s, qp_oracle(s, tree).u_star, tree) == kinds
+
+
+def test_nc_matches_reference_two_active_rows():
+    # corners of u <= (0.1, 0.2) put both normals of a node into one NNLS
+    doc = json.loads(fixture_path("lq_multi").read_text())
+    doc["constraint"] = {"type": "halfspaces", "normals": [[1.0, 0.0], [0.0, 1.0]],
+                         "offsets": [0.1, 0.2]}
+    s = Scenario.from_json(doc)
+    tree = s.tree()
+    rng = np.random.default_rng(3)
+    u = AdaptedProcess([0.5 * rng.standard_normal((1 << i, 2))
+                        for i in range(tree.N)]).map(s.constraint.project)
+    tol = s.tolerances.activity_tol
+    corners = [s.constraint.activity(u.level(i), tol)[1].all(axis=1)
+               for i in range(tree.N)]
+    assert any(c.any() for c in corners)
+    assert assert_same_nc(s, u, tree) == {"full", "polyhedral"}

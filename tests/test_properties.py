@@ -9,12 +9,14 @@ cannot.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from oracles import gateaux_vs_hamiltonian, nc_sweep_oracle
+
 from volterra_control.adjoint import adjoint_residuals
 from volterra_control.lattice import AdaptedProcess
 from volterra_control.scenario import Scenario
 from volterra_control.verify import (
-    check_duality_1, check_duality_2, degenerate_fbsde_check, full_pipeline,
-    gateaux_vs_hamiltonian, smooth_duality_instance,
+    check_duality_1, check_duality_2, check_pointwise_nc,
+    degenerate_fbsde_check, full_pipeline, smooth_duality_instance,
 )
 
 DIM = st.integers(1, 3)
@@ -24,9 +26,11 @@ SEED = st.integers(0, 2 ** 32 - 1)
 PROPERTY = settings(max_examples=25, deadline=None)
 
 
-def random_scenario(dims, steps, seed, time_invariant=False, quadratic=False):
+def random_scenario(dims, steps, seed, time_invariant=False, quadratic=False,
+                    constraint=None):
     """Scenario with random non-symmetric coefficients, small enough for
-    the implicit BSVIE steps to contract on a unit horizon."""
+    the implicit BSVIE steps to contract on a unit horizon; ``constraint``
+    is the control region's JSON entry (unconstrained by default)."""
     n, m, l = dims
     rng = np.random.default_rng(seed)
 
@@ -69,7 +73,7 @@ def random_scenario(dims, steps, seed, time_invariant=False, quadratic=False):
             "h": {"qx": mat(n, n, 1.0), "x_target": vec(n),
                   "qy": mat(m, m, 0.5)},
         },
-        "constraint": {"type": "unconstrained"},
+        "constraint": constraint or {"type": "unconstrained"},
         "seed": 0,
     }
     return Scenario.from_json(doc)
@@ -120,3 +124,36 @@ def test_transpose_mode_duality_gaps(m, steps, seed):
     inst = smooth_duality_instance(1.0, steps, m, seed=seed)
     assert abs(check_duality_1(inst, "transpose").gap) <= 1e-9
     assert abs(check_duality_2(inst, "transpose").gap) <= 1e-9
+
+
+def random_region(kind, l, rng):
+    """A ball, up to l halfspaces through a neighbourhood of the origin,
+    or the torus (l = 2)."""
+    if kind == "ball":
+        return {"type": "ball", "center": rng.uniform(-0.3, 0.3, l).tolist(),
+                "radius": float(rng.uniform(0.2, 1.0))}
+    if kind == "halfspaces":
+        rows = int(rng.integers(1, l + 1))
+        return {"type": "halfspaces",
+                "normals": rng.standard_normal((rows, l)).tolist(),
+                "offsets": rng.uniform(0.0, 0.3, rows).tolist()}
+    return {"type": "torus"}
+
+
+@PROPERTY
+@given(dims=DIMS, steps=STEPS, seed=SEED,
+       kind=st.sampled_from(["ball", "halfspaces", "torus"]))
+def test_nc_sweep_matches_oracle_on_constrained_regions(dims, steps, seed, kind):
+    if kind == "torus":
+        dims = dims[:2] + (2,)
+    rng = np.random.default_rng(seed)
+    s = random_scenario(dims, steps, seed,
+                        constraint=random_region(kind, dims[2], rng))
+    tree = s.tree()
+    u = random_control(tree, s.l, rng, 1.5).map(s.constraint.project)
+    _, _, _, hu = full_pipeline(s, u, tree)
+    rep = check_pointwise_nc(s, u, tree, state=hu)
+    ref = nc_sweep_oracle(s, u, tree, hu)
+    assert rep.rows == ref.rows
+    assert rep.worst_value == ref.worst_value
+    assert rep.worst_location == ref.worst_location

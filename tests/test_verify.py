@@ -4,15 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from oracles import operator_transpose_oracle, qp_oracle, random_duality_instance
+import oracles
+from oracles import (degenerate_duality_gaps, gateaux_vs_hamiltonian,
+                     operator_transpose_oracle, qp_oracle,
+                     random_duality_instance)
 
-from volterra_control import verify
 from volterra_control.lattice import AdaptedProcess, Tree
 from volterra_control.scenario import Scenario, fixture_path, load_scenario
 from volterra_control.verify import (
     DualityInstance, check_duality_1, check_duality_2, check_pointwise_nc,
-    control_pairing, convergence_test, degenerate_duality_gaps, evaluate_cost,
-    full_pipeline, gateaux_vs_hamiltonian, projected_gradient,
+    control_pairing, convergence_test, evaluate_cost, full_pipeline,
+    projected_gradient,
     smooth_duality_instance, solve_state, solve_variational,
 )
 
@@ -214,7 +216,7 @@ class TestGateaux:
         tree = s.tree(4)
         u = AdaptedProcess.constant([0.1], tree.N - 1)
         v = adapted_rng(tree, 1, 9)
-        real_cost = verify.evaluate_cost
+        real_cost = oracles.evaluate_cost
         calls = []
 
         def failing_down_step(*args, **kwargs):
@@ -223,7 +225,7 @@ class TestGateaux:
                 raise FloatingPointError("down-step cost")
             return real_cost(*args, **kwargs)
 
-        monkeypatch.setattr(verify, "evaluate_cost", failing_down_step)
+        monkeypatch.setattr(oracles, "evaluate_cost", failing_down_step)
         with pytest.raises(FloatingPointError, match="down-step cost"):
             gateaux_vs_hamiltonian(s, u, v, [1e-3], tree)
 
@@ -252,14 +254,17 @@ class TestPointwiseNC:
     def test_report_rows_schema(self):
         s = load_scenario(fixture_path("lq"))
         tree = s.tree(4)
-        rep = check_pointwise_nc(s, AdaptedProcess.constant([0.1], tree.N - 1),
-                                 tree)
+        u = AdaptedProcess.constant([0.1], tree.N - 1)
+        rep = check_pointwise_nc(s, u, tree)
         assert len(rep.rows) == (1 << tree.N) - 1
-        level, node, val, kind, resid = rep.rows[0]
+        level, node, val, kind = rep.rows[0]
         assert kind == "full"
         assert val <= 0.0
-        assert resid >= 0.0
-        assert rep.trivial_fraction == 0.0
+        # at a full-space node -minValue is the KKT residual |H_u| itself
+        hu = full_pipeline(s, u, tree)[3]
+        assert -val == float(np.linalg.norm(hu.level(level)[node]))
+        # no cone is trivial: LICQ leaves only these two kinds
+        assert {row[3] for row in rep.rows} <= {"full", "polyhedral"}
 
 
     def test_infeasible_control_names_node(self):
