@@ -148,7 +148,7 @@ def _write_reports(out_dir: Path, command: str, config: dict, report: dict,
     out_dir.mkdir(parents=True, exist_ok=True)
     base = out_dir / f"{command}-{digest}"
     payload = json.dumps({"config": config, "report": report},
-                         sort_keys=True, indent=2) + "\n"
+                         sort_keys=True, indent=2, allow_nan=False) + "\n"
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows([header, *rows])
     for path, text in ((base.with_suffix(".json"), payload),
@@ -172,20 +172,21 @@ def main(argv=None) -> int:
         seed = args.seed if args.seed is not None else scenario.seed
         code, report, header, rows = COMMANDS[args.command](
             scenario, scenario.tree(), args, seed)
+        config = {
+            "command": args.command,
+            "scenario": scenario.to_json(),
+            "overrides": {"N": args.N, "seed": args.seed, "tol": args.tol,
+                          "mode": args.mode, "eps_sweep": args.eps_sweep},
+        }
+        # a non-finite report value fails the run instead of writing NaN
+        path = _write_reports(Path(args.out), args.command, config, report,
+                              header, rows)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
-    config = {
-        "command": args.command,
-        "scenario": scenario.to_json(),
-        "overrides": {"N": args.N, "seed": args.seed, "tol": args.tol,
-                      "mode": args.mode, "eps_sweep": args.eps_sweep},
-    }
-    path = _write_reports(Path(args.out), args.command, config, report,
-                          header, rows)
     status = "PASS" if code == 0 else "FAIL"
     print(f"{args.command}: {status} -> {path}")
     for key in ("cost", "final_cost"):

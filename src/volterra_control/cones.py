@@ -102,11 +102,14 @@ def cone_min_linear(F: np.ndarray, normals: np.ndarray):
 
     Always <= 0 since 0 is a member; the argmin is the normalized
     projection of -F (zero when the projection vanishes).  The norm is
-    also the KKT residual min_{lambda >= 0} ||F + W' lambda||.
+    also the KKT residual min_{lambda >= 0} ||F + W' lambda||.  NNLS
+    rounding below 1e-15 (1 + |F|) snaps to 0; the full space (k = 0) is
+    exact and only snaps at F = 0.
     """
     F = np.asarray(F, dtype=float)
     proj = project_polyhedral_cone(normals, -F)
     norm = float(np.linalg.norm(proj))
-    if norm <= 1e-15 * (1.0 + float(np.linalg.norm(F))):
+    snap = 1e-15 * (1.0 + float(np.linalg.norm(F))) if len(normals) else 0.0
+    if norm <= snap:
         return 0.0, np.zeros_like(F)
     return -norm, proj / norm

@@ -6,13 +6,20 @@ come from a closed catalog (affine maps of the arguments plus optional
 elementwise-quadratic terms, scaled by a kernel factor in t - s), so all
 first derivatives are supplied analytically and cross-checked against
 central finite differences by ``validate``.
+
+Input contract: every section is read by ``_read`` through one field
+table that declares each key once (its shape or default).  Any defect --
+a section that is not an object, an unknown or missing key, a value that
+is not numbers, a wrong shape, a non-finite or out-of-range value --
+raises ``ScenarioError("<section>.<key>: ...")``, which the CLI reports
+with exit code 2.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
 
@@ -35,29 +42,85 @@ class Diagnostic:
         return f"{self.field}: {self.message} (discrepancy {self.discrepancy:.3e})"
 
 
-def _reject_unknown(section: dict, allowed, context: str):
-    unknown = set(section) - set(allowed)
+# A field table maps each key of a section to its spec:
+#   (rows, cols), (size,)  a float array of that shape, zeros when absent;
+#                          a -1 length matches any and makes the key required
+#   1.0, 0                 a number defaulting to this (an int reads an integer)
+#   float, int             a required number
+#   list                   a required list, passed through
+#   None                   a nested section or value, passed through as is
+# A JSON null counts as absent.
+
+
+def _read(entry, fields: dict, context: str) -> dict:
+    """The values of one JSON section, keyed as in its field table."""
+    if entry is None:
+        entry = {}
+    if not isinstance(entry, dict):
+        raise ScenarioError(f"{context}: expected an object, got {type(entry).__name__}")
+    unknown = sorted(entry.keys() - fields.keys())
     if unknown:
-        raise ScenarioError(f"{context}: unknown keys {sorted(unknown)}")
+        raise ScenarioError(f"{context}.{unknown[0]}: unknown key")
+    return {key: _value(entry.get(key), spec, f"{context}.{key}")
+            for key, spec in fields.items()}
 
 
-def _matrix(entry, rows, cols, context):
-    if entry is None:
-        return np.zeros((rows, cols))
-    arr = np.asarray(entry, dtype=float)
-    if arr.shape != (rows, cols):
-        raise ScenarioError(
-            f"{context}: expected shape ({rows}, {cols}), got {arr.shape}")
-    return arr
+def _value(raw, spec, where: str):
+    if spec is None:
+        return raw
+    if raw is None:
+        if isinstance(spec, tuple) and -1 not in spec:
+            return np.zeros(spec)
+        if isinstance(spec, (int, float)):
+            return spec
+        raise ScenarioError(f"{where}: missing")
+    if spec is list:
+        if not isinstance(raw, list):
+            raise ScenarioError(f"{where}: expected a list, got {type(raw).__name__}")
+        return raw
+    try:
+        arr = np.asarray(raw)
+    except ValueError:  # ragged rows
+        arr = np.asarray(None)
+    if arr.dtype.kind not in "iuf":
+        raise ScenarioError(f"{where}: expected numbers, got {raw!r:.60}")
+    shape = spec if isinstance(spec, tuple) else ()
+    if arr.ndim != len(shape) or any(d not in (-1, n) for d, n in zip(shape, arr.shape)):
+        raise ScenarioError(f"{where}: expected shape {shape}, got {arr.shape}")
+    arr = arr.astype(float)
+    if not np.isfinite(arr).all():
+        raise ScenarioError(f"{where}: not finite")
+    if shape:
+        return arr
+    value = float(arr)
+    if spec is int or type(spec) is int:
+        if not value.is_integer():
+            raise ScenarioError(f"{where}: expected an integer, got {value}")
+        return int(value)
+    return value
 
 
-def _vector(entry, size, context):
-    if entry is None:
-        return np.zeros(size)
-    arr = np.asarray(entry, dtype=float)
-    if arr.shape != (size,):
-        raise ScenarioError(f"{context}: expected length {size}, got {arr.shape}")
-    return arr
+def _positive(values: dict, context: str) -> dict:
+    for key, value in values.items():
+        if not value > 0:
+            raise ScenarioError(f"{context}.{key}: must be positive, got {value}")
+    return values
+
+
+class _Section:
+    """A section whose attributes are its JSON keys, as declared by
+    ``table(*dims)``."""
+
+    def __init__(self, **values):
+        vars(self).update(values)
+
+    @classmethod
+    def from_json(cls, entry, context, *dims):
+        return cls(**_read(entry, cls.table(*dims), context))
+
+    def to_json(self):
+        return {key: value.tolist() if isinstance(value, np.ndarray) else value
+                for key, value in vars(self).items()}
 
 
 # Row-wise mat @ row and Euclidean norm over (..., d) tables; each row's
@@ -74,13 +137,19 @@ def _norm(rows: np.ndarray) -> np.ndarray:
 # kernel factor and coefficient catalog
 
 
-@dataclass(frozen=True)
-class Kernel:
+class Kernel(_Section):
     """Scalar factor scale * exp(-kappa*(t-s)) * (t-s)**power."""
 
-    scale: float = 1.0
-    kappa: float = 0.0
-    power: int = 0
+    @staticmethod
+    def table():
+        return {"scale": 1.0, "kappa": 0.0, "power": 0}
+
+    @classmethod
+    def from_json(cls, entry, context):
+        kernel = super().from_json(entry, context)
+        if kernel.power < 0:  # (t - s)**power must exist at t = s
+            raise ScenarioError(f"{context}.power: must be non-negative, got {kernel.power}")
+        return kernel
 
     def __call__(self, t: float, s: float) -> float:
         out = self.scale * math.exp(-self.kappa * (t - s))
@@ -92,17 +161,6 @@ class Kernel:
     def time_invariant(self) -> bool:
         return self.kappa == 0.0 and self.power == 0
 
-    def to_json(self):
-        return {"scale": self.scale, "kappa": self.kappa, "power": self.power}
-
-    @classmethod
-    def from_json(cls, entry, context):
-        if entry is None:
-            return cls()
-        _reject_unknown(entry, ("scale", "kappa", "power"), context)
-        return cls(float(entry.get("scale", 1.0)), float(entry.get("kappa", 0.0)),
-                   int(entry.get("power", 0)))
-
 
 class AffineCoefficient:
     """Catalog coefficient kernel(t,s) * (sum_slots M_a * a + Q_a * (a*a) + c).
@@ -111,9 +169,8 @@ class AffineCoefficient:
     over nodes.  Derivatives are analytic: d/da = kernel * (M_a + 2 Q_a diag(a)).
     """
 
-    def __init__(self, name, out_dim, slots, kernel, matrices, quads, const):
+    def __init__(self, name, slots, kernel, matrices, quads, const):
         self.name = name
-        self.out_dim = out_dim
         self.slots = dict(slots)
         self.kernel = kernel
         self.matrices = matrices
@@ -122,17 +179,13 @@ class AffineCoefficient:
 
     @classmethod
     def from_json(cls, name, out_dim, slots, entry):
-        entry = dict(entry or {})
-        allowed = ["kernel", "const"]
-        allowed += list(slots) + [f"quad_{a}" for a in slots]
-        _reject_unknown(entry, allowed, name)
-        kernel = Kernel.from_json(entry.get("kernel"), f"{name}.kernel")
-        matrices = {a: _matrix(entry.get(a), out_dim, d, f"{name}.{a}")
-                    for a, d in slots.items()}
-        quads = {a: _matrix(entry.get(f"quad_{a}"), out_dim, d, f"{name}.quad_{a}")
-                 for a, d in slots.items()}
-        const = _vector(entry.get("const"), out_dim, f"{name}.const")
-        return cls(name, out_dim, slots, kernel, matrices, quads, const)
+        table = {"kernel": None, "const": (out_dim,)}
+        for a, d in slots.items():
+            table[a] = table[f"quad_{a}"] = (out_dim, d)
+        v = _read(entry, table, name)
+        return cls(name, slots, Kernel.from_json(v["kernel"], f"{name}.kernel"),
+                   {a: v[a] for a in slots}, {a: v[f"quad_{a}"] for a in slots},
+                   v["const"])
 
     def to_json(self):
         out = {"kernel": self.kernel.to_json(), "const": self.const.tolist()}
@@ -164,64 +217,33 @@ class AffineCoefficient:
         return k * jac
 
 
-class TerminalMap:
-    """psi(t, x) = (P + t*P') x + (c + t*c')."""
+class TerminalMap(_Section):
+    """psi(t, x) = (P + t*P') x + (c + t*c'), with P = ``x``, P' = ``x_slope``."""
 
-    def __init__(self, m, n, base, slope, const, const_slope):
-        self.m, self.n = m, n
-        self.base = base
-        self.slope = slope
-        self.const = const
-        self.const_slope = const_slope
-
-    @classmethod
-    def from_json(cls, m, n, entry):
-        entry = dict(entry or {})
-        _reject_unknown(entry, ("x", "x_slope", "const", "const_slope"), "psi")
-        return cls(m, n,
-                   _matrix(entry.get("x"), m, n, "psi.x"),
-                   _matrix(entry.get("x_slope"), m, n, "psi.x_slope"),
-                   _vector(entry.get("const"), m, "psi.const"),
-                   _vector(entry.get("const_slope"), m, "psi.const_slope"))
-
-    def to_json(self):
-        return {"x": self.base.tolist(), "x_slope": self.slope.tolist(),
-                "const": self.const.tolist(), "const_slope": self.const_slope.tolist()}
+    @staticmethod
+    def table(m, n):
+        return {"x": (m, n), "x_slope": (m, n), "const": (m,), "const_slope": (m,)}
 
     @property
     def time_invariant(self) -> bool:
-        return not self.slope.any() and not self.const_slope.any()
+        return not self.x_slope.any() and not self.const_slope.any()
 
     def matrix(self, t: float) -> np.ndarray:
-        return self.base + t * self.slope
+        return self.x + t * self.x_slope
 
     def value(self, t: float, x: np.ndarray) -> np.ndarray:
         return x @ self.matrix(t).T + (self.const + t * self.const_slope)
 
     def jacobian(self, t: float, x: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(self.matrix(t), (x.shape[0], self.m, self.n))
+        return np.broadcast_to(self.matrix(t), (x.shape[0],) + self.x.shape)
 
 
-class InitialCurve:
+class InitialCurve(_Section):
     """phi(t) = a + b*t + c*W(t), evaluated on the lattice per level."""
 
-    def __init__(self, n, const, slope, brownian):
-        self.n = n
-        self.const = const
-        self.slope = slope
-        self.brownian = brownian
-
-    @classmethod
-    def from_json(cls, n, entry):
-        entry = dict(entry or {})
-        _reject_unknown(entry, ("const", "slope", "brownian"), "phi")
-        return cls(n, _vector(entry.get("const"), n, "phi.const"),
-                   _vector(entry.get("slope"), n, "phi.slope"),
-                   _vector(entry.get("brownian"), n, "phi.brownian"))
-
-    def to_json(self):
-        return {"const": self.const.tolist(), "slope": self.slope.tolist(),
-                "brownian": self.brownian.tolist()}
+    @staticmethod
+    def table(n):
+        return {"const": (n,), "slope": (n,), "brownian": (n,)}
 
     def value(self, tree: Tree, i: int) -> np.ndarray:
         base = self.const + tree.t(i) * self.slope
@@ -244,18 +266,17 @@ class CoefficientSet:
 
     @classmethod
     def from_json(cls, dims, entry):
-        entry = dict(entry or {})
-        _reject_unknown(entry, ("phi", "b", "sigma", "g", "psi"), "coefficients")
+        v = _read(entry, dict.fromkeys(("phi", "b", "sigma", "g", "psi")), "coefficients")
         n, m, l = dims
         fwd_slots = {"x": n, "u": l}
         g_slots = {"x": n, "y": m, "z": m, "u": l}
         return cls(
             n, m, l,
-            InitialCurve.from_json(n, entry.get("phi")),
-            AffineCoefficient.from_json("b", n, fwd_slots, entry.get("b")),
-            AffineCoefficient.from_json("sigma", n, fwd_slots, entry.get("sigma")),
-            AffineCoefficient.from_json("g", m, g_slots, entry.get("g")),
-            TerminalMap.from_json(m, n, entry.get("psi")),
+            InitialCurve.from_json(v["phi"], "phi", n),
+            AffineCoefficient.from_json("b", n, fwd_slots, v["b"]),
+            AffineCoefficient.from_json("sigma", n, fwd_slots, v["sigma"]),
+            AffineCoefficient.from_json("g", m, g_slots, v["g"]),
+            TerminalMap.from_json(v["psi"], "psi", m, n),
         )
 
     def to_json(self):
@@ -282,23 +303,20 @@ class RunningCost:
 
     SLOTS = ("x", "y", "z", "u")
 
-    def __init__(self, dims, quads, lins, const):
-        self.dims = dict(dims)
+    def __init__(self, quads, lins, const):
         self.quads = quads
         self.lins = lins
         self.const = const
 
     @classmethod
     def from_json(cls, n, m, l, entry):
-        entry = dict(entry or {})
         dims = {"x": n, "y": m, "z": m, "u": l}
-        allowed = [f"q{a}" for a in cls.SLOTS] + [f"l{a}" for a in cls.SLOTS] + ["const"]
-        _reject_unknown(entry, allowed, "cost.f")
-        quads = {a: _matrix(entry.get(f"q{a}"), d, d, f"cost.f.q{a}")
-                 for a, d in dims.items()}
-        lins = {a: _vector(entry.get(f"l{a}"), d, f"cost.f.l{a}")
-                for a, d in dims.items()}
-        return cls(dims, quads, lins, float(entry.get("const", 0.0)))
+        table = {"const": 0.0}
+        for a, d in dims.items():
+            table[f"q{a}"], table[f"l{a}"] = (d, d), (d,)
+        v = _read(entry, table, "cost.f")
+        return cls({a: v[f"q{a}"] for a in dims}, {a: v[f"l{a}"] for a in dims},
+                   v["const"])
 
     def to_json(self):
         out = {"const": self.const}
@@ -321,32 +339,13 @@ class RunningCost:
         return arr @ q.T + self.lins[slot]
 
 
-class TerminalCost:
+class TerminalCost(_Section):
     """h(x_T, y_0) = 1/2 (x-x*)'Qx(x-x*) + lx.x + 1/2 (y-y*)'Qy(y-y*) + ly.y."""
 
-    def __init__(self, n, m, qx, qy, x_target, y_target, lx, ly):
-        self.n, self.m = n, m
-        self.qx, self.qy = qx, qy
-        self.x_target, self.y_target = x_target, y_target
-        self.lx, self.ly = lx, ly
-
-    @classmethod
-    def from_json(cls, n, m, entry):
-        entry = dict(entry or {})
-        _reject_unknown(entry, ("qx", "qy", "x_target", "y_target", "lx", "ly"),
-                        "cost.h")
-        return cls(n, m,
-                   _matrix(entry.get("qx"), n, n, "cost.h.qx"),
-                   _matrix(entry.get("qy"), m, m, "cost.h.qy"),
-                   _vector(entry.get("x_target"), n, "cost.h.x_target"),
-                   _vector(entry.get("y_target"), m, "cost.h.y_target"),
-                   _vector(entry.get("lx"), n, "cost.h.lx"),
-                   _vector(entry.get("ly"), m, "cost.h.ly"))
-
-    def to_json(self):
-        return {"qx": self.qx.tolist(), "qy": self.qy.tolist(),
-                "x_target": self.x_target.tolist(), "y_target": self.y_target.tolist(),
-                "lx": self.lx.tolist(), "ly": self.ly.tolist()}
+    @staticmethod
+    def table(n, m):
+        return {"qx": (n, n), "qy": (m, m), "x_target": (n,), "y_target": (m,),
+                "lx": (n,), "ly": (m,)}
 
     def value(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         dx = x - self.x_target
@@ -369,10 +368,9 @@ class CostSpec:
 
     @classmethod
     def from_json(cls, n, m, l, entry):
-        entry = dict(entry or {})
-        _reject_unknown(entry, ("f", "h"), "cost")
-        return cls(RunningCost.from_json(n, m, l, entry.get("f")),
-                   TerminalCost.from_json(n, m, entry.get("h")))
+        v = _read(entry, {"f": None, "h": None}, "cost")
+        return cls(RunningCost.from_json(n, m, l, v["f"]),
+                   TerminalCost.from_json(v["h"], "cost.h", n, m))
 
     def to_json(self):
         return {"f": self.f.to_json(), "h": self.h.to_json()}
@@ -392,7 +390,8 @@ class ControlConstraint:
     Variants: unconstrained, ball, halfspaces (a_i . u <= b_i), quadratics
     (smooth inequalities u'S_i u + b_i.u + c_i <= 0).  The torus fixture of
     the two-ring annulus is the quadratics instance {|u|^2 - 4 <= 0,
-    2 - |u|^2 <= 0} and carries a radial closed-form projection.
+    2 - |u|^2 <= 0} and carries a radial closed-form projection; other
+    quadratics regions have none.
 
     ``values``, ``activity``, ``contains`` and ``project`` take (..., l)
     node tables, one point per row, bit for bit as if row by row; an
@@ -416,7 +415,7 @@ class ControlConstraint:
     def ball(cls, center, radius):
         center = np.asarray(center, dtype=float)
         if radius <= 0:
-            raise ScenarioError("constraint.ball: radius must be positive")
+            raise ScenarioError(f"constraint.radius: must be positive, got {radius}")
         return cls("ball", center.size, {"center": center, "radius": float(radius)})
 
     @classmethod
@@ -424,21 +423,18 @@ class ControlConstraint:
         normals = np.atleast_2d(np.asarray(normals, dtype=float))
         offsets = np.asarray(offsets, dtype=float)
         if normals.shape[0] != offsets.size:
-            raise ScenarioError("constraint.halfspaces: normals/offsets mismatch")
+            raise ScenarioError(f"constraint.offsets: {offsets.size} offsets for"
+                                f" {normals.shape[0]} normals")
         return cls("halfspaces", normals.shape[1],
                    {"normals": normals, "offsets": offsets})
 
     @classmethod
     def quadratics(cls, terms, dim):
-        parsed = []
-        for k, term in enumerate(terms):
-            _reject_unknown(term, ("quad", "lin", "const"), f"constraint.terms[{k}]")
-            parsed.append({
-                "quad": _matrix(term.get("quad"), dim, dim, f"constraint.terms[{k}].quad"),
-                "lin": _vector(term.get("lin"), dim, f"constraint.terms[{k}].lin"),
-                "const": float(term.get("const", 0.0)),
-            })
-        return cls("quadratics", dim, {"terms": parsed})
+        if not terms:
+            raise ScenarioError("constraint.terms: no terms")
+        table = {"quad": (dim, dim), "lin": (dim,), "const": 0.0}
+        return cls("quadratics", dim, {"terms": [
+            _read(term, table, f"constraint.terms[{k}]") for k, term in enumerate(terms)]})
 
     @classmethod
     def torus(cls):
@@ -450,32 +446,24 @@ class ControlConstraint:
 
     @classmethod
     def from_json(cls, l, entry):
-        entry = dict(entry or {"type": "unconstrained"})
-        kind = entry.get("type")
-        if kind == "unconstrained":
-            _reject_unknown(entry, ("type",), "constraint")
-            return cls.unconstrained(l)
+        tables = {"unconstrained": {}, "torus": {},
+                  "ball": {"center": (l,), "radius": float},
+                  "halfspaces": {"normals": (-1, l), "offsets": (-1,)},
+                  "quadratics": {"terms": list}}
+        if entry in (None, {}):
+            entry = {"type": "unconstrained"}
+        kind = entry.get("type") if isinstance(entry, dict) else None
+        if isinstance(entry, dict) and (kind not in tables or kind == "torus" and l != 2):
+            raise ScenarioError(f"constraint.type: expected one of {sorted(tables)}"
+                                f" (torus needs control dim 2), got {kind!r}")
+        v = _read(entry, {"type": None, **tables.get(kind, {})}, "constraint")
         if kind == "ball":
-            _reject_unknown(entry, ("type", "center", "radius"), "constraint")
-            c = cls.ball(_vector(entry.get("center"), l, "constraint.center"),
-                         float(entry["radius"]))
-            return c
+            return cls.ball(v["center"], v["radius"])
         if kind == "halfspaces":
-            _reject_unknown(entry, ("type", "normals", "offsets"), "constraint")
-            c = cls.halfspaces(entry["normals"], entry["offsets"])
-            if c.dim != l:
-                raise ScenarioError(
-                    f"constraint: normals have dim {c.dim}, control dim is {l}")
-            return c
+            return cls.halfspaces(v["normals"], v["offsets"])
         if kind == "quadratics":
-            _reject_unknown(entry, ("type", "terms"), "constraint")
-            return cls.quadratics(entry["terms"], l)
-        if kind == "torus":
-            _reject_unknown(entry, ("type",), "constraint")
-            if l != 2:
-                raise ScenarioError("constraint: torus needs control dim 2")
-            return cls.torus()
-        raise ScenarioError(f"constraint: unknown type {kind!r}")
+            return cls.quadratics(v["terms"], l)
+        return cls.torus() if kind == "torus" else cls.unconstrained(l)
 
     def to_json(self):
         if self.variant == "unconstrained":
@@ -564,7 +552,8 @@ class ControlConstraint:
 
     def project(self, u: np.ndarray) -> np.ndarray:
         """Euclidean projection of each row of u onto U (exact for the
-        catalog variants)."""
+        catalog variants); raises ProjectionUnavailable for a quadratics
+        region without a closed form."""
         u = np.asarray(u, dtype=float)
         if self.variant == "unconstrained":
             return u.copy()
@@ -613,55 +602,23 @@ class ControlConstraint:
             raise ProjectionUnavailable("halfspace projection: no feasible KKT point")
         return best
 
-    def nearest(self, u: np.ndarray) -> np.ndarray:
-        """A nearest point of U; the exact projection where available."""
-        u = np.asarray(u, dtype=float)
-        return self.project(u) if self.has_exact_projection else self._project_iterative(u)
-
     def dist(self, u: np.ndarray) -> float:
-        return float(np.linalg.norm(self.nearest(u) - u))
-
-    def _project_iterative(self, u, max_iter=80):
-        # local Gauss-Newton flow onto the most violated smooth inequality
-        y = u.copy()
-        for _ in range(max_iter):
-            if self.contains(y, 1e-13):
-                return y
-            vals = self.values(y)
-            worst = int(np.argmax(vals))
-            grad = self.gradients(y)[worst]
-            denom = float(grad @ grad)
-            if denom == 0.0:
-                break
-            y = y - (vals[worst] / denom) * grad
-        raise ProjectionUnavailable("iterative projection did not converge")
+        return float(np.linalg.norm(self.project(u) - u))
 
 
 # ---------------------------------------------------------------------------
 # scenario
 
 
-@dataclass
-class Tolerances:
-    picard_tol: float = 1e-12
-    picard_max_iter: int = 200
-    activity_tol: float = 1e-8
-    nc_tol: float = 1e-8
+class Tolerances(_Section):
+    @staticmethod
+    def table():
+        return {"picard_tol": 1e-12, "picard_max_iter": 200, "activity_tol": 1e-8,
+                "nc_tol": 1e-8}
 
     @classmethod
-    def from_json(cls, entry):
-        entry = dict(entry or {})
-        _reject_unknown(entry, ("picard_tol", "picard_max_iter", "activity_tol",
-                                "nc_tol"), "tolerances")
-        out = cls()
-        return cls(float(entry.get("picard_tol", out.picard_tol)),
-                   int(entry.get("picard_max_iter", out.picard_max_iter)),
-                   float(entry.get("activity_tol", out.activity_tol)),
-                   float(entry.get("nc_tol", out.nc_tol)))
-
-    def to_json(self):
-        return {"picard_tol": self.picard_tol, "picard_max_iter": self.picard_max_iter,
-                "activity_tol": self.activity_tol, "nc_tol": self.nc_tol}
+    def from_json(cls, entry, context):
+        return cls(**_positive(_read(entry, cls.table(), context), context))
 
 
 @dataclass
@@ -670,9 +627,9 @@ class Scenario:
     coeffs: CoefficientSet
     cost: CostSpec
     constraint: ControlConstraint
-    tolerances: Tolerances = field(default_factory=Tolerances)
-    seed: int = 0
-    initial_control: np.ndarray | None = None
+    tolerances: Tolerances
+    seed: int
+    initial_control: np.ndarray | None
 
     @property
     def n(self):
@@ -714,30 +671,25 @@ class Scenario:
 
     @classmethod
     def from_json(cls, doc):
-        _reject_unknown(doc, ("grid", "dims", "coefficients", "cost", "constraint",
-                              "tolerances", "seed", "initial_control"), "scenario")
-        grid_entry = dict(doc.get("grid") or {})
-        _reject_unknown(grid_entry, ("T", "N"), "grid")
+        v = _read(doc, {"grid": None, "dims": None, "coefficients": None, "cost": None,
+                        "constraint": None, "tolerances": None, "seed": 0,
+                        "initial_control": None}, "scenario")
+        grid = _positive(_read(v["grid"], {"T": float, "N": int}, "grid"), "grid")
         try:
-            grid = TimeGrid(float(grid_entry["T"]), int(grid_entry["N"]))
-        except (KeyError, ValueError) as exc:
-            raise ScenarioError(f"grid: {exc}") from exc
-        dims_entry = dict(doc.get("dims") or {})
-        _reject_unknown(dims_entry, ("n", "m", "l"), "dims")
-        try:
-            dims = (int(dims_entry["n"]), int(dims_entry["m"]), int(dims_entry["l"]))
-        except KeyError as exc:
-            raise ScenarioError(f"dims: missing {exc}") from exc
-        if min(dims) < 1:
-            raise ScenarioError(f"dims: must be positive, got {dims}")
-        coeffs = CoefficientSet.from_json(dims, doc.get("coefficients"))
-        cost = CostSpec.from_json(*dims, doc.get("cost"))
-        constraint = ControlConstraint.from_json(dims[2], doc.get("constraint"))
-        tol = Tolerances.from_json(doc.get("tolerances"))
-        u0 = doc.get("initial_control")
+            grid = TimeGrid(grid["T"], grid["N"])
+        except ValueError as exc:
+            raise ScenarioError(f"grid.N: {exc}") from exc
+        n, m, l = _positive(_read(v["dims"], dict.fromkeys("nml", int), "dims"),
+                            "dims").values()
+        if v["seed"] < 0:
+            raise ScenarioError(f"scenario.seed: must be non-negative, got {v['seed']}")
+        u0 = v["initial_control"]
         if u0 is not None:
-            u0 = _vector(u0, dims[2], "initial_control")
-        return cls(grid, coeffs, cost, constraint, tol, int(doc.get("seed", 0)), u0)
+            u0 = _value(u0, (l,), "scenario.initial_control")
+        return cls(grid, CoefficientSet.from_json((n, m, l), v["coefficients"]),
+                   CostSpec.from_json(n, m, l, v["cost"]),
+                   ControlConstraint.from_json(l, v["constraint"]),
+                   Tolerances.from_json(v["tolerances"], "tolerances"), v["seed"], u0)
 
 
 def save_scenario(scenario: Scenario, path) -> None:
@@ -763,100 +715,58 @@ def load_scenario(path) -> Scenario:
 # validation
 
 
-def _fd_check(name, value_fn, jac_fn, args, slot, rtol, out):
-    """Central finite differences against the analytic slot Jacobian."""
-    base = {k: v.copy() for k, v in args.items()}
-    jac = jac_fn(slot, **base)
-    dim_in = base[slot].shape[1]
-    fd = np.zeros_like(jac)
-    for idx in range(dim_in):
-        h = 1e-5 * (1.0 + float(np.abs(base[slot][:, idx]).max()))
-        up = {k: v.copy() for k, v in base.items()}
-        dn = {k: v.copy() for k, v in base.items()}
-        up[slot][:, idx] += h
-        dn[slot][:, idx] -= h
-        fd[..., idx] = (value_fn(**up) - value_fn(**dn)) / (2.0 * h)
-    err = float(np.abs(jac - fd).max())
-    scale = 1.0 + float(np.abs(jac).max())
-    if not np.isfinite(err) or err > rtol * scale:
-        out.append(Diagnostic(f"{name}.d{slot}",
-                              "analytic derivative disagrees with finite differences",
-                              err / scale))
-
-
-def validate(scenario: Scenario, n_probes: int = 6) -> list:
+def validate(scenario: Scenario) -> list:
     """Cross-check supplied derivatives and dimensions; empty list iff clean.
 
-    The (t, t') continuity modulus is not checked: point probes on the
-    grid cannot refute a modulus bound.
+    Each first derivative of b, sigma, g, psi, f and h is compared with
+    central finite differences at six random probes.  The (t, t')
+    continuity modulus is not checked: point probes on the grid cannot
+    refute a modulus bound.
     """
     out: list[Diagnostic] = []
-    co, cost = scenario.coeffs, scenario.cost
-    n, m, l = scenario.n, scenario.m, scenario.l
+    co, f, h = scenario.coeffs, scenario.cost.f, scenario.cost.h
     rng = np.random.default_rng(scenario.seed + 1)
+    probes = {a: rng.standard_normal((6, d)) for a, d in
+              (("x", scenario.n), ("y", scenario.m), ("z", scenario.m), ("u", scenario.l))}
     ts = scenario.grid.points
-    x = rng.standard_normal((n_probes, n))
-    y = rng.standard_normal((n_probes, m))
-    z = rng.standard_normal((n_probes, m))
-    u = rng.standard_normal((n_probes, l))
+    t, s, T = float(ts[1]), float(ts[0]), float(ts[-1])
 
-    for name, coeff, slots in (("b", co.b, ("x", "u")), ("sigma", co.sigma, ("x", "u")),
-                               ("g", co.g, ("x", "y", "z", "u"))):
-        t_pt, s_pt = float(ts[1]), float(ts[0])
-        args = {a: {"x": x, "u": u, "y": y, "z": z}[a] for a in coeff.slots}
-        try:
-            val = coeff.value(t_pt, s_pt, **args)
-        except Exception as exc:  # pragma: no cover - defensive
-            out.append(Diagnostic(name, f"evaluation failed: {exc}", math.inf))
-            continue
-        if val.shape != (n_probes, coeff.out_dim):
-            out.append(Diagnostic(name, f"value has shape {val.shape}", math.inf))
-            continue
+    def at_t1_t0(c):  # (name, value, derivative, slots) of a catalog coefficient
+        return (c.name, lambda **a: c.value(t, s, **a),
+                lambda sl, **a: c.jacobian(sl, t, s, **a), tuple(c.slots))
+
+    checks = [at_t1_t0(co.b), at_t1_t0(co.sigma), at_t1_t0(co.g),
+              ("psi", lambda x: co.psi.value(T, x),
+               lambda sl, x: co.psi.jacobian(T, x), ("x",)),
+              ("cost.f", lambda **a: f.value(0.0, **a),
+               lambda sl, **a: f.grad(sl, 0.0, **a), RunningCost.SLOTS),
+              ("cost.h", h.value,
+               lambda sl, x, y: (h.grad_x if sl == "x" else h.grad_y)(x, y), ("x", "y"))]
+    for name, value, derivative, slots in checks:
+        args = {a: probes[a] for a in slots}
         for slot in slots:
-            _fd_check(name, lambda **a: coeff.value(t_pt, s_pt, **a),
-                      lambda sl, **a: coeff.jacobian(sl, t_pt, s_pt, **a),
-                      args, slot, 1e-6, out)
+            jac = derivative(slot, **args)
+            fd = np.zeros_like(jac)
+            for idx in range(args[slot].shape[1]):
+                eps = 1e-5 * (1.0 + float(np.abs(args[slot][:, idx]).max()))
+                step = np.zeros_like(args[slot])
+                step[:, idx] = eps
+                fd[..., idx] = (value(**{**args, slot: args[slot] + step})
+                                - value(**{**args, slot: args[slot] - step})) / (2.0 * eps)
+            err = float(np.abs(jac - fd).max())
+            scale = 1.0 + float(np.abs(jac).max())
+            if not err <= 1e-6 * scale:
+                out.append(Diagnostic(f"{name}.d{slot}",
+                                      "analytic derivative disagrees with finite"
+                                      " differences", err / scale))
 
-    psi_val = co.psi.value(float(ts[-1]), x)
-    if psi_val.shape != (n_probes, m):
-        out.append(Diagnostic("psi", f"value has shape {psi_val.shape}, wanted"
-                              f" ({n_probes}, {m})", math.inf))
-    else:
-        _fd_check("psi", lambda **a: co.psi.value(float(ts[-1]), a["x"]),
-                  lambda sl, **a: co.psi.jacobian(float(ts[-1]), a["x"]),
-                  {"x": x}, "x", 1e-6, out)
-
-    f_args = {"x": x, "y": y, "z": z, "u": u}
-    fval = cost.f.value(0.0, **f_args)
-    if fval.shape != (n_probes,):
-        out.append(Diagnostic("cost.f", f"value has shape {fval.shape}", math.inf))
-    else:
-        for slot in RunningCost.SLOTS:
-            _fd_check("cost.f", lambda **a: cost.f.value(0.0, **a),
-                      lambda sl, **a: cost.f.grad(sl, 0.0, **a),
-                      f_args, slot, 1e-6, out)
-    _fd_check("cost.h", lambda **a: cost.h.value(a["x"], a["y"]),
-              lambda sl, **a: (cost.h.grad_x if sl == "x" else cost.h.grad_y)(
-                  a["x"], a["y"]),
-              {"x": x, "y": y}, "x", 1e-6, out)
-    _fd_check("cost.h", lambda **a: cost.h.value(a["x"], a["y"]),
-              lambda sl, **a: (cost.h.grad_x if sl == "x" else cost.h.grad_y)(
-                  a["x"], a["y"]),
-              {"x": x, "y": y}, "y", 1e-6, out)
-
-    if scenario.constraint.dim != l:
+    if scenario.constraint.dim != scenario.l:
         out.append(Diagnostic("constraint", f"dimension {scenario.constraint.dim}"
-                              f" does not match control dim {l}", math.inf))
+                              f" does not match control dim {scenario.l}", math.inf))
     if scenario.initial_control is not None and not scenario.constraint.contains(
             scenario.initial_control, scenario.tolerances.activity_tol):
         out.append(Diagnostic("initial_control", "not inside the control region",
                               math.inf))
-    for name, coeff in (("b", co.b), ("sigma", co.sigma), ("g", co.g)):
-        bound = max(float(np.abs(coeff.matrices[a]).max(initial=0.0))
-                    + 2.0 * float(np.abs(coeff.quads[a]).max(initial=0.0)) * 10.0
-                    for a in coeff.slots)
-        if not math.isfinite(bound):
-            out.append(Diagnostic(name, "derivative bound is not finite", math.inf))
     return out
 
 

@@ -269,12 +269,14 @@ class ConvergenceReport:
     err_x: list
     err_yz: list
 
-    def slope(self, which: str = "x") -> float:
+    def slope(self, which: str = "x") -> float | None:
+        """Fitted log-log slope of the errors; None with fewer than two
+        nonzero errors."""
         errs = np.array(self.err_x if which == "x" else self.err_yz)
         eps = np.array(self.eps)
         keep = errs > 1e-24
         if keep.sum() < 2:
-            return float("nan")
+            return None
         return float(np.polyfit(np.log(eps[keep]), np.log(errs[keep]), 1)[0])
 
     def monotone(self) -> bool:

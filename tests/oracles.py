@@ -661,7 +661,7 @@ def dist_limit_probe(constraint: ControlConstraint, u: np.ndarray,
     Returns (quotients, member, v_h) where membership extrapolates the
     last two quotients linearly to h = 0 (an admissible tangent direction
     has quotient O(h), an outward one a positive limit) and v_h is the
-    feasible perturbation (y_h - u)/h built from a nearest point y_h at
+    feasible perturbation (y_h - u)/h built from the projection y_h at
     the smallest h.
     """
     u = np.asarray(u, dtype=float)
@@ -671,7 +671,7 @@ def dist_limit_probe(constraint: ControlConstraint, u: np.ndarray,
     quotients = []
     for h in h_sequence:
         point = u + h * v
-        y_h = constraint.nearest(point)
+        y_h = constraint.project(point)
         quotients.append(float(np.linalg.norm(y_h - point)) / h)
     limit = (2.0 * quotients[-1] - quotients[-2] if len(quotients) >= 2
              else quotients[-1])

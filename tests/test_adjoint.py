@@ -174,8 +174,8 @@ class TestAssembleAdjoint:
         s.cost.f.lins = {a: np.zeros_like(v) for a, v in s.cost.f.lins.items()}
         s.cost.h.qx = np.zeros_like(s.cost.h.qx)
         s.cost.h.qy = np.zeros_like(s.cost.h.qy)
-        s.coeffs.psi.base = np.zeros_like(s.coeffs.psi.base)
-        s.coeffs.psi.slope = np.zeros_like(s.coeffs.psi.slope)
+        s.coeffs.psi.x = np.zeros_like(s.coeffs.psi.x)
+        s.coeffs.psi.x_slope = np.zeros_like(s.coeffs.psi.x_slope)
         tree = s.tree(4)
         u = AdaptedProcess.constant([0.2], tree.N - 1)
         fwd = simulate_forward(s, u, tree)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -8,6 +9,37 @@ from volterra_control.scenario import fixture_path
 
 def run(tmp_path, *argv):
     return main(list(argv) + ["--out", str(tmp_path)])
+
+
+def _reject_constant(name):
+    raise ValueError(f"report is not strict JSON: {name}")
+
+
+# (dotted key edited in lq.json, its new value, the field the error names)
+MALFORMED = [
+    ("constraint", {"type": "ball", "center": [0.0]}, "constraint.radius"),
+    ("constraint", {"type": "halfspaces", "normals": [[1.0]]}, "constraint.offsets"),
+    ("constraint", {"type": "quadratics"}, "constraint.terms"),
+    ("constraint", {"type": "quadratics", "terms": [1]}, "constraint.terms[0]"),
+    ("coefficients", [1], "coefficients"),
+    ("coefficients.b.kernel.scale", [1, 2], "b.kernel.scale"),
+    ("tolerances.picard_max_iter", 0, "tolerances.picard_max_iter"),
+    ("coefficients.b.x", [[0.3], [0.2, 0.1]], "b.x"),
+    ("coefficients.b.x", "abc", "b.x"),
+    ("seed", "abc", "scenario.seed"),
+    ("grid.N", 4.5, "grid.N"),
+    ("tolerances.picard_tol", "x", "tolerances.picard_tol"),
+    ("coefficients.b.x", [[math.nan]], "b.x"),
+    ("coefficients.phi.const", [math.nan], "phi.const"),
+    ("constraint", {"type": "ball", "center": [0.0], "radius": math.nan},
+     "constraint.radius"),
+    ("tolerances.nc_tol", math.nan, "tolerances.nc_tol"),
+    ("constraint", {"type": "halfspaces", "normals": [[1.0]], "offsets": [math.inf]},
+     "constraint.offsets"),
+    ("tolerances.activity_tol", -1e-8, "tolerances.activity_tol"),
+    ("coefficients.g.kernel.power", -1, "g.kernel.power"),
+    ("", [], "scenario"),  # the whole file is a list
+]
 
 
 class TestExitCodes:
@@ -41,6 +73,8 @@ class TestExitCodes:
         code = run(tmp_path, "converge", "--scenario",
                    str(fixture_path("lq")), "--N", "4", "--eps-sweep", "5")
         assert code == 0
+        json.loads(next(tmp_path.glob("converge-*.json")).read_text(),
+                   parse_constant=_reject_constant)
 
     def test_degenerate_fbsde(self, tmp_path):
         code = run(tmp_path, "degenerate-fbsde", "--scenario",
@@ -63,6 +97,30 @@ class TestExitCodes:
         doc = json.loads(json_files[0].read_text())
         assert "cost" in doc["report"]
         assert csv_files[0].read_text().startswith("level,sup_X,sup_Y")
+
+
+class TestMalformedScenario:
+    @pytest.mark.parametrize("key,value,field", MALFORMED,
+                             ids=[f"{k}={v!r}" for k, v, _ in MALFORMED])
+    def test_exit_2_names_the_field(self, tmp_path, capsys, key, value, field):
+        doc = json.loads(fixture_path("lq").read_text())
+        if key:
+            *path, last = key.split(".")
+            entry = doc
+            for part in path:
+                entry = entry.setdefault(part, {})
+            entry[last] = value
+        else:
+            doc = value
+        scenario = tmp_path / "bad.json"
+        scenario.write_text(json.dumps(doc))
+        for command in ("simulate", "check-nc"):
+            code = run(tmp_path, command, "--scenario", str(scenario), "--N", "4")
+            err = capsys.readouterr().err
+            assert code == 2, err
+            assert "Traceback" not in err
+            [line] = err.splitlines()
+            assert line.startswith(f"scenario error: {field}: "), line
 
 
 class TestCheckNcSchema:

@@ -152,6 +152,12 @@ class TestConeMinLinear:
         val, arg = cone_min_linear(np.zeros(3), np.zeros((0, 3)))
         assert val == 0.0 and np.all(arg == 0.0)
 
+    def test_full_space_tiny_gradient_not_snapped(self):
+        # k = 0 is exact, so the value is -|F| as in the NC sweep's rows
+        val, arg = cone_min_linear(np.array([1e-16, 0.0]), np.zeros((0, 2)))
+        assert val == -1e-16
+        assert np.array_equal(arg, [-1.0, 0.0])
+
     def test_positive_homogeneity(self):
         rng = np.random.default_rng(17)
         cone = rng.standard_normal((2, 3))

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from volterra_control.scenario import (
-    ControlConstraint, Scenario, ScenarioError, fixture_path, load_scenario,
-    save_scenario, validate,
+    ControlConstraint, ProjectionUnavailable, Scenario, ScenarioError,
+    fixture_path, load_scenario, save_scenario, validate,
 )
 
 FIXTURES = ("zero", "lq", "fbsde", "quadratic", "annulus", "lq_multi")
@@ -61,6 +61,24 @@ class TestLoading:
             save_scenario(s, out)
             again = load_scenario(out)
             assert again.to_json() == s.to_json()
+
+    @pytest.mark.parametrize("region", [
+        {"type": "unconstrained"},
+        {"type": "ball", "center": [0.5, 0.0], "radius": 2.0},
+        {"type": "halfspaces", "normals": [[1.0, 0.0], [0.0, 1.0]],
+         "offsets": [2.0, 1.0]},
+        {"type": "quadratics", "terms": [
+            {"quad": [[1.0, 0.0], [0.0, 2.0]], "lin": [0.1, 0.0], "const": -5.0},
+            {"quad": [[0.0, 0.0], [0.0, 0.0]], "lin": [-1.0, 0.0], "const": 1.0}]},
+        {"type": "torus"},
+    ], ids=lambda region: region["type"])
+    def test_region_round_trip(self, tmp_path, region):
+        doc = json.loads(fixture_path("annulus").read_text())  # u0 = (1.8, 0)
+        doc["constraint"] = region
+        s = Scenario.from_json(doc)
+        assert s.constraint.to_json() == region
+        save_scenario(s, tmp_path / "region.json")
+        assert load_scenario(tmp_path / "region.json").to_json() == s.to_json()
 
 
 class TestValidate:
@@ -124,6 +142,13 @@ class TestConstraint:
         assert np.allclose(p, [0.0, 1.0])
         inside = np.array([-1.0, 0.5])
         assert np.allclose(hs.project(inside), inside)
+
+    def test_general_quadratics_has_no_distance(self):
+        ellipse = ControlConstraint.quadratics(
+            [{"quad": [[1.0, 0.0], [0.0, 4.0]], "const": -1.0}], 2)
+        assert not ellipse.has_exact_projection
+        with pytest.raises(ProjectionUnavailable):
+            ellipse.dist(np.array([2.0, 0.0]))
 
     def test_initial_control_feasibility_checked(self):
         doc = json.loads(fixture_path("annulus").read_text())
