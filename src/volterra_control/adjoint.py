@@ -21,6 +21,11 @@ forward Euler scheme).  The 0..i sums in F_i and in the control gradient
 include the diagonal for the same reason.  These choices make the
 difference-quotient identity for the cost exact in exact arithmetic.
 
+Each coefficient derivative is one cached ``FrozenCoefficients.d(name,
+slot, i, j)``: the jacobian of catalog object ``name`` in ``slot`` at
+(t_i, t_j) along the state, e.g. g_y(j,i) = ``d("g", "y", j, i)``,
+f_z(j) = ``d("f", "z", 0, j)``, psi_x(j) = ``d("psi", "x", j, N)``.
+
 The xi and (p, q) equations are each written down once, as free-term
 rows plus kernels (``_xi_equation``, ``_pq_equation``); the solver in
 ``assemble_adjoint`` and the check in ``adjoint_residuals`` both read
@@ -148,69 +153,39 @@ def solve_lambda0(tree: Tree, fz: AdaptedProcess, gz0, mean0: np.ndarray):
 
 
 class FrozenCoefficients:
-    """Derivative evaluators frozen along a state 4-tuple, cached per (i, j)."""
+    """Catalog derivatives frozen along a state 4-tuple (bwd may be None for b, sigma)."""
 
     def __init__(self, scenario: Scenario, tree: Tree, fwd: ForwardPath, bwd, u):
-        self.s = scenario
+        self.objects = scenario.catalog
         self.tree = tree
         self.fwd = fwd
         self.bwd = bwd
-        self.u = u
         self._cache = {}
+        # the state-argument table: slot -> its field at (t_i, t_j)
+        self._fields = {"x": lambda i, j: fwd.X.level(j), "u": lambda i, j: u.level(j),
+                        "y": lambda i, j: bwd.Y.level(j), "z": lambda i, j: bwd.Z.value(i, j)}
 
-    def _forward_args(self, j):
-        return {"x": self.fwd.X.level(j), "u": self.u.level(j)}
-
-    def _g_args(self, i, j):
-        return {"x": self.fwd.X.level(j), "y": self.bwd.Y.level(j),
-                "z": self.bwd.Z.value(i, j), "u": self.u.level(j)}
+    def _args(self, name: str, i: int, j: int) -> dict:
+        """The state arguments of ``name`` at (t_i, t_j); psi and h sit at
+        j = N, where X_j is X_T, and h reads (X_T, Y_0)."""
+        if name == "h":
+            return {"x": self.fwd.X.level(j), "y": self.tree.embed(self.bwd.Y.level(0), j)}
+        return {slot: self._fields[slot](i, j) for slot in self.objects[name].slots}
 
     def _get(self, key, make):
         if key not in self._cache:
             self._cache[key] = make()
         return self._cache[key]
 
-    def b_x(self, i, j):
-        return self._get(("b_x", i, j), lambda: self.s.coeffs.b.jacobian(
-            "x", self.tree.t(i), self.tree.t(j), **self._forward_args(j)))
+    def value(self, name: str, i: int, j: int) -> np.ndarray:
+        """Value of object ``name`` at (t_i, t_j), not cached."""
+        t, s = self.tree.t(i), self.tree.t(j)
+        return self.objects[name].value(t, s, **self._args(name, i, j))
 
-    def b_u(self, i, j):
-        return self._get(("b_u", i, j), lambda: self.s.coeffs.b.jacobian(
-            "u", self.tree.t(i), self.tree.t(j), **self._forward_args(j)))
-
-    def sigma_x(self, i, j):
-        return self._get(("sigma_x", i, j), lambda: self.s.coeffs.sigma.jacobian(
-            "x", self.tree.t(i), self.tree.t(j), **self._forward_args(j)))
-
-    def sigma_u(self, i, j):
-        return self._get(("sigma_u", i, j), lambda: self.s.coeffs.sigma.jacobian(
-            "u", self.tree.t(i), self.tree.t(j), **self._forward_args(j)))
-
-    def g_slot(self, slot, i, j):
-        return self._get((f"g_{slot}", i, j), lambda: self.s.coeffs.g.jacobian(
-            slot, self.tree.t(i), self.tree.t(j), **self._g_args(i, j)))
-
-    def psi_x(self, i):
-        return self._get(("psi_x", i), lambda: self.s.coeffs.psi.jacobian(
-            self.tree.t(i), self.fwd.X.level(self.tree.N)))
-
-    def _cost_args(self, j):
-        return {"x": self.fwd.X.level(j), "y": self.bwd.Y.level(j),
-                "z": self.bwd.Z.value(0, j), "u": self.u.level(j)}
-
-    def f_slot(self, slot, j):
-        return self._get((f"f_{slot}", j), lambda: self.s.cost.f.grad(
-            slot, self.tree.t(j), **self._cost_args(j)))
-
-    def h_x(self):
-        return self._get(("h_x",), lambda: self.s.cost.h.grad_x(
-            self.fwd.X.level(self.tree.N),
-            self.tree.embed(self.bwd.Y.level(0), self.tree.N)))
-
-    def h_y(self):
-        return self._get(("h_y",), lambda: self.s.cost.h.grad_y(
-            self.fwd.X.level(self.tree.N),
-            self.tree.embed(self.bwd.Y.level(0), self.tree.N)))
+    def d(self, name: str, slot: str, i: int, j: int) -> np.ndarray:
+        """Jacobian of object ``name`` in ``slot`` at (t_i, t_j), cached."""
+        return self._get((name, slot, i, j), lambda: self.objects[name].jacobian(
+            slot, self.tree.t(i), self.tree.t(j), **self._args(name, i, j)))
 
 
 @dataclass
@@ -229,10 +204,10 @@ def _xi_equation(tree: Tree, fro: FrozenCoefficients, Lambda: AdaptedProcess):
     """The xi equation as ``solve_fredholm`` arguments: the free-term rows
     alpha_i = g_y(0,i)' Lambda_i + f_y(i) and the keyword arguments
     A = g_y, D = g_z, diagonal included."""
-    alpha_rows = [tree.tmatvec(fro.g_slot("y", 0, i), Lambda.level(i))
-                  + fro.f_slot("y", i) for i in range(tree.N)]
-    return alpha_rows, {"A": lambda j, i: fro.g_slot("y", j, i),
-                        "D": lambda i, j: fro.g_slot("z", i, j),
+    alpha_rows = [tree.tmatvec(fro.d("g", "y", 0, i), Lambda.level(i))
+                  + fro.d("f", "y", 0, i) for i in range(tree.N)]
+    return alpha_rows, {"A": lambda j, i: fro.d("g", "y", j, i),
+                        "D": lambda i, j: fro.d("g", "z", i, j),
                         "include_diag_A": True}
 
 
@@ -242,13 +217,14 @@ def _pq_equation(tree: Tree, fro: FrozenCoefficients, Lambda: AdaptedProcess,
     free-term rows F_i and the keyword arguments A = b_x', B = sigma_x'
     (transposed, slots swapped), boundary theta, strict A-sum."""
     def f_terms(i):
-        yield fro.f_slot("x", i) + tree.tmatvec(fro.g_slot("x", 0, i), Lambda.level(i))
+        yield fro.d("f", "x", 0, i) + tree.tmatvec(fro.d("g", "x", 0, i),
+                                                   Lambda.level(i))
         for k in range(i + 1):
-            yield tree.dt * tree.tmatvec(fro.g_slot("x", k, i), xi_rows[k])
+            yield tree.dt * tree.tmatvec(fro.d("g", "x", k, i), xi_rows[k])
 
     p_rows = [tree.level_sum(f_terms(i), tree.N) for i in range(tree.N)]
-    return p_rows, {"A": lambda i, j: np.swapaxes(fro.b_x(j, i), 1, 2),
-                    "B": lambda i, j: np.swapaxes(fro.sigma_x(j, i), 1, 2),
+    return p_rows, {"A": lambda i, j: np.swapaxes(fro.d("b", "x", j, i), 1, 2),
+                    "B": lambda i, j: np.swapaxes(fro.d("sigma", "x", j, i), 1, 2),
                     "theta": theta, "include_diag_A": False}
 
 
@@ -259,17 +235,17 @@ def assemble_adjoint(scenario: Scenario, fwd: ForwardPath, bwd, u: AdaptedProces
     N = tree.N
     fro = FrozenCoefficients(scenario, tree, fwd, bwd, u)
 
-    fz = AdaptedProcess([fro.f_slot("z", j) for j in range(N)])
-    mean0 = tree.expectation(fro.h_y())
-    lambda0, Lambda = solve_lambda0(tree, fz, lambda j: fro.g_slot("z", 0, j),
+    fz = AdaptedProcess([fro.d("f", "z", 0, j) for j in range(N)])
+    mean0 = tree.expectation(fro.d("h", "y", 0, N))
+    lambda0, Lambda = solve_lambda0(tree, fz, lambda j: fro.d("g", "z", 0, j),
                                     mean0)
 
     alpha_rows, xi_kernels = _xi_equation(tree, fro, Lambda)
     xi = solve_fredholm(tree, alpha_rows, **xi_kernels)
 
-    theta = fro.h_x() + tree.tmatvec(fro.psi_x(0), lambda0)
+    theta = fro.d("h", "x", 0, N) + tree.tmatvec(fro.d("psi", "x", 0, N), lambda0)
     for j in range(N):
-        theta = theta + tree.dt * tree.tmatvec(fro.psi_x(j), xi.xi[j])
+        theta = theta + tree.dt * tree.tmatvec(fro.d("psi", "x", j, N), xi.xi[j])
 
     p_rows, pq_kernels = _pq_equation(tree, fro, Lambda, xi.xi, theta)
     pq_sol = solve_linear_backward(tree, p_rows, **pq_kernels)
@@ -293,17 +269,17 @@ def hamiltonian_gradient(scenario: Scenario, bundle: AdjointBundle,
     fro = bundle.frozen
     levels = []
     for j in range(N):
-        h = fro.f_slot("u", j) + tree.tmatvec(fro.g_slot("u", 0, j),
-                                              bundle.Lambda.level(j))
+        h = fro.d("f", "u", 0, j) + tree.tmatvec(fro.d("g", "u", 0, j),
+                                                 bundle.Lambda.level(j))
         for i in range(j + 1):
-            h = h + tree.dt * tree.tmatvec(fro.g_slot("u", i, j),
+            h = h + tree.dt * tree.tmatvec(fro.d("g", "u", i, j),
                                            bundle.xi.cond_exp(i, j))
-        h = h + tree.tmatvec(fro.b_u(N, j), bundle.mu.level(j))
-        h = h + tree.tmatvec(fro.sigma_u(N, j), bundle.nu.level(j))
+        h = h + tree.tmatvec(fro.d("b", "u", N, j), bundle.mu.level(j))
+        h = h + tree.tmatvec(fro.d("sigma", "u", N, j), bundle.nu.level(j))
         for i in range(j + 1, N):
             h = h + tree.dt * tree.tmatvec(
-                fro.b_u(i, j), tree.cond_expect(bundle.pq.p.level(i), j))
-            h = h + tree.dt * tree.tmatvec(fro.sigma_u(i, j),
+                fro.d("b", "u", i, j), tree.cond_expect(bundle.pq.p.level(i), j))
+            h = h + tree.dt * tree.tmatvec(fro.d("sigma", "u", i, j),
                                            bundle.pq.q.value(i, j))
         levels.append(h)
     return AdaptedProcess(levels)
@@ -321,9 +297,9 @@ def adjoint_residuals(scenario: Scenario, bundle: AdjointBundle,
     fro = bundle.frozen
 
     # first equation: lambda0 forward identity
-    integrand = lambda j: (fro.f_slot("z", j) + tree.tmatvec(
-        fro.g_slot("z", 0, j), bundle.Lambda.level(j)))
-    recon = tree.embed(tree.cond_expect(fro.h_y(), 0), N) \
+    integrand = lambda j: (fro.d("f", "z", 0, j) + tree.tmatvec(
+        fro.d("g", "z", 0, j), bundle.Lambda.level(j)))
+    recon = tree.embed(tree.cond_expect(fro.d("h", "y", 0, N), 0), N) \
         + tree.ito_sum(integrand, 0, N)
     res1 = float(np.abs(bundle.lambda0 - recon).max())
 

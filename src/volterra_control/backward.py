@@ -164,7 +164,7 @@ def solve_bsvie(scenario: Scenario, fwd, u: AdaptedProcess,
         return co.g.value(tree.t(i), tree.t(r), x=fwd.X.level(r), y=y_r,
                           z=z_r, u=u.level(r))
 
-    lam = [[None] * N + [co.psi.value(tree.t(i), x_leaf)]
+    lam = [[None] * N + [co.psi.value(tree.t(i), tree.t(N), x_leaf)]
            for i in range(N + 1)]
     z_rows = [[None] * N for _ in range(N + 1)]
     y = [None] * N + [lam[N][N]]

@@ -106,15 +106,15 @@ def simulate_forward_linear(scenario: Scenario, base: ForwardPath,
     X1(t_i) = dt * sum_{j<i} [b_x X1 + b_u v](t_i, t_j)
             + sum_{j<i} [sigma_x X1 + sigma_u v](t_i, t_j) dW_j
     """
+    from .adjoint import FrozenCoefficients  # adjoint imports this module
     tree = tree or scenario.tree()
     if v.dim != scenario.l:
         raise SimulationError(f"direction dim {v.dim}, scenario wants {scenario.l}")
-    co = scenario.coeffs
+    fro = FrozenCoefficients(scenario, tree, base, None, base.u)
 
     def kernel(i, j, x1j):  # (drift, diff) = [c_x X1 + c_u v] for c = b, sigma
-        t, s, args = tree.t(i), tree.t(j), {"x": base.X.level(j), "u": base.u.level(j)}
-        return [tree.matvec(c.jacobian("x", t, s, **args), x1j)
-                + tree.matvec(c.jacobian("u", t, s, **args), v.level(j))
-                for c in (co.b, co.sigma)]
+        return [tree.matvec(fro.d(c, "x", i, j), x1j)
+                + tree.matvec(fro.d(c, "u", i, j), v.level(j))
+                for c in ("b", "sigma")]
 
     return _euler_sweep(tree, lambda i: np.zeros((1 << i, scenario.n)), kernel, "X1")

@@ -4,8 +4,12 @@ A scenario is a JSON document with sections ``grid``, ``dims``,
 ``coefficients``, ``cost``, ``constraint``, ``tolerances``.  Coefficients
 come from a closed catalog (affine maps of the arguments plus optional
 elementwise-quadratic terms, scaled by a kernel factor in t - s), so all
-first derivatives are supplied analytically and cross-checked against
-central finite differences by ``validate``.
+first derivatives are supplied analytically.
+
+The six objects b, sigma, g, psi, f, h (``Scenario.catalog``) share one
+interface: ``name``, ``slots`` (their state arguments among x, y, z, u),
+``value(t, s, **slots)`` and ``jacobian(slot, t, s, **slots)`` (a cost's
+is its gradient); ``validate`` checks each jacobian in one loop.
 
 Input contract: every section is read by ``_read`` through one field
 table that declares each key once (its shape or default).  Any defect --
@@ -151,6 +155,16 @@ class Kernel(_Section):
             raise ScenarioError(f"{context}.power: must be non-negative, got {kernel.power}")
         return kernel
 
+    def check_horizon(self, horizon: float, context: str) -> None:
+        """Raise ScenarioError if the factor overflows at a lag t - s <= horizon."""
+        for key, factor in (("kappa", lambda: math.exp(-self.kappa * horizon)),
+                            ("power", lambda: horizon ** self.power)):
+            try:
+                factor()
+            except OverflowError:
+                raise ScenarioError(f"{context}.{key}: the factor overflows at"
+                                    f" t - s = {horizon}") from None
+
     def __call__(self, t: float, s: float) -> float:
         out = self.scale * math.exp(-self.kappa * (t - s))
         if self.power:
@@ -218,7 +232,11 @@ class AffineCoefficient:
 
 
 class TerminalMap(_Section):
-    """psi(t, x) = (P + t*P') x + (c + t*c'), with P = ``x``, P' = ``x_slope``."""
+    """psi(t, x) = (P + t*P') x + (c + t*c'), with P = ``x``, P' = ``x_slope``;
+    evaluated at (t_i, T)."""
+
+    name = "psi"
+    slots = ("x",)
 
     @staticmethod
     def table(m, n):
@@ -231,10 +249,10 @@ class TerminalMap(_Section):
     def matrix(self, t: float) -> np.ndarray:
         return self.x + t * self.x_slope
 
-    def value(self, t: float, x: np.ndarray) -> np.ndarray:
+    def value(self, t: float, s: float, x: np.ndarray) -> np.ndarray:
         return x @ self.matrix(t).T + (self.const + t * self.const_slope)
 
-    def jacobian(self, t: float, x: np.ndarray) -> np.ndarray:
+    def jacobian(self, slot: str, t: float, s: float, x: np.ndarray) -> np.ndarray:
         return np.broadcast_to(self.matrix(t), (x.shape[0],) + self.x.shape)
 
 
@@ -301,7 +319,8 @@ class CoefficientSet:
 class RunningCost:
     """f(s,x,y,z,u) = 1/2 sum a' Q_a a + sum l_a . a + const."""
 
-    SLOTS = ("x", "y", "z", "u")
+    name = "cost.f"
+    slots = ("x", "y", "z", "u")
 
     def __init__(self, quads, lins, const):
         self.quads = quads
@@ -310,22 +329,22 @@ class RunningCost:
 
     @classmethod
     def from_json(cls, n, m, l, entry):
-        dims = {"x": n, "y": m, "z": m, "u": l}
+        dims = dict(zip(cls.slots, (n, m, m, l)))
         table = {"const": 0.0}
         for a, d in dims.items():
             table[f"q{a}"], table[f"l{a}"] = (d, d), (d,)
-        v = _read(entry, table, "cost.f")
+        v = _read(entry, table, cls.name)
         return cls({a: v[f"q{a}"] for a in dims}, {a: v[f"l{a}"] for a in dims},
                    v["const"])
 
     def to_json(self):
         out = {"const": self.const}
-        for a in self.SLOTS:
+        for a in self.slots:
             out[f"q{a}"] = self.quads[a].tolist()
             out[f"l{a}"] = self.lins[a].tolist()
         return out
 
-    def value(self, s: float, **args) -> np.ndarray:
+    def value(self, t: float, s: float, **args) -> np.ndarray:
         nodes = next(iter(args.values())).shape[0]
         out = np.full(nodes, self.const)
         for a, arr in args.items():
@@ -333,7 +352,7 @@ class RunningCost:
             out += arr @ self.lins[a]
         return out
 
-    def grad(self, slot: str, s: float, **args) -> np.ndarray:
+    def jacobian(self, slot: str, t: float, s: float, **args) -> np.ndarray:
         arr = args[slot]
         q = 0.5 * (self.quads[slot] + self.quads[slot].T)
         return arr @ q.T + self.lins[slot]
@@ -342,23 +361,26 @@ class RunningCost:
 class TerminalCost(_Section):
     """h(x_T, y_0) = 1/2 (x-x*)'Qx(x-x*) + lx.x + 1/2 (y-y*)'Qy(y-y*) + ly.y."""
 
+    name = "cost.h"
+    slots = ("x", "y")
+
     @staticmethod
     def table(n, m):
         return {"qx": (n, n), "qy": (m, m), "x_target": (n,), "y_target": (m,),
                 "lx": (n,), "ly": (m,)}
 
-    def value(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def value(self, t: float, s: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         dx = x - self.x_target
         dy = y - self.y_target
         out = 0.5 * np.einsum("ki,ij,kj->k", dx, self.qx, dx) + x @ self.lx
         out += 0.5 * np.einsum("ki,ij,kj->k", dy, self.qy, dy) + y @ self.ly
         return out
 
-    def grad_x(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return (x - self.x_target) @ (0.5 * (self.qx + self.qx.T)).T + self.lx
-
-    def grad_y(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return (y - self.y_target) @ (0.5 * (self.qy + self.qy.T)).T + self.ly
+    def jacobian(self, slot: str, t: float, s: float, x: np.ndarray,
+                 y: np.ndarray) -> np.ndarray:
+        q = getattr(self, f"q{slot}")
+        gap = (x if slot == "x" else y) - getattr(self, f"{slot}_target")
+        return gap @ (0.5 * (q + q.T)).T + getattr(self, f"l{slot}")
 
 
 @dataclass
@@ -648,12 +670,21 @@ class Scenario:
             return Tree(self.grid)
         return Tree(TimeGrid(self.grid.horizon, steps))
 
+    @property
+    def catalog(self) -> dict:
+        """The six differentiated objects by short name."""
+        co, cost = self.coeffs, self.cost
+        return {"b": co.b, "sigma": co.sigma, "g": co.g, "psi": co.psi,
+                "f": cost.f, "h": cost.h}
+
+    def base_control(self) -> np.ndarray:
+        """``initial_control``, else the projection of 0 onto U."""
+        u0 = self.initial_control
+        return self.constraint.project(np.zeros(self.l)) if u0 is None else u0
+
     def default_control(self, tree: Tree):
         from .lattice import AdaptedProcess
-        u0 = self.initial_control
-        if u0 is None:
-            u0 = self.constraint.project(np.zeros(self.l))
-        return AdaptedProcess.constant(u0, tree.N - 1)
+        return AdaptedProcess.constant(self.base_control(), tree.N - 1)
 
     def to_json(self):
         out = {
@@ -686,8 +717,10 @@ class Scenario:
         u0 = v["initial_control"]
         if u0 is not None:
             u0 = _value(u0, (l,), "scenario.initial_control")
-        return cls(grid, CoefficientSet.from_json((n, m, l), v["coefficients"]),
-                   CostSpec.from_json(n, m, l, v["cost"]),
+        coeffs = CoefficientSet.from_json((n, m, l), v["coefficients"])
+        for c in (coeffs.b, coeffs.sigma, coeffs.g):
+            c.kernel.check_horizon(grid.horizon, f"{c.name}.kernel")
+        return cls(grid, coeffs, CostSpec.from_json(n, m, l, v["cost"]),
                    ControlConstraint.from_json(l, v["constraint"]),
                    Tolerances.from_json(v["tolerances"], "tolerances"), v["seed"], u0)
 
@@ -708,6 +741,10 @@ def load_scenario(path) -> Scenario:
     problems = validate(scenario)
     if problems:
         raise ScenarioError("; ".join(str(p) for p in problems))
+    try:  # an empty region or one without a projection has no default control
+        scenario.base_control()
+    except ProjectionUnavailable as exc:
+        raise ScenarioError(f"constraint: {exc}") from exc
     return scenario
 
 
@@ -718,45 +755,33 @@ def load_scenario(path) -> Scenario:
 def validate(scenario: Scenario) -> list:
     """Cross-check supplied derivatives and dimensions; empty list iff clean.
 
-    Each first derivative of b, sigma, g, psi, f and h is compared with
-    central finite differences at six random probes.  The (t, t')
-    continuity modulus is not checked: point probes on the grid cannot
-    refute a modulus bound.
+    Each first derivative of the catalog objects b, sigma, g, psi, f and h
+    is compared with central finite differences at six random probes, all
+    at (t, s) = (t_1, t_0).  The (t, t') continuity modulus is not
+    checked: point probes on the grid cannot refute a modulus bound.
     """
     out: list[Diagnostic] = []
-    co, f, h = scenario.coeffs, scenario.cost.f, scenario.cost.h
     rng = np.random.default_rng(scenario.seed + 1)
     probes = {a: rng.standard_normal((6, d)) for a, d in
               (("x", scenario.n), ("y", scenario.m), ("z", scenario.m), ("u", scenario.l))}
     ts = scenario.grid.points
-    t, s, T = float(ts[1]), float(ts[0]), float(ts[-1])
-
-    def at_t1_t0(c):  # (name, value, derivative, slots) of a catalog coefficient
-        return (c.name, lambda **a: c.value(t, s, **a),
-                lambda sl, **a: c.jacobian(sl, t, s, **a), tuple(c.slots))
-
-    checks = [at_t1_t0(co.b), at_t1_t0(co.sigma), at_t1_t0(co.g),
-              ("psi", lambda x: co.psi.value(T, x),
-               lambda sl, x: co.psi.jacobian(T, x), ("x",)),
-              ("cost.f", lambda **a: f.value(0.0, **a),
-               lambda sl, **a: f.grad(sl, 0.0, **a), RunningCost.SLOTS),
-              ("cost.h", h.value,
-               lambda sl, x, y: (h.grad_x if sl == "x" else h.grad_y)(x, y), ("x", "y"))]
-    for name, value, derivative, slots in checks:
-        args = {a: probes[a] for a in slots}
-        for slot in slots:
-            jac = derivative(slot, **args)
+    t, s = float(ts[1]), float(ts[0])
+    for obj in scenario.catalog.values():
+        args = {a: probes[a] for a in obj.slots}
+        for slot in obj.slots:
+            jac = obj.jacobian(slot, t, s, **args)
             fd = np.zeros_like(jac)
             for idx in range(args[slot].shape[1]):
                 eps = 1e-5 * (1.0 + float(np.abs(args[slot][:, idx]).max()))
                 step = np.zeros_like(args[slot])
                 step[:, idx] = eps
-                fd[..., idx] = (value(**{**args, slot: args[slot] + step})
-                                - value(**{**args, slot: args[slot] - step})) / (2.0 * eps)
+                fd[..., idx] = (obj.value(t, s, **{**args, slot: args[slot] + step})
+                                - obj.value(t, s, **{**args, slot: args[slot] - step})
+                                ) / (2.0 * eps)
             err = float(np.abs(jac - fd).max())
             scale = 1.0 + float(np.abs(jac).max())
             if not err <= 1e-6 * scale:
-                out.append(Diagnostic(f"{name}.d{slot}",
+                out.append(Diagnostic(f"{obj.name}.d{slot}",
                                       "analytic derivative disagrees with finite"
                                       " differences", err / scale))
 

@@ -48,15 +48,11 @@ def solve_state(scenario: Scenario, u: AdaptedProcess, tree: Tree):
 def evaluate_cost(scenario: Scenario, u: AdaptedProcess, tree: Tree,
                   state=None) -> float:
     fwd, bwd = state if state is not None else solve_state(scenario, u, tree)
+    fro = FrozenCoefficients(scenario, tree, fwd, bwd, u)
     total = 0.0
     for j in range(tree.N):
-        vals = scenario.cost.f.value(tree.t(j), x=fwd.X.level(j),
-                                     y=bwd.Y.level(j), z=bwd.Z.value(0, j),
-                                     u=u.level(j))
-        total += tree.dt * float(np.mean(vals))
-    terminal = scenario.cost.h.value(fwd.X.level(tree.N),
-                                     tree.embed(bwd.Y.level(0), tree.N))
-    return total + float(np.mean(terminal))
+        total += tree.dt * float(np.mean(fro.value("f", 0, j)))
+    return total + float(np.mean(fro.value("h", 0, tree.N)))
 
 
 def full_pipeline(scenario: Scenario, u: AdaptedProcess, tree: Tree):
@@ -240,15 +236,16 @@ def solve_variational(scenario: Scenario, fwd, bwd, u: AdaptedProcess,
     x1_leaf = x1.level(N)
     rows = []
     for i in range(N):
-        terms = [tree.dt * (tree.matvec(fro.g_slot("x", i, j), x1.level(j))
-                            + tree.matvec(fro.g_slot("u", i, j), v.level(j)))
+        terms = [tree.dt * (tree.matvec(fro.d("g", "x", i, j), x1.level(j))
+                            + tree.matvec(fro.d("g", "u", i, j), v.level(j)))
                  for j in range(i, N)]
-        rows.append(tree.level_sum(terms + [tree.matvec(fro.psi_x(i), x1_leaf)], N))
+        psi_x = fro.d("psi", "x", i, N)
+        rows.append(tree.level_sum(terms + [tree.matvec(psi_x, x1_leaf)], N))
     sol = solve_linear_backward(tree, rows,
-                                A=lambda i, j: fro.g_slot("y", i, j),
-                                D=lambda i, j: fro.g_slot("z", i, j),
+                                A=lambda i, j: fro.d("g", "y", i, j),
+                                D=lambda i, j: fro.d("g", "z", i, j),
                                 include_diag_A=True)
-    y1 = AdaptedProcess(sol.Y.levels + [tree.matvec(fro.psi_x(N), x1_leaf)])
+    y1 = AdaptedProcess(sol.Y.levels + [tree.matvec(fro.d("psi", "x", N, N), x1_leaf)])
     return x1, y1, sol.Z
 
 
@@ -397,6 +394,14 @@ def check_pointwise_nc(scenario: Scenario, u: AdaptedProcess,
 # FBSDE degeneration: the time-invariant reduction of the adjoint system
 
 
+def _reduced_p(tree: Tree, fro: FrozenCoefficients, j: int, P_j, Q_j, L_j):
+    """The reduced equation p_j = b_x' P_j + sigma_x' Q_j + f_x(j) + g_x' L_j."""
+    return (tree.tmatvec(fro.d("b", "x", j, j), P_j)
+            + tree.tmatvec(fro.d("sigma", "x", j, j), Q_j)
+            + fro.d("f", "x", 0, j)
+            + tree.tmatvec(fro.d("g", "x", 0, j), L_j))
+
+
 def fbsde_reduced_gradient(scenario: Scenario, u: AdaptedProcess,
                            tree: Tree | None = None):
     """Gradient via the closed recursions of the time-invariant reduction.
@@ -423,41 +428,34 @@ def fbsde_reduced_gradient(scenario: Scenario, u: AdaptedProcess,
     N = tree.N
 
     def solve_gy(rhs, j):
-        return tree.implicit_solve(np.swapaxes(fro.g_slot("y", 0, j), 1, 2), rhs)
+        return tree.implicit_solve(np.swapaxes(fro.d("g", "y", 0, j), 1, 2), rhs)
 
-    h_y_mean = tree.expectation(fro.h_y())
-    L = [solve_gy(h_y_mean[None, :] + tree.dt * fro.f_slot("y", 0), 0)]
+    h_y_mean = tree.expectation(fro.d("h", "y", 0, N))
+    L = [solve_gy(h_y_mean[None, :] + tree.dt * fro.d("f", "y", 0, 0), 0)]
     for j in range(N):
-        incr = fro.f_slot("z", j) + tree.tmatvec(fro.g_slot("z", 0, j), L[j])
+        incr = fro.d("f", "z", 0, j) + tree.tmatvec(fro.d("g", "z", 0, j), L[j])
         nxt = np.repeat(L[j], 2, axis=0) + tree.dw_term(incr, j)
         if j + 1 <= N - 1:
-            nxt = solve_gy(nxt + tree.dt * fro.f_slot("y", j + 1), j + 1)
+            nxt = solve_gy(nxt + tree.dt * fro.d("f", "y", 0, j + 1), j + 1)
         L.append(nxt)
 
-    theta = fro.h_x() + tree.tmatvec(fro.psi_x(0), L[N])
+    theta = fro.d("h", "x", 0, N) + tree.tmatvec(fro.d("psi", "x", 0, N), L[N])
     P = [None] * N
     Q = [None] * N
     p_red = [None] * N
     P[N - 1], Q[N - 1] = tree.repr_step(theta)
-
-    def reduced_p(j):
-        return (tree.tmatvec(fro.b_x(j, j), P[j])
-                + tree.tmatvec(fro.sigma_x(j, j), Q[j])
-                + fro.f_slot("x", j)
-                + tree.tmatvec(fro.g_slot("x", 0, j), L[j]))
-
-    p_red[N - 1] = reduced_p(N - 1)
+    p_red[N - 1] = _reduced_p(tree, fro, N - 1, P[N - 1], Q[N - 1], L[N - 1])
     for j in range(N - 2, -1, -1):
         arg = P[j + 1] + tree.dt * p_red[j + 1]
         P[j], Q[j] = tree.repr_step(arg)
-        p_red[j] = reduced_p(j)
+        p_red[j] = _reduced_p(tree, fro, j, P[j], Q[j], L[j])
 
     levels = []
     for j in range(N):
-        levels.append(fro.f_slot("u", j)
-                      + tree.tmatvec(fro.g_slot("u", 0, j), L[j])
-                      + tree.tmatvec(fro.b_u(j, j), P[j])
-                      + tree.tmatvec(fro.sigma_u(j, j), Q[j]))
+        levels.append(fro.d("f", "u", 0, j)
+                      + tree.tmatvec(fro.d("g", "u", 0, j), L[j])
+                      + tree.tmatvec(fro.d("b", "u", j, j), P[j])
+                      + tree.tmatvec(fro.d("sigma", "u", j, j), Q[j]))
     return (AdaptedProcess(levels), [np.asarray(x) for x in L],
             P, Q, p_red)
 
@@ -492,10 +490,7 @@ def degenerate_fbsde_check(scenario: Scenario, u: AdaptedProcess,
         for i in range(j + 1, N):
             P_j = P_j + tree.dt * tree.cond_expect(bundle.pq.p.level(i), j)
             Q_j = Q_j + tree.dt * bundle.pq.q.value(i, j)
-        reduced = (tree.tmatvec(fro.b_x(j, j), P_j)
-                   + tree.tmatvec(fro.sigma_x(j, j), Q_j)
-                   + fro.f_slot("x", j)
-                   + tree.tmatvec(fro.g_slot("x", 0, j), L[j]))
+        reduced = _reduced_p(tree, fro, j, P_j, Q_j, L[j])
         gap_p = max(gap_p, float(np.abs(bundle.pq.p.level(j) - reduced).max()))
     return {"gradient": gap_hu, "lambda_identity": gap_lambda,
             "p_identity": gap_p}

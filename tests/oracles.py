@@ -76,7 +76,7 @@ def dense_bsvie_oracle(scenario, tree, fwd, u):
         return slice((n_rows + i) * L, (n_rows + i + 1) * L)
 
     for i in range(n_rows):
-        rhs[q_slice(i)] = co.psi.value(tree.t(i), x_leaf)[:, 0]
+        rhs[q_slice(i)] = co.psi.value(tree.t(i), tree.t(N), x_leaf)[:, 0]
         for j in range(N):
             k = co.g.kernel(tree.t(i), tree.t(j))
             rhs[q_slice(i)] += tree.dt * g_known(i, j)
@@ -127,7 +127,7 @@ def picard_bsvie_oracle(scenario, fwd, u, tree) -> BackwardPath:
     the sup-norm change of the diagonal per sweep.
     """
     x_leaf = fwd.X.level(tree.N)
-    terminal_rows = [scenario.coeffs.psi.value(tree.t(i), x_leaf)
+    terminal_rows = [scenario.coeffs.psi.value(tree.t(i), tree.t(tree.N), x_leaf)
                      for i in range(tree.N + 1)]
     driver = _bsvie_driver(scenario, tree, fwd, u)
     y = AdaptedProcess.zeros(tree.N, scenario.m)
@@ -156,7 +156,7 @@ def recompute_bsvie_row(scenario, fwd, u, bwd, i, tree):
     """Re-run row i from the converged diagonal (uniqueness made executable)."""
     x_leaf = fwd.X.level(tree.N)
     lam_rows, z_rows, _ = _bsvie_row_sweep(
-        tree, {i: scenario.coeffs.psi.value(tree.t(i), x_leaf)},
+        tree, {i: scenario.coeffs.psi.value(tree.t(i), tree.t(tree.N), x_leaf)},
         _bsvie_driver(scenario, tree, fwd, u), bwd.Y, [i])
     return lam_rows[0], z_rows[0]
 
@@ -442,10 +442,11 @@ def qp_oracle(scenario: Scenario, tree: Tree | None = None,
         u = _coords_to_control(tree, l, uvec)
         total = 0.0
         for j in range(tree.N):
-            vals = scenario.cost.f.value(tree.t(j), x=X[j], y=Y[j], z=Z0[j],
+            vals = scenario.cost.f.value(0.0, tree.t(j), x=X[j], y=Y[j], z=Z0[j],
                                          u=u.level(j))
             total += tree.dt * float(np.mean(vals))
-        term = scenario.cost.h.value(X[tree.N], tree.embed(Y[0], tree.N))
+        term = scenario.cost.h.value(0.0, tree.t(tree.N), X[tree.N],
+                                      tree.embed(Y[0], tree.N))
         return total + float(np.mean(term))
 
     def total_cost(uvec):

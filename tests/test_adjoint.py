@@ -201,22 +201,13 @@ class _ZeroFrozen:
     def __init__(self, tree, n, m, l):
         self.tree, self.n, self.m, self.l = tree, n, m, l
 
-    def _z(self, level, a, b):
-        return np.zeros((1 << level, a, b))
-
-    def b_u(self, i, j):
-        return np.ones((1 << j, self.n, self.l))
-
-    def sigma_u(self, i, j):
-        return self._z(j, self.n, self.l)
-
-    def g_slot(self, slot, i, j):
+    def d(self, name, slot, i, j):
         dims = {"x": self.n, "y": self.m, "z": self.m, "u": self.l}
-        return self._z(j, self.m, dims[slot])
-
-    def f_slot(self, slot, j):
-        dims = {"x": self.n, "y": self.m, "z": self.m, "u": self.l}
-        return np.zeros((1 << j, dims[slot]))
+        if name == "f":
+            return np.zeros((1 << j, dims[slot]))
+        out = {"b": self.n, "sigma": self.n, "g": self.m}[name]
+        fill = 1.0 if (name, slot) == ("b", "u") else 0.0
+        return np.full((1 << j, out, dims[slot]), fill)
 
 
 class TestHamiltonianGradient:

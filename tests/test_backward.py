@@ -69,7 +69,8 @@ class TestSolveBsvie:
         bwd = solve_bsvie(s, fwd, u, tree)
         x_leaf = fwd.X.level(tree.N)
         for i in range(tree.N + 1):
-            expected = tree.cond_expect(s.coeffs.psi.value(tree.t(i), x_leaf), i)
+            terminal = s.coeffs.psi.value(tree.t(i), tree.t(tree.N), x_leaf)
+            expected = tree.cond_expect(terminal, i)
             assert np.allclose(bwd.Y.level(i), expected, atol=1e-12)
 
     def test_degenerates_to_bsde(self):
@@ -86,7 +87,7 @@ class TestSolveBsvie:
             return s.coeffs.g.value(0.0, t, x=fwd.X.level(j), y=y, z=z,
                                     u=u.level(j))
 
-        terminal = s.coeffs.psi.value(0.0, fwd.X.level(tree.N))
+        terminal = s.coeffs.psi.value(0.0, tree.t(tree.N), fwd.X.level(tree.N))
         Y, Z = solve_bsde(tree, terminal, driver)
         for i in range(tree.N + 1):
             assert np.allclose(bwd.Y.level(i), Y.level(i), atol=1e-10)

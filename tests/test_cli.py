@@ -3,8 +3,10 @@ import math
 
 import pytest
 
-from volterra_control.cli import main
-from volterra_control.scenario import fixture_path
+from volterra_control.cli import COMMANDS, main
+from volterra_control.scenario import fixture_path, load_scenario
+
+from test_scenario import FIXTURES
 
 
 def run(tmp_path, *argv):
@@ -39,6 +41,13 @@ MALFORMED = [
     ("tolerances.activity_tol", -1e-8, "tolerances.activity_tol"),
     ("coefficients.g.kernel.power", -1, "g.kernel.power"),
     ("", [], "scenario"),  # the whole file is a list
+    ("coefficients.b.kernel.kappa", -1e6, "b.kernel.kappa"),  # exp(-kappa T) overflows
+    # an empty region: u <= -1 and u >= 1
+    ("constraint", {"type": "halfspaces", "normals": [[1.0], [-1.0]],
+                    "offsets": [-1.0, -1.0]}, "constraint"),
+    # a quadratics region without a closed-form projection, and no initial_control
+    ("constraint", {"type": "quadratics", "terms": [{"quad": [[2.0]], "const": -1.0}]},
+     "constraint"),
 ]
 
 
@@ -121,6 +130,23 @@ class TestMalformedScenario:
             assert "Traceback" not in err
             [line] = err.splitlines()
             assert line.startswith(f"scenario error: {field}: "), line
+
+
+class TestSmoke:
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_every_command_on_every_fixture(self, tmp_path, capsys, command, fixture):
+        code = run(tmp_path, command, "--scenario", str(fixture_path(fixture)),
+                   "--N", "4")
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if command == "degenerate-fbsde" and not load_scenario(
+                fixture_path(fixture)).coeffs.time_invariant:
+            assert code == 2
+            assert err.startswith("scenario error: degenerate-fbsde needs a"
+                                  " time-invariant scenario"), err
+        else:
+            assert code in (0, 1), err
 
 
 class TestCheckNcSchema:

@@ -33,6 +33,16 @@ class TestLoading:
         assert abs(got[0, 0] - expected) <= 1e-15
         assert abs(expected - 1.2130613194252668) <= 1e-12
 
+    @pytest.mark.parametrize("key,value", [("kappa", -800.0), ("power", 2000)])
+    def test_kernel_overflow_over_the_horizon_names_field(self, key, value):
+        doc = json.loads(fixture_path("zero").read_text())
+        doc["grid"]["T"] = 2.0
+        doc["coefficients"]["g"] = {"kernel": {key: value}}
+        with pytest.raises(ScenarioError, match=rf"^g\.kernel\.{key}: "):
+            Scenario.from_json(doc)
+        doc["grid"]["T"] = 0.5  # exp(400) and 0.5**2000 are finite
+        Scenario.from_json(doc)
+
     def test_dimension_mismatch_names_field(self):
         doc = json.loads(fixture_path("zero").read_text())
         doc["dims"] = {"n": 2, "m": 1, "l": 1}
