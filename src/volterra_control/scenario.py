@@ -223,12 +223,10 @@ class AffineCoefficient:
     def jacobian(self, slot: str, t: float, s: float, **args) -> np.ndarray:
         k = self.kernel(t, s)
         arr = args[slot]
-        nodes = arr.shape[0]
-        jac = np.broadcast_to(self.matrices[slot], (nodes,) + self.matrices[slot].shape).copy()
-        q = self.quads[slot]
-        if q.any():
-            jac += 2.0 * q[None, :, :] * arr[:, None, :]
-        return k * jac
+        M, q = self.matrices[slot], self.quads[slot]
+        if not q.any():  # one constant matrix, shared by every node
+            return np.broadcast_to(k * M, (arr.shape[0],) + M.shape)
+        return k * (M + 2.0 * q[None, :, :] * arr[:, None, :])
 
 
 class TerminalMap(_Section):

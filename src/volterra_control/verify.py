@@ -504,30 +504,44 @@ def projected_gradient(scenario: Scenario, u0: AdaptedProcess,
                        step: float = 0.5, max_iter: int = 200,
                        grad_tol: float = 1e-9,
                        tree: Tree | None = None):
-    """Pointwise projected gradient u <- proj_U(u - step * H_u) with
-    backtracking; terminates when the gradient-map norm drops below
-    grad_tol.  Returns (u_star, cost_history)."""
+    """Monotone spectral projected gradient (Barzilai & Borwein 1988, in
+    the projected form of Birgin, Martinez & Raydan 2000).
+
+    Each iteration first stops when the gradient map at the fixed step,
+    |proj_U(u - step * H_u) - u|_inf / step, is below grad_tol.  The first
+    trial step is ``step``; later ones are the two-point step <s, s>/<s, y>
+    with s = u_k - u_{k-1}, y = H_u(k) - H_u(k-1), both paired by
+    ``control_pairing`` (the last accepted step is kept when <s, y> <= 0).
+    The trial is halved along the projected arc proj_U(u - a * H_u) until
+    the cost does not rise, so the history is nonincreasing.  Returns
+    (u_star, cost_history)."""
     tree = tree or scenario.tree()
     if not scenario.constraint.has_exact_projection:
         raise ProjectionUnavailable(
             f"projected gradient needs a pointwise projection for variant "
             f"{scenario.constraint.variant!r}")
+    project = scenario.constraint.project
     u = u0
     state = solve_state(scenario, u, tree)
     cost = evaluate_cost(scenario, u, tree, state=state)
     history = [cost]
+    trial_step, prev = step, None
     for _ in range(max_iter):
         bundle = assemble_adjoint(scenario, *state, u, tree)
         hu = hamiltonian_gradient(scenario, bundle, *state, u, tree)
-        trial_step = step
+        if ((u + (-step) * hu).map(project) - u).sup_norm() / step < grad_tol:
+            return u, history
+        if prev is not None:
+            s, y = u - prev[0], hu - prev[1]
+            sy = control_pairing(tree, y, s)
+            if sy > 0.0:
+                trial_step = control_pairing(tree, s, s) / sy
         for _ in range(40):
-            cand = (u + (-trial_step) * hu).map(scenario.constraint.project)
-            gap = (cand - u).sup_norm()
-            if gap / trial_step < grad_tol:
-                return u, history
+            cand = (u + (-trial_step) * hu).map(project)
             cand_state = solve_state(scenario, cand, tree)
             cand_cost = evaluate_cost(scenario, cand, tree, state=cand_state)
             if cand_cost <= cost + 1e-14 * (1.0 + abs(cost)):
+                prev = u, hu
                 u, state, cost = cand, cand_state, cand_cost
                 break
             trial_step *= 0.5

@@ -382,6 +382,23 @@ def _coords_to_control(tree: Tree, l: int, vec: np.ndarray) -> AdaptedProcess:
     return AdaptedProcess(levels)
 
 
+def _sym(q: np.ndarray) -> np.ndarray:
+    return 0.5 * (q + q.T)
+
+
+def _node_block_diag(*fields) -> np.ndarray:
+    """Block diagonal in the stacked node layout of adapted fields: each
+    field lists one block per level, repeated on the 2**i nodes of level i."""
+    blocks = [q for field in fields for i, q in enumerate(field)
+              for _ in range(1 << i)]
+    out = np.zeros((sum(q.shape[0] for q in blocks),) * 2)
+    pos = 0
+    for q in blocks:
+        out[pos:pos + q.shape[0], pos:pos + q.shape[0]] = q
+        pos += q.shape[0]
+    return out
+
+
 def qp_oracle(scenario: Scenario, tree: Tree | None = None,
               max_steps: int = 8) -> QpResult:
     """Exact finite-dimensional quadratic program over all control nodes.
@@ -452,26 +469,23 @@ def qp_oracle(scenario: Scenario, tree: Tree | None = None,
     def total_cost(uvec):
         return cost_quadratic(s0 + columns @ uvec, uvec)
 
-    # quadratic form by exact polarization (the map is affine, J quadratic)
+    # J(u) = c(s0 + C u, u) with the cost c quadratic and separable per
+    # slot and node, so its Hessian is C' W C + W_u: W and W_u are block
+    # diagonal, one probability-weighted symmetric slot quadratic per node
+    f, h = scenario.cost.f, scenario.cost.h
+    N, dt = tree.N, tree.dt
+    fx, fy, fz, fu = (_sym(f.quads[a]) for a in ("x", "y", "z", "u"))
+    x_blocks = [dt / (1 << i) * fx for i in range(N)] + [_sym(h.qx) / (1 << N)]
+    y_blocks = [dt / (1 << i) * fy for i in range(N)] + [0.0 * fy]
+    y_blocks[0] = y_blocks[0] + _sym(h.qy)  # h sees Y_0 on every leaf
+    W = _node_block_diag(x_blocks, y_blocks,
+                         [dt / (1 << j) * fz for j in range(N)])
+    W_u = _node_block_diag([dt / (1 << j) * fu for j in range(N)])
+    H = columns.T @ W @ columns + W_u
+    # the gradient at u = 0 by central differences (exact for a quadratic)
     c0 = total_cost(np.zeros(n_u))
-    grad0 = np.zeros(n_u)
-    H = np.zeros((n_u, n_u))
-    basis_costs = np.zeros(n_u)
-    for k in range(n_u):
-        e = np.zeros(n_u)
-        e[k] = 1.0
-        up, dn = total_cost(e), total_cost(-e)
-        grad0[k] = (up - dn) / 2.0
-        H[k, k] = up + dn - 2.0 * c0
-        basis_costs[k] = up
-    for k in range(n_u):
-        ek = np.zeros(n_u)
-        ek[k] = 1.0
-        for kk in range(k + 1, n_u):
-            e2 = ek.copy()
-            e2[kk] = 1.0
-            H[k, kk] = H[kk, k] = total_cost(e2) - basis_costs[k] \
-                - basis_costs[kk] + c0
+    grad0 = np.array([(total_cost(e) - total_cost(-e)) / 2.0
+                      for e in np.eye(n_u)])
     if scenario.constraint.variant == "unconstrained":
         u_vec = np.linalg.solve(H, -grad0)
     else:

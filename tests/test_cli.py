@@ -145,6 +145,8 @@ class TestSmoke:
             assert code == 2
             assert err.startswith("scenario error: degenerate-fbsde needs a"
                                   " time-invariant scenario"), err
+        elif command == "optimize":
+            assert code == 0, err
         else:
             assert code in (0, 1), err
 

@@ -15,8 +15,9 @@ from volterra_control.adjoint import adjoint_residuals
 from volterra_control.lattice import AdaptedProcess
 from volterra_control.scenario import Scenario
 from volterra_control.verify import (
-    check_duality_1, check_duality_2, check_pointwise_nc,
-    degenerate_fbsde_check, full_pipeline, smooth_duality_instance,
+    check_duality_1, check_duality_2, check_pointwise_nc, control_pairing,
+    degenerate_fbsde_check, evaluate_cost, feasible_direction, full_pipeline,
+    smooth_duality_instance,
 )
 
 DIM = st.integers(1, 3)
@@ -157,3 +158,30 @@ def test_nc_sweep_matches_oracle_on_constrained_regions(dims, steps, seed, kind)
     assert rep.rows == ref.rows
     assert rep.worst_value == ref.worst_value
     assert rep.worst_location == ref.worst_location
+
+
+@PROPERTY
+@given(dims=DIMS, steps=STEPS, seed=SEED,
+       kind=st.sampled_from(["ball", "halfspaces", "torus"]))
+def test_gateaux_one_sided_quotient_on_constrained_regions(dims, steps, seed,
+                                                          kind):
+    if kind == "torus":
+        dims = dims[:2] + (2,)
+    rng = np.random.default_rng(seed)
+    s = random_scenario(dims, steps, seed,
+                        constraint=random_region(kind, dims[2], rng))
+    tree = s.tree()
+    u = random_control(tree, s.l, rng, 1.5).map(s.constraint.project)
+    _, _, _, hu = full_pipeline(s, u, tree)
+    j0 = evaluate_cost(s, u, tree)
+    # an admissible direction: u + eps w is the nearest point to u + eps v;
+    # u + (eps / 2) w is admissible on the convex regions and within
+    # |eps w|^2 / 4 of the torus
+    eps = 1e-5
+    w = feasible_direction(s, u, random_control(tree, s.l, rng), eps)
+    q = [(evaluate_cost(s, u + t * w, tree) - j0) / t for t in (eps, eps / 2)]
+    # J is quadratic in u, so q(t) = <H_u, w> + t Q(w) / 2 and the
+    # Richardson combination 2 q(eps / 2) - q(eps) is the pairing exactly
+    pairing = control_pairing(tree, hu, w)
+    assert abs(2.0 * q[1] - q[0] - pairing) <= 1e-8 * (1.0 + abs(j0)), (
+        2.0 * q[1] - q[0], pairing)
