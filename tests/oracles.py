@@ -235,17 +235,15 @@ def _block_diag(tree: Tree, mats: np.ndarray, m: int,
     return out
 
 
-def operator_transpose_oracle(inst: DualityInstance,
-                              include_diag_A: bool = True,
-                              perturb: dict | None = None) -> np.ndarray:
-    """Entrywise gap between the two bilinear forms of the first duality.
+def _primal_operator(inst: DualityInstance, include_diag_A: bool = True):
+    """Dense leaf-resolution form of the primal Fredholm equation,
+    xi = K xi + inject v, assembled from its defining discrete equation.
 
-    Assembles the primal solution map from the defining discrete equation
-    as one dense matrix (independently of the sweep solver) and compares
-    the induced bilinear form with the one realized by the backward
-    solver, coordinate by coordinate.  ``perturb`` optionally rescales a
-    kernel family on the backward side only, e.g. {"A": 1e-3}, to measure
-    sensitivity.  Memory grows as ((N+1) 2^N m)^2.
+    xi stacks the N + 1 leaf rows; v stacks the alpha rows (row i at its
+    level i), then beta(i, j) for every row i and j < N (at level j).
+    Returns (K, inject, alpha_sizes, beta_sizes), the last two the
+    lengths of the alpha and beta blocks of v.  Memory grows as
+    ((N+1) 2^N m)^2.
     """
     tree, m = inst.tree, inst.dim
     N, L = tree.N, tree.n_leaves
@@ -255,7 +253,6 @@ def operator_transpose_oracle(inst: DualityInstance,
     if size * size * 8 > 2 << 30:
         raise MemoryError(f"dense oracle needs {size}^2 entries; reduce N")
 
-    # dense primal operator xi = (I - K)^{-1} (alpha-embed + beta-terms)
     K = np.zeros((size, size))
     proj = [_projector_matrix(tree, lev, m) for lev in range(N + 1)]
     dwm = [_dw_matrix(tree, j, m) for j in range(N)]
@@ -274,7 +271,6 @@ def operator_transpose_oracle(inst: DualityInstance,
             for j in range(i, N):
                 blk = _block_diag(tree, inst.D(i, j), m, transpose=True)
                 K[sl, sl] += dwm[j] @ blk @ proj[j]
-    resolvent = np.linalg.inv(np.eye(size) - K)
 
     # input coordinates: alpha rows (level i), then beta rows (level j)
     alpha_sizes = [(1 << i) * m for i in range(n_rows)]
@@ -286,18 +282,54 @@ def operator_transpose_oracle(inst: DualityInstance,
         emb = _embed_matrix(tree, i, m)
         inject[i * row_size:(i + 1) * row_size, col:col + alpha_sizes[i]] = emb
         col += alpha_sizes[i]
-    beta_col0 = col
     for i in range(n_rows):
         for j in range(N):
             emb = dwm[j] @ _embed_matrix(tree, j, m)
             inject[i * row_size:(i + 1) * row_size,
                    col:col + beta_sizes[j]] = emb
             col += beta_sizes[j]
+    return K, inject, alpha_sizes, beta_sizes
+
+
+def dense_fredholm_solve(inst: DualityInstance,
+                         include_diag_A: bool = True) -> list:
+    """The N + 1 primal Fredholm rows xi_i as (2^N, m) leaf fields, from one
+    dense linear solve of the operator form (independent of the sweep)."""
+    tree = inst.tree
+    K, inject, _, _ = _primal_operator(inst, include_diag_A)
+    v = np.concatenate([np.ravel(a) for a in inst.alpha]
+                       + [np.ravel(inst.beta(i, j))
+                          for i in range(tree.N + 1) for j in range(tree.N)])
+    xi = np.linalg.solve(np.eye(len(K)) - K, inject @ v)
+    return list(xi.reshape(tree.N + 1, tree.n_leaves, inst.dim))
+
+
+def operator_transpose_oracle(inst: DualityInstance,
+                              include_diag_A: bool = True,
+                              perturb: dict | None = None) -> np.ndarray:
+    """Entrywise gap between the two bilinear forms of the first duality.
+
+    Assembles the primal solution map from the defining discrete equation
+    as one dense matrix (independently of the sweep solver) and compares
+    the induced bilinear form with the one realized by the backward
+    solver, coordinate by coordinate.  ``perturb`` optionally rescales a
+    kernel family on the backward side only, e.g. {"A": 1e-3}, to measure
+    sensitivity.  Memory grows as ((N+1) 2^N m)^2.
+    """
+    tree, m = inst.tree, inst.dim
+    N, L = tree.N, tree.n_leaves
+    n_rows = N + 1
+    row_size = L * m
+
+    # dense primal operator xi = (I - K)^{-1} (alpha-embed + beta-terms)
+    K, inject, alpha_sizes, beta_sizes = _primal_operator(inst, include_diag_A)
+    n_in = inject.shape[1]
+    resolvent = np.linalg.inv(np.eye(len(K)) - K)
     xi_map = resolvent @ inject
 
     # left form: rows indexed by inputs, columns by (psi rows, theta)
     n_out = N * row_size + row_size
-    weight = np.zeros((size, n_out))
+    weight = np.zeros((len(K), n_out))
     for i in range(N):
         weight[i * row_size:(i + 1) * row_size,
                i * row_size:(i + 1) * row_size] = tree.dt / L * np.eye(row_size)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from oracles import dw_leaf, projector
+from oracles import (dense_fredholm_solve, dw_leaf, projector,
+                     random_duality_instance)
 
 from volterra_control.adjoint import (
     FredholmSolution, adjoint_residuals, assemble_adjoint, fredholm_row_residual,
@@ -129,6 +130,22 @@ class TestSolveFredholm:
                                         include_diag_A=include_diag_A)
             assert res <= 1e-12
 
+
+    @pytest.mark.parametrize("include_diag_A", [False, True])
+    def test_per_node_kernels_match_dense_solve(self, include_diag_A):
+        # m = 2 kernels varying per node at their later level, so a wrong
+        # run index or level in the B-coupling shows in the rows
+        inst = random_duality_instance(1.0, 4, 2, seed=11)
+        tree = inst.tree
+        sol = solve_fredholm(tree, inst.alpha, A=inst.A, B=inst.B, D=inst.D,
+                             beta=inst.beta, include_diag_A=include_diag_A)
+        dense = dense_fredholm_solve(inst, include_diag_A)
+        for i in range(tree.N + 1):
+            assert np.max(np.abs(sol.xi[i] - dense[i])) <= 1e-11
+            for r in range(i, tree.N + 1):
+                assert np.allclose(sol.cond_exp(i, r),
+                                   tree.cond_expect(sol.xi[i], r),
+                                   rtol=0.0, atol=1e-12)
 
 class TestSolveMuNu:
     """mu_i = E_i[theta] and its integrands nu, as the (p, q) solve
