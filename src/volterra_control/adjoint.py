@@ -71,10 +71,15 @@ def solve_fredholm(tree: Tree, alpha_rows, A=None, B=None, D=None,
 
     (A-sum capped at j <= min(i, N-1); strict j < i when not
     ``include_diag_A``).  Row count equals len(alpha_rows); alpha_rows[i]
-    is adapted at level i.  For each row the level-i part is formed first,
-    reading E_i[xi_j] off the earlier rows' runs (then one per-node linear
-    solve when the diagonal A term is present); then the forward noise
-    recursion propagates it to the leaves, realizing E_r[xi_i] on the way.
+    is adapted at level i, and B(j,i) must be F_i-measurable (at most
+    level i; a finer one raises ValueError).  For each row the level-i
+    part is formed first, reading E_i[xi_j] off the earlier rows' runs:
+    by the tower property E_j[B(j,i)' xi_j] = E_j[B(j,i)' E_i[xi_j]].
+    Then one per-node linear solve when the diagonal A term is present,
+    and the forward noise recursion propagates the row to the leaves,
+    realizing E_r[xi_i] on the way.  Every term of row i is formed at
+    level <= i and the recursion costs O(2^N), so the whole solve is
+    O(N 2^N) per kernel dimension.
     """
     N = tree.N
     n_rows = len(alpha_rows)
@@ -88,7 +93,11 @@ def solve_fredholm(tree: Tree, alpha_rows, A=None, B=None, D=None,
         def terms():  # coarse to fine: dW_j terms on level j + 1, then level i
             for j in range(i):
                 if B is not None:
-                    proj = tree.cond_expect(tree.tmatvec(B(j, i), xi[j]), j)
+                    b = B(j, i)
+                    if tree.level_of(b) > i:
+                        raise ValueError(f"B({j}, {i}) is finer than level {i}; "
+                                         f"it must be F_{i}-measurable")
+                    proj = tree.cond_expect(tree.tmatvec(b, cond[j][i - j]), j)
                     yield tree.dw_term(proj, j)
                 if beta is not None:
                     yield tree.dw_term(tree.embed(beta(i, j), j), j)
@@ -161,16 +170,26 @@ class FrozenCoefficients:
         self.fwd = fwd
         self.bwd = bwd
         self._cache = {}
+        self._arg_cache = {}
         # the state-argument table: slot -> its field at (t_i, t_j)
         self._fields = {"x": lambda i, j: fwd.X.level(j), "u": lambda i, j: u.level(j),
                         "y": lambda i, j: bwd.Y.level(j), "z": lambda i, j: bwd.Z.value(i, j)}
 
     def _args(self, name: str, i: int, j: int) -> dict:
-        """The state arguments of ``name`` at (t_i, t_j); psi and h sit at
-        j = N, where X_j is X_T, and h reads (X_T, Y_0)."""
-        if name == "h":
-            return {"x": self.fwd.X.level(j), "y": self.tree.embed(self.bwd.Y.level(0), j)}
-        return {slot: self._fields[slot](i, j) for slot in self.objects[name].slots}
+        """The state arguments of ``name`` at (t_i, t_j), built once per
+        (name, i, j); psi and h sit at j = N, where X_j is X_T, and h reads
+        (X_T, Y_0)."""
+        key = (name, i, j)
+        args = self._arg_cache.get(key)
+        if args is None:
+            if name == "h":
+                args = {"x": self.fwd.X.level(j),
+                        "y": self.tree.embed(self.bwd.Y.level(0), j)}
+            else:
+                args = {slot: self._fields[slot](i, j)
+                        for slot in self.objects[name].slots}
+            self._arg_cache[key] = args
+        return args
 
     def _get(self, key, make):
         if key not in self._cache:

@@ -22,11 +22,11 @@ checks and the projected gradient all consume the same cost functional
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adjoint import (FrozenCoefficients, assemble_adjoint,
+from .adjoint import (FredholmSolution, FrozenCoefficients, assemble_adjoint,
                       hamiltonian_gradient, solve_fredholm)
 from .backward import solve_bsvie, solve_linear_backward
 from .cones import adjacent_cone, cone_min_linear
@@ -72,7 +72,7 @@ def control_pairing(tree: Tree, hu: AdaptedProcess, v: AdaptedProcess) -> float:
 # duality instances
 
 
-@dataclass
+@dataclass(frozen=True)
 class DualityInstance:
     """Data of the linear duality pair.
 
@@ -80,6 +80,10 @@ class DualityInstance:
     (earlier, later) slot order; column j = N is the boundary slot.
     ``alpha`` rows are adapted at their own level; ``psi_rows`` and
     ``psi_tilde_rows`` are leaf fields (F_T-measurable free terms).
+
+    An instance is immutable, so both duality checks can share one
+    primal solve: ``fredholm(mode)`` solves the Fredholm family once per
+    mode and caches the solution.
     """
 
     tree: Tree
@@ -93,6 +97,19 @@ class DualityInstance:
     B: object = None
     D: object = None
     A_tilde: object = None
+    _fredholm: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
+
+    def fredholm(self, mode: str) -> FredholmSolution:
+        """The primal Fredholm rows in ``mode`` (diagonal A term included
+        in transpose mode), solved on first use."""
+        if mode not in ("transpose", "continuum"):
+            raise ValueError(f"unknown duality mode {mode!r}")
+        if mode not in self._fredholm:
+            self._fredholm[mode] = solve_fredholm(
+                self.tree, self.alpha, A=self.A, B=self.B, D=self.D,
+                beta=self.beta, include_diag_A=(mode == "transpose"))
+        return self._fredholm[mode]
 
 
 def smooth_duality_instance(horizon: float, steps: int, m: int,
@@ -101,6 +118,7 @@ def smooth_duality_instance(horizon: float, steps: int, m: int,
     Brownian path, consistent across grid refinements."""
     tree = Tree.build(horizon, steps)
     rng = np.random.default_rng(seed)
+    tanh_w = [np.tanh(tree.w(j)) for j in range(tree.N + 1)]
 
     def kernel_factory():
         c0 = rng.uniform(-0.6, 0.6, (m, m))
@@ -111,8 +129,7 @@ def smooth_duality_instance(horizon: float, steps: int, m: int,
         def kernel(i, j):
             t, s = tree.t(i), tree.t(j)
             base = c0 + c1 * math.sin(a * t + b * s + phase)
-            w = tree.w(j)
-            factor = 1.0 + mix * np.tanh(w)
+            factor = 1.0 + mix * tanh_w[j]
             return base[None, :, :] * factor[:, None, None]
 
         return kernel
@@ -127,7 +144,7 @@ def smooth_duality_instance(horizon: float, steps: int, m: int,
     def beta(i, j):
         scale = 1.0 + 0.3 * math.cos(tree.t(i) + 2.0 * tree.t(j))
         return np.tile(b0 * scale, (1 << j, 1)) * (
-            1.0 + 0.2 * np.tanh(tree.w(j)))[:, None]
+            1.0 + 0.2 * tanh_w[j])[:, None]
 
     wN = tree.w(tree.N)
     c = rng.uniform(-0.7, 0.7, (3, m))
@@ -170,11 +187,8 @@ def check_duality_1(inst: DualityInstance, mode: str = "transpose") -> DualityRe
         = E<alpha_N, theta> + dt sum_j E<beta(N,j), nu_j>
         + dt sum_i E<Y_i, alpha_i> + dt^2 sum_ij E<Z(i,j), beta(i,j)>
     """
-    if mode not in ("transpose", "continuum"):
-        raise ValueError(f"unknown duality mode {mode!r}")
     tree = inst.tree
-    xi = solve_fredholm(tree, inst.alpha, A=inst.A, B=inst.B, D=inst.D,
-                        beta=inst.beta, include_diag_A=(mode == "transpose"))
+    xi = inst.fredholm(mode)
     bwd = solve_linear_backward(tree, inst.psi_rows, A=inst.A, B=inst.B,
                                 D=inst.D, theta=inst.theta,
                                 include_diag_A=True,
@@ -201,11 +215,8 @@ def check_duality_2(inst: DualityInstance, mode: str = "transpose") -> DualityRe
     (E xi_0 equals alpha_0 whenever the t = 0 row carries no Y-coupling,
     which is the continuum statement.)
     """
-    if mode not in ("transpose", "continuum"):
-        raise ValueError(f"unknown duality mode {mode!r}")
     tree = inst.tree
-    xi = solve_fredholm(tree, inst.alpha, A=inst.A, B=inst.B, D=inst.D,
-                        beta=inst.beta, include_diag_A=(mode == "transpose"))
+    xi = inst.fredholm(mode)
     tilde = solve_linear_backward(tree, inst.psi_tilde_rows, A=inst.A_tilde,
                                   D=inst.D, theta=None, include_diag_A=True)
     xi0 = xi.xi[0]

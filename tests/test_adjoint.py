@@ -147,6 +147,15 @@ class TestSolveFredholm:
                                    tree.cond_expect(sol.xi[i], r),
                                    rtol=0.0, atol=1e-12)
 
+    def test_b_finer_than_row_level_rejected(self):
+        # the tower step reads E_i[xi_j], which needs B(j, i) F_i-measurable
+        tree = Tree.build(1.0, 4)
+        alphas = [np.ones((1 << i, 1)) for i in range(tree.N + 1)]
+        kB = lambda j, i: np.full((1 << (i + 1 if (j, i) == (1, 3) else i), 1, 1),
+                                  0.5)
+        with pytest.raises(ValueError, match=r"B\(1, 3\) is finer than level 3"):
+            solve_fredholm(tree, alphas, B=kB)
+
 class TestSolveMuNu:
     """mu_i = E_i[theta] and its integrands nu, as the (p, q) solve
     returns them for the boundary term theta."""

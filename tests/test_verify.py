@@ -9,6 +9,7 @@ from oracles import (degenerate_duality_gaps, gateaux_vs_hamiltonian,
                      operator_transpose_oracle, qp_oracle,
                      random_duality_instance)
 
+from volterra_control import verify
 from volterra_control.lattice import AdaptedProcess, Tree
 from volterra_control.scenario import Scenario, fixture_path, load_scenario
 from volterra_control.verify import (
@@ -67,6 +68,27 @@ class TestDualityIdentities:
         inst = smooth_duality_instance(1.0, 4, 1, seed=0)
         with pytest.raises(ValueError):
             check_duality_1(inst, "midpoint")
+
+    def test_both_checks_share_one_fredholm_solve(self, monkeypatch):
+        calls = []
+        solve = verify.solve_fredholm
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["include_diag_A"])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "solve_fredholm", counted)
+        inst = smooth_duality_instance(1.0, 5, 2, seed=3)
+        check_duality_1(inst, "transpose")
+        check_duality_2(inst, "transpose")
+        assert calls == [True]
+
+    def test_modes_cached_apart(self):
+        shared = smooth_duality_instance(1.0, 5, 2, seed=4)
+        for mode in ("transpose", "continuum"):
+            fresh = smooth_duality_instance(1.0, 5, 2, seed=4)
+            assert check_duality_1(shared, mode) == check_duality_1(fresh, mode)
+            assert check_duality_2(shared, mode) == check_duality_2(fresh, mode)
 
 
 class TestTransposeOracle:
