@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import (dense_fredholm_solve, dw_leaf, projector,
-                     random_duality_instance)
+from oracles import dense_fredholm_solve, random_duality_instance
 
 from volterra_control.adjoint import (
     FredholmSolution, adjoint_residuals, assemble_adjoint, fredholm_row_residual,
@@ -12,6 +11,7 @@ from volterra_control.backward import MSolution, solve_bsvie, solve_linear_backw
 from volterra_control.forward import simulate_forward
 from volterra_control.lattice import AdaptedProcess, Tree, TwoParamProcess
 from volterra_control.scenario import fixture_path, load_scenario
+from volterra_control.verify import DualityInstance
 
 
 class TestSolveLambda0:
@@ -47,31 +47,6 @@ class TestSolveLambda0:
         for i in range(tree.N + 1):
             assert np.allclose(Lam.level(i), tree.cond_expect(lam0, i),
                                atol=1e-13)
-
-
-def dense_fredholm_oracle(tree, alphas, A, B, D, beta, include_diag_A, n_rows):
-    """Stacked leaf solve of the discrete Fredholm family (scalar kernels)."""
-    N, L = tree.N, tree.n_leaves
-    size = n_rows * L
-    K = np.eye(size)
-    rhs = np.zeros(size)
-    for i in range(n_rows):
-        sl = slice(i * L, (i + 1) * L)
-        rhs[sl] = np.repeat(alphas[i][:, 0], 1 << (N - i))
-        hi = min(i, N - 1) if include_diag_A else i - 1
-        for j in range(hi + 1):
-            K[sl, j * L:(j + 1) * L] -= tree.dt * A(j, i) * projector(tree, i)
-        for j in range(i):
-            K[sl, j * L:(j + 1) * L] -= np.diag(dw_leaf(tree, j)) @ (
-                B(j, i) * projector(tree, j))
-        for j in range(N):
-            rhs[sl] += dw_leaf(tree, j) * np.repeat(
-                beta(i, j)[:, 0], 1 << (N - j))
-        for j in range(i, N):
-            K[sl, sl] -= np.diag(dw_leaf(tree, j)) @ (
-                D(i, j) * projector(tree, j))
-    sol = np.linalg.solve(K, rhs)
-    return [sol[i * L:(i + 1) * L] for i in range(n_rows)]
 
 
 class TestSolveFredholm:
@@ -116,11 +91,12 @@ class TestSolveFredholm:
         kbeta = lambda i, j: betas[(i, j)]
         sol = solve_fredholm(tree, alphas, A=kA, B=kB, D=kD, beta=kbeta,
                              include_diag_A=include_diag_A)
-        oracle = dense_fredholm_oracle(
-            tree, alphas, lambda j, i: coefA[j, i], lambda j, i: coefB[j, i],
-            lambda i, j: coefD[i, j], kbeta, include_diag_A, n_rows)
+        inst = DualityInstance(tree=tree, dim=1, alpha=alphas, beta=kbeta,
+                               theta=None, psi_rows=[], psi_tilde_rows=[],
+                               A=kA, B=kB, D=kD)
+        oracle = dense_fredholm_solve(inst, include_diag_A)
         for i in range(n_rows):
-            assert np.max(np.abs(sol.xi[i][:, 0] - oracle[i])) <= 1e-11
+            assert np.max(np.abs(sol.xi[i] - oracle[i])) <= 1e-11
             # conditional runs realize E_r[xi_i]
             for r in range(i, tree.N + 1):
                 assert np.allclose(sol.cond_exp(i, r),
@@ -129,7 +105,6 @@ class TestSolveFredholm:
                                         D=kD, beta=kbeta,
                                         include_diag_A=include_diag_A)
             assert res <= 1e-12
-
 
     @pytest.mark.parametrize("include_diag_A", [False, True])
     def test_per_node_kernels_match_dense_solve(self, include_diag_A):
@@ -151,10 +126,14 @@ class TestSolveFredholm:
         # the tower step reads E_i[xi_j], which needs B(j, i) F_i-measurable
         tree = Tree.build(1.0, 4)
         alphas = [np.ones((1 << i, 1)) for i in range(tree.N + 1)]
-        kB = lambda j, i: np.full((1 << (i + 1 if (j, i) == (1, 3) else i), 1, 1),
-                                  0.5)
+
+        def kB(j, i):  # B(1, 3) one level too fine
+            level = i + 1 if (j, i) == (1, 3) else i
+            return np.full((1 << level, 1, 1), 0.5)
+
         with pytest.raises(ValueError, match=r"B\(1, 3\) is finer than level 3"):
             solve_fredholm(tree, alphas, B=kB)
+
 
 class TestSolveMuNu:
     """mu_i = E_i[theta] and its integrands nu, as the (p, q) solve
