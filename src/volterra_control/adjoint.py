@@ -43,7 +43,7 @@ import numpy as np
 from .backward import (BackwardSolution, MSolution, backward_row_residual,
                        msolution_identity_residual, solve_linear_backward)
 from .forward import ForwardPath
-from .lattice import AdaptedProcess, Tree
+from .lattice import AdaptedProcess, Tree, transpose
 from .scenario import Scenario
 
 
@@ -70,7 +70,9 @@ def solve_fredholm(tree: Tree, alpha_rows, A=None, B=None, D=None,
            + sum_{i<=j<N} D(i,j)' E_j[xi_i] dW_j
 
     (A-sum capped at j <= min(i, N-1); strict j < i when not
-    ``include_diag_A``).  Row count equals len(alpha_rows); alpha_rows[i]
+    ``include_diag_A``).  Kernels are callables (i, j) -> matrix fields,
+    a per-node table or a ``ScaledMatrix`` (``Tree.matvec`` applies
+    either).  Row count equals len(alpha_rows); alpha_rows[i]
     is adapted at level i, and B(j,i) must be F_i-measurable (at most
     level i; a finer one raises ValueError).  For each row the level-i
     part is formed first, reading E_i[xi_j] off the earlier rows' runs:
@@ -107,7 +109,7 @@ def solve_fredholm(tree: Tree, alpha_rows, A=None, B=None, D=None,
                     yield tree.dt * tree.tmatvec(A(j, i), cond[j][i - j])
         known = tree.level_sum(terms(), i)
         if include_diag_A and A is not None and i <= N - 1:
-            known = tree.implicit_solve(np.swapaxes(A(i, i), 1, 2), known)
+            known = tree.implicit_solve(transpose(A(i, i)), known)
         run = [known]
         cur = known
         for r in range(i, N):
@@ -242,8 +244,8 @@ def _pq_equation(tree: Tree, fro: FrozenCoefficients, Lambda: AdaptedProcess,
             yield tree.dt * tree.tmatvec(fro.d("g", "x", k, i), xi_rows[k])
 
     p_rows = [tree.level_sum(f_terms(i), tree.N) for i in range(tree.N)]
-    return p_rows, {"A": lambda i, j: np.swapaxes(fro.d("b", "x", j, i), 1, 2),
-                    "B": lambda i, j: np.swapaxes(fro.d("sigma", "x", j, i), 1, 2),
+    return p_rows, {"A": lambda i, j: transpose(fro.d("b", "x", j, i)),
+                    "B": lambda i, j: transpose(fro.d("sigma", "x", j, i)),
                     "theta": theta, "include_diag_A": False}
 
 
@@ -327,12 +329,15 @@ def adjoint_residuals(scenario: Scenario, bundle: AdjointBundle,
     res2 = max(fredholm_row_residual(tree, bundle.xi, i, alpha_rows, **xi_kernels)
                for i in range(N))
 
-    # third equation: mu_i = theta - sum_{j>=i} nu_j dW_j
+    # third equation: mu_i = theta - sum_{j>=i} nu_j dW_j, the tails summed
+    # from i = N down
     res3 = 0.0
-    for i in range(N + 1):
-        recon = bundle.theta - tree.ito_sum(bundle.nu, i, N)
+    tail = np.zeros_like(bundle.theta)
+    for i in range(N, -1, -1):
+        if i < N:
+            tail = tail + tree.embed(tree.dw_term(bundle.nu.level(i), i), N)
         res3 = max(res3, float(np.abs(
-            tree.embed(bundle.mu.level(i), N) - recon).max()))
+            tree.embed(bundle.mu.level(i), N) - (bundle.theta - tail)).max()))
 
     # fourth equation rows + M-identity
     p_rows, pq_kernels = _pq_equation(tree, fro, bundle.Lambda, bundle.xi.xi,

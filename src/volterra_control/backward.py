@@ -190,8 +190,9 @@ def solve_linear_backward(tree: Tree, psi_rows, A=None, B=None,
                           include_diag_B: bool = False) -> BackwardSolution:
     """Linear backward Volterra family in adapted M-solution form.
 
-    Row i = 0..N-1 (kernels are callables (i, j) -> per-node matrices;
-    column j = N is the boundary slot paired with theta and nu):
+    Row i = 0..N-1 (kernels are callables (i, j) -> matrix fields, a
+    per-node table or a ``ScaledMatrix``; column j = N is the boundary
+    slot paired with theta and nu):
 
         Y_i = psi_rows[i] + A(i,N) theta + B(i,N) nu_i
             + dt * sum_{j in A-range} A(i,j) Y_j

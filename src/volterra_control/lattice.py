@@ -12,6 +12,13 @@ Random objects are plain float arrays: a field at level i has shape
 (2**i, d).  A field at leaf level (i = N) plays the role of an
 F_T-measurable vector ("terminal field"); ``Tree.level_sum`` adds fields
 of mixed levels.
+
+A matrix field (a kernel or a jacobian) comes in one of two forms: a
+dense per-node table of shape (2**i, d, e), or a factored
+``ScaledMatrix(scale, M)``, one (d, e) matrix M times a level-i (2**i,)
+per-node factor, or constant when the scale is None.  ``Tree.matvec``,
+``Tree.tmatvec`` and ``Tree.implicit_solve`` apply either form, and
+``transpose`` and ``as_table`` take either.
 """
 
 from __future__ import annotations
@@ -97,7 +104,11 @@ class Tree:
         if not 0 <= level <= self.N:
             raise ValueError(f"level {level} outside 0..{self.N}")
 
-    def level_of(self, values: np.ndarray) -> int:
+    def level_of(self, values) -> int:
+        """Level of a field; a ScaledMatrix sits at the level of its scale
+        (level 0 when constant)."""
+        if isinstance(values, ScaledMatrix):
+            return 0 if values.scale is None else self.level_of(values.scale)
         n = values.shape[0]
         level = n.bit_length() - 1
         if 1 << level != n or level > self.N:
@@ -224,25 +235,78 @@ class Tree:
         return cur, zs
 
     # -- kernel application ---------------------------------------------
+    # The one place that applies a matrix field, in either form: a dense
+    # (2**i, d, e) table through einsum, a ScaledMatrix as one GEMM on the
+    # vector field followed by its per-node scale.
 
     def _common_level(self, mat: np.ndarray, vec: np.ndarray):
         lev = max(self.level_of(mat), self.level_of(vec))
         return self.embed(mat, lev), self.embed(vec, lev)
 
-    def matvec(self, mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    def _rescale(self, scale, out: np.ndarray) -> np.ndarray:
+        """A factored product: ``out`` times the per-node scale, at their
+        common level."""
+        if scale is None:
+            return out
+        scale, out = self._common_level(scale, out)
+        return scale[:, None] * out
+
+    def matvec(self, mat, vec: np.ndarray) -> np.ndarray:
         """Per-node kernel application mat @ vec at the common refinement
-        level of a (2**i, d, e) matrix field and a (2**j, e) vector field."""
+        level of a matrix field (a (2**i, d, e) table or a ScaledMatrix;
+        a constant one has no level of its own) and a (2**j, e) vector
+        field."""
+        if isinstance(mat, ScaledMatrix):
+            return self._rescale(mat.scale, vec @ mat.matrix.T)
         return np.einsum("kde,ke->kd", *self._common_level(mat, vec))
 
-    def tmatvec(self, mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    def tmatvec(self, mat, vec: np.ndarray) -> np.ndarray:
         """Transposed per-node kernel application mat' @ vec at the common
-        level of a (2**i, d, e) matrix field and a (2**j, d) vector field."""
+        level of a (d, e) matrix field and a (2**j, d) vector field."""
+        if isinstance(mat, ScaledMatrix):
+            return self._rescale(mat.scale, vec @ mat.matrix)
         return np.einsum("kde,kd->ke", *self._common_level(mat, vec))
 
-    def implicit_solve(self, mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Per-node solve of (I - dt mat) x = rhs at the level of rhs."""
-        lhs = np.eye(rhs.shape[-1]) - self.dt * self.embed(mat, self.level_of(rhs))
+    def implicit_solve(self, mat, rhs: np.ndarray) -> np.ndarray:
+        """Per-node solve of (I - dt mat) x = rhs at the level of rhs, for a
+        matrix field in either form at most as fine as rhs."""
+        lhs = np.eye(rhs.shape[-1]) - self.dt * as_table(mat, rhs.shape[0])
         return np.linalg.solve(lhs, rhs[..., None])[..., 0]
+
+
+@dataclass(frozen=True, eq=False)
+class ScaledMatrix:
+    """The matrix field scale * matrix, kept factored: one (d, e) matrix
+    times a per-node (2**i,) factor at level i, or the same matrix at
+    every node when ``scale`` is None."""
+
+    scale: np.ndarray | None
+    matrix: np.ndarray
+
+    def __mul__(self, factor: float) -> "ScaledMatrix":
+        return ScaledMatrix(self.scale, factor * self.matrix)
+
+    __rmul__ = __mul__
+
+
+def transpose(mat):
+    """Per-node transpose of a matrix field, in its own form."""
+    if isinstance(mat, ScaledMatrix):
+        return ScaledMatrix(mat.scale, mat.matrix.T)
+    return mat.mT
+
+
+def as_table(mat, nodes: int) -> np.ndarray:
+    """A matrix field as a dense (nodes, d, e) table.  A constant
+    ScaledMatrix becomes a broadcast view; a table or a per-node scale
+    with fewer rows is repeated onto ``nodes`` (a finer level)."""
+    if isinstance(mat, ScaledMatrix):
+        if mat.scale is None:
+            return np.broadcast_to(mat.matrix, (nodes,) + mat.matrix.shape)
+        return as_table(mat.scale, nodes)[:, None, None] * mat.matrix
+    if nodes % mat.shape[0]:
+        raise ValueError(f"cannot repeat {mat.shape[0]} rows onto {nodes}")
+    return mat if nodes == mat.shape[0] else np.repeat(mat, nodes // mat.shape[0], axis=0)
 
 
 class AdaptedProcess:

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .lattice import TimeGrid, Tree
+from .lattice import ScaledMatrix, TimeGrid, Tree, as_table
 
 
 class ScenarioError(ValueError):
@@ -180,7 +180,8 @@ class AffineCoefficient:
     """Catalog coefficient kernel(t,s) * (sum_slots M_a * a + Q_a * (a*a) + c).
 
     ``slots`` maps slot name -> input dimension; evaluators are vectorized
-    over nodes.  Derivatives are analytic: d/da = kernel * (M_a + 2 Q_a diag(a)).
+    over nodes.  Derivatives are analytic: d/da = kernel * (M_a + 2 Q_a diag(a)),
+    the constant ScaledMatrix kernel * M_a in a slot without a quadratic term.
     """
 
     def __init__(self, name, slots, kernel, matrices, quads, const):
@@ -190,6 +191,7 @@ class AffineCoefficient:
         self.matrices = matrices
         self.quads = quads
         self.const = const
+        self._quadratic = {a for a, q in quads.items() if q.any()}
 
     @classmethod
     def from_json(cls, name, out_dim, slots, entry):
@@ -210,23 +212,25 @@ class AffineCoefficient:
 
     @property
     def is_affine(self) -> bool:
-        return all(not q.any() for q in self.quads.values())
+        return not self._quadratic
 
     def value(self, t: float, s: float, **args) -> np.ndarray:
         k = self.kernel(t, s)
         nodes = next(iter(args.values())).shape[0]
         out = np.tile(self.const, (nodes, 1))
         for a, arr in args.items():
-            out += arr @ self.matrices[a].T + (arr * arr) @ self.quads[a].T
+            term = arr @ self.matrices[a].T
+            if a in self._quadratic:
+                term = term + (arr * arr) @ self.quads[a].T
+            out += term
         return k * out
 
-    def jacobian(self, slot: str, t: float, s: float, **args) -> np.ndarray:
+    def jacobian(self, slot: str, t: float, s: float, **args):
         k = self.kernel(t, s)
-        arr = args[slot]
-        M, q = self.matrices[slot], self.quads[slot]
-        if not q.any():  # one constant matrix, shared by every node
-            return np.broadcast_to(k * M, (arr.shape[0],) + M.shape)
-        return k * (M + 2.0 * q[None, :, :] * arr[:, None, :])
+        M = self.matrices[slot]
+        if slot not in self._quadratic:  # one constant matrix, shared by every node
+            return ScaledMatrix(None, k * M)
+        return k * (M + 2.0 * self.quads[slot][None, :, :] * args[slot][:, None, :])
 
 
 class TerminalMap(_Section):
@@ -250,8 +254,8 @@ class TerminalMap(_Section):
     def value(self, t: float, s: float, x: np.ndarray) -> np.ndarray:
         return x @ self.matrix(t).T + (self.const + t * self.const_slope)
 
-    def jacobian(self, slot: str, t: float, s: float, x: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(self.matrix(t), (x.shape[0],) + self.x.shape)
+    def jacobian(self, slot: str, t: float, s: float, x: np.ndarray) -> ScaledMatrix:
+        return ScaledMatrix(None, self.matrix(t))
 
 
 class InitialCurve(_Section):
@@ -767,7 +771,7 @@ def validate(scenario: Scenario) -> list:
     for obj in scenario.catalog.values():
         args = {a: probes[a] for a in obj.slots}
         for slot in obj.slots:
-            jac = obj.jacobian(slot, t, s, **args)
+            jac = as_table(obj.jacobian(slot, t, s, **args), args[slot].shape[0])
             fd = np.zeros_like(jac)
             for idx in range(args[slot].shape[1]):
                 eps = 1e-5 * (1.0 + float(np.abs(args[slot][:, idx]).max()))

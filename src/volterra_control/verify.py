@@ -31,7 +31,7 @@ from .adjoint import (FredholmSolution, FrozenCoefficients, assemble_adjoint,
 from .backward import solve_bsvie, solve_linear_backward
 from .cones import adjacent_cone, cone_min_linear
 from .forward import simulate_forward, simulate_forward_linear
-from .lattice import AdaptedProcess, Tree
+from .lattice import AdaptedProcess, ScaledMatrix, Tree, transpose
 from .scenario import ProjectionUnavailable, Scenario
 
 
@@ -76,8 +76,9 @@ def control_pairing(tree: Tree, hu: AdaptedProcess, v: AdaptedProcess) -> float:
 class DualityInstance:
     """Data of the linear duality pair.
 
-    Kernels are callables (i, j) -> per-node (m, m) matrices, always in
-    (earlier, later) slot order; column j = N is the boundary slot.
+    Kernels are callables (i, j) -> (m, m) matrix fields, a per-node
+    table or a ``ScaledMatrix``, always in (earlier, later) slot order;
+    column j = N is the boundary slot.
     ``alpha`` rows are adapted at their own level; ``psi_rows`` and
     ``psi_tilde_rows`` are leaf fields (F_T-measurable free terms).
 
@@ -115,7 +116,9 @@ class DualityInstance:
 def smooth_duality_instance(horizon: float, steps: int, m: int,
                             seed: int = 0) -> DualityInstance:
     """Seeded instance built from smooth functions of (t, s) and the
-    Brownian path, consistent across grid refinements."""
+    Brownian path, consistent across grid refinements.  Each kernel is
+    the factored ScaledMatrix (1 + mix tanh W_j, base(t_i, t_j)), its
+    per-level scales built once."""
     tree = Tree.build(horizon, steps)
     rng = np.random.default_rng(seed)
     tanh_w = [np.tanh(tree.w(j)) for j in range(tree.N + 1)]
@@ -125,12 +128,11 @@ def smooth_duality_instance(horizon: float, steps: int, m: int,
         c1 = rng.uniform(-0.4, 0.4, (m, m))
         a, b, phase = rng.uniform(0.5, 2.0, 3)
         mix = rng.uniform(0.1, 0.4)
+        scales = [1.0 + mix * w for w in tanh_w]
 
         def kernel(i, j):
             t, s = tree.t(i), tree.t(j)
-            base = c0 + c1 * math.sin(a * t + b * s + phase)
-            factor = 1.0 + mix * tanh_w[j]
-            return base[None, :, :] * factor[:, None, None]
+            return ScaledMatrix(scales[j], c0 + c1 * math.sin(a * t + b * s + phase))
 
         return kernel
 
@@ -140,11 +142,11 @@ def smooth_duality_instance(horizon: float, steps: int, m: int,
     alpha = [np.tile(a0 * (1.0 + 0.5 * math.sin(tree.t(i))), (1 << i, 1))
              + tree.w(i)[:, None] * a1[None, :] for i in range(tree.N + 1)]
     b0 = rng.uniform(-0.8, 0.8, m)
+    beta_scales = [1.0 + 0.2 * w for w in tanh_w]
 
     def beta(i, j):
         scale = 1.0 + 0.3 * math.cos(tree.t(i) + 2.0 * tree.t(j))
-        return np.tile(b0 * scale, (1 << j, 1)) * (
-            1.0 + 0.2 * tanh_w[j])[:, None]
+        return np.outer(beta_scales[j], b0 * scale)
 
     wN = tree.w(tree.N)
     c = rng.uniform(-0.7, 0.7, (3, m))
@@ -439,7 +441,7 @@ def fbsde_reduced_gradient(scenario: Scenario, u: AdaptedProcess,
     N = tree.N
 
     def solve_gy(rhs, j):
-        return tree.implicit_solve(np.swapaxes(fro.d("g", "y", 0, j), 1, 2), rhs)
+        return tree.implicit_solve(transpose(fro.d("g", "y", 0, j)), rhs)
 
     h_y_mean = tree.expectation(fro.d("h", "y", 0, N))
     L = [solve_gy(h_y_mean[None, :] + tree.dt * fro.d("f", "y", 0, 0), 0)]

@@ -19,7 +19,8 @@ from volterra_control.backward import (BackwardPath, PicardError, solve_bsvie,
                                        solve_linear_backward)
 from volterra_control.cones import adjacent_cone, cone_min_linear, nnls
 from volterra_control.forward import SimulationError, simulate_forward
-from volterra_control.lattice import AdaptedProcess, Tree, TwoParamProcess
+from volterra_control.lattice import (AdaptedProcess, Tree, TwoParamProcess,
+                                      as_table, transpose)
 from volterra_control.scenario import (ControlConstraint, ProjectionUnavailable,
                                        Scenario)
 from volterra_control.verify import (DualityInstance, NCReport, check_duality_1,
@@ -224,11 +225,10 @@ def _dw_matrix(tree: Tree, j: int, m: int) -> np.ndarray:
     return np.kron(np.diag(dw_leaf(tree, j)), np.eye(m))
 
 
-def _block_diag(tree: Tree, mats: np.ndarray, m: int,
-                transpose: bool = False) -> np.ndarray:
-    leaf_mats = tree.embed(mats, tree.N)
-    if transpose:
-        leaf_mats = np.swapaxes(leaf_mats, 1, 2)
+def _block_diag(tree: Tree, mats, m: int) -> np.ndarray:
+    """Dense leaf block diagonal of the per-node transposes of a matrix
+    field in either form."""
+    leaf_mats = as_table(transpose(mats), tree.n_leaves)
     out = np.zeros((tree.n_leaves * m, tree.n_leaves * m))
     for k in range(tree.n_leaves):
         out[k * m:(k + 1) * m, k * m:(k + 1) * m] = leaf_mats[k]
@@ -261,15 +261,15 @@ def _primal_operator(inst: DualityInstance, include_diag_A: bool = True):
         hi = min(i, N - 1) if include_diag_A else i - 1
         if inst.A is not None:
             for j in range(hi + 1):
-                blk = _block_diag(tree, inst.A(j, i), m, transpose=True)
+                blk = _block_diag(tree, inst.A(j, i), m)
                 K[sl, j * row_size:(j + 1) * row_size] += tree.dt * blk @ proj[i]
         if inst.B is not None:
             for j in range(i):
-                blk = _block_diag(tree, inst.B(j, i), m, transpose=True)
+                blk = _block_diag(tree, inst.B(j, i), m)
                 K[sl, j * row_size:(j + 1) * row_size] += dwm[j] @ proj[j] @ blk
         if inst.D is not None:
             for j in range(i, N):
-                blk = _block_diag(tree, inst.D(i, j), m, transpose=True)
+                blk = _block_diag(tree, inst.D(i, j), m)
                 K[sl, sl] += dwm[j] @ blk @ proj[j]
 
     # input coordinates: alpha rows (level i), then beta rows (level j)

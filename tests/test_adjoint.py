@@ -9,7 +9,9 @@ from volterra_control.adjoint import (
 )
 from volterra_control.backward import MSolution, solve_bsvie, solve_linear_backward
 from volterra_control.forward import simulate_forward
-from volterra_control.lattice import AdaptedProcess, Tree, TwoParamProcess
+from volterra_control import scenario as scenario_module
+from volterra_control.lattice import (AdaptedProcess, ScaledMatrix, Tree, TwoParamProcess,
+                                      as_table)
 from volterra_control.scenario import fixture_path, load_scenario
 from volterra_control.verify import DualityInstance
 
@@ -198,6 +200,28 @@ class TestAssembleAdjoint:
         res = adjoint_residuals(load_scenario(fixture_path("lq")), bundle, tree)
         for name, val in res.items():
             assert val <= 1e-12, (name, val)
+
+    def test_dense_jacobians_match_factored(self, monkeypatch):
+        # lq_multi (n = 2, m = 3, l = 2): every constant jacobian comes
+        # factored; densified it must give the same bundle up to rounding
+        def run():
+            s, tree, u, fwd, bwd, bundle = run_pipeline("lq_multi")
+            hu = hamiltonian_gradient(s, bundle, fwd, bwd, u, tree)
+            kinds = {type(jac) for jac in bundle.frozen._cache.values()
+                     if np.ndim(jac) != 2}
+            return adjoint_residuals(s, bundle, tree), hu, kinds
+
+        res, hu, kinds = run()
+        assert kinds == {ScaledMatrix}
+        for cls in (scenario_module.AffineCoefficient, scenario_module.TerminalMap):
+            def dense(self, slot, t, s, _jacobian=cls.jacobian, **args):
+                return as_table(_jacobian(self, slot, t, s, **args), len(args[slot]))
+            monkeypatch.setattr(cls, "jacobian", dense)
+        res_dense, hu_dense, kinds_dense = run()
+        assert kinds_dense == {np.ndarray}
+        for name, val in res.items():
+            assert abs(val - res_dense[name]) <= 1e-14, name
+        assert (hu - hu_dense).sup_norm() <= 1e-14
 
 
 class _ZeroFrozen:

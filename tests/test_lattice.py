@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from volterra_control.lattice import AdaptedProcess, TimeGrid, Tree, TwoParamProcess
+from volterra_control.lattice import (AdaptedProcess, ScaledMatrix, TimeGrid, Tree,
+                                      TwoParamProcess, as_table, transpose)
 
 
 def field(values):
@@ -187,6 +188,70 @@ class TestMartingaleRepr:
                 back = tree.embed(mean, tree.N) + tree.ito_sum(
                     lambda j, zs=zs, k=k: zs[j - k], k, n)
                 assert np.max(np.abs(back - x)) <= 1e-13
+
+
+class TestKernelApplication:
+    """A ScaledMatrix applied factored agrees with its dense table."""
+
+    @staticmethod
+    def close(got, want, bound):
+        # bound: |table| @ |vec| per entry; a product of e + 1 roundings
+        # stays within (e + 1) 2**-53 of it
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-15 * bound)
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 3), e=st.integers(1, 3),
+           scale_level=st.one_of(st.none(), st.integers(0, 4)),
+           vec_level=st.integers(0, 4), seed=SEED)
+    def test_factored_matches_dense(self, d, e, scale_level, vec_level, seed):
+        tree = Tree.build(1.0, 4)
+        rng = np.random.default_rng(seed)
+        scale = None if scale_level is None else rng.uniform(0.5, 1.5, 1 << scale_level)
+        mat = ScaledMatrix(scale, rng.uniform(-1.0, 1.0, (d, e)))
+        # a constant has no level; its table sits at the vector's level
+        table = as_table(mat, 1 << max(vec_level, scale_level or 0))
+        for apply, vec, dense in (
+                (tree.matvec, rng.standard_normal((1 << vec_level, e)), table),
+                (tree.tmatvec, rng.standard_normal((1 << vec_level, d)), table.mT)):
+            want = apply(table, vec)
+            bound = np.einsum("kde,ke->kd", np.abs(dense),
+                              np.abs(tree.embed(vec, tree.level_of(dense))))
+            self.close(apply(mat, vec), want, bound)
+        assert np.array_equal(as_table(transpose(mat), len(table)), table.mT)
+        assert np.array_equal(transpose(table), table.mT)
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(1, 3), scale_level=st.one_of(st.none(), st.integers(0, 4)),
+           lift=st.integers(0, 2), seed=SEED)
+    def test_implicit_solve_matches_dense(self, d, scale_level, lift, seed):
+        tree = Tree.build(1.0, 6)
+        rng = np.random.default_rng(seed)
+        scale = None if scale_level is None else rng.uniform(0.5, 1.5, 1 << scale_level)
+        mat = ScaledMatrix(scale, rng.uniform(-1.0, 1.0, (d, d)))
+        rhs = rng.standard_normal((1 << ((scale_level or 0) + lift), d))
+        table = as_table(mat, len(rhs))
+        assert np.array_equal(tree.implicit_solve(mat, rhs),
+                              tree.implicit_solve(table, rhs))
+        assert np.array_equal(tree.implicit_solve(transpose(mat), rhs),
+                              tree.implicit_solve(table.mT, rhs))
+
+    def test_constant_table_is_a_view(self):
+        mat = ScaledMatrix(None, np.arange(6.0).reshape(2, 3))
+        table = as_table(mat, 8)
+        assert table.shape == (8, 2, 3) and np.shares_memory(table, mat.matrix)
+
+    def test_scalar_multiple(self):
+        mat = ScaledMatrix(np.array([1.0, 2.0]), np.eye(2))
+        for twice in (2.0 * mat, mat * 2.0, np.float64(2.0) * mat):
+            assert isinstance(twice, ScaledMatrix)
+            assert np.array_equal(as_table(twice, 2), 2.0 * as_table(mat, 2))
+
+    def test_finer_matrix_rejected(self):
+        tree = Tree.build(1.0, 4)
+        mat = ScaledMatrix(np.ones(8), np.eye(1))
+        with pytest.raises(ValueError):
+            tree.implicit_solve(mat, np.ones((4, 1)))
 
 
 class TestProcessContainers:

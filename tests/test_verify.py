@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -10,7 +11,7 @@ from oracles import (degenerate_duality_gaps, gateaux_vs_hamiltonian,
                      random_duality_instance)
 
 from volterra_control import verify
-from volterra_control.lattice import AdaptedProcess, Tree
+from volterra_control.lattice import AdaptedProcess, ScaledMatrix, Tree, as_table
 from volterra_control.scenario import Scenario, fixture_path, load_scenario
 from volterra_control.verify import (
     DualityInstance, check_duality_1, check_duality_2, check_pointwise_nc,
@@ -82,6 +83,20 @@ class TestDualityIdentities:
         check_duality_1(inst, "transpose")
         check_duality_2(inst, "transpose")
         assert calls == [True]
+
+    def test_dense_kernels_match_factored(self):
+        inst = smooth_duality_instance(1.0, 5, 2, seed=6)
+        assert isinstance(inst.A(1, 3), ScaledMatrix)
+
+        def dense(kernel):
+            return lambda i, j: as_table(kernel(i, j), 1 << j)
+
+        dense_inst = dataclasses.replace(inst, **{
+            name: dense(getattr(inst, name)) for name in ("A", "B", "D", "A_tilde")})
+        assert isinstance(dense_inst.A(1, 3), np.ndarray)
+        for mode in ("transpose", "continuum"):
+            for check in (check_duality_1, check_duality_2):
+                assert abs(check(inst, mode).gap - check(dense_inst, mode).gap) <= 1e-14
 
     def test_modes_cached_apart(self):
         shared = smooth_duality_instance(1.0, 5, 2, seed=4)
