@@ -4,11 +4,9 @@ adjoint system, the Hamiltonian gradient, adjacent-cone analysis, and
 exact duality verification."""
 
 from .lattice import AdaptedProcess, TimeGrid, Tree, TwoParamProcess
-from .scenario import (ControlConstraint, Scenario, ScenarioError,
-                       load_scenario, save_scenario, validate)
+from .scenario import ControlConstraint, Scenario, ScenarioError, load_scenario
 
 __all__ = [
     "AdaptedProcess", "ControlConstraint", "Scenario", "ScenarioError",
-    "TimeGrid", "Tree", "TwoParamProcess", "load_scenario", "save_scenario",
-    "validate",
+    "TimeGrid", "Tree", "TwoParamProcess", "load_scenario",
 ]

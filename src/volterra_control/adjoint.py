@@ -9,7 +9,7 @@ The bundle (lambda0, Lambda, xi, mu, nu, p, q) solves, on the lattice,
   p_i     = F_i + dt sum_{j>i} (b_x(j,i)' p_j + sigma_x(j,i)' q(j,i))
                 - sum_{j>=i} q(i,j) dW_j
 
-with alpha_i = g_y(0,i)' Lambda_i + f_y(i) and
+with Lambda_j = E_j[lambda0], alpha_i = g_y(0,i)' Lambda_i + f_y(i) and
 F_i = b_x(N,i)' theta + sigma_x(N,i)' nu_i + g_x(0,i)' Lambda_i + f_x(i)
     + dt sum_{k<=i} g_x(k,i)' xi_k.
 
@@ -26,12 +26,14 @@ slot, i, j)``: the jacobian of catalog object ``name`` in ``slot`` at
 (t_i, t_j) along the state, e.g. g_y(j,i) = ``d("g", "y", j, i)``,
 f_z(j) = ``d("f", "z", 0, j)``, psi_x(j) = ``d("psi", "x", j, N)``.
 
-The xi and (p, q) equations are each written down once, as free-term
-rows plus kernels (``_xi_equation``, ``_pq_equation``); the solver in
-``assemble_adjoint`` and the check in ``adjoint_residuals`` both read
-that one statement.  mu and nu come with the (p, q) solve, which takes
-theta as its boundary term.  Every row sum over terms of mixed levels
-(Fredholm rows, free terms F_i, row checks) is one ``Tree.level_sum``.
+Each equation is written down once, as free-term rows plus kernels
+(``_lambda0_equation``, ``_xi_equation``, ``_pq_equation``); the solver
+in ``assemble_adjoint`` and the check in ``adjoint_residuals`` both read
+that one statement.  lambda0 is the one-row case of the xi Fredholm
+equation, so both are solved by ``solve_fredholm`` and checked, stored
+runs included, by ``fredholm_row_residual``.  mu and nu come with the
+(p, q) solve, which takes theta as its boundary term.  Every row sum
+over terms of mixed levels is one ``Tree.level_sum``.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backward import (BackwardSolution, MSolution, backward_row_residual,
+from .backward import (BackwardSolution, backward_row_residual,
                        msolution_identity_residual, solve_linear_backward)
 from .forward import ForwardPath
 from .lattice import AdaptedProcess, Tree, transpose
@@ -126,7 +128,9 @@ def solve_fredholm(tree: Tree, alpha_rows, A=None, B=None, D=None,
 def fredholm_row_residual(tree: Tree, sol: FredholmSolution, i: int, alpha_rows,
                           A=None, B=None, D=None, beta=None,
                           include_diag_A: bool = True) -> float:
-    """Node-wise defect of row i of the defining discrete equation."""
+    """Node-wise defect of row i of the defining discrete equation and of
+    its stored run: each level E_r[xi_i] the pair mean of the next, the
+    last one xi_i itself."""
     N = tree.N
 
     def terms():
@@ -146,21 +150,11 @@ def fredholm_row_residual(tree: Tree, sol: FredholmSolution, i: int, alpha_rows,
         if beta is not None:
             yield tree.ito_sum(lambda j: tree.embed(beta(i, j), j), 0, N)
 
-    return float(np.abs(sol.xi[i] - tree.level_sum(terms(), N)).max())
-
-
-def solve_lambda0(tree: Tree, fz: AdaptedProcess, gz0, mean0: np.ndarray):
-    """Forward noise recursion for the F_T variable lambda(0).
-
-    Lambda_0 = mean0; Lambda_{j+1} = Lambda_j + (fz_j + gz0(j)' Lambda_j) dW_j.
-    Returns (lambda0 leaf field, Lambda with Lambda_r = E_r[lambda0]).
-    """
-    levels = [np.tile(np.asarray(mean0, dtype=float), (1, 1))]
-    for j in range(tree.N):
-        lam = levels[j]
-        incr = fz.level(j) + tree.tmatvec(gz0(j), lam)
-        levels.append(np.repeat(lam, 2, axis=0) + tree.dw_term(incr, j))
-    return levels[-1], AdaptedProcess(levels)
+    run = sol.cond[i]
+    defects = [sol.xi[i] - tree.level_sum(terms(), N), run[-1] - sol.xi[i]]
+    defects += [run[r] - tree.cond_expect(run[r + 1], i + r)
+                for r in range(len(run) - 1)]
+    return max(float(np.abs(d).max()) for d in defects)
 
 
 class FrozenCoefficients:
@@ -215,10 +209,23 @@ class AdjointBundle:
     Lambda: AdaptedProcess
     xi: FredholmSolution
     theta: np.ndarray
-    mu: AdaptedProcess
-    nu: AdaptedProcess
-    pq: MSolution
+    pq: BackwardSolution
     frozen: FrozenCoefficients
+
+
+def _lambda0_equation(tree: Tree, fro: FrozenCoefficients):
+    """The lambda(0) equation as one-row ``solve_fredholm`` arguments: the
+    free term alpha_0 = E[h_y] and the keyword arguments D = g_z(0, .),
+    beta = f_z."""
+    return [tree.cond_expect(fro.d("h", "y", 0, tree.N), 0)], {
+        "D": lambda i, j: fro.d("g", "z", 0, j),
+        "beta": lambda i, j: fro.d("f", "z", 0, j)}
+
+
+def solve_lambda0(tree: Tree, fro: FrozenCoefficients) -> FredholmSolution:
+    """lambda(0) (row 0) with its runs Lambda_r = E_r[lambda(0)]."""
+    alpha_rows, kernels = _lambda0_equation(tree, fro)
+    return solve_fredholm(tree, alpha_rows, **kernels)
 
 
 def _xi_equation(tree: Tree, fro: FrozenCoefficients, Lambda: AdaptedProcess):
@@ -256,10 +263,8 @@ def assemble_adjoint(scenario: Scenario, fwd: ForwardPath, bwd, u: AdaptedProces
     N = tree.N
     fro = FrozenCoefficients(scenario, tree, fwd, bwd, u)
 
-    fz = AdaptedProcess([fro.d("f", "z", 0, j) for j in range(N)])
-    mean0 = tree.expectation(fro.d("h", "y", 0, N))
-    lambda0, Lambda = solve_lambda0(tree, fz, lambda j: fro.d("g", "z", 0, j),
-                                    mean0)
+    lam = solve_lambda0(tree, fro)
+    lambda0, Lambda = lam.xi[0], AdaptedProcess(lam.cond[0])
 
     alpha_rows, xi_kernels = _xi_equation(tree, fro, Lambda)
     xi = solve_fredholm(tree, alpha_rows, **xi_kernels)
@@ -272,8 +277,7 @@ def assemble_adjoint(scenario: Scenario, fwd: ForwardPath, bwd, u: AdaptedProces
     pq_sol = solve_linear_backward(tree, p_rows, **pq_kernels)
 
     return AdjointBundle(lambda0=lambda0, Lambda=Lambda, xi=xi, theta=theta,
-                         mu=pq_sol.mu, nu=pq_sol.nu, pq=pq_sol.as_msolution(),
-                         frozen=fro)
+                         pq=pq_sol, frozen=fro)
 
 
 def hamiltonian_gradient(scenario: Scenario, bundle: AdjointBundle,
@@ -295,13 +299,13 @@ def hamiltonian_gradient(scenario: Scenario, bundle: AdjointBundle,
         for i in range(j + 1):
             h = h + tree.dt * tree.tmatvec(fro.d("g", "u", i, j),
                                            bundle.xi.cond_exp(i, j))
-        h = h + tree.tmatvec(fro.d("b", "u", N, j), bundle.mu.level(j))
-        h = h + tree.tmatvec(fro.d("sigma", "u", N, j), bundle.nu.level(j))
+        h = h + tree.tmatvec(fro.d("b", "u", N, j), bundle.pq.mu.level(j))
+        h = h + tree.tmatvec(fro.d("sigma", "u", N, j), bundle.pq.nu.level(j))
         for i in range(j + 1, N):
             h = h + tree.dt * tree.tmatvec(
-                fro.d("b", "u", i, j), tree.cond_expect(bundle.pq.p.level(i), j))
+                fro.d("b", "u", i, j), tree.cond_expect(bundle.pq.Y.level(i), j))
             h = h + tree.dt * tree.tmatvec(fro.d("sigma", "u", i, j),
-                                           bundle.pq.q.value(i, j))
+                                           bundle.pq.Z.value(i, j))
         levels.append(h)
     return AdaptedProcess(levels)
 
@@ -317,12 +321,10 @@ def adjoint_residuals(scenario: Scenario, bundle: AdjointBundle,
     N = tree.N
     fro = bundle.frozen
 
-    # first equation: lambda0 forward identity
-    integrand = lambda j: (fro.d("f", "z", 0, j) + tree.tmatvec(
-        fro.d("g", "z", 0, j), bundle.Lambda.level(j)))
-    recon = tree.embed(tree.cond_expect(fro.d("h", "y", 0, N), 0), N) \
-        + tree.ito_sum(integrand, 0, N)
-    res1 = float(np.abs(bundle.lambda0 - recon).max())
+    # first equation: the one-row Fredholm statement with its runs Lambda
+    lam_rows, lam_kernels = _lambda0_equation(tree, fro)
+    lam = FredholmSolution(xi=[bundle.lambda0], cond=[bundle.Lambda.levels])
+    res1 = fredholm_row_residual(tree, lam, 0, lam_rows, **lam_kernels)
 
     # second equation rows
     alpha_rows, xi_kernels = _xi_equation(tree, fro, bundle.Lambda)
@@ -331,21 +333,20 @@ def adjoint_residuals(scenario: Scenario, bundle: AdjointBundle,
 
     # third equation: mu_i = theta - sum_{j>=i} nu_j dW_j, the tails summed
     # from i = N down
+    pq = bundle.pq
     res3 = 0.0
     tail = np.zeros_like(bundle.theta)
     for i in range(N, -1, -1):
         if i < N:
-            tail = tail + tree.embed(tree.dw_term(bundle.nu.level(i), i), N)
+            tail = tail + tree.embed(tree.dw_term(pq.nu.level(i), i), N)
         res3 = max(res3, float(np.abs(
-            tree.embed(bundle.mu.level(i), N) - (bundle.theta - tail)).max()))
+            tree.embed(pq.mu.level(i), N) - (bundle.theta - tail)).max()))
 
     # fourth equation rows + M-identity
     p_rows, pq_kernels = _pq_equation(tree, fro, bundle.Lambda, bundle.xi.xi,
                                       bundle.theta)
-    sol = BackwardSolution(Y=bundle.pq.p, Z=bundle.pq.q, mu=bundle.mu,
-                           nu=bundle.nu)
-    res4 = max(backward_row_residual(tree, sol, i, p_rows, **pq_kernels)
+    res4 = max(backward_row_residual(tree, pq, i, p_rows, **pq_kernels)
                for i in range(N))
-    res_m = msolution_identity_residual(tree, sol)
+    res_m = msolution_identity_residual(tree, pq)
     return {"lambda0": res1, "xi": res2, "mu_nu": res3, "pq": res4,
             "m_identity": res_m}

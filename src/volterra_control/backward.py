@@ -1,10 +1,7 @@
 """Backward solvers on the lattice.
 
-Three layers:
+Two layers:
 
-* ``solve_bsde``: plain backward recursion with an implicit driver step,
-  the BSDE that a BSVIE reduces to when neither its generator nor its
-  terminal map depends on t.
 * ``solve_bsvie``: C-adapted solutions of nonlinear backward Volterra
   equations, one parameterized row recursion per grid time, in two
   passes.  Row i needs the diagonal Y(t_r) only for r >= i, and only
@@ -14,11 +11,12 @@ Three layers:
 * ``solve_linear_backward``: the linear backward Volterra family in
   M-solution form used by the adjoint system and the duality checks.
 
-The BSVIE rows and the linear family share one descending row run,
-``_row_run``: a level-by-level martingale step plus an explicit drift
-term, continued from any level.  ``solve_bsde`` and the BSVIE diagonal
-share one implicit step, ``_implicit_step``.  Each linear row's free
-term, a sum over columns on their own levels, is one ``Tree.level_sum``.
+Every descending recursion is one ``_row_run``: a level-by-level
+martingale step plus an optional explicit drift term, continued from any
+level.  It runs the BSVIE rows, each linear row down to its diagonal
+(D-terms as drift) and on from Y_i for Z(i, j < i), and theta for nu.
+Each linear row's free term, a sum over columns on their own levels, is
+one ``Tree.level_sum``.
 
 Discrete conventions (used identically by the primal solvers, so that
 every duality identity is an exact transpose statement):
@@ -59,20 +57,11 @@ class BackwardPath:
 
 
 @dataclass
-class MSolution:
-    p: AdaptedProcess
-    q: TwoParamProcess
-
-
-@dataclass
 class BackwardSolution:
     Y: AdaptedProcess
     Z: TwoParamProcess
     mu: AdaptedProcess | None = None
     nu: AdaptedProcess | None = None
-
-    def as_msolution(self) -> MSolution:
-        return MSolution(p=self.Y, q=self.Z)
 
 
 def _implicit_step(mean: np.ndarray, step, tol: float, max_iter: int,
@@ -98,28 +87,6 @@ def _implicit_step(mean: np.ndarray, step, tol: float, max_iter: int,
         f"implicit step failed to contract at level {level}, node {node} "
         f"(gap {gaps[node]:.3g}); use a finer grid (dt * Lip must stay "
         f"below 1)")
-
-
-def solve_bsde(tree: Tree, terminal: np.ndarray, driver,
-               picard_tol: float = 1e-12, picard_max_iter: int = 200):
-    """Backward recursion Y_j = E_j[Y_{j+1}] + driver(t_j, Y_j, Z_j) dt.
-
-    Z_j is the representation integrand of Y_{j+1}; the driver step is
-    implicit in y and solved by ``_implicit_step``.  Returns (Y levels
-    0..N, Z levels 0..N-1).
-    """
-    if tree.level_of(terminal) != tree.N:
-        raise ValueError("terminal value must be a leaf field")
-    y_levels = [None] * (tree.N + 1)
-    z_levels = [None] * tree.N
-    y_levels[tree.N] = np.asarray(terminal, dtype=float)
-    for j in range(tree.N - 1, -1, -1):
-        mean, z = tree.repr_step(y_levels[j + 1])
-        y_levels[j], _ = _implicit_step(
-            mean, lambda y: tree.dt * driver(tree.t(j), y, z),
-            picard_tol, picard_max_iter, j)
-        z_levels[j] = z
-    return AdaptedProcess(y_levels), AdaptedProcess(z_levels)
 
 
 def _row_run(tree: Tree, run: list, zs: list, start: int, stop: int,
@@ -212,7 +179,8 @@ def solve_linear_backward(tree: Tree, psi_rows, A=None, B=None,
         raise ValueError(f"expected {N} free-term rows, got {len(psi_rows)}")
     mu = nu = None
     if theta is not None:
-        _, nus = tree.martingale_repr(theta, 0)
+        nus = [None] * N
+        _row_run(tree, [None] * N + [theta], nus, N, 0)
         nu = AdaptedProcess(nus)
         mu = AdaptedProcess([tree.cond_expect(theta, i) for i in range(N + 1)])
 
@@ -242,8 +210,8 @@ def solve_linear_backward(tree: Tree, psi_rows, A=None, B=None,
             cur = cur + tree.dt * tree.matvec(B(i, i), z_cols[i])
         if include_diag_A and A is not None:
             cur = tree.implicit_solve(A(i, i), cur)
-        y_levels[i] = cur
-        _, z_cols[:i] = tree.martingale_repr(cur, 0)
+        run[i] = y_levels[i] = cur
+        _row_run(tree, run, z_cols, i, 0)
         z_rows[i] = z_cols
     return BackwardSolution(Y=AdaptedProcess(y_levels),
                             Z=TwoParamProcess(z_rows), mu=mu, nu=nu)

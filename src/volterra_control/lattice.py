@@ -5,7 +5,8 @@ A uniform time grid with N steps carries a non-recombining binary tree:
 with probability 1/2 each.  Child 2k carries the Brownian increment
 -sqrt(dt), child 2k+1 carries +sqrt(dt).  Conditional expectations are
 pairwise means, stochastic integrals are finite sums, and martingale
-representation is a two-point difference quotient, so every identity
+representation is a two-point difference quotient (``Tree.repr_step``,
+one level at a time; the backward solvers chain it), so every identity
 built on top of this module holds to machine precision.
 
 Random objects are plain float arrays: a field at level i has shape
@@ -211,28 +212,9 @@ class Tree:
         if level < 1:
             raise ValueError("repr_step needs level >= 1")
         paired = values.reshape((1 << (level - 1), 2) + values.shape[1:])
-        mean = paired.mean(axis=1)
+        mean = (paired[:, 0] + paired[:, 1]) * 0.5  # the bits of .mean(axis=1)
         z = (paired[:, 1] - paired[:, 0]) / (2.0 * self.sqdt)
         return mean, z
-
-    def martingale_repr(self, values: np.ndarray, to_level: int = 0):
-        """Exact decomposition x = E_k[x] + sum_{j>=k} z_j dW_j.
-
-        Returns (E_k[x], [z_k, ..., z_{J-1}]) for a level-J field; the
-        round trip mean + ito_sum(z) reproduces x bit-for-bit.
-        """
-        from_level = self.level_of(values)
-        self._check_level(to_level)
-        if to_level > from_level:
-            raise ValueError(
-                f"target level {to_level} exceeds source level {from_level}")
-        cur = values
-        zs = []
-        for j in range(from_level - 1, to_level - 1, -1):
-            cur, z = self.repr_step(cur)
-            zs.append(z)
-        zs.reverse()
-        return cur, zs
 
     # -- kernel application ---------------------------------------------
     # The one place that applies a matrix field, in either form: a dense

@@ -9,7 +9,7 @@ first derivatives are supplied analytically.
 The six objects b, sigma, g, psi, f, h (``Scenario.catalog``) share one
 interface: ``name``, ``slots`` (their state arguments among x, y, z, u),
 ``value(t, s, **slots)`` and ``jacobian(slot, t, s, **slots)`` (a cost's
-is its gradient); ``validate`` checks each jacobian in one loop.
+is its gradient).
 
 Input contract: every section is read by ``_read`` through one field
 table that declares each key once (its shape or default).  Any defect --
@@ -29,21 +29,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .lattice import ScaledMatrix, TimeGrid, Tree, as_table
+from .lattice import ScaledMatrix, TimeGrid, Tree
 
 
 class ScenarioError(ValueError):
-    """Raised when a scenario file fails to parse or validate."""
-
-
-@dataclass(frozen=True)
-class Diagnostic:
-    field: str
-    message: str
-    discrepancy: float = 0.0
-
-    def __str__(self):
-        return f"{self.field}: {self.message} (discrepancy {self.discrepancy:.3e})"
+    """Raised when a scenario file is malformed or inconsistent."""
 
 
 # A field table maps each key of a section to its spec:
@@ -626,9 +616,6 @@ class ControlConstraint:
             raise ProjectionUnavailable("halfspace projection: no feasible KKT point")
         return best
 
-    def dist(self, u: np.ndarray) -> float:
-        return float(np.linalg.norm(self.project(u) - u))
-
 
 # ---------------------------------------------------------------------------
 # scenario
@@ -727,12 +714,8 @@ class Scenario:
                    Tolerances.from_json(v["tolerances"], "tolerances"), v["seed"], u0)
 
 
-def save_scenario(scenario: Scenario, path) -> None:
-    Path(path).write_text(json.dumps(scenario.to_json(), indent=2, sort_keys=True))
-
-
 def load_scenario(path) -> Scenario:
-    """Parse, build and validate a scenario file; raises ScenarioError."""
+    """Parse and build a scenario file; raises ScenarioError."""
     try:
         doc = json.loads(Path(path).read_text())
     except FileNotFoundError:
@@ -740,61 +723,15 @@ def load_scenario(path) -> Scenario:
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario file does not parse: {exc}") from exc
     scenario = Scenario.from_json(doc)
-    problems = validate(scenario)
-    if problems:
-        raise ScenarioError("; ".join(str(p) for p in problems))
+    u0 = scenario.initial_control
+    if u0 is not None and not scenario.constraint.contains(
+            u0, scenario.tolerances.activity_tol):
+        raise ScenarioError("initial_control: not inside the control region")
     try:  # an empty region or one without a projection has no default control
         scenario.base_control()
     except ProjectionUnavailable as exc:
         raise ScenarioError(f"constraint: {exc}") from exc
     return scenario
-
-
-# ---------------------------------------------------------------------------
-# validation
-
-
-def validate(scenario: Scenario) -> list:
-    """Cross-check supplied derivatives and dimensions; empty list iff clean.
-
-    Each first derivative of the catalog objects b, sigma, g, psi, f and h
-    is compared with central finite differences at six random probes, all
-    at (t, s) = (t_1, t_0).  The (t, t') continuity modulus is not
-    checked: point probes on the grid cannot refute a modulus bound.
-    """
-    out: list[Diagnostic] = []
-    rng = np.random.default_rng(scenario.seed + 1)
-    probes = {a: rng.standard_normal((6, d)) for a, d in
-              (("x", scenario.n), ("y", scenario.m), ("z", scenario.m), ("u", scenario.l))}
-    ts = scenario.grid.points
-    t, s = float(ts[1]), float(ts[0])
-    for obj in scenario.catalog.values():
-        args = {a: probes[a] for a in obj.slots}
-        for slot in obj.slots:
-            jac = as_table(obj.jacobian(slot, t, s, **args), args[slot].shape[0])
-            fd = np.zeros_like(jac)
-            for idx in range(args[slot].shape[1]):
-                eps = 1e-5 * (1.0 + float(np.abs(args[slot][:, idx]).max()))
-                step = np.zeros_like(args[slot])
-                step[:, idx] = eps
-                fd[..., idx] = (obj.value(t, s, **{**args, slot: args[slot] + step})
-                                - obj.value(t, s, **{**args, slot: args[slot] - step})
-                                ) / (2.0 * eps)
-            err = float(np.abs(jac - fd).max())
-            scale = 1.0 + float(np.abs(jac).max())
-            if not err <= 1e-6 * scale:
-                out.append(Diagnostic(f"{obj.name}.d{slot}",
-                                      "analytic derivative disagrees with finite"
-                                      " differences", err / scale))
-
-    if scenario.constraint.dim != scenario.l:
-        out.append(Diagnostic("constraint", f"dimension {scenario.constraint.dim}"
-                              f" does not match control dim {scenario.l}", math.inf))
-    if scenario.initial_control is not None and not scenario.constraint.contains(
-            scenario.initial_control, scenario.tolerances.activity_tol):
-        out.append(Diagnostic("initial_control", "not inside the control region",
-                              math.inf))
-    return out
 
 
 def fixture_path(name: str) -> Path:

@@ -495,16 +495,16 @@ def degenerate_fbsde_check(scenario: Scenario, u: AdaptedProcess,
             agg = agg + tree.dt * bundle.xi.cond_exp(i, j)
         gap_lambda = max(gap_lambda, float(np.abs(agg - L[j]).max()))
 
-    fro = bundle.frozen
+    fro, pq = bundle.frozen, bundle.pq
     gap_p = 0.0
     for j in range(N):
-        P_j = bundle.mu.level(j).copy()
-        Q_j = bundle.nu.level(j).copy()
+        P_j = pq.mu.level(j).copy()
+        Q_j = pq.nu.level(j).copy()
         for i in range(j + 1, N):
-            P_j = P_j + tree.dt * tree.cond_expect(bundle.pq.p.level(i), j)
-            Q_j = Q_j + tree.dt * bundle.pq.q.value(i, j)
+            P_j = P_j + tree.dt * tree.cond_expect(pq.Y.level(i), j)
+            Q_j = Q_j + tree.dt * pq.Z.value(i, j)
         reduced = _reduced_p(tree, fro, j, P_j, Q_j, L[j])
-        gap_p = max(gap_p, float(np.abs(bundle.pq.p.level(j) - reduced).max()))
+        gap_p = max(gap_p, float(np.abs(pq.Y.level(j) - reduced).max()))
     return {"gradient": gap_hu, "lambda_identity": gap_lambda,
             "p_identity": gap_p}
 

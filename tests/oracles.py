@@ -4,7 +4,9 @@ Everything here works on dense leaf-resolution matrices assembled from
 the defining discrete equations, on exhaustive finite-dimensional
 programs, or one point at a time (control-region geometry, the NC sweep,
 KKT multipliers, the limit definition of the adjacent cone, difference
-quotients of the cost), independently of the package's sweep solvers.
+quotients of the cost and of the catalog objects), independently of the
+package's sweep solvers.  ``solve_bsde`` is the plain BSDE recursion a
+time-invariant BSVIE reduces to.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from itertools import combinations
 
 import numpy as np
 
-from volterra_control.backward import (BackwardPath, PicardError, solve_bsvie,
-                                       solve_linear_backward)
+from volterra_control.backward import (BackwardPath, PicardError, _implicit_step,
+                                       solve_bsvie, solve_linear_backward)
 from volterra_control.cones import adjacent_cone, cone_min_linear, nnls
 from volterra_control.forward import SimulationError, simulate_forward
 from volterra_control.lattice import (AdaptedProcess, Tree, TwoParamProcess,
@@ -160,6 +162,61 @@ def recompute_bsvie_row(scenario, fwd, u, bwd, i, tree):
         tree, {i: scenario.coeffs.psi.value(tree.t(i), tree.t(tree.N), x_leaf)},
         _bsvie_driver(scenario, tree, fwd, u), bwd.Y, [i])
     return lam_rows[0], z_rows[0]
+
+
+def solve_bsde(tree: Tree, terminal: np.ndarray, driver,
+               picard_tol: float = 1e-12, picard_max_iter: int = 200):
+    """Backward recursion Y_j = E_j[Y_{j+1}] + driver(t_j, Y_j, Z_j) dt.
+
+    The BSDE that a BSVIE reduces to when neither its generator nor its
+    terminal map depends on t.  Z_j is the representation integrand of
+    Y_{j+1}; the driver step is implicit in y and solved by the BSVIE
+    solver's ``_implicit_step``.  Returns (Y levels 0..N, Z levels 0..N-1).
+    """
+    if tree.level_of(terminal) != tree.N:
+        raise ValueError("terminal value must be a leaf field")
+    y_levels = [None] * (tree.N + 1)
+    z_levels = [None] * tree.N
+    y_levels[tree.N] = np.asarray(terminal, dtype=float)
+    for j in range(tree.N - 1, -1, -1):
+        mean, z = tree.repr_step(y_levels[j + 1])
+        y_levels[j], _ = _implicit_step(
+            mean, lambda y: tree.dt * driver(tree.t(j), y, z),
+            picard_tol, picard_max_iter, j)
+        z_levels[j] = z
+    return AdaptedProcess(y_levels), AdaptedProcess(z_levels)
+
+
+def jacobian_discrepancies(scenario: Scenario) -> dict:
+    """Analytic jacobians of the catalog objects against central finite
+    differences: ``"<object>.d<slot>"`` -> relative discrepancy, for every
+    slot where it exceeds 1e-6.  Six random probes, all at (t, s) =
+    (t_1, t_0); point probes on the grid cannot refute a (t, t')
+    continuity modulus, so none is checked."""
+    out = {}
+    rng = np.random.default_rng(scenario.seed + 1)
+    probes = {a: rng.standard_normal((6, d)) for a, d in
+              (("x", scenario.n), ("y", scenario.m), ("z", scenario.m),
+               ("u", scenario.l))}
+    ts = scenario.grid.points
+    t, s = float(ts[1]), float(ts[0])
+    for obj in scenario.catalog.values():
+        args = {a: probes[a] for a in obj.slots}
+        for slot in obj.slots:
+            jac = as_table(obj.jacobian(slot, t, s, **args), args[slot].shape[0])
+            fd = np.zeros_like(jac)
+            for idx in range(args[slot].shape[1]):
+                eps = 1e-5 * (1.0 + float(np.abs(args[slot][:, idx]).max()))
+                step = np.zeros_like(args[slot])
+                step[:, idx] = eps
+                fd[..., idx] = (obj.value(t, s, **{**args, slot: args[slot] + step})
+                                - obj.value(t, s, **{**args, slot: args[slot] - step})
+                                ) / (2.0 * eps)
+            scale = 1.0 + float(np.abs(jac).max())
+            err = float(np.abs(jac - fd).max()) / scale
+            if not err <= 1e-6:
+                out[f"{obj.name}.d{slot}"] = err
+    return out
 
 
 def random_duality_instance(horizon: float, steps: int, m: int,

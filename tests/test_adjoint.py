@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,8 @@ from volterra_control.adjoint import (
     FredholmSolution, adjoint_residuals, assemble_adjoint, fredholm_row_residual,
     hamiltonian_gradient, solve_fredholm, solve_lambda0,
 )
-from volterra_control.backward import MSolution, solve_bsvie, solve_linear_backward
+from volterra_control.backward import (BackwardSolution, solve_bsvie,
+                                       solve_linear_backward)
 from volterra_control.forward import simulate_forward
 from volterra_control import scenario as scenario_module
 from volterra_control.lattice import (AdaptedProcess, ScaledMatrix, Tree, TwoParamProcess,
@@ -16,12 +19,35 @@ from volterra_control.scenario import fixture_path, load_scenario
 from volterra_control.verify import DualityInstance
 
 
+class _Lambda0Frozen:
+    """Hand-built frozen coefficients for the lambda(0) equation: h_y a
+    leaf field, f_z the levels of ``fz``, g_z(0, j) the constant d."""
+
+    def __init__(self, hy, fz, d):
+        self.hy, self.fz, self.d_gz = hy, fz, d
+
+    def d(self, name, slot, i, j):
+        if name == "h":
+            return self.hy
+        if name == "f":
+            return self.fz.level(j)
+        return np.full((1, 1, 1), self.d_gz)
+
+
 class TestSolveLambda0:
+    """lambda(0) as the one-row Fredholm equation alpha_0 = E[h_y],
+    D = g_z(0, .), beta = f_z."""
+
+    @staticmethod
+    def solve(tree, fz, d, hy):
+        sol = solve_lambda0(tree, _Lambda0Frozen(hy, fz, d))
+        assert len(sol.xi) == 1
+        return sol.xi[0], AdaptedProcess(sol.cond[0])
+
     def test_zero_inputs_constant(self):
         tree = Tree.build(1.0, 5)
         fz = AdaptedProcess.zeros(tree.N - 1, 1)
-        lam0, Lam = solve_lambda0(tree, fz, lambda j: np.zeros((1, 1, 1)),
-                                  np.array([1.7]))
+        lam0, Lam = self.solve(tree, fz, 0.0, np.full((tree.n_leaves, 1), 1.7))
         assert np.allclose(lam0, 1.7)
         assert np.allclose(Lam.level(3), 1.7)
 
@@ -30,8 +56,8 @@ class TestSolveLambda0:
         tree = Tree.build(1.0, 6)
         d = 0.8
         fz = AdaptedProcess.zeros(tree.N - 1, 1)
-        lam0, Lam = solve_lambda0(tree, fz, lambda j: np.full((1, 1, 1), d),
-                                  np.array([2.0]))
+        hy = np.where(np.arange(tree.n_leaves) % 2, 3.0, 1.0)[:, None]  # E = 2
+        lam0, Lam = self.solve(tree, fz, d, hy)
         for leaf in range(tree.n_leaves):
             prod = 2.0
             for j in range(tree.N):
@@ -44,8 +70,7 @@ class TestSolveLambda0:
         rng = np.random.default_rng(6)
         fz = AdaptedProcess([rng.standard_normal((1 << i, 1))
                              for i in range(tree.N)])
-        lam0, Lam = solve_lambda0(tree, fz, lambda j: np.full((1, 1, 1), 0.5),
-                                  np.array([0.3]))
+        lam0, Lam = self.solve(tree, fz, 0.5, np.full((tree.n_leaves, 1), 0.3))
         for i in range(tree.N + 1):
             assert np.allclose(Lam.level(i), tree.cond_expect(lam0, i),
                                atol=1e-13)
@@ -174,6 +199,35 @@ def run_pipeline(name, steps=None, control=None, scale=0.3, seed=0):
     return s, tree, control, fwd, bwd, bundle
 
 
+def _bumped(levels, k):
+    """``levels`` with entry k shifted by 1e-3 at its first node."""
+    out = list(levels)
+    out[k] = np.array(out[k], dtype=float)
+    out[k][0, 0] += 1e-3
+    return out
+
+
+# (perturbed field, the adjoint_residuals entry that must flag it, perturbation)
+PERTURBATIONS = [
+    ("lambda0", "lambda0",
+     lambda b: replace(b, lambda0=_bumped([b.lambda0], 0)[0])),
+    ("Lambda level", "lambda0",  # only the run check reads Lambda
+     lambda b: replace(b, Lambda=AdaptedProcess(_bumped(b.Lambda.levels, 3)))),
+    ("xi row", "xi",
+     lambda b: replace(b, xi=FredholmSolution(_bumped(b.xi.xi, 2), b.xi.cond))),
+    ("mu", "mu_nu",
+     lambda b: replace(b, pq=replace(b.pq, mu=AdaptedProcess(
+         _bumped(b.pq.mu.levels, 2))))),
+    ("p level", "pq",
+     lambda b: replace(b, pq=replace(b.pq, Y=AdaptedProcess(
+         _bumped(b.pq.Y.levels, 2))))),
+    ("q column", "m_identity",  # Z(3, 1), below the diagonal
+     lambda b: replace(b, pq=replace(b.pq, Z=TwoParamProcess(
+         [_bumped(row, 1) if i == 3 else row
+          for i, row in enumerate(b.pq.Z.rows)])))),
+]
+
+
 class TestAssembleAdjoint:
     def test_zero_cost_gives_zero_bundle(self):
         s = load_scenario(fixture_path("lq"))
@@ -191,15 +245,23 @@ class TestAssembleAdjoint:
         assert np.allclose(bundle.lambda0, 0.0)
         assert all(np.allclose(x, 0.0) for x in bundle.xi.xi)
         assert np.allclose(bundle.theta, 0.0)
-        assert bundle.pq.p.sup_norm() == 0.0
+        assert bundle.pq.Y.sup_norm() == 0.0
         hu = hamiltonian_gradient(s, bundle, fwd, bwd, u, tree)
         assert hu.sup_norm() == 0.0
 
     def test_residuals_at_machine_precision(self):
-        _, tree, _, _, _, bundle = run_pipeline("lq", steps=6)
-        res = adjoint_residuals(load_scenario(fixture_path("lq")), bundle, tree)
-        for name, val in res.items():
-            assert val <= 1e-12, (name, val)
+        # at the largest exact lattice, stored runs included
+        for name in ("lq", "lq_multi", "quadratic"):
+            s, tree, _, _, _, bundle = run_pipeline(name, steps=14)
+            for entry, val in adjoint_residuals(s, bundle, tree).items():
+                assert val <= 1e-12, (name, entry, val)
+
+    @pytest.mark.parametrize("field,entry,perturb", PERTURBATIONS,
+                             ids=[f for f, _, _ in PERTURBATIONS])
+    def test_each_residual_flags_its_perturbed_field(self, field, entry, perturb):
+        s, tree, _, _, _, bundle = run_pipeline("lq", steps=6)
+        assert adjoint_residuals(s, bundle, tree)[entry] <= 1e-12
+        assert adjoint_residuals(s, perturb(bundle), tree)[entry] > 1e-6
 
     def test_dense_jacobians_match_factored(self, monkeypatch):
         # lq_multi (n = 2, m = 3, l = 2): every constant jacobian comes
@@ -253,10 +315,10 @@ class TestHamiltonianGradient:
                 cond=[[np.zeros((1 << r, 1)) for r in range(i, tree.N + 1)]
                       for i in range(tree.N)]),
             theta=np.zeros((tree.n_leaves, 1)),
-            mu=AdaptedProcess.zeros(tree.N, 1),
-            nu=AdaptedProcess.zeros(tree.N - 1, 1),
-            pq=MSolution(p=AdaptedProcess.constant([c], tree.N - 1),
-                         q=TwoParamProcess.zeros(tree.N, tree.N, 1)),
+            pq=BackwardSolution(Y=AdaptedProcess.constant([c], tree.N - 1),
+                                Z=TwoParamProcess.zeros(tree.N, tree.N, 1),
+                                mu=AdaptedProcess.zeros(tree.N, 1),
+                                nu=AdaptedProcess.zeros(tree.N - 1, 1)),
             frozen=_ZeroFrozen(tree, 1, 1, 1))
         hu = hamiltonian_gradient(None, bundle, None, None, None, tree)
         for j in range(tree.N):

@@ -6,14 +6,14 @@ import pytest
 
 from volterra_control.backward import (
     PicardError, backward_row_residual, msolution_identity_residual,
-    solve_bsde, solve_bsvie, solve_linear_backward,
+    solve_bsvie, solve_linear_backward,
 )
 from volterra_control.forward import simulate_forward
 from volterra_control.lattice import AdaptedProcess, Tree
 from volterra_control.scenario import Scenario, fixture_path, load_scenario
 
 from oracles import (dense_bsvie_oracle, picard_bsvie_oracle, projector,
-                     recompute_bsvie_row, repr_operator)
+                     recompute_bsvie_row, repr_operator, solve_bsde)
 from test_scenario import FIXTURES
 
 

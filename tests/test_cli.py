@@ -131,6 +131,17 @@ class TestMalformedScenario:
             [line] = err.splitlines()
             assert line.startswith(f"scenario error: {field}: "), line
 
+    def test_initial_control_outside_region(self, tmp_path, capsys):
+        doc = json.loads(fixture_path("annulus").read_text())
+        doc["initial_control"] = [0.1, 0.0]  # inside the hole of the annulus
+        scenario = tmp_path / "bad.json"
+        scenario.write_text(json.dumps(doc))
+        code = run(tmp_path, "simulate", "--scenario", str(scenario))
+        err = capsys.readouterr().err
+        assert code == 2, err
+        [line] = err.splitlines()
+        assert line.startswith("scenario error: initial_control: "), line
+
 
 class TestSmoke:
     @pytest.mark.parametrize("fixture", FIXTURES)

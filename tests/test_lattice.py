@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from volterra_control.backward import _row_run
 from volterra_control.lattice import (AdaptedProcess, ScaledMatrix, TimeGrid, Tree,
                                       TwoParamProcess, as_table, transpose)
 
@@ -164,16 +165,27 @@ class TestLevelSum:
             tree.level_sum([], 2)
 
 
+def drift_free_run(tree, values, to_level):
+    """(E_k[x], [z_k, ..., z_{J-1}]) for a level-J field x, by the
+    backward solvers' drift-free row run."""
+    level = tree.level_of(values)
+    run, zs = [None] * level + [values], [None] * level
+    _row_run(tree, run, zs, level, to_level)
+    return run[to_level], zs[to_level:]
+
+
 class TestMartingaleRepr:
+    """x = E_k[x] + sum_{j>=k} z_j dW_j through ``backward._row_run``."""
+
     def test_constant_field(self):
         tree = Tree.build(1.0, 4)
-        mean, zs = tree.martingale_repr(np.full((16, 1), 2.5), 0)
+        mean, zs = drift_free_run(tree, np.full((16, 1), 2.5), 0)
         assert mean[0, 0] == 2.5
         assert all(np.all(z == 0.0) for z in zs)
 
     def test_two_leaf_formula(self):
         tree = Tree.build(1.0, 1)
-        mean, zs = tree.martingale_repr(field([1.0, 5.0]), 0)
+        mean, zs = drift_free_run(tree, field([1.0, 5.0]), 0)
         assert mean[0, 0] == 3.0
         assert abs(zs[0][0, 0] - 2.0 / tree.sqdt) <= 1e-15
 
@@ -184,10 +196,13 @@ class TestMartingaleRepr:
             rng = np.random.default_rng(100 + n)
             x = rng.standard_normal((tree.n_leaves, 3))
             for k in (0, n // 2):
-                mean, zs = tree.martingale_repr(x, k)
+                mean, zs = drift_free_run(tree, x, k)
                 back = tree.embed(mean, tree.N) + tree.ito_sum(
                     lambda j, zs=zs, k=k: zs[j - k], k, n)
                 assert np.max(np.abs(back - x)) <= 1e-13
+            # one step: the pair mean has the bits of numpy's mean
+            mean, _ = tree.repr_step(x)
+            assert np.array_equal(mean, x.reshape(-1, 2, 3).mean(axis=1))
 
 
 class TestKernelApplication:
