@@ -27,13 +27,14 @@ slot, i, j)``: the jacobian of catalog object ``name`` in ``slot`` at
 f_z(j) = ``d("f", "z", 0, j)``, psi_x(j) = ``d("psi", "x", j, N)``.
 
 Each equation is written down once, as free-term rows plus kernels
-(``_lambda0_equation``, ``_xi_equation``, ``_pq_equation``); the solver
-in ``assemble_adjoint`` and the check in ``adjoint_residuals`` both read
-that one statement.  lambda0 is the one-row case of the xi Fredholm
-equation, so both are solved by ``solve_fredholm`` and checked, stored
-runs included, by ``fredholm_row_residual``.  mu and nu come with the
-(p, q) solve, which takes theta as its boundary term.  Every row sum
-over terms of mixed levels is one ``Tree.level_sum``.
+(``_lambda0_equation``, ``_xi_equation``, ``_pq_equation``) or as a sum
+(``_theta_equation``); the solver in ``assemble_adjoint`` and the check
+in ``adjoint_residuals`` both read that one statement.  lambda0 is the
+one-row case of the xi Fredholm equation, so both are solved by
+``solve_fredholm`` and checked, stored runs included, by
+``fredholm_row_residual``.  mu and nu come with the (p, q) solve, which
+takes theta as its boundary term.  Every row sum over terms of mixed
+levels is one ``Tree.level_sum``.
 """
 
 from __future__ import annotations
@@ -239,6 +240,16 @@ def _xi_equation(tree: Tree, fro: FrozenCoefficients, Lambda: AdaptedProcess):
                         "include_diag_A": True}
 
 
+def _theta_equation(tree: Tree, fro: FrozenCoefficients, lambda0: np.ndarray,
+                    xi_rows) -> np.ndarray:
+    """theta = h_x + psi_x(0)' lambda0 + dt sum_j psi_x(j)' xi_j."""
+    N = tree.N
+    theta = fro.d("h", "x", 0, N) + tree.tmatvec(fro.d("psi", "x", 0, N), lambda0)
+    for j in range(N):
+        theta = theta + tree.dt * tree.tmatvec(fro.d("psi", "x", j, N), xi_rows[j])
+    return theta
+
+
 def _pq_equation(tree: Tree, fro: FrozenCoefficients, Lambda: AdaptedProcess,
                  xi_rows, theta: np.ndarray):
     """The (p, q) equation as ``solve_linear_backward`` arguments: the
@@ -260,7 +271,6 @@ def assemble_adjoint(scenario: Scenario, fwd: ForwardPath, bwd, u: AdaptedProces
                      tree: Tree | None = None) -> AdjointBundle:
     """Chain the four adjoint solves along the state triple (fwd, bwd, u)."""
     tree = tree or scenario.tree()
-    N = tree.N
     fro = FrozenCoefficients(scenario, tree, fwd, bwd, u)
 
     lam = solve_lambda0(tree, fro)
@@ -269,10 +279,7 @@ def assemble_adjoint(scenario: Scenario, fwd: ForwardPath, bwd, u: AdaptedProces
     alpha_rows, xi_kernels = _xi_equation(tree, fro, Lambda)
     xi = solve_fredholm(tree, alpha_rows, **xi_kernels)
 
-    theta = fro.d("h", "x", 0, N) + tree.tmatvec(fro.d("psi", "x", 0, N), lambda0)
-    for j in range(N):
-        theta = theta + tree.dt * tree.tmatvec(fro.d("psi", "x", j, N), xi.xi[j])
-
+    theta = _theta_equation(tree, fro, lambda0, xi.xi)
     p_rows, pq_kernels = _pq_equation(tree, fro, Lambda, xi.xi, theta)
     pq_sol = solve_linear_backward(tree, p_rows, **pq_kernels)
 
@@ -331,20 +338,21 @@ def adjoint_residuals(scenario: Scenario, bundle: AdjointBundle,
     res2 = max(fredholm_row_residual(tree, bundle.xi, i, alpha_rows, **xi_kernels)
                for i in range(N))
 
-    # third equation: mu_i = theta - sum_{j>=i} nu_j dW_j, the tails summed
-    # from i = N down
+    # third equation: mu_i = theta - sum_{j>=i} nu_j dW_j with theta from
+    # its definition, the tails summed from i = N down
+    theta = _theta_equation(tree, fro, bundle.lambda0, bundle.xi.xi)
     pq = bundle.pq
     res3 = 0.0
-    tail = np.zeros_like(bundle.theta)
+    tail = np.zeros_like(theta)
     for i in range(N, -1, -1):
         if i < N:
             tail = tail + tree.embed(tree.dw_term(pq.nu.level(i), i), N)
         res3 = max(res3, float(np.abs(
-            tree.embed(pq.mu.level(i), N) - (bundle.theta - tail)).max()))
+            tree.embed(pq.mu.level(i), N) - (theta - tail)).max()))
 
     # fourth equation rows + M-identity
     p_rows, pq_kernels = _pq_equation(tree, fro, bundle.Lambda, bundle.xi.xi,
-                                      bundle.theta)
+                                      theta)
     res4 = max(backward_row_residual(tree, pq, i, p_rows, **pq_kernels)
                for i in range(N))
     res_m = msolution_identity_residual(tree, pq)

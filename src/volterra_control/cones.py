@@ -2,114 +2,107 @@
 
 At an interior point the cone of admissible directions is the whole
 space; on the boundary of a smooth-inequality region satisfying LICQ it
-is the polyhedral cone {v : <grad g_i(u), v> <= 0 for active i}.  A cone
-is its (k, l) array W of active normals, k = 0 being the full space.
-All cone computations reduce to one nonnegative least-squares fit by the
-rows of W (Moreau decomposition against the polar cone they generate);
-with k = 0 the fit is empty and the projection is the identity.
+is the polyhedral cone {v : <grad g_i(u), v> <= 0 for active i}.  Like
+``ControlConstraint``, everything here takes (..., l) node tables, bit
+for bit as if row by row.  A cone is its (..., k, l) stack W of normals
+with zero rows for inactive inequalities (a zero row leaves {v : W v <=
+0} unchanged; all zero is the full space).  All cone computations reduce
+to one nonnegative least-squares fit by the rows of W (Moreau
+decomposition against the polar cone they generate), solved exactly by
+support enumeration.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 
-from .scenario import ControlConstraint
+from .scenario import ControlConstraint, _norm, _rowmat
 
 
 class LicqError(RuntimeError):
     pass
 
 
-def nnls(A: np.ndarray, b: np.ndarray, max_iter: int | None = None):
-    """min_{x >= 0} ||A x - b||: Lawson-Hanson active-set iteration.
+def nnls(A: np.ndarray, b: np.ndarray):
+    """min_{x >= 0} ||A x - b|| for each row of a (..., m, k) stack A and
+    (..., m) stack b: exact support enumeration.
 
-    Repeatedly solves the unconstrained least squares on the passive set
-    and clips negative entries; exact termination for the small systems
-    used here.  Returns (x, residual_norm).
+    Every support of at most min(m, k) columns is solved once for the
+    whole stack (pseudo-inverse).  The least residual among the
+    nonnegative solutions, the empty support included, is the minimum
+    when the nonzero columns are independent (LICQ, which
+    ``adjacent_cone`` enforces).  Returns (x, residual_norm).
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
-    m, n = A.shape
-    if max_iter is None:
-        max_iter = 6 * n + 30
-    x = np.zeros(n)
-    passive = np.zeros(n, dtype=bool)
-    resid = b - A @ x
-    tol = 1e-12 * (1.0 + float(np.abs(A).max(initial=0.0))) * (
-        1.0 + float(np.abs(b).max(initial=0.0)))
-    for _ in range(max_iter):
-        w = A.T @ resid
-        w[passive] = -np.inf
-        if np.all(w <= tol):
-            break
-        passive[int(np.argmax(w))] = True
-        while True:
-            s = np.zeros(n)
-            idx = np.flatnonzero(passive)
-            s[idx], *_ = np.linalg.lstsq(A[:, idx], b, rcond=None)
-            if np.all(s[idx] > tol):
-                x = s
-                break
-            # step toward s until the first passive entry hits zero
-            mask = (s <= tol) & passive
-            alpha = np.min(x[mask] / (x[mask] - s[mask]))
-            x = x + alpha * (s - x)
-            passive &= x > tol
-            x[~passive] = 0.0
-            if not passive.any():
-                x = np.zeros(n)
-                break
-        resid = b - A @ x
-    else:
-        raise RuntimeError("nnls iteration cap exceeded")
-    return x, float(np.linalg.norm(b - A @ x))
+    m, k = A.shape[-2:]
+    best_x = np.zeros(b.shape[:-1] + (k,))
+    best_r = np.asarray(_norm(b))
+    for size in range(1, min(m, k) + 1):
+        for cols in map(list, combinations(range(k), size)):
+            x = np.zeros_like(best_x)
+            x[..., cols] = _rowmat(np.linalg.pinv(A[..., cols]), b)
+            r = _norm(b - _rowmat(A, x))
+            better = np.all(x[..., cols] >= 0.0, axis=-1) & (r < best_r)
+            best_x[better], best_r[better] = x[better], r[better]
+    return best_x, best_r
 
 
 def adjacent_cone(constraint: ControlConstraint, u: np.ndarray,
                   activity_tol: float = 1e-8) -> np.ndarray:
-    """Active normals W, shape (k, l), of the cone {v : W v <= 0} of
-    admissible directions at u under LICQ; k = 0 at interior points.
+    """Normals W, shape (..., k, l), of the cone {v : W v <= 0} of
+    admissible directions at each row of u under LICQ; the rows of
+    inactive inequalities are zero (all zero at interior points).
 
-    Raises LicqError when the active gradients are rank deficient, and
-    ValueError when u is infeasible.
+    Raises LicqError when the active gradients of a row are rank
+    deficient, and ValueError when a row is infeasible; both name the row.
     """
     u = np.asarray(u, dtype=float)
     within, active = constraint.activity(u, activity_tol)
-    if not within.all():
-        raise ValueError(f"point is outside the control region: "
-                         f"g = {constraint.values(u)}")
-    normals = constraint.gradients(u)[active]
-    if np.linalg.matrix_rank(normals, tol=1e-10) < normals.shape[0]:
-        raise LicqError(
-            f"LICQ fails: {normals.shape[0]} active gradients are dependent")
+    outside = ~within.all(axis=-1)
+    if outside.any():
+        row = tuple(np.argwhere(outside)[0].tolist())
+        raise ValueError(f"point {row} is outside the control region: "
+                         f"g = {constraint.values(u[row])}")
+    normals = np.where(active[..., None], constraint.gradients(u), 0.0)
+    count = active.sum(axis=-1)
+    dependent = np.linalg.matrix_rank(normals, tol=1e-10) < count
+    if dependent.any():
+        row = tuple(np.argwhere(dependent)[0].tolist())
+        raise LicqError(f"LICQ fails at point {row}: {count[row]} active "
+                        f"gradients are dependent")
     return normals
 
 
 def project_polyhedral_cone(normals: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto {v : normals @ v <= 0}.
+    """Euclidean projection of each row of x onto {v : normals @ v <= 0}.
 
     Moreau decomposition: x = proj_C(x) + proj_polar(x) with the polar
     cone generated by the normals, so proj_C(x) = x - W' lambda with
     lambda the nonnegative least-squares fit of x by the normals.
     """
     x = np.asarray(x, dtype=float)
-    lam, _ = nnls(normals.T, x)
-    return x - normals.T @ lam
+    Wt = np.swapaxes(normals, -1, -2)
+    lam, _ = nnls(Wt, x)
+    return x - _rowmat(Wt, lam)
 
 
 def cone_min_linear(F: np.ndarray, normals: np.ndarray):
-    """min_{v in C, |v| <= 1} <F, v> = -||proj_C(-F)||, with its argmin.
+    """min_{v in C, |v| <= 1} <F, v> = -||proj_C(-F)|| for each row of F,
+    with its argmin.
 
     Always <= 0 since 0 is a member; the argmin is the normalized
     projection of -F (zero when the projection vanishes).  The norm is
     also the KKT residual min_{lambda >= 0} ||F + W' lambda||.  NNLS
-    rounding below 1e-15 (1 + |F|) snaps to 0; the full space (k = 0) is
-    exact and only snaps at F = 0.
+    rounding below 1e-15 (1 + |F|) snaps to 0 where a normal is nonzero;
+    the full space (all-zero normals) is exact and only snaps at F = 0.
     """
     F = np.asarray(F, dtype=float)
     proj = project_polyhedral_cone(normals, -F)
-    norm = float(np.linalg.norm(proj))
-    snap = 1e-15 * (1.0 + float(np.linalg.norm(F))) if len(normals) else 0.0
-    if norm <= snap:
-        return 0.0, np.zeros_like(F)
-    return -norm, proj / norm
+    norm = _norm(proj)
+    snap = np.where(normals.any(axis=(-2, -1)), 1e-15 * (1.0 + _norm(F)), 0.0)
+    zero = norm <= snap
+    arg = np.where(zero[..., None], 0.0, proj / np.where(zero, 1.0, norm)[..., None])
+    return np.where(zero, 0.0, -norm), arg

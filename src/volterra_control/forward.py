@@ -38,15 +38,14 @@ def _check_finite(arr: np.ndarray, level: int, term: str):
             f"non-finite value in {term} at level {level}, node {node}")
 
 
-def _check_control(scenario: Scenario, tree: Tree, u: AdaptedProcess,
-                   check_constraint: bool = True):
+def _check_control(scenario: Scenario, tree: Tree, u: AdaptedProcess):
     if u.dim != scenario.l:
         raise SimulationError(f"control dim {u.dim}, scenario wants {scenario.l}")
     if u.last_level < tree.N - 1:
         raise SimulationError(
             f"control defined up to level {u.last_level}, need {tree.N - 1}")
     constraint = scenario.constraint
-    if not check_constraint or constraint.variant == "unconstrained":
+    if constraint.variant == "unconstrained":
         return
     tol = scenario.tolerances.activity_tol
     for j in range(tree.N):
@@ -76,15 +75,11 @@ def _euler_sweep(tree: Tree, free, kernel, name: str) -> AdaptedProcess:
 
 
 def simulate_forward(scenario: Scenario, u: AdaptedProcess,
-                     tree: Tree | None = None,
-                     check_constraint: bool = True) -> ForwardPath:
-    """Solve the forward equation under the control u; X(t_0) = phi(t_0).
-
-    ``check_constraint=False`` skips the admissibility sweep (used when
-    probing the affine state map outside the control region).
-    """
+                     tree: Tree | None = None) -> ForwardPath:
+    """Solve the forward equation under the admissible control u;
+    X(t_0) = phi(t_0)."""
     tree = tree or scenario.tree()
-    _check_control(scenario, tree, u, check_constraint)
+    _check_control(scenario, tree, u)
     co = scenario.coeffs
 
     def kernel(i, j, xj):  # (drift, diff) = (b, sigma)(t_i, t_j, X_j, u_j)

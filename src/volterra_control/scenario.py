@@ -407,9 +407,9 @@ class ControlConstraint:
     2 - |u|^2 <= 0} and carries a radial closed-form projection; other
     quadratics regions have none.
 
-    ``values``, ``activity``, ``contains`` and ``project`` take (..., l)
-    node tables, one point per row, bit for bit as if row by row; an
-    (l,) point is the one-row case.
+    ``values``, ``gradients``, ``activity``, ``contains`` and ``project``
+    take (..., l) node tables, one point per row, bit for bit as if row by
+    row; an (l,) point is the one-row case.
     """
 
     def __init__(self, variant, dim, data):
@@ -516,15 +516,16 @@ class ControlConstraint:
                          + t["const"] for t in self.data["terms"]], axis=-1)
 
     def gradients(self, u: np.ndarray) -> np.ndarray:
+        """Constraint gradients grad g_i(u), shape (..., k, l)."""
         u = np.asarray(u, dtype=float)
         if self.variant == "unconstrained":
-            return np.zeros((0, self.dim))
+            return np.zeros(u.shape[:-1] + (0, self.dim))
         if self.variant == "ball":
-            return 2.0 * (u - self.data["center"])[None, :]
+            return 2.0 * (u - self.data["center"])[..., None, :]
         if self.variant == "halfspaces":
-            return self.data["normals"].copy()
-        return np.stack([(t["quad"] + t["quad"].T) @ u + t["lin"]
-                         for t in self.data["terms"]])
+            return np.tile(self.data["normals"], u.shape[:-1] + (1, 1))
+        return np.stack([_rowmat(t["quad"] + t["quad"].T, u) + t["lin"]
+                         for t in self.data["terms"]], axis=-2)
 
     def activity(self, u: np.ndarray, tol: float):
         """Masks (within, active), shape (..., k), of the band rule: g_i <=

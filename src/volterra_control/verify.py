@@ -358,9 +358,10 @@ def check_pointwise_nc(scenario: Scenario, u: AdaptedProcess,
     On the lattice the sweep covers every node, which is strictly
     stronger than the almost-everywhere statement it discretizes.
     ``ControlConstraint.activity`` classifies each level at once; interior
-    and unconstrained nodes have the full space as cone (minimum -|H_u|),
-    and only nodes with an active inequality build a cone and reach one
-    NNLS.  Each row is (level, node, minValue, cone kind), the kind
+    and unconstrained nodes have the full space as cone (minimum -|H_u|)
+    and make no cone call, while the level's boundary nodes (an active
+    inequality) share one ``adjacent_cone`` and one ``cone_min_linear``
+    call.  Each row is (level, node, minValue, cone kind), the kind
     "full" or "polyhedral"; -minValue is also the KKT residual
     min_{lambda >= 0} |H_u + W' lambda| of the node.  Raises ValueError
     naming the first infeasible node or the first node whose gradient is
@@ -388,11 +389,12 @@ def check_pointwise_nc(scenario: Scenario, u: AdaptedProcess,
                              f"node {node}: H_u = {grads[node]}")
         norms = np.sqrt(np.vecdot(grads, grads))
         vals = np.where(norms == 0.0, 0.0, -norms)
-        kinds = ["full"] * len(norms)
-        for node in np.flatnonzero(active.any(axis=1)):
-            kinds[node] = "polyhedral"
-            vals[node], _ = cone_min_linear(
-                grads[node], adjacent_cone(constraint, u_level[node], tol))
+        boundary = active.any(axis=1)
+        if boundary.any():
+            vals[boundary], _ = cone_min_linear(
+                grads[boundary], adjacent_cone(constraint, u_level[boundary], tol))
+        # an object table keeps one shared string per kind in the rows
+        kinds = np.array(["full", "polyhedral"], dtype=object)[boundary.astype(int)].tolist()
         sup_grad = max(sup_grad, float(norms.max()))
         low = float(vals.min())
         if low < worst:

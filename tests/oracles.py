@@ -3,14 +3,15 @@
 Everything here works on dense leaf-resolution matrices assembled from
 the defining discrete equations, on exhaustive finite-dimensional
 programs, or one point at a time (control-region geometry, the NC sweep,
-KKT multipliers, the limit definition of the adjacent cone, difference
-quotients of the cost and of the catalog objects), independently of the
-package's sweep solvers.  ``solve_bsde`` is the plain BSDE recursion a
+KKT multipliers by the Lawson-Hanson iteration, the limit definition of
+the adjacent cone, difference quotients of the cost and of the catalog
+objects), independently of the package's sweep solvers.  ``solve_bsde`` is the plain BSDE recursion a
 time-invariant BSVIE reduces to.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -19,7 +20,7 @@ import numpy as np
 
 from volterra_control.backward import (BackwardPath, PicardError, _implicit_step,
                                        solve_bsvie, solve_linear_backward)
-from volterra_control.cones import adjacent_cone, cone_min_linear, nnls
+from volterra_control.cones import adjacent_cone, cone_min_linear
 from volterra_control.forward import SimulationError, simulate_forward
 from volterra_control.lattice import (AdaptedProcess, Tree, TwoParamProcess,
                                       as_table, transpose)
@@ -509,8 +510,12 @@ def qp_oracle(scenario: Scenario, tree: Tree | None = None,
     coords = _control_coords(tree, l)
     n_u = len(coords)
 
+    # the affine state map is probed outside the control region
+    free = dataclasses.replace(scenario,
+                               constraint=ControlConstraint.unconstrained(l))
+
     def stack_states(u):
-        fwd = simulate_forward(scenario, u, tree, check_constraint=False)
+        fwd = simulate_forward(free, u, tree)
         bwd = solve_bsvie(scenario, fwd, u, tree)
         parts = [fwd.X.level(i).ravel() for i in range(tree.N + 1)]
         parts += [bwd.Y.level(i).ravel() for i in range(tree.N + 1)]
@@ -724,8 +729,8 @@ def nc_sweep_oracle(scenario: Scenario, u: AdaptedProcess, tree: Tree,
             grad = hu_level[node]
             sup_grad = max(sup_grad, float(np.linalg.norm(grad)))
             normals = adjacent_cone(scenario.constraint, u_level[node], tol)
-            kind = "polyhedral" if len(normals) else "full"
-            val, _ = cone_min_linear(grad, normals)
+            kind = "polyhedral" if normals.any() else "full"
+            val = float(cone_min_linear(grad, normals)[0])
             if val < worst:
                 worst = val
                 worst_loc = (level, node)
@@ -744,18 +749,62 @@ def cone_contains(normals: np.ndarray, v: np.ndarray, tol: float = 1e-10) -> boo
     return bool(np.all(normals @ v <= tol * scale))
 
 
+def lawson_hanson_nnls(A: np.ndarray, b: np.ndarray):
+    """min_{x >= 0} ||A x - b||: Lawson-Hanson active-set iteration, the
+    independent reference for the support enumeration of ``cones.nnls``.
+
+    Repeatedly solves the unconstrained least squares on the passive set
+    and clips negative entries; exact termination for the small systems
+    used here.  Returns (x, residual_norm).
+    """
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    m, n = A.shape
+    x = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    resid = b - A @ x
+    tol = 1e-12 * (1.0 + float(np.abs(A).max(initial=0.0))) * (
+        1.0 + float(np.abs(b).max(initial=0.0)))
+    for _ in range(6 * n + 30):
+        w = A.T @ resid
+        w[passive] = -np.inf
+        if np.all(w <= tol):
+            break
+        passive[int(np.argmax(w))] = True
+        while True:
+            s = np.zeros(n)
+            idx = np.flatnonzero(passive)
+            s[idx], *_ = np.linalg.lstsq(A[:, idx], b, rcond=None)
+            if np.all(s[idx] > tol):
+                x = s
+                break
+            # step toward s until the first passive entry hits zero
+            mask = (s <= tol) & passive
+            alpha = np.min(x[mask] / (x[mask] - s[mask]))
+            x = x + alpha * (s - x)
+            passive &= x > tol
+            x[~passive] = 0.0
+            if not passive.any():
+                x = np.zeros(n)
+                break
+        resid = b - A @ x
+    else:
+        raise RuntimeError("nnls iteration cap exceeded")
+    return x, float(np.linalg.norm(b - A @ x))
+
+
 def kkt_multipliers(F: np.ndarray, active_normals):
     """Multipliers lambda >= 0 minimizing ||F + sum lambda_i w_i||.
 
     A residual near zero certifies the inclusion form of the first-order
     condition: -F lies in the cone generated by the active gradients.
+    Zero normals (inactive inequalities) get lambda = 0.
     """
     F = np.asarray(F, dtype=float)
     W = np.atleast_2d(np.asarray(active_normals, dtype=float))
     if W.shape[0] == 0:
         return np.zeros(0), float(np.linalg.norm(F))
-    lam, resid = nnls(W.T, -F)
-    return lam, resid
+    return lawson_hanson_nnls(W.T, -F)
 
 
 def dist_limit_probe(constraint: ControlConstraint, u: np.ndarray,

@@ -6,8 +6,8 @@ import pytest
 from oracles import dense_fredholm_solve, random_duality_instance
 
 from volterra_control.adjoint import (
-    FredholmSolution, adjoint_residuals, assemble_adjoint, fredholm_row_residual,
-    hamiltonian_gradient, solve_fredholm, solve_lambda0,
+    FredholmSolution, _pq_equation, adjoint_residuals, assemble_adjoint,
+    fredholm_row_residual, hamiltonian_gradient, solve_fredholm, solve_lambda0,
 )
 from volterra_control.backward import (BackwardSolution, solve_bsvie,
                                        solve_linear_backward)
@@ -207,6 +207,14 @@ def _bumped(levels, k):
     return out
 
 
+def _shifted_theta(b):
+    """theta + 0.1 with (p, q, mu, nu) re-solved from it: every equation
+    but theta's own definition still holds."""
+    tree, theta = b.frozen.tree, b.theta + 0.1
+    p_rows, kernels = _pq_equation(tree, b.frozen, b.Lambda, b.xi.xi, theta)
+    return replace(b, theta=theta, pq=solve_linear_backward(tree, p_rows, **kernels))
+
+
 # (perturbed field, the adjoint_residuals entry that must flag it, perturbation)
 PERTURBATIONS = [
     ("lambda0", "lambda0",
@@ -215,6 +223,7 @@ PERTURBATIONS = [
      lambda b: replace(b, Lambda=AdaptedProcess(_bumped(b.Lambda.levels, 3)))),
     ("xi row", "xi",
      lambda b: replace(b, xi=FredholmSolution(_bumped(b.xi.xi, 2), b.xi.cond))),
+    ("theta", "mu_nu", _shifted_theta),
     ("mu", "mu_nu",
      lambda b: replace(b, pq=replace(b.pq, mu=AdaptedProcess(
          _bumped(b.pq.mu.levels, 2))))),

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import cone_contains, dist_limit_probe, kkt_multipliers
+from oracles import cone_contains, dist_limit_probe, kkt_multipliers, lawson_hanson_nnls
 
 from volterra_control.cones import (
     LicqError, adjacent_cone, cone_min_linear, nnls, project_polyhedral_cone,
@@ -35,6 +36,25 @@ def grid_search_projection(normals, x, half_width=3.0, steps=61, rounds=3):
 
 
 class TestNnls:
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 4),
+           k=st.integers(0, 3), zeros=st.integers(0, 2))
+    def test_stack_matches_lawson_hanson(self, seed, m, k, zeros):
+        # min(k, m) independent columns plus zero ones, at random positions
+        rng = np.random.default_rng(seed)
+        k = min(k, m)
+        A = rng.standard_normal((5, m, k + zeros))
+        A[..., rng.permutation(k + zeros)[:zeros]] = 0.0
+        b = rng.standard_normal((5, m)) * rng.uniform(0.1, 10.0, (5, 1))
+        x, resid = nnls(A, b)
+        assert x.shape == (5, k + zeros) and resid.shape == (5,)
+        assert np.all(x >= 0.0)
+        for Ai, bi, xi, ri in zip(A, b, x, resid):
+            _, ref = lawson_hanson_nnls(Ai, bi)
+            tol = 1e-12 * (1.0 + np.linalg.norm(bi))
+            assert abs(ri - ref) <= tol
+            assert abs(ri - np.linalg.norm(Ai @ xi - bi)) <= tol
+
     def test_matches_grid_search(self):
         rng = np.random.default_rng(9)
         for _ in range(20):
@@ -67,12 +87,13 @@ class TestAdjacentCone:
     def test_torus_interior_full_space(self):
         torus = ControlConstraint.torus()
         cone = adjacent_cone(torus, np.array([1.5, 0.0]))
-        assert cone.shape == (0, 2)
+        # one zero row per inactive inequality: no restriction on v
+        assert np.array_equal(cone, np.zeros((2, 2)))
 
     def test_torus_outer_boundary(self):
         torus = ControlConstraint.torus()
         cone = adjacent_cone(torus, np.array([2.0, 0.0]))
-        assert cone.shape == (1, 2) and np.allclose(cone, [[4.0, 0.0]])
+        assert cone.shape == (2, 2) and np.allclose(cone, [[4.0, 0.0], [0.0, 0.0]])
         assert cone_contains(cone, np.array([-1.0, 0.5]))
         assert not cone_contains(cone, np.array([0.1, 0.0]))
 
@@ -81,7 +102,8 @@ class TestAdjacentCone:
         torus = ControlConstraint.torus()
         u = np.array([SQRT2, 0.0])
         cone = adjacent_cone(torus, u)
-        assert cone.shape == (1, 2) and np.allclose(cone, [[-2.0 * SQRT2, 0.0]])
+        assert cone.shape == (2, 2) and np.allclose(
+            cone, [[0.0, 0.0], [-2.0 * SQRT2, 0.0]])
         assert cone_contains(cone, np.array([1.0, 0.0]))   # v_1 >= 0
         assert not cone_contains(cone, np.array([-1.0, 0.0]))
 

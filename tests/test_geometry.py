@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import (kkt_multipliers, nc_sweep_oracle, point_contains,
                      point_project, point_values, qp_oracle)
 
-from volterra_control.cones import adjacent_cone
+from volterra_control.cones import LicqError, adjacent_cone, cone_min_linear
 
 from volterra_control.lattice import AdaptedProcess
 from volterra_control.scenario import (ControlConstraint, ProjectionUnavailable,
@@ -37,7 +37,8 @@ def random_table(rng, dim, rows=24, scale=2.0):
 def assert_rows_match_reference(c, table, tol=1e-8):
     """Row-by-row calls equal the per-point reference, and one call on the
     whole table (also reshaped to (2, rows/2, l)) equals the row-by-row
-    calls."""
+    calls; so do ``adjacent_cone`` and ``cone_min_linear`` on the feasible
+    rows that satisfy LICQ."""
     for x in table:
         assert np.array_equal(c.values(x), point_values(c, x))
         assert c.contains(x, tol) == point_contains(c, x, tol)
@@ -58,6 +59,10 @@ def assert_rows_match_reference(c, table, tol=1e-8):
         assert np.array_equal(
             c.contains(batch, tol),
             np.array([c.contains(x, tol) for x in rows]).reshape(batch.shape[:-1]))
+        assert np.array_equal(
+            c.gradients(batch),
+            np.stack([c.gradients(x) for x in rows]).reshape(
+                batch.shape[:-1] + (-1, batch.shape[-1])))
         try:
             projected = np.stack([c.project(x) for x in rows]).reshape(batch.shape)
         except ProjectionUnavailable:
@@ -65,6 +70,42 @@ def assert_rows_match_reference(c, table, tol=1e-8):
                 c.project(batch)
         else:
             assert np.array_equal(c.project(batch), projected)
+    # the cone layer: infeasible and LICQ-failing rows are named, the rest
+    # batched as above, with one gradient F per row (F = 0 in the first,
+    # below the 1e-15 snap in every third)
+    inside = c.contains(table, tol)
+    if not inside.all():
+        first = int(np.argmin(inside))
+        with pytest.raises(ValueError, match=rf"point \({first},\) is outside"):
+            adjacent_cone(c, table, tol)
+    feasible, licq = table[inside], []
+    for k, x in enumerate(feasible):
+        try:
+            adjacent_cone(c, x, tol)
+        except LicqError:
+            if len(licq) == k:  # the batch names its first failing row
+                with pytest.raises(LicqError, match=rf"at point \({k},\)"):
+                    adjacent_cone(c, feasible, tol)
+        else:
+            licq.append(x)
+    if not licq:
+        return
+    table = np.array(licq + licq[:len(licq) % 2])
+    grads = np.random.default_rng(len(table)).standard_normal(table.shape)
+    grads[::3] *= 1e-16
+    grads[0] = 0.0
+    for batch in (table, table.reshape((2, -1, table.shape[-1]))):
+        rows = batch.reshape((-1, batch.shape[-1]))
+        F = grads.reshape(batch.shape)
+        cones = [adjacent_cone(c, x, tol) for x in rows]
+        mins = [cone_min_linear(f, w) for f, w in zip(grads, cones)]
+        normals = adjacent_cone(c, batch, tol)
+        assert np.array_equal(normals, np.stack(cones).reshape(
+            batch.shape[:-1] + cones[0].shape))
+        value, arg = cone_min_linear(F, normals)
+        assert np.array_equal(value, np.array([v for v, _ in mins]).reshape(
+            batch.shape[:-1]))
+        assert np.array_equal(arg, np.stack([a for _, a in mins]).reshape(batch.shape))
 
 
 @PROPERTY
@@ -181,6 +222,9 @@ def test_nc_matches_reference_annulus():
                             for i in range(tree.N)])
     u = (s.default_control(tree) + noise).map(s.constraint.project)
     assert assert_same_nc(s, u, tree) == {"full", "polyhedral"}
+    # every node on the outer ring: each level is one batched cone call
+    ring = AdaptedProcess.constant([2.0, 0.0], tree.N - 1)
+    assert assert_same_nc(s, ring, tree) == {"polyhedral"}
 
 
 @pytest.mark.parametrize("normal, offset, kinds", [
