@@ -35,6 +35,14 @@ one-row case of the xi Fredholm equation, so both are solved by
 ``fredholm_row_residual``.  mu and nu come with the (p, q) solve, which
 takes theta as its boundary term.  Every row sum over terms of mixed
 levels is one ``Tree.level_sum``.
+
+Every equation is assembled and checked in O(N 2^N) node operations per
+dimension, except for one sum that the (p, q) equation itself makes
+longer: F_i adds i + 1 leaf fields g_x(k,i)' xi_k.  That sum, like
+theta's psi_x sum, is one ``Tree.tmatvec_sum`` per row, a single matrix
+product over the stacked xi rows when the jacobians are constant.  The
+A and D terms of the Fredholm checks read E_i[xi_j] off the stored runs
+instead of reducing the leaves again.
 """
 
 from __future__ import annotations
@@ -131,7 +139,12 @@ def fredholm_row_residual(tree: Tree, sol: FredholmSolution, i: int, alpha_rows,
                           include_diag_A: bool = True) -> float:
     """Node-wise defect of row i of the defining discrete equation and of
     its stored run: each level E_r[xi_i] the pair mean of the next, the
-    last one xi_i itself."""
+    last one xi_i itself.
+
+    The A terms read E_i[xi_j] and the D terms E_j[xi_i] off the stored
+    runs, which the run check bounds, so without B all rows together cost
+    O(N 2^N) per dimension.  The B terms take E_j[B(j,i)' xi_j] from the
+    leaf product, independently of the solver's tower-property shortcut."""
     N = tree.N
 
     def terms():
@@ -143,11 +156,10 @@ def fredholm_row_residual(tree: Tree, sol: FredholmSolution, i: int, alpha_rows,
         hi = min(i, N - 1) if include_diag_A else i - 1
         for j in range(hi + 1):
             if A is not None:
-                yield tree.dt * tree.tmatvec(A(j, i), tree.cond_expect(sol.xi[j], i))
+                yield tree.dt * tree.tmatvec(A(j, i), sol.cond_exp(j, i))
         for j in range(i, N):
             if D is not None:
-                term = tree.tmatvec(D(i, j), tree.cond_expect(sol.xi[i], j))
-                yield tree.dw_term(term, j)
+                yield tree.dw_term(tree.tmatvec(D(i, j), sol.cond_exp(i, j)), j)
         if beta is not None:
             yield tree.ito_sum(lambda j: tree.embed(beta(i, j), j), 0, N)
 
@@ -241,27 +253,27 @@ def _xi_equation(tree: Tree, fro: FrozenCoefficients, Lambda: AdaptedProcess):
 
 
 def _theta_equation(tree: Tree, fro: FrozenCoefficients, lambda0: np.ndarray,
-                    xi_rows) -> np.ndarray:
-    """theta = h_x + psi_x(0)' lambda0 + dt sum_j psi_x(j)' xi_j."""
+                    xi_stack: np.ndarray) -> np.ndarray:
+    """theta = h_x + psi_x(0)' lambda0 + dt sum_j psi_x(j)' xi_j, with the
+    xi rows given as one (2**N, N, m) stack."""
     N = tree.N
-    theta = fro.d("h", "x", 0, N) + tree.tmatvec(fro.d("psi", "x", 0, N), lambda0)
-    for j in range(N):
-        theta = theta + tree.dt * tree.tmatvec(fro.d("psi", "x", j, N), xi_rows[j])
-    return theta
+    psi_xi = tree.tmatvec_sum([fro.d("psi", "x", j, N) for j in range(N)], xi_stack)
+    return (fro.d("h", "x", 0, N) + tree.tmatvec(fro.d("psi", "x", 0, N), lambda0)
+            + tree.dt * psi_xi)
 
 
 def _pq_equation(tree: Tree, fro: FrozenCoefficients, Lambda: AdaptedProcess,
-                 xi_rows, theta: np.ndarray):
+                 xi_stack: np.ndarray, theta: np.ndarray):
     """The (p, q) equation as ``solve_linear_backward`` arguments: the
-    free-term rows F_i and the keyword arguments A = b_x', B = sigma_x'
-    (transposed, slots swapped), boundary theta, strict A-sum."""
-    def f_terms(i):
-        yield fro.d("f", "x", 0, i) + tree.tmatvec(fro.d("g", "x", 0, i),
-                                                   Lambda.level(i))
-        for k in range(i + 1):
-            yield tree.dt * tree.tmatvec(fro.d("g", "x", k, i), xi_rows[k])
-
-    p_rows = [tree.level_sum(f_terms(i), tree.N) for i in range(tree.N)]
+    free-term rows F_i (the xi rows given as one (2**N, N, m) stack) and
+    the keyword arguments A = b_x', B = sigma_x' (transposed, slots
+    swapped), boundary theta, strict A-sum."""
+    N = tree.N
+    p_rows = [tree.level_sum(
+        [fro.d("f", "x", 0, i) + tree.tmatvec(fro.d("g", "x", 0, i), Lambda.level(i)),
+         tree.dt * tree.tmatvec_sum([fro.d("g", "x", k, i) for k in range(i + 1)],
+                                    xi_stack[:, :i + 1])], N)
+        for i in range(N)]
     return p_rows, {"A": lambda i, j: transpose(fro.d("b", "x", j, i)),
                     "B": lambda i, j: transpose(fro.d("sigma", "x", j, i)),
                     "theta": theta, "include_diag_A": False}
@@ -279,8 +291,12 @@ def assemble_adjoint(scenario: Scenario, fwd: ForwardPath, bwd, u: AdaptedProces
     alpha_rows, xi_kernels = _xi_equation(tree, fro, Lambda)
     xi = solve_fredholm(tree, alpha_rows, **xi_kernels)
 
-    theta = _theta_equation(tree, fro, lambda0, xi.xi)
-    p_rows, pq_kernels = _pq_equation(tree, fro, Lambda, xi.xi, theta)
+    # one copy of the xi rows for theta's and F_i's sums, not held through
+    # the (p, q) solve
+    xi_stack = np.stack(xi.xi, axis=1)
+    theta = _theta_equation(tree, fro, lambda0, xi_stack)
+    p_rows, pq_kernels = _pq_equation(tree, fro, Lambda, xi_stack, theta)
+    del xi_stack
     pq_sol = solve_linear_backward(tree, p_rows, **pq_kernels)
 
     return AdjointBundle(lambda0=lambda0, Lambda=Lambda, xi=xi, theta=theta,
@@ -338,9 +354,15 @@ def adjoint_residuals(scenario: Scenario, bundle: AdjointBundle,
     res2 = max(fredholm_row_residual(tree, bundle.xi, i, alpha_rows, **xi_kernels)
                for i in range(N))
 
-    # third equation: mu_i = theta - sum_{j>=i} nu_j dW_j with theta from
-    # its definition, the tails summed from i = N down
-    theta = _theta_equation(tree, fro, bundle.lambda0, bundle.xi.xi)
+    # theta from its definition and the (p, q) free terms, from one copy of
+    # the xi rows not held through the checks
+    xi_stack = np.stack(bundle.xi.xi, axis=1)
+    theta = _theta_equation(tree, fro, bundle.lambda0, xi_stack)
+    p_rows, pq_kernels = _pq_equation(tree, fro, bundle.Lambda, xi_stack, theta)
+    del xi_stack
+
+    # third equation: mu_i = theta - sum_{j>=i} nu_j dW_j, the tails summed
+    # from i = N down
     pq = bundle.pq
     res3 = 0.0
     tail = np.zeros_like(theta)
@@ -351,8 +373,6 @@ def adjoint_residuals(scenario: Scenario, bundle: AdjointBundle,
             tree.embed(pq.mu.level(i), N) - (theta - tail)).max()))
 
     # fourth equation rows + M-identity
-    p_rows, pq_kernels = _pq_equation(tree, fro, bundle.Lambda, bundle.xi.xi,
-                                      theta)
     res4 = max(backward_row_residual(tree, pq, i, p_rows, **pq_kernels)
                for i in range(N))
     res_m = msolution_identity_residual(tree, pq)

@@ -22,7 +22,13 @@ from .scenario import ControlConstraint, _norm, _rowmat
 
 
 class LicqError(RuntimeError):
-    pass
+    """Rank-deficient active gradients at ``row``, the index of the
+    offending point, which ``place`` names in the message; ``reason``
+    says what fails there."""
+
+    def __init__(self, row: tuple, place: str, reason: str):
+        super().__init__(f"LICQ fails at {place}: {reason}")
+        self.row, self.reason = row, reason
 
 
 def nnls(A: np.ndarray, b: np.ndarray):
@@ -71,8 +77,8 @@ def adjacent_cone(constraint: ControlConstraint, u: np.ndarray,
     dependent = np.linalg.matrix_rank(normals, tol=1e-10) < count
     if dependent.any():
         row = tuple(np.argwhere(dependent)[0].tolist())
-        raise LicqError(f"LICQ fails at point {row}: {count[row]} active "
-                        f"gradients are dependent")
+        raise LicqError(row, f"point {row}",
+                        f"{count[row]} active gradients are dependent")
     return normals
 
 

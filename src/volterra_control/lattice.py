@@ -19,7 +19,9 @@ dense per-node table of shape (2**i, d, e), or a factored
 ``ScaledMatrix(scale, M)``, one (d, e) matrix M times a level-i (2**i,)
 per-node factor, or constant when the scale is None.  ``Tree.matvec``,
 ``Tree.tmatvec`` and ``Tree.implicit_solve`` apply either form, and
-``transpose`` and ``as_table`` take either.
+``transpose`` and ``as_table`` take either.  ``Tree.tmatvec_sum`` sums
+the transposed products of K matrix fields with the columns of a stack
+of K vector fields, as one matrix product when every matrix is constant.
 """
 
 from __future__ import annotations
@@ -166,8 +168,8 @@ class Tree:
         if to_level == from_level:
             return values
         block = 1 << (from_level - to_level)
-        shape = (1 << to_level, block) + values.shape[1:]
-        return values.reshape(shape).mean(axis=1)
+        blocks = values.reshape((1 << to_level, block) + values.shape[1:])
+        return _pair_mean(blocks) if block == 2 else blocks.mean(axis=1)
 
     def expectation(self, values: np.ndarray) -> np.ndarray:
         return self.cond_expect(values, 0)[0]
@@ -212,14 +214,16 @@ class Tree:
         if level < 1:
             raise ValueError("repr_step needs level >= 1")
         paired = values.reshape((1 << (level - 1), 2) + values.shape[1:])
-        mean = (paired[:, 0] + paired[:, 1]) * 0.5  # the bits of .mean(axis=1)
         z = (paired[:, 1] - paired[:, 0]) / (2.0 * self.sqdt)
-        return mean, z
+        return _pair_mean(paired), z
 
     # -- kernel application ---------------------------------------------
     # The one place that applies a matrix field, in either form: a dense
     # (2**i, d, e) table through einsum, a ScaledMatrix as one GEMM on the
-    # vector field followed by its per-node scale.
+    # vector field followed by its per-node scale.  ``tmatvec_sum`` applies
+    # K matrix fields to the K columns of a (2**i, K, d) stack and sums:
+    # one GEMM against the stacked matrices when all K are constant, else
+    # the ``level_sum`` of the K ``tmatvec`` products.
 
     def _common_level(self, mat: np.ndarray, vec: np.ndarray):
         lev = max(self.level_of(mat), self.level_of(vec))
@@ -249,11 +253,28 @@ class Tree:
             return self._rescale(mat.scale, vec @ mat.matrix)
         return np.einsum("kde,kd->ke", *self._common_level(mat, vec))
 
+    def tmatvec_sum(self, mats, stack: np.ndarray) -> np.ndarray:
+        """sum_k mats[k]' stack[:, k] for a (2**i, K, d) stack of level-i
+        vector fields and K matrix fields no finer than level i, as a
+        level-i field.  All constant: one (2**i, K d) @ (K d, e) product
+        (a column slice of a contiguous stack reshapes as a view)."""
+        if all(isinstance(mat, ScaledMatrix) and mat.scale is None for mat in mats):
+            flat = stack.reshape(stack.shape[0], -1)
+            return flat @ np.concatenate([mat.matrix for mat in mats], axis=0)
+        return self.level_sum((self.tmatvec(mat, stack[:, k])
+                               for k, mat in enumerate(mats)), self.level_of(stack))
+
     def implicit_solve(self, mat, rhs: np.ndarray) -> np.ndarray:
         """Per-node solve of (I - dt mat) x = rhs at the level of rhs, for a
         matrix field in either form at most as fine as rhs."""
         lhs = np.eye(rhs.shape[-1]) - self.dt * as_table(mat, rhs.shape[0])
         return np.linalg.solve(lhs, rhs[..., None])[..., 0]
+
+
+def _pair_mean(paired: np.ndarray) -> np.ndarray:
+    """Mean over axis 1 of an (n, 2, ...) array: the bits of
+    ``.mean(axis=1)``, an order of magnitude faster."""
+    return (paired[:, 0] + paired[:, 1]) * 0.5
 
 
 @dataclass(frozen=True, eq=False)

@@ -29,7 +29,7 @@ import numpy as np
 from .adjoint import (FredholmSolution, FrozenCoefficients, assemble_adjoint,
                       hamiltonian_gradient, solve_fredholm)
 from .backward import solve_bsvie, solve_linear_backward
-from .cones import adjacent_cone, cone_min_linear
+from .cones import LicqError, adjacent_cone, cone_min_linear
 from .forward import simulate_forward, simulate_forward_linear
 from .lattice import AdaptedProcess, ScaledMatrix, Tree, transpose
 from .scenario import ProjectionUnavailable, Scenario
@@ -365,7 +365,7 @@ def check_pointwise_nc(scenario: Scenario, u: AdaptedProcess,
     "full" or "polyhedral"; -minValue is also the KKT residual
     min_{lambda >= 0} |H_u + W' lambda| of the node.  Raises ValueError
     naming the first infeasible node or the first node whose gradient is
-    not finite.
+    not finite, and LicqError naming the first node where LICQ fails.
     """
     tree = tree or scenario.tree()
     hu = state if state is not None else full_pipeline(scenario, u, tree)[3]
@@ -391,8 +391,13 @@ def check_pointwise_nc(scenario: Scenario, u: AdaptedProcess,
         vals = np.where(norms == 0.0, 0.0, -norms)
         boundary = active.any(axis=1)
         if boundary.any():
-            vals[boundary], _ = cone_min_linear(
-                grads[boundary], adjacent_cone(constraint, u_level[boundary], tol))
+            try:
+                normals = adjacent_cone(constraint, u_level[boundary], tol)
+            except LicqError as err:
+                node = int(np.flatnonzero(boundary)[err.row[0]])
+                raise LicqError((level, node), f"level {level}, node {node}",
+                                err.reason) from err
+            vals[boundary], _ = cone_min_linear(grads[boundary], normals)
         # an object table keeps one shared string per kind in the rows
         kinds = np.array(["full", "polyhedral"], dtype=object)[boundary.astype(int)].tolist()
         sup_grad = max(sup_grad, float(norms.max()))

@@ -161,6 +161,20 @@ class TestSolveFredholm:
         with pytest.raises(ValueError, match=r"B\(1, 3\) is finer than level 3"):
             solve_fredholm(tree, alphas, B=kB)
 
+    def test_residual_checks_runs_no_term_reads(self):
+        # without A and D no term reads the runs, so only the run check
+        # sees a wrong level: every level the pair mean of the next
+        tree = Tree.build(1.0, 4)
+        rng = np.random.default_rng(5)
+        alphas = [rng.standard_normal((1 << i, 1)) for i in range(tree.N + 1)]
+        beta = lambda i, j: np.full((1 << j, 1), 0.1 * (i + j))
+        sol = solve_fredholm(tree, alphas, beta=beta)
+        assert fredholm_row_residual(tree, sol, 1, alphas, beta=beta) <= 1e-14
+        cond = [list(run) for run in sol.cond]
+        cond[1][2] = cond[1][2] + 1e-3  # E_3[xi_1]
+        bumped = FredholmSolution(sol.xi, cond)
+        assert fredholm_row_residual(tree, bumped, 1, alphas, beta=beta) >= 5e-4
+
 
 class TestSolveMuNu:
     """mu_i = E_i[theta] and its integrands nu, as the (p, q) solve
@@ -211,7 +225,8 @@ def _shifted_theta(b):
     """theta + 0.1 with (p, q, mu, nu) re-solved from it: every equation
     but theta's own definition still holds."""
     tree, theta = b.frozen.tree, b.theta + 0.1
-    p_rows, kernels = _pq_equation(tree, b.frozen, b.Lambda, b.xi.xi, theta)
+    p_rows, kernels = _pq_equation(tree, b.frozen, b.Lambda,
+                                   np.stack(b.xi.xi, axis=1), theta)
     return replace(b, theta=theta, pq=solve_linear_backward(tree, p_rows, **kernels))
 
 
@@ -223,6 +238,9 @@ PERTURBATIONS = [
      lambda b: replace(b, Lambda=AdaptedProcess(_bumped(b.Lambda.levels, 3)))),
     ("xi row", "xi",
      lambda b: replace(b, xi=FredholmSolution(_bumped(b.xi.xi, 2), b.xi.cond))),
+    ("xi run level", "xi",  # E_3[xi_2] off, the leaves xi_2 unchanged
+     lambda b: replace(b, xi=FredholmSolution(b.xi.xi, [
+         _bumped(run, 1) if i == 2 else run for i, run in enumerate(b.xi.cond)]))),
     ("theta", "mu_nu", _shifted_theta),
     ("mu", "mu_nu",
      lambda b: replace(b, pq=replace(b.pq, mu=AdaptedProcess(

@@ -66,6 +66,16 @@ class TestCondExpect:
         with pytest.raises(ValueError):
             tree.cond_expect(field([1.0, 2.0]), 2)
 
+    def test_one_level_has_the_bits_of_numpy_mean(self):
+        tree = Tree.build(1.0, 6)
+        rng = np.random.default_rng(3)
+        for d in (1, 2, 3):
+            for level in (1, 2, 4, 6):
+                shape = (1 << level, d)
+                x = rng.standard_normal(shape) * np.exp2(rng.integers(-60, 60, shape))
+                want = x.reshape((1 << (level - 1), 2, d)).mean(axis=1)
+                assert np.array_equal(tree.cond_expect(x, level - 1), want)
+
 
 class TestItoSum:
     def test_zero_integrand(self):
@@ -250,6 +260,36 @@ class TestKernelApplication:
                               tree.implicit_solve(table, rhs))
         assert np.array_equal(tree.implicit_solve(transpose(mat), rhs),
                               tree.implicit_solve(table.mT, rhs))
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 3), e=st.integers(1, 3),
+           kinds=st.lists(st.sampled_from(["constant", "scaled", "table"]),
+                          min_size=1, max_size=5),
+           level=st.integers(0, 4), seed=SEED)
+    def test_tmatvec_sum_matches_per_column_sum(self, d, e, kinds, level, seed):
+        tree = Tree.build(1.0, 4)
+        rng = np.random.default_rng(seed)
+        K = len(kinds)
+
+        def make(kind):
+            mat = rng.uniform(-1.0, 1.0, (d, e))
+            mat_level = int(rng.integers(0, level + 1))
+            if kind == "constant":
+                return ScaledMatrix(None, mat)
+            scaled = ScaledMatrix(rng.uniform(0.5, 1.5, 1 << mat_level), mat)
+            return scaled if kind == "scaled" else as_table(scaled, 1 << mat_level)
+
+        mats = [make(kind) for kind in kinds]
+        # a column slice of a wider stack, as the adjoint rows use it
+        stack = rng.standard_normal((1 << level, K + 2, d))[:, :K]
+        ref = tree.level_sum([tree.tmatvec(mat, stack[:, k])
+                              for k, mat in enumerate(mats)], level)
+        got = tree.tmatvec_sum(mats, stack)
+        assert got.shape == ref.shape == (1 << level, e)
+        if set(kinds) == {"constant"}:  # one GEMM: summed in another order
+            assert np.all(np.abs(got - ref) <= 1e-14 * (1.0 + np.abs(ref)))
+        else:
+            assert np.array_equal(got, ref)
 
     def test_constant_table_is_a_view(self):
         mat = ScaledMatrix(None, np.arange(6.0).reshape(2, 3))

@@ -11,6 +11,7 @@ from oracles import (degenerate_duality_gaps, gateaux_vs_hamiltonian,
                      random_duality_instance)
 
 from volterra_control import verify
+from volterra_control.cones import LicqError
 from volterra_control.lattice import AdaptedProcess, ScaledMatrix, Tree, as_table
 from volterra_control.scenario import Scenario, fixture_path, load_scenario
 from volterra_control.verify import (
@@ -326,6 +327,25 @@ class TestPointwiseNC:
         with pytest.raises(ValueError,
                            match=r"non-finite gradient at level 2, node 1: "):
             check_pointwise_nc(s, u, tree, state=bad)
+
+
+    def test_licq_failure_names_node(self):
+        # the duplicated ring {|u|^2 <= 4, 2|u|^2 <= 8}: LICQ fails exactly
+        # where both inequalities are active, here only at level 2, node 3
+        doc = json.loads(fixture_path("annulus").read_text())
+        doc["constraint"] = {"type": "quadratics", "terms": [
+            {"quad": np.eye(2).tolist(), "const": -4.0},
+            {"quad": (2.0 * np.eye(2)).tolist(), "const": -8.0}]}
+        s = Scenario.from_json(doc)
+        tree = s.tree(4)
+        u = AdaptedProcess.constant([1.0, 0.0], tree.N - 1)
+        u.level(2)[3] = [2.0, 0.0]
+        hu = AdaptedProcess.constant([1.0, 1.0], tree.N - 1)
+        with pytest.raises(LicqError, match=r"^LICQ fails at level 2, node 3: "
+                                            r"2 active gradients are dependent$") as err:
+            check_pointwise_nc(s, u, tree, state=hu)
+        assert err.value.row == (2, 3)
+        assert isinstance(err.value.__cause__, LicqError)
 
 
 class TestProjectedGradient:
