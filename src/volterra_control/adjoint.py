@@ -171,7 +171,11 @@ def fredholm_row_residual(tree: Tree, sol: FredholmSolution, i: int, alpha_rows,
 
 
 class FrozenCoefficients:
-    """Catalog derivatives frozen along a state 4-tuple (bwd may be None for b, sigma)."""
+    """Catalog derivatives frozen along a state 4-tuple (bwd may be None for b, sigma).
+
+    Each jacobian is cached per (name, slot, i, j) for this state; a
+    constant one comes from its object's own memo, so every
+    FrozenCoefficients on the scenario shares it."""
 
     def __init__(self, scenario: Scenario, tree: Tree, fwd: ForwardPath, bwd, u):
         self.objects = scenario.catalog

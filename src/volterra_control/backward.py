@@ -121,15 +121,23 @@ def solve_bsvie(scenario: Scenario, fwd, u: AdaptedProcess,
     of the rows before it; Y_i itself is the implicit step at r = i.
     Pass 2 continues every row below its diagonal, where each Y_r is known.
     ``residual_history`` holds the worst final gap of the implicit steps.
+
+    g is k(t_i, t_r) times a bracket summed in slot order, const + x + y +
+    z + u (``AffineCoefficient.bracket``), and only its z term and the
+    scalar k depend on the row.  So the u term of each level is built
+    once, and its (const + x) + y prefix as soon as Y_r is fixed; the
+    implicit step keeps all but the y term across its sweeps.  Every sum
+    keeps its order, so g has the bits of ``value``.
     """
     tree = tree or scenario.tree()
     co, tols = scenario.coeffs, scenario.tolerances
-    N = tree.N
+    g, N = co.g, tree.N
     x_leaf = fwd.X.level(N)
+    u_terms = [g.term("u", u.level(r)) for r in range(N)]
+    prefix = [None] * N  # (const + x) + y at level r, once Y_r is fixed
 
-    def g(i, r, y_r, z_r):
-        return co.g.value(tree.t(i), tree.t(r), x=fwd.X.level(r), y=y_r,
-                          z=z_r, u=u.level(r))
+    def drift(i, r, z):  # g(t_i, t_r, X_r, Y_r, z, u_r)
+        return g.kernel(tree.t(i), tree.t(r)) * (g.bracket(prefix[r], z=z) + u_terms[r])
 
     lam = [[None] * N + [co.psi.value(tree.t(i), tree.t(N), x_leaf)]
            for i in range(N + 1)]
@@ -138,15 +146,19 @@ def solve_bsvie(scenario: Scenario, fwd, u: AdaptedProcess,
     worst = 0.0
     for i in range(N - 1, -1, -1):
         row, zs = lam[i], z_rows[i]
-        _row_run(tree, row, zs, N, i + 1, lambda r, z: g(i, r, y[r], z))
+        _row_run(tree, row, zs, N, i + 1, lambda r, z: drift(i, r, z))
         mean, zs[i] = tree.repr_step(row[i + 1])
+        k = g.kernel(tree.t(i), tree.t(i))
+        x_part, z_term = g.bracket(x=fwd.X.level(i)), g.term("z", zs[i])
         row[i], gap = _implicit_step(
-            mean, lambda y_i: tree.dt * g(i, i, y_i, zs[i]),
+            mean, lambda y_i: tree.dt * (
+                k * ((g.bracket(x_part, y=y_i) + z_term) + u_terms[i])),
             tols.picard_tol, tols.picard_max_iter, i)
         y[i] = row[i]
+        prefix[i] = g.bracket(x_part, y=y[i])
         worst = max(worst, gap)
     for i in range(1, N + 1):
-        _row_run(tree, lam[i], z_rows[i], i, 0, lambda r, z: g(i, r, y[r], z))
+        _row_run(tree, lam[i], z_rows[i], i, 0, lambda r, z: drift(i, r, z))
     return BackwardPath(Y=AdaptedProcess(y), Z=TwoParamProcess(z_rows),
                         lam=lam, residual_history=[worst])
 

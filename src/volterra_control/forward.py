@@ -7,8 +7,11 @@ of every integrand is automatic:
     X(t_i) = phi(t_i) + dt * sum_{j<i} b(t_i, t_j, X_j, u_j)
                       + sum_{j<i} sigma(t_i, t_j, X_j, u_j) dW_j
 
-The full kernel row is re-evaluated at each i (Volterra memory): O(N^2)
-coefficient evaluations; each row X(t_i) is one ``Tree.level_sum``.
+Each coefficient is a scalar kernel k(t_i, t_j) times a bracket in
+(X_j, u_j).  The brackets of level j are built once, as soon as X_j
+exists, so a sweep makes N bracket evaluations per coefficient; the
+Volterra memory costs N(N+1)/2 scalar-times-array products.  Each row
+X(t_i) is one ``Tree.level_sum``.
 """
 
 from __future__ import annotations
@@ -55,17 +58,20 @@ def _check_control(scenario: Scenario, tree: Tree, u: AdaptedProcess):
                                   f"{j}, node {int(np.argmin(inside))}")
 
 
-def _euler_sweep(tree: Tree, free, kernel, name: str) -> AdaptedProcess:
-    """X(t_i) = free(i) + sum_{j<i} [dt drift + diff dW_j], (drift, diff) =
-    kernel(i, j, X(t_j)), X(t_0) = free(0).  Overflow surfaces only as the
-    SimulationError naming the first non-finite row ``name(t_i)`` or a term
-    that ``kernel`` checks."""
+def _euler_sweep(tree: Tree, free, column, name: str) -> AdaptedProcess:
+    """X(t_i) = free(i) + sum_{j<i} [dt drift + diff dW_j], X(t_0) = free(0),
+    where ``column(j, X(t_j))``, called once per level j as soon as X(t_j)
+    exists, returns the map i -> (drift, diff) of column j.  Overflow
+    surfaces only as the SimulationError naming the first non-finite row
+    ``name(t_i)`` or a term that a column checks."""
     levels = [free(0)]
+    columns = []
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, tree.N + 1):
+            columns.append(column(i - 1, levels[i - 1]))
             terms = []
             for j in range(i):
-                drift, diff = kernel(i, j, levels[j])
+                drift, diff = columns[j](i)
                 terms += (tree.dt * drift, tree.dw_term(diff, j))
             terms.append(free(i))
             x = tree.level_sum(terms, i)
@@ -82,14 +88,17 @@ def simulate_forward(scenario: Scenario, u: AdaptedProcess,
     _check_control(scenario, tree, u)
     co = scenario.coeffs
 
-    def kernel(i, j, xj):  # (drift, diff) = (b, sigma)(t_i, t_j, X_j, u_j)
-        terms = [c.value(tree.t(i), tree.t(j), x=xj, u=u.level(j))
-                 for c in (co.b, co.sigma)]
-        for term, name in zip(terms, ("b", "sigma")):
-            _check_finite(term, j, f"{name}(t_{i}, t_{j})")
-        return terms
+    def column(j, xj):  # the b and sigma brackets at (X_j, u_j), built once
+        brackets = [(c, c.bracket(x=xj, u=u.level(j))) for c in (co.b, co.sigma)]
 
-    X = _euler_sweep(tree, lambda i: co.phi.value(tree, i), kernel, "X")
+        def pair(i):  # (drift, diff) = (b, sigma)(t_i, t_j, X_j, u_j)
+            terms = [c.kernel(tree.t(i), tree.t(j)) * br for c, br in brackets]
+            for term, (c, _) in zip(terms, brackets):
+                _check_finite(term, j, f"{c.name}(t_{i}, t_{j})")
+            return terms
+        return pair
+
+    X = _euler_sweep(tree, lambda i: co.phi.value(tree, i), column, "X")
     return ForwardPath(X=X, u=u)
 
 
@@ -107,9 +116,9 @@ def simulate_forward_linear(scenario: Scenario, base: ForwardPath,
         raise SimulationError(f"direction dim {v.dim}, scenario wants {scenario.l}")
     fro = FrozenCoefficients(scenario, tree, base, None, base.u)
 
-    def kernel(i, j, x1j):  # (drift, diff) = [c_x X1 + c_u v] for c = b, sigma
-        return [tree.matvec(fro.d(c, "x", i, j), x1j)
-                + tree.matvec(fro.d(c, "u", i, j), v.level(j))
-                for c in ("b", "sigma")]
+    def column(j, x1j):  # (drift, diff) = [c_x X1 + c_u v] for c = b, sigma
+        return lambda i: [tree.matvec(fro.d(c, "x", i, j), x1j)
+                          + tree.matvec(fro.d(c, "u", i, j), v.level(j))
+                          for c in ("b", "sigma")]
 
-    return _euler_sweep(tree, lambda i: np.zeros((1 << i, scenario.n)), kernel, "X1")
+    return _euler_sweep(tree, lambda i: np.zeros((1 << i, scenario.n)), column, "X1")

@@ -99,7 +99,7 @@ class Tree:
         return self._w[i]
 
     def t(self, i: int) -> float:
-        return self.grid.t(i)
+        return i * self.dt  # the bits of grid.t(i), without its dt property
 
     # -- level plumbing ------------------------------------------------
 

@@ -9,7 +9,8 @@ first derivatives are supplied analytically.
 The six objects b, sigma, g, psi, f, h (``Scenario.catalog``) share one
 interface: ``name``, ``slots`` (their state arguments among x, y, z, u),
 ``value(t, s, **slots)`` and ``jacobian(slot, t, s, **slots)`` (a cost's
-is its gradient).
+is its gradient).  For b, sigma and g, ``value`` is the scalar kernel
+times ``bracket(**slots)``, which the solvers build once per level.
 
 Input contract: every section is read by ``_read`` through one field
 table that declares each key once (its shape or default).  Any defect --
@@ -113,8 +114,9 @@ class _Section:
         return cls(**_read(entry, cls.table(*dims), context))
 
     def to_json(self):
+        """The JSON keys; private attributes (memos) are not part of it."""
         return {key: value.tolist() if isinstance(value, np.ndarray) else value
-                for key, value in vars(self).items()}
+                for key, value in vars(self).items() if not key.startswith("_")}
 
 
 # Row-wise mat @ row and Euclidean norm over (..., d) tables; each row's
@@ -166,12 +168,26 @@ class Kernel(_Section):
         return self.kappa == 0.0 and self.power == 0
 
 
+def _memo(memo: dict, key, make):
+    """memo[key], made by ``make()`` on the first request."""
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = make()
+    return value
+
+
 class AffineCoefficient:
-    """Catalog coefficient kernel(t,s) * (sum_slots M_a * a + Q_a * (a*a) + c).
+    """Catalog coefficient kernel(t,s) * bracket, where the bracket
+    const + sum_slots (M_a a + Q_a (a*a)) is summed in slot order.
 
     ``slots`` maps slot name -> input dimension; evaluators are vectorized
-    over nodes.  Derivatives are analytic: d/da = kernel * (M_a + 2 Q_a diag(a)),
-    the constant ScaledMatrix kernel * M_a in a slot without a quadratic term.
+    over nodes.  The kernel is a scalar applied last, so a solver builds
+    the bracket of a level once (``bracket``, ``term``) and scales it for
+    each time pair; ``value`` is that product, bit for bit.  Derivatives
+    are analytic: d/da = kernel * (M_a + 2 Q_a diag(a)).  In a slot without
+    a quadratic term it is the constant ScaledMatrix kernel * M_a, built
+    once per (slot, t, s) and kept by the object, so the coefficients must
+    not change after their first use.
     """
 
     def __init__(self, name, slots, kernel, matrices, quads, const):
@@ -182,6 +198,7 @@ class AffineCoefficient:
         self.quads = quads
         self.const = const
         self._quadratic = {a for a, q in quads.items() if q.any()}
+        self._constant = {}  # (slot, t, s) -> constant jacobian
 
     @classmethod
     def from_json(cls, name, out_dim, slots, entry):
@@ -204,31 +221,44 @@ class AffineCoefficient:
     def is_affine(self) -> bool:
         return not self._quadratic
 
-    def value(self, t: float, s: float, **args) -> np.ndarray:
-        k = self.kernel(t, s)
-        nodes = next(iter(args.values())).shape[0]
-        out = np.tile(self.const, (nodes, 1))
+    def term(self, slot: str, arr: np.ndarray) -> np.ndarray:
+        """The bracket term M_a a (+ Q_a (a*a)) of one slot."""
+        term = arr @ self.matrices[slot].T
+        if slot in self._quadratic:
+            term = term + (arr * arr) @ self.quads[slot].T
+        return term
+
+    def bracket(self, base=None, **args) -> np.ndarray:
+        """``base`` (``const`` by default) plus the terms of ``args`` in
+        their order; a partial bracket is a valid ``base``."""
+        out = self.const if base is None else base
         for a, arr in args.items():
-            term = arr @ self.matrices[a].T
-            if a in self._quadratic:
-                term = term + (arr * arr) @ self.quads[a].T
-            out += term
-        return k * out
+            out = out + self.term(a, arr)
+        return out
+
+    def value(self, t: float, s: float, **args) -> np.ndarray:
+        return self.kernel(t, s) * self.bracket(**args)
 
     def jacobian(self, slot: str, t: float, s: float, **args):
-        k = self.kernel(t, s)
-        M = self.matrices[slot]
         if slot not in self._quadratic:  # one constant matrix, shared by every node
-            return ScaledMatrix(None, k * M)
-        return k * (M + 2.0 * self.quads[slot][None, :, :] * args[slot][:, None, :])
+            return _memo(self._constant, (slot, t, s), lambda: ScaledMatrix(
+                None, self.kernel(t, s) * self.matrices[slot]))
+        M = self.matrices[slot]
+        return self.kernel(t, s) * (
+            M + 2.0 * self.quads[slot][None, :, :] * args[slot][:, None, :])
 
 
 class TerminalMap(_Section):
     """psi(t, x) = (P + t*P') x + (c + t*c'), with P = ``x``, P' = ``x_slope``;
-    evaluated at (t_i, T)."""
+    evaluated at (t_i, T).  Its jacobian P + t*P' is built once per t and
+    kept by the object."""
 
     name = "psi"
     slots = ("x",)
+
+    def __init__(self, **values):
+        super().__init__(**values)
+        self._constant = {}  # t -> constant jacobian
 
     @staticmethod
     def table(m, n):
@@ -245,7 +275,7 @@ class TerminalMap(_Section):
         return x @ self.matrix(t).T + (self.const + t * self.const_slope)
 
     def jacobian(self, slot: str, t: float, s: float, x: np.ndarray) -> ScaledMatrix:
-        return ScaledMatrix(None, self.matrix(t))
+        return _memo(self._constant, t, lambda: ScaledMatrix(None, self.matrix(t)))
 
 
 class InitialCurve(_Section):

@@ -6,7 +6,10 @@ programs, or one point at a time (control-region geometry, the NC sweep,
 KKT multipliers by the Lawson-Hanson iteration, the limit definition of
 the adjacent cone, difference quotients of the cost and of the catalog
 objects), independently of the package's sweep solvers.  ``solve_bsde`` is the plain BSDE recursion a
-time-invariant BSVIE reduces to.
+time-invariant BSVIE reduces to.  ``per_pair_forward`` and
+``per_pair_bsvie`` are the state solvers with every coefficient
+evaluated by ``value`` at every time pair, the reference for the
+solvers' once-per-level brackets.
 """
 
 from __future__ import annotations
@@ -163,6 +166,53 @@ def recompute_bsvie_row(scenario, fwd, u, bwd, i, tree):
         tree, {i: scenario.coeffs.psi.value(tree.t(i), tree.t(tree.N), x_leaf)},
         _bsvie_driver(scenario, tree, fwd, u), bwd.Y, [i])
     return lam_rows[0], z_rows[0]
+
+
+def per_pair_forward(scenario, u, tree) -> AdaptedProcess:
+    """X by the Euler sweep that evaluates b and sigma with ``value`` at
+    every pair (t_i, t_j), j < i: N(N+1)/2 evaluations of each."""
+    co = scenario.coeffs
+    levels = [co.phi.value(tree, 0)]
+    for i in range(1, tree.N + 1):
+        terms = []
+        for j in range(i):
+            args = {"x": levels[j], "u": u.level(j)}
+            terms += (tree.dt * co.b.value(tree.t(i), tree.t(j), **args),
+                      tree.dw_term(co.sigma.value(tree.t(i), tree.t(j), **args), j))
+        terms.append(co.phi.value(tree, i))
+        levels.append(tree.level_sum(terms, i))
+    return AdaptedProcess(levels)
+
+
+def per_pair_bsvie(scenario, fwd, u, tree) -> BackwardPath:
+    """The two-pass BSVIE solve with g evaluated by ``value`` at every
+    (t_i, t_r) of every row and in every sweep of the implicit steps."""
+    g = _bsvie_driver(scenario, tree, fwd, u)
+    tols, N = scenario.tolerances, tree.N
+    x_leaf = fwd.X.level(N)
+    lam = [[None] * N + [scenario.coeffs.psi.value(tree.t(i), tree.t(N), x_leaf)]
+           for i in range(N + 1)]
+    z_rows = [[None] * N for _ in range(N + 1)]
+    y = [None] * N + [lam[N][N]]
+    worst = 0.0
+
+    def run(i, start, stop):
+        for r in range(start - 1, stop - 1, -1):
+            mean, z_rows[i][r] = tree.repr_step(lam[i][r + 1])
+            lam[i][r] = mean + tree.dt * g(i, r, y[r], z_rows[i][r])
+
+    for i in range(N - 1, -1, -1):
+        run(i, N, i + 1)
+        mean, z_rows[i][i] = tree.repr_step(lam[i][i + 1])
+        lam[i][i], gap = _implicit_step(
+            mean, lambda y_i: tree.dt * g(i, i, y_i, z_rows[i][i]),
+            tols.picard_tol, tols.picard_max_iter, i)
+        y[i] = lam[i][i]
+        worst = max(worst, gap)
+    for i in range(1, N + 1):
+        run(i, i, 0)
+    return BackwardPath(Y=AdaptedProcess(y), Z=TwoParamProcess(z_rows), lam=lam,
+                        residual_history=[worst])
 
 
 def solve_bsde(tree: Tree, terminal: np.ndarray, driver,

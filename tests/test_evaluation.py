@@ -1,0 +1,166 @@
+"""Each catalog coefficient is evaluated once per level: the forward sweep
+and the BSVIE build the state bracket of a level once and scale it by the
+kernel per time pair, and constant jacobians are built once per (object,
+slot, t, s).  Both must give the bits of the per-pair evaluation."""
+
+import gc
+import json
+
+import numpy as np
+import pytest
+
+from oracles import per_pair_bsvie, per_pair_forward
+
+from volterra_control import cli
+from volterra_control import scenario as scenario_module
+from volterra_control.adjoint import assemble_adjoint, hamiltonian_gradient
+from volterra_control.backward import solve_bsvie
+from volterra_control.forward import ForwardPath, simulate_forward
+from volterra_control.lattice import AdaptedProcess, ScaledMatrix
+from volterra_control.scenario import Scenario, fixture_path, load_scenario
+
+from test_scenario import FIXTURES
+
+STEPS = 6
+
+
+def _control(s, tree, seed=3):
+    """A random admissible control: base control plus noise, projected."""
+    rng = np.random.default_rng(seed)
+    base = s.base_control()
+    return AdaptedProcess([s.constraint.project(
+        base + 0.3 * rng.standard_normal((1 << i, s.l))) for i in range(tree.N)])
+
+
+def _equal_levels(a, b):
+    return len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def _bundle_fields(bundle):
+    """Every array of an adjoint bundle, by name."""
+    pq = bundle.pq
+    return {"lambda0": [bundle.lambda0], "Lambda": bundle.Lambda.levels,
+            "xi": bundle.xi.xi, "xi runs": sum(bundle.xi.cond, []),
+            "theta": [bundle.theta], "p": pq.Y.levels, "q": sum(pq.Z.rows, []),
+            "mu": pq.mu.levels, "nu": pq.nu.levels}
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_states_have_the_bits_of_per_pair_evaluation(name):
+    s = load_scenario(fixture_path(name))
+    tree = s.tree(STEPS)
+    u = _control(s, tree)
+    fwd = simulate_forward(s, u, tree)
+    assert _equal_levels(fwd.X.levels, per_pair_forward(s, u, tree).levels)
+    bwd = solve_bsvie(s, fwd, u, tree)
+    ref = per_pair_bsvie(s, fwd, u, tree)
+    assert _equal_levels(bwd.Y.levels, ref.Y.levels)
+    assert all(_equal_levels(a, b) for a, b in zip(bwd.Z.rows, ref.Z.rows))
+    assert bwd.residual_history == ref.residual_history
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_adjoint_bundle_has_the_bits_of_fresh_jacobians(name):
+    # reference: per-pair states and a scenario whose jacobians are all
+    # built for this bundle; change: the solvers' states, and the second
+    # bundle on one scenario, which reads every constant jacobian back
+    ref_s = load_scenario(fixture_path(name))
+    tree = ref_s.tree(STEPS)
+    u = _control(ref_s, tree)
+    ref_fwd = ForwardPath(X=per_pair_forward(ref_s, u, tree), u=u)
+    ref_bwd = per_pair_bsvie(ref_s, ref_fwd, u, tree)
+    ref = assemble_adjoint(ref_s, ref_fwd, ref_bwd, u, tree)
+    ref_hu = hamiltonian_gradient(ref_s, ref, ref_fwd, ref_bwd, u, tree)
+
+    s = load_scenario(fixture_path(name))
+    fwd = simulate_forward(s, u, tree)
+    bwd = solve_bsvie(s, fwd, u, tree)
+    assemble_adjoint(s, fwd, bwd, u, tree)
+    bundle = assemble_adjoint(s, fwd, bwd, u, tree)
+    hu = hamiltonian_gradient(s, bundle, fwd, bwd, u, tree)
+    for field, levels in _bundle_fields(bundle).items():
+        assert _equal_levels(levels, _bundle_fields(ref)[field]), field
+    assert _equal_levels(hu.levels, ref_hu.levels)
+
+
+def test_forward_builds_each_bracket_once_per_level(monkeypatch):
+    s = load_scenario(fixture_path("lq"))
+    tree = s.tree(STEPS)
+    calls = {"bracket": [], "value": []}
+    cls = scenario_module.AffineCoefficient
+    for method in calls:
+        def counted(self, *args, _method=getattr(cls, method), _log=calls[method],
+                    **kwargs):
+            _log.append(self.name)
+            return _method(self, *args, **kwargs)
+        monkeypatch.setattr(cls, method, counted)
+    simulate_forward(s, _control(s, tree), tree)
+    assert sorted(calls["bracket"]) == ["b"] * STEPS + ["sigma"] * STEPS
+    assert calls["value"] == []  # not N(N+1)/2 per-pair evaluations
+
+
+def test_constant_jacobians_built_once_across_runs(monkeypatch):
+    made = []
+
+    def counted(*args):
+        made.append(args)
+        return ScaledMatrix(*args)
+    monkeypatch.setattr(scenario_module, "ScaledMatrix", counted)
+    s = load_scenario(fixture_path("lq_multi"))  # affine: every jacobian constant
+    tree = s.tree(STEPS)
+    u = _control(s, tree)
+    fwd = simulate_forward(s, u, tree)
+    bwd = solve_bsvie(s, fwd, u, tree)
+    first = assemble_adjoint(s, fwd, bwd, u, tree).frozen._cache
+    constant = {key for key, jac in first.items() if isinstance(jac, ScaledMatrix)}
+    assert constant and len(made) == len(constant)  # once per (object, slot, t, s)
+    second = assemble_adjoint(s, fwd, bwd, u, tree).frozen._cache
+    assert len(made) == len(constant)
+    assert all(second[key] is first[key] for key in constant)
+
+
+def test_solve_leaves_json_and_report_hash_unchanged(tmp_path):
+    path = fixture_path("lq")
+    s = load_scenario(path)
+    before = json.dumps(s.to_json(), sort_keys=True)
+    tree = s.tree(STEPS)
+    u = _control(s, tree)
+    fwd = simulate_forward(s, u, tree)
+    bwd = solve_bsvie(s, fwd, u, tree)
+    assemble_adjoint(s, fwd, bwd, u, tree)
+    assert s.coeffs.b._constant and s.coeffs.psi._constant  # the memos are in use
+    assert json.dumps(s.to_json(), sort_keys=True) == before
+    # the CLI hashes its configuration after the run: the scenario part
+    # must be that of a scenario never solved
+    assert cli.main(["optimize", "--scenario", str(path), "--out", str(tmp_path)]) == 0
+    report = json.loads(next(tmp_path.glob("optimize-*.json")).read_text())
+    assert json.dumps(report["config"]["scenario"], sort_keys=True) == before
+
+
+def test_kernel_variants_never_share_a_jacobian():
+    # two scenarios that differ only in b.kernel.kappa, both solved in one
+    # process: each reads its own kernel into its jacobians
+    doc = json.loads(fixture_path("lq").read_text())
+    tree = Scenario.from_json(doc).tree(4)
+    corner = {}
+    for kappa in (0.0, 0.7):
+        doc["coefficients"]["b"]["kernel"] = {"kappa": kappa}
+        s = Scenario.from_json(doc)
+        u = _control(s, tree)
+        fwd = simulate_forward(s, u, tree)
+        fro = assemble_adjoint(s, fwd, solve_bsvie(s, fwd, u, tree), u, tree).frozen
+        b = s.coeffs.b
+        for i in range(1, tree.N + 1):
+            for j in range(i):
+                expected = b.kernel(tree.t(i), tree.t(j)) * b.matrices["x"]
+                assert np.array_equal(fro.d("b", "x", i, j).matrix, expected), kappa
+        corner[kappa] = fro.d("b", "x", tree.N, 0).matrix
+    assert not np.array_equal(corner[0.0], corner[0.7])
+    # coefficients made and freed in turn, so that a freed object's id
+    # comes back (an id-keyed memo would hand out a stale jacobian)
+    for k in range(12):
+        b = scenario_module.AffineCoefficient.from_json(
+            "b", 1, {"x": 1}, {"kernel": {"kappa": 0.9 * (k % 3)}, "x": [[0.3]]})
+        jac = b.jacobian("x", 0.5, 0.25)
+        assert np.array_equal(jac.matrix, b.kernel(0.5, 0.25) * b.matrices["x"]), k
+        del b, jac

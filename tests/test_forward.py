@@ -104,8 +104,21 @@ class TestSimulateForward:
         s = scenario_with({"coefficients.phi": {"const": [1e308], "slope": [0.0]},
                            "coefficients.b": {"x": [[10.0]]}})
         tree = s.tree()
-        with pytest.raises(SimulationError, match="non-finite"):
+        with pytest.raises(SimulationError, match=r"^non-finite value in "
+                           r"b\(t_1, t_0\) at level 0, node 0$"):
             simulate_forward(s, AdaptedProcess.zeros(tree.N - 1, 1), tree)
+
+    def test_nonfinite_kernel_product_names_pair_and_node(self):
+        # a finite bracket that overflows only once scaled by the kernel:
+        # the first pair (t_i, t_j) in sweep order that reads it is named
+        s = scenario_with({"coefficients.b": {"kernel": {"scale": 1e300},
+                                              "u": [[1.0]]}})
+        tree = s.tree()
+        u = AdaptedProcess.zeros(tree.N - 1, 1)
+        u.level(2)[3, 0] = 1e10
+        with pytest.raises(SimulationError, match=r"^non-finite value in "
+                           r"b\(t_3, t_2\) at level 2, node 3$"):
+            simulate_forward(s, u, tree)
 
 
 class TestSimulateForwardLinear:
