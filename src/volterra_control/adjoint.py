@@ -54,7 +54,7 @@ import numpy as np
 from .backward import (BackwardSolution, backward_row_residual,
                        msolution_identity_residual, solve_linear_backward)
 from .forward import ForwardPath
-from .lattice import AdaptedProcess, Tree, transpose
+from .lattice import AdaptedProcess, Tree, stack, transpose
 from .scenario import Scenario
 
 
@@ -127,7 +127,7 @@ def solve_fredholm(tree: Tree, alpha_rows, A=None, B=None, D=None,
             incr = np.zeros_like(cur) if D is None else tree.tmatvec(D(i, r), cur)
             if beta is not None:
                 incr = tree.level_sum([incr, beta(i, r)], r)
-            cur = np.repeat(cur, 2, axis=0) + tree.dw_term(incr, r)
+            cur = tree.ito_step(cur, incr, r)
             run.append(cur)
         xi.append(cur)
         cond.append(run)
@@ -174,7 +174,8 @@ class FrozenCoefficients:
     """Catalog derivatives frozen along a state 4-tuple (bwd may be None for b, sigma).
 
     Each jacobian is cached per (name, slot, i, j) for this state; a
-    constant one comes from its object's own memo, so every
+    constant one (a slot in the object's ``constant_slots``) is asked for
+    without state arguments and comes from the object's own memo, so every
     FrozenCoefficients on the scenario shares it."""
 
     def __init__(self, scenario: Scenario, tree: Tree, fwd: ForwardPath, bwd, u):
@@ -216,8 +217,12 @@ class FrozenCoefficients:
 
     def d(self, name: str, slot: str, i: int, j: int) -> np.ndarray:
         """Jacobian of object ``name`` in ``slot`` at (t_i, t_j), cached."""
-        return self._get((name, slot, i, j), lambda: self.objects[name].jacobian(
-            slot, self.tree.t(i), self.tree.t(j), **self._args(name, i, j)))
+        obj = self.objects[name]
+
+        def make():
+            args = {} if slot in obj.constant_slots else self._args(name, i, j)
+            return obj.jacobian(slot, self.tree.t(i), self.tree.t(j), **args)
+        return self._get((name, slot, i, j), make)
 
 
 @dataclass
@@ -297,7 +302,7 @@ def assemble_adjoint(scenario: Scenario, fwd: ForwardPath, bwd, u: AdaptedProces
 
     # one copy of the xi rows for theta's and F_i's sums, not held through
     # the (p, q) solve
-    xi_stack = np.stack(xi.xi, axis=1)
+    xi_stack = stack(xi.xi)
     theta = _theta_equation(tree, fro, lambda0, xi_stack)
     p_rows, pq_kernels = _pq_equation(tree, fro, Lambda, xi_stack, theta)
     del xi_stack
@@ -360,7 +365,7 @@ def adjoint_residuals(scenario: Scenario, bundle: AdjointBundle,
 
     # theta from its definition and the (p, q) free terms, from one copy of
     # the xi rows not held through the checks
-    xi_stack = np.stack(bundle.xi.xi, axis=1)
+    xi_stack = stack(bundle.xi.xi)
     theta = _theta_equation(tree, fro, bundle.lambda0, xi_stack)
     p_rows, pq_kernels = _pq_equation(tree, fro, bundle.Lambda, xi_stack, theta)
     del xi_stack

@@ -14,6 +14,20 @@ Random objects are plain float arrays: a field at level i has shape
 F_T-measurable vector ("terminal field"); ``Tree.level_sum`` adds fields
 of mixed levels.
 
+Fields are stored node-contiguous, in column-major order: the node axis
+has unit stride, and the transpose ``values.T`` (node axis last) is a
+C-contiguous array.  Every pass over a field (a pair mean, a repeat onto
+a finer level, a per-node scale, a product with a constant matrix) then
+runs numpy's inner loop along the 2**i nodes instead of along the d
+components, which for d > 1 is several times faster; the layout was
+chosen for that.  A d = 1 field is both row- and column-major, so d = 1
+fields are unaffected.  This module is the one place that knows the
+layout: ``field`` stores an array so (``AdaptedProcess`` and
+``TwoParamProcess`` store their levels through it), ``outer``, ``apply``
+and ``stack`` build node-contiguous fields, ``dot`` pairs two of them,
+and every ``Tree`` helper returns node-contiguous fields for input in
+either order.
+
 A matrix field (a kernel or a jacobian) comes in one of two forms: a
 dense per-node table of shape (2**i, d, e), or a factored
 ``ScaledMatrix(scale, M)``, one (d, e) matrix M times a level-i (2**i,)
@@ -55,10 +69,6 @@ class TimeGrid:
     @property
     def dt(self) -> float:
         return self.horizon / self.steps
-
-    @property
-    def points(self) -> np.ndarray:
-        return np.linspace(0.0, self.horizon, self.steps + 1)
 
     def t(self, i: int) -> float:
         return i * self.dt
@@ -119,14 +129,15 @@ class Tree:
         return level
 
     def embed(self, values: np.ndarray, to_level: int) -> np.ndarray:
-        """Replicate a level-i field onto a finer level (i <= to_level)."""
+        """Replicate a level-i field onto a finer level (i <= to_level); a
+        field already at to_level is returned node-contiguous."""
         from_level = self.level_of(values)
         self._check_level(to_level)
         if from_level > to_level:
             raise ValueError(f"cannot embed level {from_level} into {to_level}")
         if from_level == to_level:
-            return values
-        return np.repeat(values, 1 << (to_level - from_level), axis=0)
+            return field(values)
+        return _repeat(values, 1 << (to_level - from_level))
 
     def level_sum(self, terms, to_level: int) -> np.ndarray:
         """Sum of fields on levels <= to_level, as a level-to_level field.
@@ -145,7 +156,7 @@ class Tree:
                 late[level] = late[level] + term if level in late else term
             else:
                 if level > top:
-                    total = np.repeat(total, 1 << (level - top), axis=0)
+                    total = _repeat(total, 1 << (level - top))
                 total, top = total + term, level
             del term  # not held while the next term is made
         if total is None:
@@ -158,7 +169,7 @@ class Tree:
         """E[ . | F_{t_i}]: equal-weight mean over level-i descendants.
 
         Linear idempotent projection; a field already at to_level is
-        returned unchanged.
+        returned unchanged, stored node-contiguous.
         """
         from_level = self.level_of(values)
         self._check_level(to_level)
@@ -166,10 +177,10 @@ class Tree:
             raise ValueError(
                 f"target level {to_level} exceeds source level {from_level}")
         if to_level == from_level:
-            return values
-        block = 1 << (from_level - to_level)
-        blocks = values.reshape((1 << to_level, block) + values.shape[1:])
-        return _pair_mean(blocks) if block == 2 else blocks.mean(axis=1)
+            return field(values)
+        if from_level == to_level + 1:
+            return _pair_mean(_blocks(values, 2))
+        return _blocks(values, 1 << (from_level - to_level)).mean(axis=-1).T
 
     def expectation(self, values: np.ndarray) -> np.ndarray:
         return self.cond_expect(values, 0)[0]
@@ -196,13 +207,17 @@ class Tree:
             terms.append(self.dw_term(h, j))
         if not terms:
             dim = integrands.dim if isinstance(integrands, AdaptedProcess) else 1
-            return np.zeros((self.n_leaves, dim))
+            return field(np.zeros((self.n_leaves, dim)))
         return self.level_sum(terms, self.N)
 
     def dw_term(self, h: np.ndarray, j: int) -> np.ndarray:
         """The increment h dW_j of a level-j integrand, a level-(j+1) field."""
-        return np.repeat(h, 2, axis=0) * self._dw[j].reshape(
-            (-1,) + (1,) * (h.ndim - 1))
+        return (h.T.repeat(2, axis=-1) * self._dw[j]).T
+
+    def ito_step(self, values: np.ndarray, h: np.ndarray, j: int) -> np.ndarray:
+        """values + h dW_j for a level-j field and integrand: one step of a
+        forward noise recursion, a level-(j+1) field."""
+        return _repeat(values, 2) + self.dw_term(h, j)
 
     def repr_step(self, values: np.ndarray):
         """One backward martingale step: level k+1 -> (E_k mean, integrand).
@@ -210,20 +225,20 @@ class Tree:
         integrand z_k = (up child mean - down child mean) / (2 sqrt(dt)),
         so that values = mean + z_k dW_k exactly on the two children.
         """
-        level = self.level_of(values)
-        if level < 1:
+        if self.level_of(values) < 1:
             raise ValueError("repr_step needs level >= 1")
-        paired = values.reshape((1 << (level - 1), 2) + values.shape[1:])
-        z = (paired[:, 1] - paired[:, 0]) / (2.0 * self.sqdt)
-        return _pair_mean(paired), z
+        paired = _blocks(values, 2)
+        z = (paired[..., 1] - paired[..., 0]) / (2.0 * self.sqdt)
+        return _pair_mean(paired), z.T
 
     # -- kernel application ---------------------------------------------
     # The one place that applies a matrix field, in either form: a dense
     # (2**i, d, e) table through einsum, a ScaledMatrix as one GEMM on the
-    # vector field followed by its per-node scale.  ``tmatvec_sum`` applies
-    # K matrix fields to the K columns of a (2**i, K, d) stack and sums:
-    # one GEMM against the stacked matrices when all K are constant, else
-    # the ``level_sum`` of the K ``tmatvec`` products.
+    # vector field (``apply``) followed by its per-node scale.
+    # ``tmatvec_sum`` applies K matrix fields to the K columns of a
+    # (2**i, K, d) stack and sums: one GEMM against the stacked matrices
+    # when all K are constant, else the ``level_sum`` of the K ``tmatvec``
+    # products.
 
     def _common_level(self, mat: np.ndarray, vec: np.ndarray):
         lev = max(self.level_of(mat), self.level_of(vec))
@@ -235,7 +250,7 @@ class Tree:
         if scale is None:
             return out
         scale, out = self._common_level(scale, out)
-        return scale[:, None] * out
+        return (out.T * scale).T
 
     def matvec(self, mat, vec: np.ndarray) -> np.ndarray:
         """Per-node kernel application mat @ vec at the common refinement
@@ -243,38 +258,90 @@ class Tree:
         a constant one has no level of its own) and a (2**j, e) vector
         field."""
         if isinstance(mat, ScaledMatrix):
-            return self._rescale(mat.scale, vec @ mat.matrix.T)
-        return np.einsum("kde,ke->kd", *self._common_level(mat, vec))
+            return self._rescale(mat.scale, apply(mat.matrix, vec))
+        return np.einsum("kde,ke->kd", *self._common_level(mat, vec), order="F")
 
     def tmatvec(self, mat, vec: np.ndarray) -> np.ndarray:
         """Transposed per-node kernel application mat' @ vec at the common
         level of a (d, e) matrix field and a (2**j, d) vector field."""
         if isinstance(mat, ScaledMatrix):
-            return self._rescale(mat.scale, vec @ mat.matrix)
-        return np.einsum("kde,kd->ke", *self._common_level(mat, vec))
+            return self._rescale(mat.scale, apply(mat.matrix.T, vec))
+        return np.einsum("kde,kd->ke", *self._common_level(mat, vec), order="F")
 
     def tmatvec_sum(self, mats, stack: np.ndarray) -> np.ndarray:
         """sum_k mats[k]' stack[:, k] for a (2**i, K, d) stack of level-i
         vector fields and K matrix fields no finer than level i, as a
-        level-i field.  All constant: one (2**i, K d) @ (K d, e) product
-        (a column slice of a contiguous stack reshapes as a view)."""
+        level-i field.  All constant: one (e, K d) @ (K d, 2**i) product
+        (a column slice of a ``stack`` reshapes as a view)."""
         if all(isinstance(mat, ScaledMatrix) and mat.scale is None for mat in mats):
-            flat = stack.reshape(stack.shape[0], -1)
-            return flat @ np.concatenate([mat.matrix for mat in mats], axis=0)
+            flat = np.moveaxis(stack, 0, -1).reshape(-1, stack.shape[0])
+            return (np.concatenate([mat.matrix for mat in mats]).T @ flat).T
         return self.level_sum((self.tmatvec(mat, stack[:, k])
                                for k, mat in enumerate(mats)), self.level_of(stack))
 
     def implicit_solve(self, mat, rhs: np.ndarray) -> np.ndarray:
         """Per-node solve of (I - dt mat) x = rhs at the level of rhs, for a
-        matrix field in either form at most as fine as rhs."""
-        lhs = np.eye(rhs.shape[-1]) - self.dt * as_table(mat, rhs.shape[0])
-        return np.linalg.solve(lhs, rhs[..., None])[..., 0]
+        matrix field in either form at most as fine as rhs: one solve with
+        every node as a right-hand side when the matrix is constant."""
+        eye = np.eye(rhs.shape[-1])
+        if isinstance(mat, ScaledMatrix) and mat.scale is None:
+            return np.linalg.solve(eye - self.dt * mat.matrix, rhs.T).T
+        lhs = eye - self.dt * as_table(mat, rhs.shape[0])
+        return field(np.linalg.solve(lhs, rhs[..., None])[..., 0])
+
+
+# -- node-contiguous layout ---------------------------------------------
+# ``values.T`` is the view of a field with its node axis last (all axes
+# reversed): a C-contiguous array for a node-contiguous field, on which
+# the passes below run along the nodes.
+
+
+def field(values) -> np.ndarray:
+    """``values`` as a node-contiguous float field; an array already
+    stored so is returned as it is."""
+    return np.asfortranarray(values, dtype=float)
+
+
+def outer(nodes: np.ndarray, vector) -> np.ndarray:
+    """The field nodes[k] * vector of a per-node (2**i,) factor."""
+    return np.multiply.outer(vector, nodes).T
+
+
+def apply(matrix: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """matrix @ v at every node of a (2**i, e) vector field: one (d, e) @
+    (e, 2**i) product."""
+    return (matrix @ vec.T).T
+
+
+def stack(fields) -> np.ndarray:
+    """K level-i (2**i, d) fields as one (2**i, K, d) field whose node
+    axis moved last is a C-contiguous (K, d, 2**i) array, so that the
+    fields of a slice of its K columns are one (K' d, 2**i) view."""
+    return np.moveaxis(np.stack([field(f).T for f in fields]), -1, 0)
+
+
+def dot(a: np.ndarray, b: np.ndarray) -> float:
+    """sum over every node and component of a * b for two fields of one
+    level, as one dot product."""
+    return float(np.dot(field(a).T.ravel(), field(b).T.ravel()))
+
+
+def _repeat(values: np.ndarray, reps: int) -> np.ndarray:
+    """Each node of a field repeated ``reps`` times along the node axis."""
+    return values.T.repeat(reps, axis=-1).T
+
+
+def _blocks(values: np.ndarray, block: int) -> np.ndarray:
+    """The nodes-last view of a field split into consecutive blocks of
+    nodes: shape (..., 2**i / block, block)."""
+    last = field(values).T
+    return last.reshape(last.shape[:-1] + (-1, block))
 
 
 def _pair_mean(paired: np.ndarray) -> np.ndarray:
-    """Mean over axis 1 of an (n, 2, ...) array: the bits of
-    ``.mean(axis=1)``, an order of magnitude faster."""
-    return (paired[:, 0] + paired[:, 1]) * 0.5
+    """The coarser field of the means of sibling pairs ``_blocks(values,
+    2)``: the bits of ``.mean(axis=-1)``, an order of magnitude faster."""
+    return ((paired[..., 0] + paired[..., 1]) * 0.5).T
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,7 +376,7 @@ def as_table(mat, nodes: int) -> np.ndarray:
         return as_table(mat.scale, nodes)[:, None, None] * mat.matrix
     if nodes % mat.shape[0]:
         raise ValueError(f"cannot repeat {mat.shape[0]} rows onto {nodes}")
-    return mat if nodes == mat.shape[0] else np.repeat(mat, nodes // mat.shape[0], axis=0)
+    return mat if nodes == mat.shape[0] else _repeat(mat, nodes // mat.shape[0])
 
 
 class AdaptedProcess:
@@ -320,7 +387,7 @@ class AdaptedProcess:
     """
 
     def __init__(self, levels):
-        self.levels = [np.asarray(v, dtype=float) for v in levels]
+        self.levels = [field(v) for v in levels]
         if not self.levels:
             raise ValueError("AdaptedProcess needs at least one level")
         for i, v in enumerate(self.levels):
@@ -333,13 +400,9 @@ class AdaptedProcess:
         self.dim = self.levels[0].shape[1]
 
     @classmethod
-    def zeros(cls, last_level: int, dim: int) -> "AdaptedProcess":
-        return cls([np.zeros((1 << i, dim)) for i in range(last_level + 1)])
-
-    @classmethod
     def constant(cls, vector, last_level: int) -> "AdaptedProcess":
         vec = np.atleast_1d(np.asarray(vector, dtype=float))
-        return cls([np.tile(vec, (1 << i, 1)) for i in range(last_level + 1)])
+        return cls([outer(np.ones(1 << i), vec) for i in range(last_level + 1)])
 
     @property
     def last_level(self) -> int:
@@ -349,7 +412,7 @@ class AdaptedProcess:
         return self.levels[i]
 
     def copy(self) -> "AdaptedProcess":
-        return AdaptedProcess([v.copy() for v in self.levels])
+        return AdaptedProcess([v.copy(order="K") for v in self.levels])
 
     def map(self, fn) -> "AdaptedProcess":
         return AdaptedProcess([fn(v) for v in self.levels])
@@ -377,21 +440,12 @@ class TwoParamProcess:
     """
 
     def __init__(self, rows):
-        self.rows = [[np.asarray(v, dtype=float) for v in row] for row in rows]
+        self.rows = [[field(v) for v in row] for row in rows]
         for row in self.rows:
             for j, v in enumerate(row):
                 if v.ndim != 2 or v.shape[0] != 1 << j:
                     raise ValueError(
                         f"column {j} has shape {v.shape}, wanted ({1 << j}, d)")
-
-    @classmethod
-    def zeros(cls, n_rows: int, n_cols: int, dim: int) -> "TwoParamProcess":
-        return cls([[np.zeros((1 << j, dim)) for j in range(n_cols)]
-                    for _ in range(n_rows)])
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.rows)
 
     def value(self, i: int, j: int) -> np.ndarray:
         return self.rows[i][j]

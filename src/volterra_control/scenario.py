@@ -9,8 +9,10 @@ first derivatives are supplied analytically.
 The six objects b, sigma, g, psi, f, h (``Scenario.catalog``) share one
 interface: ``name``, ``slots`` (their state arguments among x, y, z, u),
 ``value(t, s, **slots)`` and ``jacobian(slot, t, s, **slots)`` (a cost's
-is its gradient).  For b, sigma and g, ``value`` is the scalar kernel
-times ``bracket(**slots)``, which the solvers build once per level.
+is its gradient), and ``constant_slots``: the slots whose jacobian does
+not depend on the state, which ``jacobian`` takes without state
+arguments.  For b, sigma and g, ``value`` is the scalar kernel times
+``bracket(**slots)``, which the solvers build once per level.
 
 Input contract: every section is read by ``_read`` through one field
 table that declares each key once (its shape or default).  Any defect --
@@ -30,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .lattice import ScaledMatrix, TimeGrid, Tree
+from .lattice import ScaledMatrix, TimeGrid, Tree, apply, outer
 
 
 class ScenarioError(ValueError):
@@ -198,6 +200,7 @@ class AffineCoefficient:
         self.quads = quads
         self.const = const
         self._quadratic = {a for a, q in quads.items() if q.any()}
+        self._constant_slots = frozenset(self.slots) - self._quadratic
         self._constant = {}  # (slot, t, s) -> constant jacobian
 
     @classmethod
@@ -221,11 +224,16 @@ class AffineCoefficient:
     def is_affine(self) -> bool:
         return not self._quadratic
 
+    @property
+    def constant_slots(self) -> frozenset:
+        """The slots without a quadratic term."""
+        return self._constant_slots
+
     def term(self, slot: str, arr: np.ndarray) -> np.ndarray:
         """The bracket term M_a a (+ Q_a (a*a)) of one slot."""
-        term = arr @ self.matrices[slot].T
+        term = apply(self.matrices[slot], arr)
         if slot in self._quadratic:
-            term = term + (arr * arr) @ self.quads[slot].T
+            term = term + apply(self.quads[slot], arr * arr)
         return term
 
     def bracket(self, base=None, **args) -> np.ndarray:
@@ -254,7 +262,7 @@ class TerminalMap(_Section):
     kept by the object."""
 
     name = "psi"
-    slots = ("x",)
+    slots = constant_slots = ("x",)
 
     def __init__(self, **values):
         super().__init__(**values)
@@ -272,9 +280,10 @@ class TerminalMap(_Section):
         return self.x + t * self.x_slope
 
     def value(self, t: float, s: float, x: np.ndarray) -> np.ndarray:
-        return x @ self.matrix(t).T + (self.const + t * self.const_slope)
+        return apply(self.matrix(t), x) + (self.const + t * self.const_slope)
 
-    def jacobian(self, slot: str, t: float, s: float, x: np.ndarray) -> ScaledMatrix:
+    def jacobian(self, slot: str, t: float, s: float,
+                 x: np.ndarray | None = None) -> ScaledMatrix:
         return _memo(self._constant, t, lambda: ScaledMatrix(None, self.matrix(t)))
 
 
@@ -286,11 +295,7 @@ class InitialCurve(_Section):
         return {"const": (n,), "slope": (n,), "brownian": (n,)}
 
     def value(self, tree: Tree, i: int) -> np.ndarray:
-        base = self.const + tree.t(i) * self.slope
-        out = np.tile(base, (tree.n_nodes(i), 1))
-        if self.brownian.any():
-            out += tree.w(i)[:, None] * self.brownian[None, :]
-        return out
+        return (self.const + tree.t(i) * self.slope) + outer(tree.w(i), self.brownian)
 
 
 @dataclass
@@ -343,6 +348,7 @@ class RunningCost:
 
     name = "cost.f"
     slots = ("x", "y", "z", "u")
+    constant_slots = ()
 
     def __init__(self, quads, lins, const):
         self.quads = quads
@@ -377,7 +383,7 @@ class RunningCost:
     def jacobian(self, slot: str, t: float, s: float, **args) -> np.ndarray:
         arr = args[slot]
         q = 0.5 * (self.quads[slot] + self.quads[slot].T)
-        return arr @ q.T + self.lins[slot]
+        return apply(q, arr) + self.lins[slot]
 
 
 class TerminalCost(_Section):
@@ -385,6 +391,7 @@ class TerminalCost(_Section):
 
     name = "cost.h"
     slots = ("x", "y")
+    constant_slots = ()
 
     @staticmethod
     def table(n, m):
@@ -402,7 +409,7 @@ class TerminalCost(_Section):
                  y: np.ndarray) -> np.ndarray:
         q = getattr(self, f"q{slot}")
         gap = (x if slot == "x" else y) - getattr(self, f"{slot}_target")
-        return gap @ (0.5 * (q + q.T)).T + getattr(self, f"l{slot}")
+        return apply(0.5 * (q + q.T), gap) + getattr(self, f"l{slot}")
 
 
 @dataclass

@@ -31,7 +31,7 @@ from .adjoint import (FredholmSolution, FrozenCoefficients, assemble_adjoint,
 from .backward import solve_bsvie, solve_linear_backward
 from .cones import LicqError, adjacent_cone, cone_min_linear
 from .forward import simulate_forward, simulate_forward_linear
-from .lattice import AdaptedProcess, ScaledMatrix, Tree, transpose
+from .lattice import AdaptedProcess, ScaledMatrix, Tree, dot, outer, transpose
 from .scenario import ProjectionUnavailable, Scenario
 
 
@@ -139,26 +139,24 @@ def smooth_duality_instance(horizon: float, steps: int, m: int,
     A, B, D, A_tilde = (kernel_factory() for _ in range(4))
     a0 = rng.uniform(-1.0, 1.0, m)
     a1 = rng.uniform(-0.5, 0.5, m)
-    alpha = [np.tile(a0 * (1.0 + 0.5 * math.sin(tree.t(i))), (1 << i, 1))
-             + tree.w(i)[:, None] * a1[None, :] for i in range(tree.N + 1)]
+    alpha = [a0 * (1.0 + 0.5 * math.sin(tree.t(i))) + outer(tree.w(i), a1)
+             for i in range(tree.N + 1)]
     b0 = rng.uniform(-0.8, 0.8, m)
     beta_scales = [1.0 + 0.2 * w for w in tanh_w]
 
     def beta(i, j):
         scale = 1.0 + 0.3 * math.cos(tree.t(i) + 2.0 * tree.t(j))
-        return np.outer(beta_scales[j], b0 * scale)
+        return outer(beta_scales[j], b0 * scale)
 
     wN = tree.w(tree.N)
     c = rng.uniform(-0.7, 0.7, (3, m))
-    theta = c[0][None, :] + wN[:, None] * c[1][None, :] \
-        + (wN ** 2)[:, None] * c[2][None, :]
+    theta = c[0] + outer(wN, c[1]) + outer(wN ** 2, c[2])
     p = rng.uniform(-0.7, 0.7, (2, m))
-    psi_rows = [np.tile(p[0] * (1.0 + 0.4 * math.cos(tree.t(i))), (tree.n_leaves, 1))
-                + wN[:, None] * p[1][None, :] for i in range(tree.N)]
+    psi_rows = [p[0] * (1.0 + 0.4 * math.cos(tree.t(i))) + outer(wN, p[1])
+                for i in range(tree.N)]
     q = rng.uniform(-0.7, 0.7, (2, m))
-    psi_tilde_rows = [
-        np.tile(q[0] * (1.0 - 0.3 * math.sin(tree.t(i))), (tree.n_leaves, 1))
-        + (wN ** 2)[:, None] * q[1][None, :] * 0.5 for i in range(tree.N)]
+    psi_tilde_rows = [q[0] * (1.0 - 0.3 * math.sin(tree.t(i)))
+                      + outer(wN ** 2, q[1]) * 0.5 for i in range(tree.N)]
     return DualityInstance(tree=tree, dim=m, alpha=alpha, beta=beta,
                            theta=theta, psi_rows=psi_rows,
                            psi_tilde_rows=psi_tilde_rows, A=A, B=B, D=D,
@@ -166,10 +164,9 @@ def smooth_duality_instance(horizon: float, steps: int, m: int,
 
 
 def _pair(tree: Tree, a: np.ndarray, b: np.ndarray) -> float:
-    """E<a, b> at the common refinement level."""
+    """E<a, b> at the common refinement level: one dot product."""
     lev = max(tree.level_of(a), tree.level_of(b))
-    return float(np.mean(np.sum(tree.embed(a, lev) * tree.embed(b, lev),
-                                axis=1)))
+    return dot(tree.embed(a, lev), tree.embed(b, lev)) / tree.n_nodes(lev)
 
 
 @dataclass
@@ -454,7 +451,7 @@ def fbsde_reduced_gradient(scenario: Scenario, u: AdaptedProcess,
     L = [solve_gy(h_y_mean[None, :] + tree.dt * fro.d("f", "y", 0, 0), 0)]
     for j in range(N):
         incr = fro.d("f", "z", 0, j) + tree.tmatvec(fro.d("g", "z", 0, j), L[j])
-        nxt = np.repeat(L[j], 2, axis=0) + tree.dw_term(incr, j)
+        nxt = tree.ito_step(L[j], incr, j)
         if j + 1 <= N - 1:
             nxt = solve_gy(nxt + tree.dt * fro.d("f", "y", 0, j + 1), j + 1)
         L.append(nxt)

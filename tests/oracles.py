@@ -9,7 +9,8 @@ objects), independently of the package's sweep solvers.  ``solve_bsde`` is the p
 time-invariant BSVIE reduces to.  ``per_pair_forward`` and
 ``per_pair_bsvie`` are the state solvers with every coefficient
 evaluated by ``value`` at every time pair, the reference for the
-solvers' once-per-level brackets.
+solvers' once-per-level brackets.  ``zero_process``, ``zero_two_param``
+and ``grid_points`` are test-only constructors.
 """
 
 from __future__ import annotations
@@ -33,6 +34,22 @@ from volterra_control.verify import (DualityInstance, NCReport, check_duality_1,
                                      check_duality_2, control_pairing,
                                      evaluate_cost, feasible_direction,
                                      full_pipeline, smooth_duality_instance)
+
+
+def zero_process(last_level: int, dim: int) -> AdaptedProcess:
+    """The zero adapted process on levels 0..last_level."""
+    return AdaptedProcess([np.zeros((1 << i, dim)) for i in range(last_level + 1)])
+
+
+def zero_two_param(n_rows: int, n_cols: int, dim: int) -> TwoParamProcess:
+    """The zero two-parameter field with n_rows rows of columns 0..n_cols-1."""
+    return TwoParamProcess([[np.zeros((1 << j, dim)) for j in range(n_cols)]
+                            for _ in range(n_rows)])
+
+
+def grid_points(grid) -> np.ndarray:
+    """The grid times t_0..t_N."""
+    return np.linspace(0.0, grid.horizon, grid.steps + 1)
 
 
 def projector(tree, level):
@@ -137,7 +154,7 @@ def picard_bsvie_oracle(scenario, fwd, u, tree) -> BackwardPath:
     terminal_rows = [scenario.coeffs.psi.value(tree.t(i), tree.t(tree.N), x_leaf)
                      for i in range(tree.N + 1)]
     driver = _bsvie_driver(scenario, tree, fwd, u)
-    y = AdaptedProcess.zeros(tree.N, scenario.m)
+    y = zero_process(tree.N, scenario.m)
     tol = scenario.tolerances.picard_tol
     history = []
     rows = list(range(tree.N + 1))
@@ -249,7 +266,7 @@ def jacobian_discrepancies(scenario: Scenario) -> dict:
     probes = {a: rng.standard_normal((6, d)) for a, d in
               (("x", scenario.n), ("y", scenario.m), ("z", scenario.m),
                ("u", scenario.l))}
-    ts = scenario.grid.points
+    ts = grid_points(scenario.grid)
     t, s = float(ts[1]), float(ts[0])
     for obj in scenario.catalog.values():
         args = {a: probes[a] for a in obj.slots}
@@ -572,7 +589,7 @@ def qp_oracle(scenario: Scenario, tree: Tree | None = None,
         parts += [bwd.Z.value(0, j).ravel() for j in range(tree.N)]
         return np.concatenate(parts), (fwd, bwd)
 
-    zero_u = AdaptedProcess.zeros(tree.N - 1, l)
+    zero_u = zero_process(tree.N - 1, l)
     s0, _ = stack_states(zero_u)
     columns = np.zeros((s0.size, n_u))
     for k in range(n_u):

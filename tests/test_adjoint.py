@@ -3,7 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import dense_fredholm_solve, random_duality_instance
+from oracles import (dense_fredholm_solve, random_duality_instance, zero_process,
+                     zero_two_param)
 
 from volterra_control.adjoint import (
     FredholmSolution, _pq_equation, adjoint_residuals, assemble_adjoint,
@@ -46,7 +47,7 @@ class TestSolveLambda0:
 
     def test_zero_inputs_constant(self):
         tree = Tree.build(1.0, 5)
-        fz = AdaptedProcess.zeros(tree.N - 1, 1)
+        fz = zero_process(tree.N - 1, 1)
         lam0, Lam = self.solve(tree, fz, 0.0, np.full((tree.n_leaves, 1), 1.7))
         assert np.allclose(lam0, 1.7)
         assert np.allclose(Lam.level(3), 1.7)
@@ -55,7 +56,7 @@ class TestSolveLambda0:
         # oracle: unroll lambda_{j+1} = lambda_j (1 + D dW_j) per leaf
         tree = Tree.build(1.0, 6)
         d = 0.8
-        fz = AdaptedProcess.zeros(tree.N - 1, 1)
+        fz = zero_process(tree.N - 1, 1)
         hy = np.where(np.arange(tree.n_leaves) % 2, 3.0, 1.0)[:, None]  # E = 2
         lam0, Lam = self.solve(tree, fz, d, hy)
         for leaf in range(tree.n_leaves):
@@ -306,6 +307,8 @@ class TestAssembleAdjoint:
             def dense(self, slot, t, s, _jacobian=cls.jacobian, **args):
                 return as_table(_jacobian(self, slot, t, s, **args), len(args[slot]))
             monkeypatch.setattr(cls, "jacobian", dense)
+            # a dense table is per node, so it is asked for with the state
+            monkeypatch.setattr(cls, "constant_slots", ())
         res_dense, hu_dense, kinds_dense = run()
         assert kinds_dense == {np.ndarray}
         for name, val in res.items():
@@ -336,16 +339,16 @@ class TestHamiltonianGradient:
         from volterra_control.adjoint import AdjointBundle
         bundle = AdjointBundle(
             lambda0=np.zeros((tree.n_leaves, 1)),
-            Lambda=AdaptedProcess.zeros(tree.N, 1),
+            Lambda=zero_process(tree.N, 1),
             xi=FredholmSolution(
                 xi=[np.zeros((tree.n_leaves, 1)) for _ in range(tree.N)],
                 cond=[[np.zeros((1 << r, 1)) for r in range(i, tree.N + 1)]
                       for i in range(tree.N)]),
             theta=np.zeros((tree.n_leaves, 1)),
             pq=BackwardSolution(Y=AdaptedProcess.constant([c], tree.N - 1),
-                                Z=TwoParamProcess.zeros(tree.N, tree.N, 1),
-                                mu=AdaptedProcess.zeros(tree.N, 1),
-                                nu=AdaptedProcess.zeros(tree.N - 1, 1)),
+                                Z=zero_two_param(tree.N, tree.N, 1),
+                                mu=zero_process(tree.N, 1),
+                                nu=zero_process(tree.N - 1, 1)),
             frozen=_ZeroFrozen(tree, 1, 1, 1))
         hu = hamiltonian_gradient(None, bundle, None, None, None, tree)
         for j in range(tree.N):

@@ -13,7 +13,7 @@ from volterra_control.lattice import AdaptedProcess, Tree
 from volterra_control.scenario import Scenario, fixture_path, load_scenario
 
 from oracles import (dense_bsvie_oracle, picard_bsvie_oracle, projector,
-                     recompute_bsvie_row, repr_operator, solve_bsde)
+                     recompute_bsvie_row, repr_operator, solve_bsde, zero_process)
 from test_scenario import FIXTURES
 
 
@@ -64,7 +64,7 @@ class TestSolveBsvie:
         doc["coefficients"]["sigma"] = {"const": [1.0]}
         s = Scenario.from_json(doc)
         tree = s.tree()
-        u = AdaptedProcess.zeros(tree.N - 1, 1)
+        u = zero_process(tree.N - 1, 1)
         fwd = simulate_forward(s, u, tree)
         bwd = solve_bsvie(s, fwd, u, tree)
         x_leaf = fwd.X.level(tree.N)

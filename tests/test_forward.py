@@ -11,6 +11,8 @@ from volterra_control.forward import (
 from volterra_control.lattice import AdaptedProcess
 from volterra_control.scenario import Scenario, fixture_path, load_scenario
 
+from oracles import zero_process
+
 
 def scenario_with(doc_updates):
     doc = json.loads(fixture_path("zero").read_text())
@@ -53,14 +55,14 @@ class TestSimulateForward:
     def test_zero_dynamics_returns_phi(self):
         s = scenario_with({"coefficients.phi": {"const": [2.0], "slope": [1.0]}})
         tree = s.tree()
-        path = simulate_forward(s, AdaptedProcess.zeros(tree.N - 1, 1), tree)
+        path = simulate_forward(s, zero_process(tree.N - 1, 1), tree)
         for i in range(tree.N + 1):
             assert np.allclose(path.X.level(i), 2.0 + tree.t(i))
 
     def test_unit_sigma_gives_brownian(self):
         s = scenario_with({"coefficients.sigma": {"const": [1.0]}})
         tree = s.tree()
-        path = simulate_forward(s, AdaptedProcess.zeros(tree.N - 1, 1), tree)
+        path = simulate_forward(s, zero_process(tree.N - 1, 1), tree)
         for i in range(tree.N + 1):
             assert np.allclose(path.X.level(i)[:, 0], tree.w(i), atol=1e-14)
 
@@ -68,7 +70,7 @@ class TestSimulateForward:
         s = scenario_with({"coefficients.phi": {"const": [1.5]},
                            "coefficients.b": {"const": [0.7]}})
         tree = s.tree()
-        path = simulate_forward(s, AdaptedProcess.zeros(tree.N - 1, 1), tree)
+        path = simulate_forward(s, zero_process(tree.N - 1, 1), tree)
         for i in range(tree.N + 1):
             assert np.allclose(path.X.level(i), 1.5 + 0.7 * tree.t(i), atol=1e-14)
 
@@ -106,7 +108,7 @@ class TestSimulateForward:
         tree = s.tree()
         with pytest.raises(SimulationError, match=r"^non-finite value in "
                            r"b\(t_1, t_0\) at level 0, node 0$"):
-            simulate_forward(s, AdaptedProcess.zeros(tree.N - 1, 1), tree)
+            simulate_forward(s, zero_process(tree.N - 1, 1), tree)
 
     def test_nonfinite_kernel_product_names_pair_and_node(self):
         # a finite bracket that overflows only once scaled by the kernel:
@@ -114,7 +116,7 @@ class TestSimulateForward:
         s = scenario_with({"coefficients.b": {"kernel": {"scale": 1e300},
                                               "u": [[1.0]]}})
         tree = s.tree()
-        u = AdaptedProcess.zeros(tree.N - 1, 1)
+        u = zero_process(tree.N - 1, 1)
         u.level(2)[3, 0] = 1e10
         with pytest.raises(SimulationError, match=r"^non-finite value in "
                            r"b\(t_3, t_2\) at level 2, node 3$"):
@@ -125,8 +127,8 @@ class TestSimulateForwardLinear:
     def test_zero_direction(self):
         s = load_scenario(fixture_path("lq"))
         tree = s.tree()
-        base = simulate_forward(s, AdaptedProcess.zeros(tree.N - 1, 1), tree)
-        x1 = simulate_forward_linear(s, base, AdaptedProcess.zeros(tree.N - 1, 1), tree)
+        base = simulate_forward(s, zero_process(tree.N - 1, 1), tree)
+        x1 = simulate_forward_linear(s, base, zero_process(tree.N - 1, 1), tree)
         assert x1.sup_norm() == 0.0
 
     def test_state_independent_decoupled_form(self):
@@ -135,7 +137,7 @@ class TestSimulateForwardLinear:
         tree = s.tree()
         rng = np.random.default_rng(8)
         v = AdaptedProcess([rng.standard_normal((1 << i, 1)) for i in range(tree.N)])
-        base = simulate_forward(s, AdaptedProcess.zeros(tree.N - 1, 1), tree)
+        base = simulate_forward(s, zero_process(tree.N - 1, 1), tree)
         x1 = simulate_forward_linear(s, base, v, tree)
         for i in range(1, tree.N + 1):
             direct = tree.dt * sum(
@@ -162,8 +164,8 @@ class TestSimulateForwardLinear:
     def test_nonfinite_term_names_level_and_node(self):
         s = scenario_with({"coefficients.b": {"u": [[10.0]]}})
         tree = s.tree()
-        base = simulate_forward(s, AdaptedProcess.zeros(tree.N - 1, 1), tree)
-        v = AdaptedProcess.zeros(tree.N - 1, 1)
+        base = simulate_forward(s, zero_process(tree.N - 1, 1), tree)
+        v = zero_process(tree.N - 1, 1)
         v.level(2)[3, 0] = 1e308
         with pytest.raises(SimulationError,
                            match=r"in X1\(t_3\) at level 3, node 6$"):

@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from volterra_control.backward import _row_run
+from oracles import grid_points, zero_process, zero_two_param
+from volterra_control.adjoint import solve_fredholm
+from volterra_control.backward import _row_run, solve_linear_backward
 from volterra_control.lattice import (AdaptedProcess, ScaledMatrix, TimeGrid, Tree,
-                                      TwoParamProcess, as_table, transpose)
+                                      TwoParamProcess, as_table, dot, stack, transpose)
+from volterra_control.verify import _pair, smooth_duality_instance
 
 
 def field(values):
@@ -17,7 +20,7 @@ def field(values):
 class TestTimeGrid:
     def test_points_increasing_and_exact(self):
         grid = TimeGrid(2.0, 8)
-        pts = grid.points
+        pts = grid_points(grid)
         assert np.all(np.diff(pts) > 0)
         assert abs(grid.dt * grid.steps - grid.horizon) <= 1e-15
 
@@ -80,7 +83,7 @@ class TestCondExpect:
 class TestItoSum:
     def test_zero_integrand(self):
         tree = Tree.build(1.0, 4)
-        h = AdaptedProcess.zeros(3, 1)
+        h = zero_process(3, 1)
         assert np.all(tree.ito_sum(h, 0, 4) == 0.0)
 
     def test_unit_integrand_gives_brownian(self):
@@ -96,7 +99,7 @@ class TestItoSum:
 
     def test_empty_range_returns_zero_field(self):
         tree = Tree.build(1.0, 3)
-        out = tree.ito_sum(AdaptedProcess.zeros(2, 2), 1, 1)
+        out = tree.ito_sum(zero_process(2, 2), 1, 1)
         assert out.shape == (tree.n_leaves, 2)
         assert np.all(out == 0.0)
 
@@ -256,10 +259,13 @@ class TestKernelApplication:
         mat = ScaledMatrix(scale, rng.uniform(-1.0, 1.0, (d, d)))
         rhs = rng.standard_normal((1 << ((scale_level or 0) + lift), d))
         table = as_table(mat, len(rhs))
-        assert np.array_equal(tree.implicit_solve(mat, rhs),
-                              tree.implicit_solve(table, rhs))
-        assert np.array_equal(tree.implicit_solve(transpose(mat), rhs),
-                              tree.implicit_solve(table.mT, rhs))
+        for factored, dense in ((mat, table), (transpose(mat), table.mT)):
+            got = tree.implicit_solve(factored, rhs)
+            want = tree.implicit_solve(dense, rhs)
+            if scale is None:  # one solve with every node as a right-hand side
+                assert np.abs(got - want).max() <= 1e-15 * (1.0 + np.abs(want).max())
+            else:  # the per-node solve of the table
+                assert np.array_equal(got, want)
 
     @settings(max_examples=60, deadline=None)
     @given(d=st.integers(1, 3), e=st.integers(1, 3),
@@ -324,8 +330,148 @@ class TestProcessContainers:
         assert (a - a).sup_norm() == 0.0
 
     def test_two_param_shapes(self):
-        z = TwoParamProcess.zeros(3, 4, 2)
-        assert z.n_rows == 3
+        z = zero_two_param(3, 4, 2)
+        assert len(z.rows) == 3
         assert z.value(1, 2).shape == (4, 2)
         with pytest.raises(ValueError):
             TwoParamProcess([[np.zeros((2, 1))]])
+
+
+def node_contiguous(values):
+    """The node axis has unit stride: moved last, the array is C-contiguous."""
+    return np.moveaxis(values, 0, -1).flags.c_contiguous
+
+
+def both_orders(values):
+    """A field in row-major order and in node-contiguous order."""
+    return np.ascontiguousarray(values), np.asfortranarray(values)
+
+
+def close_to(got, want):
+    # the old node-major formulas, up to one rounding per term
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-15 * (1.0 + np.abs(want).max())
+
+
+class TestNodeContiguousLayout:
+    """For d > 1 every helper returns node-contiguous fields, from input in
+    either order, and agrees with the node-major formulas."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_level_helpers(self, d):
+        tree = Tree.build(1.0, 5)
+        rng = np.random.default_rng(d)
+        x5, x3, x2 = (rng.standard_normal((1 << lev, d)) for lev in (5, 3, 2))
+        for a5, a3, a2 in zip(both_orders(x5), both_orders(x3), both_orders(x2)):
+            got = {
+                "embed": (tree.embed(a3, 5), np.repeat(x3, 4, axis=0)),
+                "embed_same": (tree.embed(a3, 3), x3),
+                "level_sum": (tree.level_sum([a2, a3, a5], 5),
+                              np.repeat(x2, 8, axis=0) + np.repeat(x3, 4, axis=0) + x5),
+                "level_sum_one": (tree.level_sum([a3], 3), x3),
+                "dw_term": (tree.dw_term(a3, 3),
+                            np.repeat(x3, 2, axis=0) * tree.dw(3)[:, None]),
+                "cond_expect_pair": (tree.cond_expect(a5, 4),
+                                     x5.reshape(16, 2, d).mean(axis=1)),
+                "cond_expect_block": (tree.cond_expect(a5, 2),
+                                      x5.reshape(4, 8, d).mean(axis=1)),
+                "cond_expect_same": (tree.cond_expect(a3, 3), x3),
+                "expectation_row": (tree.cond_expect(a5, 0), x5.mean(axis=0)[None]),
+            }
+            mean, z = tree.repr_step(a5)
+            pairs = x5.reshape(16, 2, d)
+            got["repr_step_mean"] = (mean, pairs.mean(axis=1))
+            got["repr_step_z"] = (z, (pairs[:, 1] - pairs[:, 0]) / (2.0 * tree.sqdt))
+            for name, (out, want) in got.items():
+                assert node_contiguous(out), name
+                close_to(out, want)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_kernel_helpers(self, d):
+        tree = Tree.build(1.0, 5)
+        rng = np.random.default_rng(10 + d)
+        e = d - 1
+        mat = rng.uniform(-1.0, 1.0, (d, e))
+        scale = rng.uniform(0.5, 1.5, 1 << 2)
+        table = rng.uniform(-1.0, 1.0, (1 << 4, d, e))
+        x4e, x4d = rng.standard_normal((1 << 4, e)), rng.standard_normal((1 << 4, d))
+        mats = [ScaledMatrix(None, rng.uniform(-1.0, 1.0, (d, e))) for _ in range(3)]
+        cols = [rng.standard_normal((1 << 4, d)) for _ in range(3)]
+        square = rng.uniform(-1.0, 1.0, (d, d))
+        for ve, vd in zip(both_orders(x4e), both_orders(x4d)):
+            got = {
+                "matvec": (tree.matvec(ScaledMatrix(None, mat), ve), x4e @ mat.T),
+                "tmatvec": (tree.tmatvec(ScaledMatrix(None, mat), vd), x4d @ mat),
+                "matvec_scaled": (tree.matvec(ScaledMatrix(scale, mat), ve),
+                                  np.repeat(scale, 4)[:, None] * (x4e @ mat.T)),
+                "tmatvec_scaled": (tree.tmatvec(ScaledMatrix(scale, mat), vd),
+                                   np.repeat(scale, 4)[:, None] * (x4d @ mat)),
+                "matvec_table": (tree.matvec(table, ve),
+                                 np.einsum("kde,ke->kd", table, x4e)),
+                "tmatvec_table": (tree.tmatvec(table, vd),
+                                  np.einsum("kde,kd->ke", table, x4d)),
+            }
+            for order in both_orders(np.stack(cols, axis=1)):
+                got["tmatvec_sum_" + ("C" if order.flags.c_contiguous else "F")] = (
+                    tree.tmatvec_sum(mats, order),
+                    sum(col @ m.matrix for col, m in zip(cols, mats)))
+            got["tmatvec_sum_stack"] = (
+                tree.tmatvec_sum(mats[:2], stack(cols)[:, :2]),
+                cols[0] @ mats[0].matrix + cols[1] @ mats[1].matrix)
+            for form in (ScaledMatrix(None, square), ScaledMatrix(scale, square),
+                         as_table(ScaledMatrix(scale, square), 1 << 4)):
+                lhs = np.eye(d) - tree.dt * as_table(form, 1 << 4)
+                got[f"implicit_solve_{type(form).__name__}"] = (
+                    tree.implicit_solve(form, vd),
+                    np.array([np.linalg.solve(a, b) for a, b in zip(lhs, x4d)]))
+            for name, (out, want) in got.items():
+                assert node_contiguous(out), name
+                close_to(out, want)
+
+    def test_containers_and_builders(self):
+        rng = np.random.default_rng(5)
+        levels = [rng.standard_normal((1 << i, 3)) for i in range(4)]
+        proc = AdaptedProcess(levels)
+        assert all(node_contiguous(v) for v in proc.levels)
+        assert all(node_contiguous(v) for v in proc.copy().levels)
+        assert all(np.array_equal(a, b) for a, b in zip(proc.levels, levels))
+        const = AdaptedProcess.constant([1.0, 2.0], 3)
+        assert all(node_contiguous(v) for v in const.levels)
+        rows = TwoParamProcess([levels[:2], levels[:3]]).rows
+        assert all(node_contiguous(v) for row in rows for v in row)
+        cols = stack(levels[3:] * 4)
+        assert cols.shape == (8, 4, 3) and node_contiguous(cols[:, 1])
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_pair_is_the_mean_inner_product(self, d):
+        tree = Tree.build(1.0, 6)
+        rng = np.random.default_rng(20 + d)
+        a, b = rng.standard_normal((1 << 6, d)), rng.standard_normal((1 << 3, d))
+        want = np.mean(np.sum(a * np.repeat(b, 8, axis=0), axis=1))
+        for a_ord, b_ord in itertools.product(both_orders(a), both_orders(b)):
+            assert abs(_pair(tree, a_ord, b_ord) - want) <= 1e-15 * (1.0 + abs(want))
+            assert abs(_pair(tree, b_ord, a_ord) - want) <= 1e-15 * (1.0 + abs(want))
+        c = rng.standard_normal((1 << 6, d))
+        for a_ord, c_ord in itertools.product(both_orders(a), both_orders(c)):
+            assert abs(dot(a_ord, c_ord) - np.sum(a * c)) <= 1e-13
+
+    def test_solvers_agree_across_input_orders(self):
+        # an m = 3 instance, once with node-contiguous and once with
+        # row-major free terms
+        inst = smooth_duality_instance(1.0, 5, 3, seed=11)
+        tree = inst.tree
+        solutions = []
+        for order in (np.asfortranarray, np.ascontiguousarray):
+            def beta(i, j, order=order):
+                return order(inst.beta(i, j))
+            xi = solve_fredholm(tree, [order(a) for a in inst.alpha], A=inst.A, B=inst.B,
+                                D=inst.D, beta=beta)
+            bwd = solve_linear_backward(tree, [order(p) for p in inst.psi_rows],
+                                        A=inst.A, B=inst.B, D=inst.D,
+                                        theta=order(inst.theta))
+            fields = xi.xi + [v for run in xi.cond for v in run] + bwd.Y.levels
+            fields += [v for row in bwd.Z.rows for v in row]
+            fields += bwd.mu.levels + bwd.nu.levels
+            solutions.append(fields)
+        for a, b in zip(*solutions):
+            assert np.abs(a - b).max() <= 1e-14

@@ -8,7 +8,7 @@ import pytest
 import oracles
 from oracles import (degenerate_duality_gaps, gateaux_vs_hamiltonian,
                      operator_transpose_oracle, qp_oracle,
-                     random_duality_instance)
+                     random_duality_instance, zero_process)
 
 from volterra_control import verify
 from volterra_control.cones import LicqError
@@ -142,7 +142,7 @@ class TestSolveVariational:
         tree = s.tree(4)
         u = AdaptedProcess.constant([0.3], tree.N - 1)
         fwd, bwd = solve_state(s, u, tree)
-        v = AdaptedProcess.zeros(tree.N - 1, 1)
+        v = zero_process(tree.N - 1, 1)
         x1, y1, z1 = solve_variational(s, fwd, bwd, u, v, tree)
         assert x1.sup_norm() == 0.0
         assert y1.sup_norm() == 0.0
@@ -173,7 +173,7 @@ class TestSolveVariational:
         doc["coefficients"]["psi"] = {"x": [[0.6]]}
         s = Scenario.from_json(doc)
         tree = s.tree()
-        u = AdaptedProcess.zeros(tree.N - 1, 1)
+        u = zero_process(tree.N - 1, 1)
         fwd, bwd = solve_state(s, u, tree)
         v = adapted_rng(tree, 1, 6)
         x1, y1, _ = solve_variational(s, fwd, bwd, u, v, tree)
@@ -190,7 +190,7 @@ class TestConvergence:
         s = load_scenario(fixture_path("lq"))
         tree = s.tree(4)
         u = AdaptedProcess.constant([0.1], tree.N - 1)
-        rep = convergence_test(s, u, AdaptedProcess.zeros(tree.N - 1, 1),
+        rep = convergence_test(s, u, zero_process(tree.N - 1, 1),
                                [0.25, 0.125], tree)
         assert max(rep.err_x) == 0.0
         assert max(rep.err_yz) == 0.0
@@ -220,7 +220,7 @@ class TestGateaux:
         s = load_scenario(fixture_path("lq"))
         tree = s.tree(4)
         u = AdaptedProcess.constant([0.1], tree.N - 1)
-        rep = gateaux_vs_hamiltonian(s, u, AdaptedProcess.zeros(tree.N - 1, 1),
+        rep = gateaux_vs_hamiltonian(s, u, zero_process(tree.N - 1, 1),
                                      [1e-3], tree)
         assert rep.pairing == 0.0
         assert rep.quotients[1e-3] == pytest.approx(0.0, abs=1e-14)
@@ -353,7 +353,7 @@ class TestProjectedGradient:
         s = load_scenario(fixture_path("lq"))
         tree = s.tree()
         qp = qp_oracle(s, tree)
-        u_pg, hist = projected_gradient(s, AdaptedProcess.zeros(tree.N - 1, 1),
+        u_pg, hist = projected_gradient(s, zero_process(tree.N - 1, 1),
                                         step=0.4, max_iter=400,
                                         grad_tol=1e-10, tree=tree)
         assert hist[-1] - qp.cost <= 1e-11
