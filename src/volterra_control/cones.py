@@ -2,14 +2,16 @@
 
 At an interior point the cone of admissible directions is the whole
 space; on the boundary of a smooth-inequality region satisfying LICQ it
-is the polyhedral cone {v : <grad g_i(u), v> <= 0 for active i}.  Like
-``ControlConstraint``, everything here takes (..., l) node tables, bit
-for bit as if row by row.  A cone is its (..., k, l) stack W of normals
-with zero rows for inactive inequalities (a zero row leaves {v : W v <=
-0} unchanged; all zero is the full space).  All cone computations reduce
-to one nonnegative least-squares fit by the rows of W (Moreau
-decomposition against the polar cone they generate), solved exactly by
-support enumeration.
+is the polyhedral cone {v : <grad g_i(u), v> <= 0 for active i} of the
+region's ``values`` and ``gradients`` (``Halfspaces``, ``Ball`` or
+``Quadratics``).  Like them, everything here takes (..., l) node tables,
+bit for bit as if row by row.  A cone is its (..., k, l) stack W of
+normals with zero rows for inactive inequalities (a zero row leaves {v :
+W v <= 0} unchanged; all zero is the full space, as is k = 0 for the
+unconstrained region, ``Halfspaces`` with zero rows).  All cone
+computations reduce to one nonnegative least-squares fit by the rows of
+W (Moreau decomposition against the polar cone they generate), solved
+exactly by support enumeration.
 """
 
 from __future__ import annotations

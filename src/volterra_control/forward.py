@@ -48,7 +48,7 @@ def _check_control(scenario: Scenario, tree: Tree, u: AdaptedProcess):
         raise SimulationError(
             f"control defined up to level {u.last_level}, need {tree.N - 1}")
     constraint = scenario.constraint
-    if constraint.variant == "unconstrained":
+    if constraint.whole_space:
         return
     tol = scenario.tolerances.activity_tol
     for j in range(tree.N):

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .lattice import ScaledMatrix, TimeGrid, Tree, apply, outer
+from .lattice import AdaptedProcess, ScaledMatrix, TimeGrid, Tree, apply, outer
 
 
 class ScenarioError(ValueError):
@@ -438,36 +438,34 @@ class ProjectionUnavailable(RuntimeError):
 class ControlConstraint:
     """Closed control region U with membership, inequalities and projection.
 
-    Variants: unconstrained, ball, halfspaces (a_i . u <= b_i), quadratics
-    (smooth inequalities u'S_i u + b_i.u + c_i <= 0).  The torus fixture of
-    the two-ring annulus is the quadratics instance {|u|^2 - 4 <= 0,
-    2 - |u|^2 <= 0} and carries a radial closed-form projection; other
-    quadratics regions have none.
+    One class per kind of region, built by the constructors here:
+    ``Halfspaces`` (a_i . u <= b_i), ``Ball`` and ``Quadratics`` (smooth
+    inequalities u'S_i u + b_i.u + c_i <= 0).  Each supplies ``values``
+    g_i(u), shape (..., k), ``gradients``, shape (..., k, l), its projection
+    and ``to_json``.  The unconstrained region is ``Halfspaces`` with zero
+    rows (``whole_space``).  The torus fixture of the two-ring annulus is
+    the quadratics instance {|u|^2 - 4 <= 0, 2 - |u|^2 <= 0} with a radial
+    closed-form projection; other quadratics regions have none.
 
     ``values``, ``gradients``, ``activity``, ``contains`` and ``project``
     take (..., l) node tables, one point per row, bit for bit as if row by
     row; an (l,) point is the one-row case.
     """
 
-    def __init__(self, variant, dim, data):
-        self.variant = variant
-        self.dim = dim
-        self.data = data
-        # data is never modified after construction
-        self._radial = self._radial_bounds()
+    whole_space = False
+    has_exact_projection = True
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def unconstrained(cls, dim):
-        return cls("unconstrained", dim, {})
+        return Halfspaces(np.zeros((0, dim)), np.zeros(0))
 
     @classmethod
     def ball(cls, center, radius):
-        center = np.asarray(center, dtype=float)
-        if radius <= 0:
+        if not radius > 0:
             raise ScenarioError(f"constraint.radius: must be positive, got {radius}")
-        return cls("ball", center.size, {"center": center, "radius": float(radius)})
+        return Ball(np.asarray(center, dtype=float), float(radius))
 
     @classmethod
     def halfspaces(cls, normals, offsets):
@@ -476,98 +474,45 @@ class ControlConstraint:
         if normals.shape[0] != offsets.size:
             raise ScenarioError(f"constraint.offsets: {offsets.size} offsets for"
                                 f" {normals.shape[0]} normals")
-        return cls("halfspaces", normals.shape[1],
-                   {"normals": normals, "offsets": offsets})
+        return Halfspaces(normals, offsets)
 
     @classmethod
     def quadratics(cls, terms, dim):
         if not terms:
             raise ScenarioError("constraint.terms: no terms")
         table = {"quad": (dim, dim), "lin": (dim,), "const": 0.0}
-        return cls("quadratics", dim, {"terms": [
-            _read(term, table, f"constraint.terms[{k}]") for k, term in enumerate(terms)]})
+        return Quadratics(dim, [_read(term, table, f"constraint.terms[{k}]")
+                                for k, term in enumerate(terms)])
 
     @classmethod
     def torus(cls):
-        c = cls.quadratics([
-            {"quad": np.eye(2).tolist(), "const": -4.0},
-            {"quad": (-np.eye(2)).tolist(), "const": 2.0},
-        ], 2)
-        return c
+        return cls.quadratics([{"quad": np.eye(2).tolist(), "const": -4.0},
+                               {"quad": (-np.eye(2)).tolist(), "const": 2.0}], 2)
 
     @classmethod
     def from_json(cls, l, entry):
-        tables = {"unconstrained": {}, "torus": {},
-                  "ball": {"center": (l,), "radius": float},
-                  "halfspaces": {"normals": (-1, l), "offsets": (-1,)},
-                  "quadratics": {"terms": list}}
+        kinds = {"unconstrained": ({}, lambda: cls.unconstrained(l)),
+                 "torus": ({}, cls.torus),
+                 "ball": ({"center": (l,), "radius": float}, cls.ball),
+                 "halfspaces": ({"normals": (-1, l), "offsets": (-1,)}, cls.halfspaces),
+                 "quadratics": ({"terms": list}, lambda terms: cls.quadratics(terms, l))}
         if entry in (None, {}):
             entry = {"type": "unconstrained"}
         kind = entry.get("type") if isinstance(entry, dict) else None
-        if isinstance(entry, dict) and (kind not in tables or kind == "torus" and l != 2):
-            raise ScenarioError(f"constraint.type: expected one of {sorted(tables)}"
+        if isinstance(entry, dict) and (kind not in kinds or kind == "torus" and l != 2):
+            raise ScenarioError(f"constraint.type: expected one of {sorted(kinds)}"
                                 f" (torus needs control dim 2), got {kind!r}")
-        v = _read(entry, {"type": None, **tables.get(kind, {})}, "constraint")
-        if kind == "ball":
-            return cls.ball(v["center"], v["radius"])
-        if kind == "halfspaces":
-            return cls.halfspaces(v["normals"], v["offsets"])
-        if kind == "quadratics":
-            return cls.quadratics(v["terms"], l)
-        return cls.torus() if kind == "torus" else cls.unconstrained(l)
-
-    def to_json(self):
-        if self.variant == "unconstrained":
-            return {"type": "unconstrained"}
-        if self.variant == "ball":
-            return {"type": "ball", "center": self.data["center"].tolist(),
-                    "radius": self.data["radius"]}
-        if self.variant == "halfspaces":
-            return {"type": "halfspaces", "normals": self.data["normals"].tolist(),
-                    "offsets": self.data["offsets"].tolist()}
-        if self._is_torus():
-            return {"type": "torus"}
-        return {"type": "quadratics", "terms": [
-            {"quad": t["quad"].tolist(), "lin": t["lin"].tolist(), "const": t["const"]}
-            for t in self.data["terms"]]}
-
-    def _is_torus(self):
-        if self.variant != "quadratics" or self.dim != 2:
-            return False
-        return self._radial == (2.0, 4.0)
+        table, make = kinds.get(kind, ({}, None))
+        v = _read(entry, {"type": None, **table}, "constraint")
+        del v["type"]
+        return make(**v)
 
     # -- inequality interface -------------------------------------------
-
-    def values(self, u: np.ndarray) -> np.ndarray:
-        """Constraint values g_i(u), shape (..., k); membership is all(g_i <= 0)."""
-        u = np.asarray(u, dtype=float)
-        if self.variant == "unconstrained":
-            return np.zeros(u.shape[:-1] + (0,))
-        if self.variant == "ball":
-            gap = u - self.data["center"]
-            r = self.data["radius"]
-            return np.vecdot(gap, gap)[..., None] - r * r
-        if self.variant == "halfspaces":
-            return _rowmat(self.data["normals"], u) - self.data["offsets"]
-        return np.stack([np.vecdot(u @ t["quad"], u) + np.vecdot(u, t["lin"])
-                         + t["const"] for t in self.data["terms"]], axis=-1)
-
-    def gradients(self, u: np.ndarray) -> np.ndarray:
-        """Constraint gradients grad g_i(u), shape (..., k, l)."""
-        u = np.asarray(u, dtype=float)
-        if self.variant == "unconstrained":
-            return np.zeros(u.shape[:-1] + (0, self.dim))
-        if self.variant == "ball":
-            return 2.0 * (u - self.data["center"])[..., None, :]
-        if self.variant == "halfspaces":
-            return np.tile(self.data["normals"], u.shape[:-1] + (1, 1))
-        return np.stack([_rowmat(t["quad"] + t["quad"].T, u) + t["lin"]
-                         for t in self.data["terms"]], axis=-2)
 
     def activity(self, u: np.ndarray, tol: float):
         """Masks (within, active), shape (..., k), of the band rule: g_i <=
         tol (1 + |g_i|) within U, |g_i| <= tol (1 + |g_i|) active."""
-        vals = self.values(u)
+        vals = self.values(np.asarray(u, dtype=float))
         band = tol * (1.0 + np.abs(vals))
         return vals <= band, np.abs(vals) <= band
 
@@ -575,64 +520,37 @@ class ControlConstraint:
         """Membership of each row of u, shape (...)."""
         return np.all(self.activity(u, tol)[0], axis=-1)
 
-    # -- projection / distance ------------------------------------------
-
-    def _radial_bounds(self):
-        """(r_in^2, r_out^2) when the set is a centred annulus, else None."""
-        if self.variant != "quadratics":
-            return None
-        lo, hi = 0.0, math.inf
-        for t in self.data["terms"]:
-            q, lin, c = t["quad"], t["lin"], t["const"]
-            if lin.any():
-                return None
-            if np.allclose(q, np.eye(self.dim)):
-                hi = min(hi, -c)
-            elif np.allclose(q, -np.eye(self.dim)):
-                lo = max(lo, c)
-            else:
-                return None
-        if hi < lo or not math.isfinite(hi):
-            return None
-        return (lo, hi)
-
-    @property
-    def has_exact_projection(self) -> bool:
-        if self.variant in ("unconstrained", "ball", "halfspaces"):
-            return True
-        return self._radial is not None
-
     def project(self, u: np.ndarray) -> np.ndarray:
         """Euclidean projection of each row of u onto U (exact for the
-        catalog variants); raises ProjectionUnavailable for a quadratics
+        catalog regions); raises ProjectionUnavailable for a quadratics
         region without a closed form."""
-        u = np.asarray(u, dtype=float)
-        if self.variant == "unconstrained":
-            return u.copy()
-        if self.variant == "ball":
-            c, r = self.data["center"], self.data["radius"]
-            gap = u - c
-            norm = _norm(gap)[..., None]
-            return np.where(norm <= r, u, c + gap * (r / np.maximum(norm, r)))
-        if self.variant == "halfspaces":
-            return self._project_halfspaces(u)
-        radial = self._radial
-        if radial is None:
-            raise ProjectionUnavailable(
-                "no closed-form projection for this quadratics constraint")
-        lo, hi = math.sqrt(radial[0]), math.sqrt(radial[1])
-        norm = _norm(u)[..., None]
-        zero = norm == 0.0
-        # norm + zero is the norm, or 1 at the origin (sent to the inner ring)
-        out = u * (np.minimum(np.maximum(norm, lo), hi) / (norm + zero))
-        if zero.any():
-            out[zero[..., 0]] = np.eye(self.dim)[0] * lo
-        return out
+        return self._project(np.asarray(u, dtype=float))
 
-    def _project_halfspaces(self, u):
+
+class Halfspaces(ControlConstraint):
+    """{u : A u <= b}, one row of ``normals`` A and ``offsets`` b per
+    inequality; with zero rows it is the whole space."""
+
+    def __init__(self, normals, offsets):
+        self.normals, self.offsets, self.dim = normals, offsets, normals.shape[1]
+        self.whole_space = not offsets.size
+
+    def to_json(self):
+        if self.whole_space:
+            return {"type": "unconstrained"}
+        return {"type": "halfspaces", "normals": self.normals.tolist(),
+                "offsets": self.offsets.tolist()}
+
+    def values(self, u):
+        return _rowmat(self.normals, np.asarray(u, dtype=float)) - self.offsets
+
+    def gradients(self, u):
+        return np.tile(self.normals, np.shape(u)[:-1] + (1, 1))
+
+    def _project(self, u):
         # exact active-set enumeration (small catalog systems), each subset
         # solved for all rows at once; rows already inside keep u at distance 0
-        A, b = self.data["normals"], self.data["offsets"]
+        A, b = self.normals, self.offsets
         inside = np.all(_rowmat(A, u) <= b + 1e-12, axis=-1)
         best, best_d = u.copy(), np.where(inside, 0.0, math.inf)
         for size in range(1, min(A.shape[0], self.dim) + 1):
@@ -653,6 +571,82 @@ class ControlConstraint:
         if np.isinf(best_d).any():
             raise ProjectionUnavailable("halfspace projection: no feasible KKT point")
         return best
+
+
+class Ball(ControlConstraint):
+    """{u : |u - center| <= radius}."""
+
+    def __init__(self, center, radius):
+        self.center, self.radius, self.dim = center, radius, center.size
+
+    def to_json(self):
+        return {"type": "ball", "center": self.center.tolist(), "radius": self.radius}
+
+    def values(self, u):
+        gap = u - self.center
+        return np.vecdot(gap, gap)[..., None] - self.radius * self.radius
+
+    def gradients(self, u):
+        return 2.0 * (u - self.center)[..., None, :]
+
+    def _project(self, u):
+        gap, r = u - self.center, self.radius
+        norm = _norm(gap)[..., None]
+        return np.where(norm <= r, u, self.center + gap * (r / np.maximum(norm, r)))
+
+
+class Quadratics(ControlConstraint):
+    """{u : u'S_k u + b_k.u + c_k <= 0 for every term k}, each of ``terms``
+    a dict with keys quad, lin and const.  A centred annulus (every term
+    exactly +-I, no linear part) has the radial projection."""
+
+    def __init__(self, dim, terms):
+        self.dim, self.terms = dim, terms
+        self._radial = self._radial_bounds()
+        self.has_exact_projection = self._radial is not None
+
+    def _radial_bounds(self):
+        """(r_in^2, r_out^2) when the set is a centred annulus, else None."""
+        eye, lo, hi = np.eye(self.dim), 0.0, math.inf
+        for t in self.terms:
+            if t["lin"].any():
+                return None
+            if np.array_equal(t["quad"], eye):
+                hi = min(hi, -t["const"])
+            elif np.array_equal(t["quad"], -eye):
+                lo = max(lo, t["const"])
+            else:
+                return None
+        return (lo, hi) if lo <= hi < math.inf else None
+
+    def to_json(self):
+        if self.dim == 2 and self._radial == (2.0, 4.0):
+            return {"type": "torus"}
+        return {"type": "quadratics", "terms": [
+            {"quad": t["quad"].tolist(), "lin": t["lin"].tolist(), "const": t["const"]}
+            for t in self.terms]}
+
+    def values(self, u):
+        return np.stack([np.vecdot(u @ t["quad"], u) + np.vecdot(u, t["lin"])
+                         + t["const"] for t in self.terms], axis=-1)
+
+    def gradients(self, u):
+        u = np.asarray(u, dtype=float)
+        return np.stack([_rowmat(t["quad"] + t["quad"].T, u) + t["lin"]
+                         for t in self.terms], axis=-2)
+
+    def _project(self, u):
+        if self._radial is None:
+            raise ProjectionUnavailable(
+                "no closed-form projection for this quadratics constraint")
+        lo, hi = map(math.sqrt, self._radial)
+        norm = _norm(u)[..., None]
+        zero = norm == 0.0
+        # norm + zero is the norm, or 1 at the origin (sent to the inner ring)
+        out = u * (np.minimum(np.maximum(norm, lo), hi) / (norm + zero))
+        if zero.any():
+            out[zero[..., 0]] = np.eye(self.dim)[0] * lo
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -710,7 +704,6 @@ class Scenario:
         return self.constraint.project(np.zeros(self.l)) if u0 is None else u0
 
     def default_control(self, tree: Tree):
-        from .lattice import AdaptedProcess
         return AdaptedProcess.constant(self.base_control(), tree.N - 1)
 
     def to_json(self):

@@ -264,7 +264,7 @@ def feasible_direction(scenario: Scenario, u: AdaptedProcess,
     """Per-node admissible perturbation v_eps with u + eps v_eps feasible,
     built from the nearest point to u + eps v (the convex-variation map
     when the region is convex)."""
-    if scenario.constraint.variant == "unconstrained":
+    if scenario.constraint.whole_space:
         return v
     moved = (u + eps * v).map(scenario.constraint.project)
     return AdaptedProcess([(y - x) / eps for y, x in zip(moved.levels, u.levels)])
@@ -535,8 +535,8 @@ def projected_gradient(scenario: Scenario, u0: AdaptedProcess,
     tree = tree or scenario.tree()
     if not scenario.constraint.has_exact_projection:
         raise ProjectionUnavailable(
-            f"projected gradient needs a pointwise projection for variant "
-            f"{scenario.constraint.variant!r}")
+            f"projected gradient needs a pointwise projection, which the "
+            f"{scenario.constraint.to_json()['type']} region lacks")
     project = scenario.constraint.project
     u = u0
     state = solve_state(scenario, u, tree)

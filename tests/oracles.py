@@ -28,8 +28,8 @@ from volterra_control.cones import adjacent_cone, cone_min_linear
 from volterra_control.forward import SimulationError, simulate_forward
 from volterra_control.lattice import (AdaptedProcess, Tree, TwoParamProcess,
                                       as_table, transpose)
-from volterra_control.scenario import (ControlConstraint, ProjectionUnavailable,
-                                       Scenario)
+from volterra_control.scenario import (Ball, ControlConstraint, Halfspaces,
+                                       ProjectionUnavailable, Scenario)
 from volterra_control.verify import (DualityInstance, NCReport, check_duality_1,
                                      check_duality_2, control_pairing,
                                      evaluate_cost, feasible_direction,
@@ -570,7 +570,7 @@ def qp_oracle(scenario: Scenario, tree: Tree | None = None,
         raise ValueError("qp_oracle needs affine coefficients (LQ scenario)")
     if tree.N > max_steps:
         raise ValueError(f"qp_oracle capped at N <= {max_steps}")
-    if scenario.constraint.variant not in ("unconstrained", "halfspaces"):
+    if not isinstance(scenario.constraint, Halfspaces):
         raise ValueError("qp_oracle supports unconstrained or half-space "
                          "control regions")
     l = scenario.l
@@ -647,7 +647,7 @@ def qp_oracle(scenario: Scenario, tree: Tree | None = None,
     c0 = total_cost(np.zeros(n_u))
     grad0 = np.array([(total_cost(e) - total_cost(-e)) / 2.0
                       for e in np.eye(n_u)])
-    if scenario.constraint.variant == "unconstrained":
+    if scenario.constraint.whole_space:
         u_vec = np.linalg.solve(H, -grad0)
     else:
         u_vec = _active_set_qp(scenario, tree, coords, H, grad0)
@@ -659,8 +659,8 @@ def qp_oracle(scenario: Scenario, tree: Tree | None = None,
 
 def _active_set_qp(scenario, tree, coords, H, grad0, max_iter=200):
     """Primal active-set loop for per-node half-space constraints."""
-    A_node = scenario.constraint.data["normals"]
-    b_node = scenario.constraint.data["offsets"]
+    A_node = scenario.constraint.normals
+    b_node = scenario.constraint.offsets
     l = scenario.l
     n_u = len(coords)
     # per-node constraints lifted to the full coordinate space
@@ -718,17 +718,17 @@ def _active_set_qp(scenario, tree, coords, H, grad0, max_iter=200):
 
 
 def point_values(c: ControlConstraint, u: np.ndarray) -> np.ndarray:
-    """Constraint values g_i(u) at one point, written out per variant."""
+    """Constraint values g_i(u) at one point, written out per region."""
     u = np.asarray(u, dtype=float)
-    if c.variant == "unconstrained":
+    if c.whole_space:
         return np.zeros(0)
-    if c.variant == "ball":
-        centre, r = c.data["center"], c.data["radius"]
+    if isinstance(c, Ball):
+        centre, r = c.center, c.radius
         return np.array([float((u - centre) @ (u - centre)) - r * r])
-    if c.variant == "halfspaces":
-        return c.data["normals"] @ u - c.data["offsets"]
+    if isinstance(c, Halfspaces):
+        return c.normals @ u - c.offsets
     return np.array([float(u @ t["quad"] @ u + t["lin"] @ u + t["const"])
-                     for t in c.data["terms"]])
+                     for t in c.terms])
 
 
 def point_contains(c: ControlConstraint, u: np.ndarray, tol: float = 1e-9) -> bool:
@@ -737,17 +737,17 @@ def point_contains(c: ControlConstraint, u: np.ndarray, tol: float = 1e-9) -> bo
 
 
 def point_project(c: ControlConstraint, u: np.ndarray) -> np.ndarray:
-    """Euclidean projection of one point, written out per variant."""
+    """Euclidean projection of one point, written out per region."""
     u = np.asarray(u, dtype=float)
-    if c.variant == "unconstrained":
+    if c.whole_space:
         return u.copy()
-    if c.variant == "ball":
-        centre, r = c.data["center"], c.data["radius"]
+    if isinstance(c, Ball):
+        centre, r = c.center, c.radius
         gap = u - centre
         norm = float(np.linalg.norm(gap))
         return u.copy() if norm <= r else centre + gap * (r / norm)
-    if c.variant == "halfspaces":
-        A, b = c.data["normals"], c.data["offsets"]
+    if isinstance(c, Halfspaces):
+        A, b = c.normals, c.offsets
         if np.all(A @ u <= b + 1e-12):
             return u.copy()
         best, best_d = None, math.inf

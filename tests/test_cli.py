@@ -6,7 +6,7 @@ import pytest
 from volterra_control.cli import COMMANDS, main
 from volterra_control.scenario import fixture_path, load_scenario
 
-from test_scenario import FIXTURES
+from test_scenario import FIXTURES, NEAR_TORUS
 
 
 def run(tmp_path, *argv):
@@ -23,6 +23,8 @@ MALFORMED = [
     ("constraint", {"type": "halfspaces", "normals": [[1.0]]}, "constraint.offsets"),
     ("constraint", {"type": "quadratics"}, "constraint.terms"),
     ("constraint", {"type": "quadratics", "terms": [1]}, "constraint.terms[0]"),
+    ("constraint", {"type": "mystery"}, "constraint.type"),
+    ("constraint", {"type": "torus"}, "constraint.type"),  # lq has l = 1
     ("coefficients", [1], "coefficients"),
     ("coefficients.b.kernel.scale", [1, 2], "b.kernel.scale"),
     ("tolerances.picard_max_iter", 0, "tolerances.picard_max_iter"),
@@ -141,6 +143,19 @@ class TestMalformedScenario:
         assert code == 2, err
         [line] = err.splitlines()
         assert line.startswith("scenario error: initial_control: "), line
+
+    def test_near_identity_quadratics_needs_initial_control(self, tmp_path, capsys):
+        # not the torus, so no closed-form projection gives a default control
+        doc = json.loads(fixture_path("annulus").read_text())
+        doc["constraint"] = {"type": "quadratics", "terms": NEAR_TORUS}
+        del doc["initial_control"]
+        scenario = tmp_path / "bad.json"
+        scenario.write_text(json.dumps(doc))
+        code = run(tmp_path, "simulate", "--scenario", str(scenario))
+        err = capsys.readouterr().err
+        assert code == 2, err
+        [line] = err.splitlines()
+        assert line.startswith("scenario error: constraint: "), line
 
 
 class TestSmoke:

@@ -5,14 +5,19 @@ import numpy as np
 import pytest
 
 from volterra_control.scenario import (
-    ControlConstraint, ProjectionUnavailable, Scenario, ScenarioError,
-    fixture_path, load_scenario,
+    Ball, ControlConstraint, Halfspaces, ProjectionUnavailable, Quadratics,
+    Scenario, ScenarioError, fixture_path, load_scenario,
 )
 
 from oracles import jacobian_discrepancies
 from test_properties import random_scenario
 
 FIXTURES = ("zero", "lq", "fbsde", "quadratic", "annulus", "lq_multi")
+# +-I is matched exactly, so (1 + 1e-6) I makes this a general quadratics
+# region, not the torus
+NEAR_TORUS = [
+    {"quad": [[1.0 + 1e-6, 0.0], [0.0, 1.0 + 1e-6]], "lin": [0.0, 0.0], "const": -4.0},
+    {"quad": [[-1.0, 0.0], [0.0, -1.0]], "lin": [0.0, 0.0], "const": 2.0}]
 
 
 class TestLoading:
@@ -84,6 +89,7 @@ class TestLoading:
             {"quad": [[1.0, 0.0], [0.0, 2.0]], "lin": [0.1, 0.0], "const": -5.0},
             {"quad": [[0.0, 0.0], [0.0, 0.0]], "lin": [-1.0, 0.0], "const": 1.0}]},
         {"type": "torus"},
+        pytest.param({"type": "quadratics", "terms": NEAR_TORUS}, id="near_torus"),
     ], ids=lambda region: region["type"])
     def test_region_round_trip(self, tmp_path, region):
         doc = json.loads(fixture_path("annulus").read_text())  # u0 = (1.8, 0)
@@ -158,12 +164,34 @@ class TestConstraint:
         inside = np.array([-1.0, 0.5])
         assert np.allclose(hs.project(inside), inside)
 
+    def test_regions_share_the_base_entry_points(self):
+        # one wrapper on ControlConstraint sees every region's calls
+        for region in (Halfspaces, Ball, Quadratics):
+            assert not {"activity", "contains", "project"} & vars(region).keys()
+
+    def test_ball_radius_must_be_positive(self):
+        for radius in (0.0, -1.0, math.nan):
+            with pytest.raises(ScenarioError, match=r"^constraint\.radius: "):
+                ControlConstraint.ball([0.0], radius)
+
+    def test_zero_halfspaces_are_the_whole_space(self):
+        region = ControlConstraint.halfspaces(np.zeros((0, 2)), [])
+        assert region.whole_space and ControlConstraint.unconstrained(2).whole_space
+        assert region.to_json() == {"type": "unconstrained"}
+        assert not ControlConstraint.halfspaces([[1.0, 0.0]], [1.0]).whole_space
+        points = np.array([[3.0, -4.0], [0.0, 0.0]])
+        assert region.values(points).shape == (2, 0)
+        assert region.gradients(points).shape == (2, 0, 2)
+        assert region.contains(points).all()
+        assert np.array_equal(region.project(points), points)
+
     def test_general_quadratics_has_no_distance(self):
-        ellipse = ControlConstraint.quadratics(
-            [{"quad": [[1.0, 0.0], [0.0, 4.0]], "const": -1.0}], 2)
-        assert not ellipse.has_exact_projection
-        with pytest.raises(ProjectionUnavailable):
-            ellipse.project(np.array([2.0, 0.0]))
+        ellipse = [{"quad": [[1.0, 0.0], [0.0, 4.0]], "const": -1.0}]
+        for terms in (ellipse, NEAR_TORUS):
+            region = ControlConstraint.quadratics(terms, 2)
+            assert not region.has_exact_projection
+            with pytest.raises(ProjectionUnavailable):
+                region.project(np.array([3.0, 0.0]))
 
     def test_initial_control_feasibility_checked(self, tmp_path):
         doc = json.loads(fixture_path("annulus").read_text())

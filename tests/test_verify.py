@@ -13,11 +13,12 @@ from oracles import (degenerate_duality_gaps, gateaux_vs_hamiltonian,
 from volterra_control import verify
 from volterra_control.cones import LicqError
 from volterra_control.lattice import AdaptedProcess, ScaledMatrix, Tree, as_table
-from volterra_control.scenario import Scenario, fixture_path, load_scenario
+from volterra_control.scenario import (ControlConstraint, ProjectionUnavailable,
+                                       Scenario, fixture_path, load_scenario)
 from volterra_control.verify import (
     DualityInstance, check_duality_1, check_duality_2, check_pointwise_nc,
-    control_pairing, convergence_test, evaluate_cost, full_pipeline,
-    projected_gradient,
+    control_pairing, convergence_test, evaluate_cost, feasible_direction,
+    full_pipeline, projected_gradient,
     smooth_duality_instance, solve_state, solve_variational,
 )
 
@@ -389,6 +390,41 @@ class TestProjectedGradient:
         assert step_map.sup_norm() / 0.5 < 1e-9
         rep = check_pointwise_nc(s, u_star, tree, state=hu)
         assert rep.certified(s.tolerances.nc_tol * (1.0 + rep.sup_gradient))
+
+    def test_quadratics_without_projection_names_the_region(self):
+        doc = json.loads(fixture_path("annulus").read_text())
+        doc["constraint"] = {"type": "quadratics", "terms": [
+            {"quad": [[1.0, 0.0], [0.0, 4.0]], "const": -4.0}]}  # an ellipse
+        doc["initial_control"] = [1.0, 0.0]
+        s = Scenario.from_json(doc)
+        tree = s.tree()
+        with pytest.raises(ProjectionUnavailable, match="quadratics region"):
+            projected_gradient(s, s.default_control(tree), tree=tree)
+
+    def test_interval_as_ball_and_as_halfspaces(self):
+        # [-0.05, 0.05] on lq: the same region, the same optimum
+        doc = json.loads(fixture_path("lq").read_text())
+        finals = []
+        for region in ({"type": "ball", "center": [0.0], "radius": 0.05},
+                       {"type": "halfspaces", "normals": [[1.0], [-1.0]],
+                        "offsets": [0.05, 0.05]}):
+            s = Scenario.from_json(dict(doc, constraint=region))
+            tree = s.tree()
+            u_star, hist = projected_gradient(s, s.default_control(tree), tree=tree)
+            rep = check_pointwise_nc(s, u_star, tree)
+            assert rep.certified(s.tolerances.nc_tol * (1.0 + rep.sup_gradient))
+            finals.append(hist[-1])
+        assert abs(finals[0] - finals[1]) <= 1e-12
+        assert abs(finals[0] - 2.95458288951) <= 1e-10
+
+    def test_zero_halfspaces_leave_directions_alone(self):
+        doc = json.loads(fixture_path("lq").read_text())
+        s = dataclasses.replace(Scenario.from_json(doc),
+                                constraint=ControlConstraint.halfspaces(
+                                    np.zeros((0, 1)), []))
+        tree = s.tree()
+        u, v = adapted_rng(tree, 1, 0), adapted_rng(tree, 1, 1)
+        assert feasible_direction(s, u, v, 0.25) is v
 
 
 class TestQpOracle:
