@@ -60,10 +60,19 @@ from .scenario import Scenario
 
 @dataclass
 class FredholmSolution:
-    """Rows xi_i (leaf fields) with their conditional runs E_r[xi_i], r >= i."""
+    """Rows xi_i (leaf fields) with their conditional runs E_r[xi_i], r >= i,
+    and the leaves as one (2**N, m, rows) row stack ``stack`` (see
+    ``lattice``).  ``solve_fredholm`` writes the leaves into the stack, so
+    each xi_i and the last level of its run are the view ``stack[..., i]``;
+    without one, the stack is a copy of the rows."""
 
     xi: list
     cond: list
+    stack: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.stack is None and self.xi:
+            self.stack = stack(self.xi)
 
     def cond_exp(self, i: int, r: int) -> np.ndarray:
         if r < i:
@@ -90,7 +99,8 @@ def solve_fredholm(tree: Tree, alpha_rows, A=None, B=None, D=None,
     by the tower property E_j[B(j,i)' xi_j] = E_j[B(j,i)' E_i[xi_j]].
     Then one per-node linear solve when the diagonal A term is present,
     and the forward noise recursion propagates the row to the leaves,
-    realizing E_r[xi_i] on the way.  Every term of row i is formed at
+    realizing E_r[xi_i] on the way; the leaf goes into the row stack of
+    the solution.  Every term of row i is formed at
     level <= i and the recursion costs O(2^N), so the whole solve is
     O(N 2^N) per kernel dimension.
     """
@@ -98,7 +108,7 @@ def solve_fredholm(tree: Tree, alpha_rows, A=None, B=None, D=None,
     n_rows = len(alpha_rows)
     if n_rows > N + 1:
         raise ValueError(f"at most {N + 1} rows, got {n_rows}")
-    xi, cond = [], []
+    xi, cond, leaves = [], [], None
     for i in range(n_rows):
         if tree.level_of(np.asarray(alpha_rows[i])) != i:
             raise ValueError(f"alpha row {i} must be adapted at level {i}")
@@ -121,6 +131,8 @@ def solve_fredholm(tree: Tree, alpha_rows, A=None, B=None, D=None,
         known = tree.level_sum(terms(), i)
         if include_diag_A and A is not None and i <= N - 1:
             known = tree.implicit_solve(transpose(A(i, i)), known)
+        if leaves is None:
+            leaves = np.empty((n_rows, known.shape[1], tree.n_leaves)).T
         run = [known]
         cur = known
         for r in range(i, N):
@@ -129,9 +141,11 @@ def solve_fredholm(tree: Tree, alpha_rows, A=None, B=None, D=None,
                 incr = tree.level_sum([incr, beta(i, r)], r)
             cur = tree.ito_step(cur, incr, r)
             run.append(cur)
+        leaves[..., i] = cur
+        run[-1] = cur = leaves[..., i]
         xi.append(cur)
         cond.append(run)
-    return FredholmSolution(xi=xi, cond=cond)
+    return FredholmSolution(xi=xi, cond=cond, stack=leaves)
 
 
 def fredholm_row_residual(tree: Tree, sol: FredholmSolution, i: int, alpha_rows,
@@ -264,7 +278,7 @@ def _xi_equation(tree: Tree, fro: FrozenCoefficients, Lambda: AdaptedProcess):
 def _theta_equation(tree: Tree, fro: FrozenCoefficients, lambda0: np.ndarray,
                     xi_stack: np.ndarray) -> np.ndarray:
     """theta = h_x + psi_x(0)' lambda0 + dt sum_j psi_x(j)' xi_j, with the
-    xi rows given as one (2**N, N, m) stack."""
+    xi rows given as one (2**N, m, N) row stack."""
     N = tree.N
     psi_xi = tree.tmatvec_sum([fro.d("psi", "x", j, N) for j in range(N)], xi_stack)
     return (fro.d("h", "x", 0, N) + tree.tmatvec(fro.d("psi", "x", 0, N), lambda0)
@@ -274,14 +288,14 @@ def _theta_equation(tree: Tree, fro: FrozenCoefficients, lambda0: np.ndarray,
 def _pq_equation(tree: Tree, fro: FrozenCoefficients, Lambda: AdaptedProcess,
                  xi_stack: np.ndarray, theta: np.ndarray):
     """The (p, q) equation as ``solve_linear_backward`` arguments: the
-    free-term rows F_i (the xi rows given as one (2**N, N, m) stack) and
+    free-term rows F_i (the xi rows given as one (2**N, m, N) row stack) and
     the keyword arguments A = b_x', B = sigma_x' (transposed, slots
     swapped), boundary theta, strict A-sum."""
     N = tree.N
     p_rows = [tree.level_sum(
         [fro.d("f", "x", 0, i) + tree.tmatvec(fro.d("g", "x", 0, i), Lambda.level(i)),
          tree.dt * tree.tmatvec_sum([fro.d("g", "x", k, i) for k in range(i + 1)],
-                                    xi_stack[:, :i + 1])], N)
+                                    xi_stack[..., :i + 1])], N)
         for i in range(N)]
     return p_rows, {"A": lambda i, j: transpose(fro.d("b", "x", j, i)),
                     "B": lambda i, j: transpose(fro.d("sigma", "x", j, i)),
@@ -300,12 +314,8 @@ def assemble_adjoint(scenario: Scenario, fwd: ForwardPath, bwd, u: AdaptedProces
     alpha_rows, xi_kernels = _xi_equation(tree, fro, Lambda)
     xi = solve_fredholm(tree, alpha_rows, **xi_kernels)
 
-    # one copy of the xi rows for theta's and F_i's sums, not held through
-    # the (p, q) solve
-    xi_stack = stack(xi.xi)
-    theta = _theta_equation(tree, fro, lambda0, xi_stack)
-    p_rows, pq_kernels = _pq_equation(tree, fro, Lambda, xi_stack, theta)
-    del xi_stack
+    theta = _theta_equation(tree, fro, lambda0, xi.stack)
+    p_rows, pq_kernels = _pq_equation(tree, fro, Lambda, xi.stack, theta)
     pq_sol = solve_linear_backward(tree, p_rows, **pq_kernels)
 
     return AdjointBundle(lambda0=lambda0, Lambda=Lambda, xi=xi, theta=theta,
@@ -363,12 +373,9 @@ def adjoint_residuals(scenario: Scenario, bundle: AdjointBundle,
     res2 = max(fredholm_row_residual(tree, bundle.xi, i, alpha_rows, **xi_kernels)
                for i in range(N))
 
-    # theta from its definition and the (p, q) free terms, from one copy of
-    # the xi rows not held through the checks
-    xi_stack = stack(bundle.xi.xi)
-    theta = _theta_equation(tree, fro, bundle.lambda0, xi_stack)
-    p_rows, pq_kernels = _pq_equation(tree, fro, bundle.Lambda, xi_stack, theta)
-    del xi_stack
+    # theta from its definition and the (p, q) free terms
+    theta = _theta_equation(tree, fro, bundle.lambda0, bundle.xi.stack)
+    p_rows, pq_kernels = _pq_equation(tree, fro, bundle.Lambda, bundle.xi.stack, theta)
 
     # third equation: mu_i = theta - sum_{j>=i} nu_j dW_j, the tails summed
     # from i = N down

@@ -1,22 +1,26 @@
 """Backward solvers on the lattice.
 
-Two layers:
+Two layers; each advances its rows together, one batched step per level
+of a row stack (see ``lattice``):
 
 * ``solve_bsvie``: C-adapted solutions of nonlinear backward Volterra
-  equations, one parameterized row recursion per grid time, in two
-  passes.  Row i needs the diagonal Y(t_r) only for r >= i, and only
-  r = i is implicit, so pass 1 runs the rows i = N..0 from the leaves
-  down to their diagonals and fixes Y exactly; pass 2 continues each row
-  below its diagonal so that Z(t, s) exists for every s.
+  equations, one parameterized row recursion per grid time.  Row i
+  needs the diagonal Y(t_r) only for r >= i, and only r = i is
+  implicit, so all N + 1 rows descend together: at level r row r takes
+  its implicit step and fixes Y(t_r), and every other row its explicit
+  step with that Y(t_r).  Z(t, s) thus exists for every s.
 * ``solve_linear_backward``: the linear backward Volterra family in
   M-solution form used by the adjoint system and the duality checks.
+  Each row descends to its diagonal by itself (the B coupling reads the
+  finished rows), and then joins the stack of finished rows, which one
+  drift-free step per row continues below the diagonal.
 
-Every descending recursion is one ``_row_run``: a level-by-level
-martingale step plus an optional explicit drift term, continued from any
-level.  It runs the BSVIE rows, each linear row down to its diagonal
-(D-terms as drift) and on from Y_i for Z(i, j < i), and theta for nu.
-Each linear row's free term, a sum over columns on their own levels, is
-one ``Tree.level_sum``.
+The per-row descents are ``_row_run``: a level-by-level martingale step
+plus an optional explicit drift term, continued from any level.  It runs
+each linear row down to its diagonal (D-terms as drift), and theta for
+nu.  Each linear row's free term, a sum over columns on their own
+levels, is one ``Tree.level_sum``.  Every row keeps the order of its
+sums, so the batched steps give each row the bits of its own descent.
 
 Discrete conventions (used identically by the primal solvers, so that
 every duality identity is an exact transpose statement):
@@ -37,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import AdaptedProcess, Tree, TwoParamProcess
+from .lattice import AdaptedProcess, Tree, TwoParamProcess, stack
 from .scenario import Scenario
 
 
@@ -47,12 +51,10 @@ class PicardError(RuntimeError):
 
 @dataclass
 class BackwardPath:
-    """C-adapted BSVIE solution: diagonal Y, full Z rows, and the row
-    processes lam with Y(t_i) = lam[i][i]."""
+    """C-adapted BSVIE solution: diagonal Y and full Z rows."""
 
     Y: AdaptedProcess
     Z: TwoParamProcess
-    lam: list
     residual_history: list = field(default_factory=list)
 
 
@@ -116,51 +118,48 @@ def solve_bsvie(scenario: Scenario, fwd, u: AdaptedProcess,
         lam_i(r) = E_r[lam_i(r+1)]
                    + dt * g(t_i, t_r, X_r, Y_r, Z(t_i, t_r), u_r)
 
-    down to r = 0, with the diagonal Y_r = lam_r(r).  Pass 1 runs rows
-    i = N..0 from the leaf down to level i with the diagonals Y_r, r > i,
-    of the rows before it; Y_i itself is the implicit step at r = i.
-    Pass 2 continues every row below its diagonal, where each Y_r is known.
-    ``residual_history`` holds the worst final gap of the implicit steps.
+    down to r = 0, with the diagonal Y_r = lam_r(r).  The N + 1 rows
+    descend together as one row stack, one batched step per level: at
+    level r one ``repr_step`` gives every row's mean and Z(t_i, t_r), the
+    implicit step of row r fixes Y_r, and every other row takes its
+    explicit step with that Y_r.  Only the current level of the runs is
+    held.  ``residual_history`` holds the worst final gap of the implicit
+    steps.
 
     g is k(t_i, t_r) times a bracket summed in slot order, const + x + y +
     z + u (``AffineCoefficient.bracket``), and only its z term and the
     scalar k depend on the row.  So the u term of each level is built
-    once, and its (const + x) + y prefix as soon as Y_r is fixed; the
+    once and its (const + x) + y prefix as soon as Y_r is fixed; the
     implicit step keeps all but the y term across its sweeps.  Every sum
-    keeps its order, so g has the bits of ``value``.
+    keeps its order, so g has the bits of ``value``, and every row the
+    bits of its own descent.
     """
     tree = tree or scenario.tree()
     co, tols = scenario.coeffs, scenario.tolerances
     g, N = co.g, tree.N
     x_leaf = fwd.X.level(N)
-    u_terms = [g.term("u", u.level(r)) for r in range(N)]
-    prefix = [None] * N  # (const + x) + y at level r, once Y_r is fixed
-
-    def drift(i, r, z):  # g(t_i, t_r, X_r, Y_r, z, u_r)
-        return g.kernel(tree.t(i), tree.t(r)) * (g.bracket(prefix[r], z=z) + u_terms[r])
-
-    lam = [[None] * N + [co.psi.value(tree.t(i), tree.t(N), x_leaf)]
-           for i in range(N + 1)]
-    z_rows = [[None] * N for _ in range(N + 1)]
-    y = [None] * N + [lam[N][N]]
+    psi = [co.psi.value(tree.t(i), tree.t(N), x_leaf) for i in range(N + 1)]
+    runs, y = stack(psi), [None] * N + [psi[N]]
+    z_levels = [None] * N
     worst = 0.0
-    for i in range(N - 1, -1, -1):
-        row, zs = lam[i], z_rows[i]
-        _row_run(tree, row, zs, N, i + 1, lambda r, z: drift(i, r, z))
-        mean, zs[i] = tree.repr_step(row[i + 1])
-        k = g.kernel(tree.t(i), tree.t(i))
-        x_part, z_term = g.bracket(x=fwd.X.level(i)), g.term("z", zs[i])
-        row[i], gap = _implicit_step(
-            mean, lambda y_i: tree.dt * (
-                k * ((g.bracket(x_part, y=y_i) + z_term) + u_terms[i])),
-            tols.picard_tol, tols.picard_max_iter, i)
-        y[i] = row[i]
-        prefix[i] = g.bracket(x_part, y=y[i])
+    for r in range(N - 1, -1, -1):
+        runs, z_levels[r] = tree.repr_step(runs)
+        z = z_levels[r]
+        u_term = g.term("u", u.level(r))
+        kernels = [g.kernel(tree.t(i), tree.t(r)) for i in range(N + 1)]
+        x_part, z_term = g.bracket(x=fwd.X.level(r)), g.term("z", z[..., r])
+        y[r], gap = _implicit_step(
+            runs[..., r], lambda y_r: tree.dt * (
+                kernels[r] * ((g.bracket(x_part, y=y_r) + z_term) + u_term)),
+            tols.picard_tol, tols.picard_max_iter, r)
         worst = max(worst, gap)
-    for i in range(1, N + 1):
-        _row_run(tree, lam[i], z_rows[i], i, 0, lambda r, z: drift(i, r, z))
+        prefix = g.bracket(x_part, y=y[r])
+        runs += tree.dt * (kernels * (g.bracket(prefix[..., None], z=z)
+                                      + u_term[..., None]))
+        runs[..., r] = y[r]
+    z_rows = [[z_levels[r][..., i] for r in range(N)] for i in range(N + 1)]
     return BackwardPath(Y=AdaptedProcess(y), Z=TwoParamProcess(z_rows),
-                        lam=lam, residual_history=[worst])
+                        residual_history=[worst])
 
 
 def solve_linear_backward(tree: Tree, psi_rows, A=None, B=None,
@@ -185,6 +184,10 @@ def solve_linear_backward(tree: Tree, psi_rows, A=None, B=None,
     integrand of Y_i, so the M-identity Y_i = E[Y_i] + sum_{j<i} Z(i,j) dW_j
     holds exactly.  theta also yields mu_i = E_i[theta] and the integrands
     nu with theta = E[theta] + sum nu_j dW_j.
+
+    Rows are solved i = N-1..0.  The finished rows j > i are one row stack
+    of E_{i+1}[Y_j], and one batched ``repr_step`` per row gives every
+    Z(j, i) that row i's free term reads.
     """
     N = tree.N
     if len(psi_rows) != N:
@@ -198,9 +201,14 @@ def solve_linear_backward(tree: Tree, psi_rows, A=None, B=None,
 
     y_levels = [None] * N
     z_rows = [None] * N
+    done = None  # E_{i+1}[Y_j] of the finished rows j > i, as a row stack
     for i in range(N - 1, -1, -1):
         if tree.level_of(np.asarray(psi_rows[i])) != N:
             raise ValueError(f"free-term row {i} must be a leaf field")
+        if done is not None:  # continue every finished row by one level
+            done, z = tree.repr_step(done)
+            for j in range(i + 1, N):
+                z_rows[j][i] = z[..., j - i - 1]
 
         def terms():  # coarse to fine, as far as the kernels' levels allow
             for j in range(i + 1, N):
@@ -222,9 +230,9 @@ def solve_linear_backward(tree: Tree, psi_rows, A=None, B=None,
             cur = cur + tree.dt * tree.matvec(B(i, i), z_cols[i])
         if include_diag_A and A is not None:
             cur = tree.implicit_solve(A(i, i), cur)
-        run[i] = y_levels[i] = cur
-        _row_run(tree, run, z_cols, i, 0)
-        z_rows[i] = z_cols
+        y_levels[i], z_rows[i] = cur, z_cols
+        # row i joins the finished rows as the first row of the stack
+        done = np.concatenate([cur.T[None]] + ([] if done is None else [done.T])).T
     return BackwardSolution(Y=AdaptedProcess(y_levels),
                             Z=TwoParamProcess(z_rows), mu=mu, nu=nu)
 

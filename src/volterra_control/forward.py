@@ -7,11 +7,14 @@ of every integrand is automatic:
     X(t_i) = phi(t_i) + dt * sum_{j<i} b(t_i, t_j, X_j, u_j)
                       + sum_{j<i} sigma(t_i, t_j, X_j, u_j) dW_j
 
-Each coefficient is a scalar kernel k(t_i, t_j) times a bracket in
-(X_j, u_j).  The brackets of level j are built once, as soon as X_j
-exists, so a sweep makes N bracket evaluations per coefficient; the
-Volterra memory costs N(N+1)/2 scalar-times-array products.  Each row
-X(t_i) is one ``Tree.level_sum``.
+The sweep makes one batched step per level: a row stack (see
+``lattice``) holds the partial sums of every unfinished row i > j, takes
+column j's terms of all of them at once, and row j + 1 leaves it
+complete.  Each coefficient is a scalar kernel k(t_i, t_j) times a
+bracket in (X_j, u_j); the brackets of level j are built once, as soon
+as X_j exists, and scaled by the row kernels into one stack per
+coefficient.  Every row keeps the order of its sum, so X has the bits of
+the per-pair ``Tree.level_sum`` of each row.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import AdaptedProcess, Tree
+from .lattice import AdaptedProcess, Tree, scaled, stack
 from .scenario import Scenario
 
 
@@ -34,11 +37,13 @@ class ForwardPath:
     u: AdaptedProcess
 
 
-def _check_finite(arr: np.ndarray, level: int, term: str):
-    if not np.all(np.isfinite(arr)):
-        node = int(np.argwhere(~np.isfinite(arr))[0][0])
-        raise SimulationError(
-            f"non-finite value in {term} at level {level}, node {node}")
+def _non_finite(arr: np.ndarray, level: int, term: str) -> str | None:
+    """The error message naming the first node of ``arr`` with a non-finite
+    value, or None when every value is finite."""
+    bad = ~np.isfinite(arr)
+    if not bad.any():
+        return None
+    return f"non-finite value in {term} at level {level}, node {int(np.argwhere(bad)[0][0])}"
 
 
 def _check_control(scenario: Scenario, tree: Tree, u: AdaptedProcess):
@@ -50,33 +55,48 @@ def _check_control(scenario: Scenario, tree: Tree, u: AdaptedProcess):
     constraint = scenario.constraint
     if constraint.whole_space:
         return
-    tol = scenario.tolerances.activity_tol
-    for j in range(tree.N):
-        inside = constraint.contains(u.level(j), tol)
-        if not inside.all():
-            raise SimulationError(f"control violates the constraint at level "
-                                  f"{j}, node {int(np.argmin(inside))}")
+    inside = constraint.contains(u.node_table(tree.N - 1),
+                                 scenario.tolerances.activity_tol)
+    if not inside.all():
+        first = int(np.argmin(inside)) + 1  # 2**level + node
+        level = first.bit_length() - 1
+        raise SimulationError(f"control violates the constraint at level "
+                              f"{level}, node {first - (1 << level)}")
 
 
-def _euler_sweep(tree: Tree, free, column, name: str) -> AdaptedProcess:
+def _euler_sweep(tree: Tree, free, column, name: str,
+                 term_names: tuple = ()) -> AdaptedProcess:
     """X(t_i) = free(i) + sum_{j<i} [dt drift + diff dW_j], X(t_0) = free(0),
     where ``column(j, X(t_j))``, called once per level j as soon as X(t_j)
-    exists, returns the map i -> (drift, diff) of column j.  Overflow
-    surfaces only as the SimulationError naming the first non-finite row
-    ``name(t_i)`` or a term that a column checks."""
-    levels = [free(0)]
-    columns = []
+    exists, returns (drift, diff) of column j as row stacks over the rows
+    i = j+1..N.  One accumulator stack holds the unfinished rows; each
+    level adds dt drift, moves up one level and adds diff dW_j, and row
+    j + 1 leaves it as X(t_{j+1}) - free(j+1).  Overflow surfaces only as
+    the SimulationError naming the first non-finite row ``name(t_i)`` or,
+    given ``term_names``, drift or diff term ``term_names[0](t_i, t_j)``,
+    ``term_names[1](t_i, t_j)``.  Rows complete in order i = 1..N, and a
+    term is reported when its row completes, as a sweep row by row would."""
+    levels, acc = [free(0)], None
+    failed = {}  # row -> the message of its first non-finite term
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, tree.N + 1):
-            columns.append(column(i - 1, levels[i - 1]))
-            terms = []
-            for j in range(i):
-                drift, diff = columns[j](i)
-                terms += (tree.dt * drift, tree.dw_term(diff, j))
-            terms.append(free(i))
-            x = tree.level_sum(terms, i)
-            _check_finite(x, i, f"{name}(t_{i})")
+        for j in range(tree.N):
+            drift, diff = column(j, levels[j])
+            for label, terms in zip(term_names, (drift, diff)):
+                if not np.all(np.isfinite(terms)):
+                    for i in range(j + 1, tree.N + 1):
+                        if failed.get(i) is None:
+                            failed[i] = _non_finite(terms[..., i - j - 1], j,
+                                                    f"{label}(t_{i}, t_{j})")
+            step = tree.dt * drift
+            if acc is not None:
+                step += acc
+            acc = tree.ito_step(step, diff, j)
+            x = acc[..., 0] + free(j + 1)
+            message = failed.get(j + 1) or _non_finite(x, j + 1, f"{name}(t_{j + 1})")
+            if message is not None:
+                raise SimulationError(message)
             levels.append(x)
+            acc = acc[..., 1:]
     return AdaptedProcess(levels)
 
 
@@ -89,16 +109,13 @@ def simulate_forward(scenario: Scenario, u: AdaptedProcess,
     co = scenario.coeffs
 
     def column(j, xj):  # the b and sigma brackets at (X_j, u_j), built once
-        brackets = [(c, c.bracket(x=xj, u=u.level(j))) for c in (co.b, co.sigma)]
+        rows = range(j + 1, tree.N + 1)
+        return [scaled(c.bracket(x=xj, u=u.level(j)),
+                       [c.kernel(tree.t(i), tree.t(j)) for i in rows])
+                for c in (co.b, co.sigma)]
 
-        def pair(i):  # (drift, diff) = (b, sigma)(t_i, t_j, X_j, u_j)
-            terms = [c.kernel(tree.t(i), tree.t(j)) * br for c, br in brackets]
-            for term, (c, _) in zip(terms, brackets):
-                _check_finite(term, j, f"{c.name}(t_{i}, t_{j})")
-            return terms
-        return pair
-
-    X = _euler_sweep(tree, lambda i: co.phi.value(tree, i), column, "X")
+    X = _euler_sweep(tree, lambda i: co.phi.value(tree, i), column, "X",
+                     (co.b.name, co.sigma.name))
     return ForwardPath(X=X, u=u)
 
 
@@ -117,8 +134,8 @@ def simulate_forward_linear(scenario: Scenario, base: ForwardPath,
     fro = FrozenCoefficients(scenario, tree, base, None, base.u)
 
     def column(j, x1j):  # (drift, diff) = [c_x X1 + c_u v] for c = b, sigma
-        return lambda i: [tree.matvec(fro.d(c, "x", i, j), x1j)
-                          + tree.matvec(fro.d(c, "u", i, j), v.level(j))
-                          for c in ("b", "sigma")]
+        return [stack([tree.matvec(fro.d(c, "x", i, j), x1j)
+                       + tree.matvec(fro.d(c, "u", i, j), v.level(j))
+                       for i in range(j + 1, tree.N + 1)]) for c in ("b", "sigma")]
 
     return _euler_sweep(tree, lambda i: np.zeros((1 << i, scenario.n)), column, "X1")

@@ -23,10 +23,20 @@ components, which for d > 1 is several times faster; the layout was
 chosen for that.  A d = 1 field is both row- and column-major, so d = 1
 fields are unaffected.  This module is the one place that knows the
 layout: ``field`` stores an array so (``AdaptedProcess`` and
-``TwoParamProcess`` store their levels through it), ``outer``, ``apply``
-and ``stack`` build node-contiguous fields, ``dot`` pairs two of them,
-and every ``Tree`` helper returns node-contiguous fields for input in
-either order.
+``TwoParamProcess`` store their levels through it), ``outer``, ``apply``,
+``stack`` and ``scaled`` build node-contiguous fields and row stacks
+(below), ``dot`` pairs two fields, and every ``Tree`` helper returns
+node-contiguous fields for input in either order.
+
+A row stack is R level-i fields held as one (2**i, d, R) array with a
+trailing row axis, stored the same way: its ``.T`` is a C-contiguous
+(R, d, 2**i) array, row k is the node-contiguous view ``stack[..., k]``
+and a run of rows ``stack[..., a:b]`` is again a row stack.
+``Tree.repr_step``, ``dw_term``, ``ito_step``, ``embed`` and ``apply``
+work on the nodes-last view ``.T``, so they take a row stack as they
+take a field and give every row the bits of the per-row call; the
+solvers advance all rows of a recursion by one such batched step per
+level.
 
 A matrix field (a kernel or a jacobian) comes in one of two forms: a
 dense per-node table of shape (2**i, d, e), or a factored
@@ -34,8 +44,8 @@ dense per-node table of shape (2**i, d, e), or a factored
 per-node factor, or constant when the scale is None.  ``Tree.matvec``,
 ``Tree.tmatvec`` and ``Tree.implicit_solve`` apply either form, and
 ``transpose`` and ``as_table`` take either.  ``Tree.tmatvec_sum`` sums
-the transposed products of K matrix fields with the columns of a stack
-of K vector fields, as one matrix product when every matrix is constant.
+the transposed products of K matrix fields with the rows of a stack of K
+vector fields, as one matrix product when every matrix is constant.
 """
 
 from __future__ import annotations
@@ -235,8 +245,8 @@ class Tree:
     # The one place that applies a matrix field, in either form: a dense
     # (2**i, d, e) table through einsum, a ScaledMatrix as one GEMM on the
     # vector field (``apply``) followed by its per-node scale.
-    # ``tmatvec_sum`` applies K matrix fields to the K columns of a
-    # (2**i, K, d) stack and sums: one GEMM against the stacked matrices
+    # ``tmatvec_sum`` applies K matrix fields to the K rows of a
+    # (2**i, d, K) stack and sums: one GEMM against the stacked matrices
     # when all K are constant, else the ``level_sum`` of the K ``tmatvec``
     # products.
 
@@ -269,14 +279,14 @@ class Tree:
         return np.einsum("kde,kd->ke", *self._common_level(mat, vec), order="F")
 
     def tmatvec_sum(self, mats, stack: np.ndarray) -> np.ndarray:
-        """sum_k mats[k]' stack[:, k] for a (2**i, K, d) stack of level-i
-        vector fields and K matrix fields no finer than level i, as a
-        level-i field.  All constant: one (e, K d) @ (K d, 2**i) product
-        (a column slice of a ``stack`` reshapes as a view)."""
+        """sum_k mats[k]' stack[..., k] for a (2**i, d, K) row stack of
+        level-i vector fields and K matrix fields no finer than level i, as
+        a level-i field.  All constant: one (e, K d) @ (K d, 2**i) product
+        (a run of rows of a stack reshapes as a view)."""
         if all(isinstance(mat, ScaledMatrix) and mat.scale is None for mat in mats):
-            flat = np.moveaxis(stack, 0, -1).reshape(-1, stack.shape[0])
+            flat = stack.T.reshape(-1, stack.shape[0])
             return (np.concatenate([mat.matrix for mat in mats]).T @ flat).T
-        return self.level_sum((self.tmatvec(mat, stack[:, k])
+        return self.level_sum((self.tmatvec(mat, stack[..., k])
                                for k, mat in enumerate(mats)), self.level_of(stack))
 
     def implicit_solve(self, mat, rhs: np.ndarray) -> np.ndarray:
@@ -314,10 +324,15 @@ def apply(matrix: np.ndarray, vec: np.ndarray) -> np.ndarray:
 
 
 def stack(fields) -> np.ndarray:
-    """K level-i (2**i, d) fields as one (2**i, K, d) field whose node
-    axis moved last is a C-contiguous (K, d, 2**i) array, so that the
-    fields of a slice of its K columns are one (K' d, 2**i) view."""
-    return np.moveaxis(np.stack([field(f).T for f in fields]), -1, 0)
+    """K level-i (2**i, d) fields as one (2**i, d, K) row stack, whose
+    ``.T`` is a C-contiguous (K, d, 2**i) array."""
+    return np.stack([field(f).T for f in fields]).T
+
+
+def scaled(values: np.ndarray, factors) -> np.ndarray:
+    """The row stack of factors[k] * values, one row per factor, for one
+    (2**i, d) field."""
+    return np.multiply.outer(factors, field(values).T).T
 
 
 def dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -414,8 +429,20 @@ class AdaptedProcess:
     def copy(self) -> "AdaptedProcess":
         return AdaptedProcess([v.copy(order="K") for v in self.levels])
 
+    def node_table(self, last_level: int | None = None) -> np.ndarray:
+        """Levels 0..last_level (all by default) concatenated along the node
+        axis as one node-contiguous table: node k of level i is row
+        2**i - 1 + k."""
+        stop = len(self.levels) if last_level is None else last_level + 1
+        return np.concatenate([v.T for v in self.levels[:stop]], axis=-1).T
+
     def map(self, fn) -> "AdaptedProcess":
-        return AdaptedProcess([fn(v) for v in self.levels])
+        """fn applied to every level, for a row-wise fn (row k of its result
+        depends on row k of its input alone): one call on ``node_table``,
+        split back into levels."""
+        out = fn(self.node_table())
+        return AdaptedProcess([out[(1 << i) - 1:(2 << i) - 1]
+                               for i in range(len(self.levels))])
 
     def __add__(self, other: "AdaptedProcess") -> "AdaptedProcess":
         return AdaptedProcess([a + b for a, b in zip(self.levels, other.levels)])

@@ -9,8 +9,10 @@ objects), independently of the package's sweep solvers.  ``solve_bsde`` is the p
 time-invariant BSVIE reduces to.  ``per_pair_forward`` and
 ``per_pair_bsvie`` are the state solvers with every coefficient
 evaluated by ``value`` at every time pair, the reference for the
-solvers' once-per-level brackets.  ``zero_process``, ``zero_two_param``
-and ``grid_points`` are test-only constructors.
+solvers' once-per-level brackets; with ``per_row_linear_backward``, the
+linear backward family solved one row at a time, they are the row-by-row
+references for the solvers' batched row stacks.  ``zero_process``,
+``zero_two_param`` and ``grid_points`` are test-only constructors.
 """
 
 from __future__ import annotations
@@ -22,8 +24,9 @@ from itertools import combinations
 
 import numpy as np
 
-from volterra_control.backward import (BackwardPath, PicardError, _implicit_step,
-                                       solve_bsvie, solve_linear_backward)
+from volterra_control.backward import (BackwardPath, BackwardSolution, PicardError,
+                                       _implicit_step, _row_run, solve_bsvie,
+                                       solve_linear_backward)
 from volterra_control.cones import adjacent_cone, cone_min_linear
 from volterra_control.forward import SimulationError, simulate_forward
 from volterra_control.lattice import (AdaptedProcess, Tree, TwoParamProcess,
@@ -166,7 +169,7 @@ def picard_bsvie_oracle(scenario, fwd, u, tree) -> BackwardPath:
         history.append(residual)
         y = y_new
         if residual < tol:
-            return BackwardPath(Y=y, Z=TwoParamProcess(z_rows), lam=lam_rows,
+            return BackwardPath(Y=y, Z=TwoParamProcess(z_rows),
                                 residual_history=history)
         if sweep >= 2 and history[-1] >= history[-2] and history[-1] > 1e-13:
             raise PicardError("Picard residuals stopped decreasing before "
@@ -228,8 +231,49 @@ def per_pair_bsvie(scenario, fwd, u, tree) -> BackwardPath:
         worst = max(worst, gap)
     for i in range(1, N + 1):
         run(i, i, 0)
-    return BackwardPath(Y=AdaptedProcess(y), Z=TwoParamProcess(z_rows), lam=lam,
+    return BackwardPath(Y=AdaptedProcess(y), Z=TwoParamProcess(z_rows),
                         residual_history=[worst])
+
+
+def per_row_linear_backward(tree: Tree, psi_rows, A=None, B=None, D=None,
+                            theta=None, include_diag_A: bool = True,
+                            include_diag_B: bool = False) -> BackwardSolution:
+    """``solve_linear_backward`` one row at a time: each row i = N-1..0
+    descends to its diagonal and then on to level 0 by itself, giving
+    Z(i, j < i) before row i - 1 reads Z(i, i - 1)."""
+    N = tree.N
+    mu = nu = None
+    if theta is not None:
+        nus = [None] * N
+        _row_run(tree, [None] * N + [theta], nus, N, 0)
+        nu = AdaptedProcess(nus)
+        mu = AdaptedProcess([tree.cond_expect(theta, i) for i in range(N + 1)])
+    y_levels, z_rows = [None] * N, [None] * N
+    for i in range(N - 1, -1, -1):
+        terms = []
+        for j in range(i + 1, N):
+            if B is not None:
+                terms.append(tree.dt * tree.matvec(B(i, j), z_rows[j][i]))
+            if A is not None:
+                terms.append(tree.dt * tree.matvec(A(i, j), y_levels[j]))
+        if theta is not None and B is not None:
+            terms.append(tree.matvec(B(i, N), nu.level(i)))
+        if theta is not None and A is not None:
+            terms.append(tree.matvec(A(i, N), theta))
+        terms.append(np.array(psi_rows[i], dtype=float))
+        run, z_cols = [None] * N + [tree.level_sum(terms, N)], [None] * N
+        _row_run(tree, run, z_cols, N, i, None if D is None else (
+            lambda r, z: tree.matvec(D(i, r), z)))
+        cur = run[i]
+        if include_diag_B and B is not None:
+            cur = cur + tree.dt * tree.matvec(B(i, i), z_cols[i])
+        if include_diag_A and A is not None:
+            cur = tree.implicit_solve(A(i, i), cur)
+        run[i] = y_levels[i] = cur
+        _row_run(tree, run, z_cols, i, 0)
+        z_rows[i] = z_cols
+    return BackwardSolution(Y=AdaptedProcess(y_levels), Z=TwoParamProcess(z_rows),
+                            mu=mu, nu=nu)
 
 
 def solve_bsde(tree: Tree, terminal: np.ndarray, driver,

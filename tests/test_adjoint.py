@@ -226,8 +226,7 @@ def _shifted_theta(b):
     """theta + 0.1 with (p, q, mu, nu) re-solved from it: every equation
     but theta's own definition still holds."""
     tree, theta = b.frozen.tree, b.theta + 0.1
-    p_rows, kernels = _pq_equation(tree, b.frozen, b.Lambda,
-                                   np.stack(b.xi.xi, axis=1), theta)
+    p_rows, kernels = _pq_equation(tree, b.frozen, b.Lambda, b.xi.stack, theta)
     return replace(b, theta=theta, pq=solve_linear_backward(tree, p_rows, **kernels))
 
 

@@ -56,6 +56,21 @@ class TestSolveBsde:
             solve_bsde(tree, terminal, lambda s, y, z: 4.0 * y)
 
 
+def row_tail(s, fwd, u, bwd, i, r, tree):
+    """psi(t_i, X_N) - sum_{r <= q < N} [Z(t_i, t_q) dW_q - dt g(t_i, t_q, X_q,
+    Y_q, Z(t_i, t_q), u_q)] as a leaf field: row i's run at level r, which
+    is Y(t_i) at r = i and deterministic at r = 0 when (Y, Z) solve the
+    BSVIE."""
+    N, g = tree.N, s.coeffs.g
+    tail = s.coeffs.psi.value(tree.t(i), tree.t(N), fwd.X.level(N))
+    for q in range(r, N):
+        z = bwd.Z.value(i, q)
+        drift = tree.dt * g.value(tree.t(i), tree.t(q), x=fwd.X.level(q),
+                                  y=bwd.Y.level(q), z=z, u=u.level(q))
+        tail = tail - tree.embed(tree.dw_term(z, q) - tree.embed(drift, q + 1), N)
+    return tail
+
+
 class TestSolveBsvie:
     def test_zero_generator(self):
         doc = json.loads(fixture_path("zero").read_text())
@@ -120,8 +135,7 @@ class TestSolveBsvie:
         bwd = solve_bsvie(s, fwd, u, tree)
         for i in (0, 2, tree.N):
             lam_run, z_cols = recompute_bsvie_row(s, fwd, u, bwd, i, tree)
-            for r in range(tree.N + 1):
-                assert np.allclose(lam_run[r], bwd.lam[i][r], atol=1e-10)
+            assert np.allclose(lam_run[i], bwd.Y.level(i), atol=1e-10)
             for r in range(tree.N):
                 assert np.allclose(z_cols[r], bwd.Z.value(i, r), atol=1e-10)
 
@@ -141,8 +155,8 @@ class TestSolveBsvie:
             for r in range(tree.N):
                 assert np.abs(bwd.Z.value(i, r)
                               - ref.Z.value(i, r)).max() <= 1e-12
-            for r in range(tree.N + 1):
-                assert np.abs(bwd.lam[i][r] - ref.lam[i][r]).max() <= 1e-12
+            tail = row_tail(s, fwd, u, bwd, i, 0, tree)  # the run at level 0
+            assert np.ptp(tail, axis=0).max() <= 1e-12
         assert bwd.residual_history[0] < s.tolerances.picard_tol
 
     def test_diagonal_fixed_point_failure_names_node(self):
@@ -162,8 +176,9 @@ class TestSolveBsvie:
         u = AdaptedProcess.constant([0.1], tree.N - 1)
         fwd = simulate_forward(s, u, tree)
         bwd = solve_bsvie(s, fwd, u, tree)
-        for i in range(tree.N + 1):
-            assert np.allclose(bwd.Y.level(i), bwd.lam[i][i], atol=1e-13)
+        for i in range(tree.N + 1):  # Y(t_i) = lam_i(i), from row i's equation
+            assert np.allclose(tree.embed(bwd.Y.level(i), tree.N),
+                               row_tail(s, fwd, u, bwd, i, i, tree), atol=1e-13)
 
 
 def dense_msolution_oracle(tree, psi_rows, A, B, D, theta, include_diag_A):

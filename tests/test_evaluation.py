@@ -1,7 +1,10 @@
 """Each catalog coefficient is evaluated once per level: the forward sweep
 and the BSVIE build the state bracket of a level once and scale it by the
 kernel per time pair, and constant jacobians are built once per (object,
-slot, t, s).  Both must give the bits of the per-pair evaluation."""
+slot, t, s).  Both must give the bits of the per-pair evaluation.  The
+forward sweep, the BSVIE and the linear backward family advance their
+rows as one row stack per level; each must give the bits of its
+row-by-row solve."""
 
 import gc
 import json
@@ -9,15 +12,17 @@ import json
 import numpy as np
 import pytest
 
-from oracles import per_pair_bsvie, per_pair_forward
+from oracles import per_pair_bsvie, per_pair_forward, per_row_linear_backward
 
 from volterra_control import cli
 from volterra_control import scenario as scenario_module
-from volterra_control.adjoint import assemble_adjoint, hamiltonian_gradient
-from volterra_control.backward import solve_bsvie
+from volterra_control.adjoint import (_pq_equation, assemble_adjoint,
+                                      hamiltonian_gradient)
+from volterra_control.backward import solve_bsvie, solve_linear_backward
 from volterra_control.forward import ForwardPath, simulate_forward
 from volterra_control.lattice import AdaptedProcess, ScaledMatrix
 from volterra_control.scenario import Scenario, fixture_path, load_scenario
+from volterra_control.verify import smooth_duality_instance
 
 from test_scenario import FIXTURES
 
@@ -81,6 +86,42 @@ def test_adjoint_bundle_has_the_bits_of_fresh_jacobians(name):
     for field, levels in _bundle_fields(bundle).items():
         assert _equal_levels(levels, _bundle_fields(ref)[field]), field
     assert _equal_levels(hu.levels, ref_hu.levels)
+
+
+def _same_linear_solution(got, ref):
+    assert _equal_levels(got.Y.levels, ref.Y.levels)
+    assert all(_equal_levels(a, b) for a, b in zip(got.Z.rows, ref.Z.rows))
+    for name in ("mu", "nu"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert (a is None and b is None) or _equal_levels(a.levels, b.levels), name
+
+
+@pytest.mark.parametrize("mode", ["transpose", "continuum"])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_linear_backward_has_the_bits_of_the_row_by_row_solve(m, mode):
+    # both solves of the duality checks: the family with theta and its B
+    # coupling (diagonal B term in continuum mode), and the C-adapted one
+    inst = smooth_duality_instance(1.0, STEPS, m, seed=m)
+    tree = inst.tree
+    for rows, kernels in (
+            (inst.psi_rows, {"A": inst.A, "B": inst.B, "D": inst.D, "theta": inst.theta,
+                             "include_diag_B": mode == "continuum"}),
+            (inst.psi_tilde_rows, {"A": inst.A_tilde, "D": inst.D})):
+        _same_linear_solution(solve_linear_backward(tree, rows, **kernels),
+                              per_row_linear_backward(tree, rows, **kernels))
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_adjoint_pq_has_the_bits_of_the_row_by_row_solve(name):
+    s = load_scenario(fixture_path(name))
+    tree = s.tree(STEPS)
+    u = _control(s, tree)
+    fwd = simulate_forward(s, u, tree)
+    bundle = assemble_adjoint(s, fwd, solve_bsvie(s, fwd, u, tree), u, tree)
+    p_rows, kernels = _pq_equation(tree, bundle.frozen, bundle.Lambda,
+                                   bundle.xi.stack, bundle.theta)
+    ref = per_row_linear_backward(tree, p_rows, **kernels)
+    _same_linear_solution(bundle.pq, ref)
 
 
 def test_forward_builds_each_bracket_once_per_level(monkeypatch):

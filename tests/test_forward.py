@@ -9,7 +9,8 @@ from volterra_control.forward import (
     SimulationError, simulate_forward, simulate_forward_linear,
 )
 from volterra_control.lattice import AdaptedProcess
-from volterra_control.scenario import Scenario, fixture_path, load_scenario
+from volterra_control.scenario import (ControlConstraint, Scenario, fixture_path,
+                                       load_scenario)
 
 from oracles import zero_process
 
@@ -102,6 +103,25 @@ class TestSimulateForward:
         with pytest.raises(SimulationError, match=r"at level 3, node 5$"):
             simulate_forward(s, u, tree)
 
+    def test_one_membership_call_over_the_checked_levels(self, monkeypatch):
+        s = load_scenario(fixture_path("annulus"))
+        tree = s.tree()
+        u = AdaptedProcess.constant([1.5, 0.0], tree.N)  # one level beyond N - 1
+        u.level(tree.N)[2] = [0.0, 0.0]  # outside, but never read
+        shapes = []
+        contains = ControlConstraint.contains
+
+        def counted(self, table, *args):
+            shapes.append(table.shape)
+            return contains(self, table, *args)
+        monkeypatch.setattr(ControlConstraint, "contains", counted)
+        simulate_forward(s, u, tree)
+        assert shapes == [((1 << tree.N) - 1, 2)]
+        u.level(tree.N - 1)[(1 << tree.N - 1) - 1] = [0.0, 0.0]  # the last node read
+        with pytest.raises(SimulationError, match=rf"at level {tree.N - 1}, "
+                           rf"node {(1 << tree.N - 1) - 1}$"):
+            simulate_forward(s, u, tree)
+
     def test_nonfinite_detected(self):
         s = scenario_with({"coefficients.phi": {"const": [1e308], "slope": [0.0]},
                            "coefficients.b": {"x": [[10.0]]}})
@@ -120,6 +140,33 @@ class TestSimulateForward:
         u.level(2)[3, 0] = 1e10
         with pytest.raises(SimulationError, match=r"^non-finite value in "
                            r"b\(t_3, t_2\) at level 2, node 3$"):
+            simulate_forward(s, u, tree)
+
+    # b(t_i, t_0) = 1e300 exp(20 t_i) u_0 overflows only in the last row,
+    # at level 0; each case adds a failure in an earlier row at a later
+    # level, which must be reported first: rows complete in order i = 1..N
+    @pytest.mark.parametrize("phi,u_big,message", [
+        ({"const": [1e308], "slope": [1e308]}, {},  # phi(t_7) overflows
+         r"X\(t_7\) at level 7, node 0"),
+        ({}, {(4, 3): 1e308}, r"b\(t_5, t_4\) at level 4, node 3"),
+    ], ids=["earlier X", "earlier term"])
+    def test_nonfinite_rows_reported_in_row_order(self, phi, u_big, message):
+        s = scenario_with({"grid.N": 8, "coefficients.phi": phi,
+                           "coefficients.b": {"kernel": {"scale": 1e300, "kappa": -20.0},
+                                              "u": [[1.0]]}})
+        tree = s.tree()
+        u = zero_process(tree.N - 1, 1)
+        u.level(0)[0, 0] = 1.0
+        for (level, node), value in u_big.items():
+            u.level(level)[node, 0] = value
+        with pytest.raises(SimulationError, match="^non-finite value in " + message + "$"):
+            simulate_forward(s, u, tree)
+        # alone, the last row's term is the first failure
+        s.coeffs.phi = scenario_with({}).coeffs.phi
+        for level, node in u_big:
+            u.level(level)[node, 0] = 0.0
+        with pytest.raises(SimulationError, match=r"^non-finite value in "
+                           r"b\(t_8, t_0\) at level 0, node 0$"):
             simulate_forward(s, u, tree)
 
 

@@ -9,7 +9,8 @@ from oracles import grid_points, zero_process, zero_two_param
 from volterra_control.adjoint import solve_fredholm
 from volterra_control.backward import _row_run, solve_linear_backward
 from volterra_control.lattice import (AdaptedProcess, ScaledMatrix, TimeGrid, Tree,
-                                      TwoParamProcess, as_table, dot, stack, transpose)
+                                      TwoParamProcess, apply, as_table, dot, scaled,
+                                      stack, transpose)
 from volterra_control.verify import _pair, smooth_duality_instance
 
 
@@ -286,9 +287,9 @@ class TestKernelApplication:
             return scaled if kind == "scaled" else as_table(scaled, 1 << mat_level)
 
         mats = [make(kind) for kind in kinds]
-        # a column slice of a wider stack, as the adjoint rows use it
-        stack = rng.standard_normal((1 << level, K + 2, d))[:, :K]
-        ref = tree.level_sum([tree.tmatvec(mat, stack[:, k])
+        # the first rows of a wider row stack, as the adjoint rows use it
+        stack = rng.standard_normal((K + 2, d, 1 << level)).T[..., :K]
+        ref = tree.level_sum([tree.tmatvec(mat, stack[..., k])
                               for k, mat in enumerate(mats)], level)
         got = tree.tmatvec_sum(mats, stack)
         assert got.shape == ref.shape == (1 << level, e)
@@ -329,12 +330,62 @@ class TestProcessContainers:
         assert np.allclose(c.level(2), [[2.0, 0.0]] * 4)
         assert (a - a).sup_norm() == 0.0
 
+    def test_map_makes_one_call_on_all_levels(self):
+        rng = np.random.default_rng(4)
+        proc = AdaptedProcess([rng.standard_normal((1 << i, 2)) for i in range(4)])
+        calls = []
+
+        def fn(table):
+            calls.append(table.shape)
+            return np.cumsum(table, axis=1)  # row-wise
+        mapped = proc.map(fn)
+        assert calls == [(15, 2)]
+        assert all(np.array_equal(a, np.cumsum(v, axis=1))
+                   for a, v in zip(mapped.levels, proc.levels))
+        table = proc.node_table(2)
+        assert table.shape == (7, 2) and node_contiguous(table)
+        assert np.array_equal(table[3:7], proc.level(2))  # rows 2**i - 1 ...
+
     def test_two_param_shapes(self):
         z = zero_two_param(3, 4, 2)
         assert len(z.rows) == 3
         assert z.value(1, 2).shape == (4, 2)
         with pytest.raises(ValueError):
             TwoParamProcess([[np.zeros((2, 1))]])
+
+
+class TestRowStacks:
+    """A (2**i, d, R) row stack through the lattice helpers gives every
+    row the bits of the per-row call, as node-contiguous views."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 3), e=st.integers(1, 3), R=st.integers(1, 5),
+           level=st.integers(1, 4), up=st.integers(0, 2), seed=SEED)
+    def test_rows_keep_their_bits(self, d, e, R, level, up, seed):
+        tree = Tree.build(1.0, 6)
+        rng = np.random.default_rng(seed)
+        # node-contiguous fields, as the solvers store them
+        rows = [rng.standard_normal((d, 1 << level)).T for _ in range(R)]
+        hs = [rng.standard_normal((d, 1 << level)).T for _ in range(R)]
+        matrix = rng.uniform(-1.0, 1.0, (e, d))
+        factors = rng.uniform(-2.0, 2.0, R)
+        rows_of, hs_of = stack(rows), stack(hs)
+        mean, z = tree.repr_step(rows_of)
+        batched = {"repr_step_mean": (mean, lambda k: tree.repr_step(rows[k])[0]),
+                   "repr_step_z": (z, lambda k: tree.repr_step(rows[k])[1]),
+                   "dw_term": (tree.dw_term(hs_of, level),
+                               lambda k: tree.dw_term(hs[k], level)),
+                   "ito_step": (tree.ito_step(rows_of, hs_of, level),
+                                lambda k: tree.ito_step(rows[k], hs[k], level)),
+                   "embed": (tree.embed(rows_of, level + up),
+                             lambda k: tree.embed(rows[k], level + up)),
+                   "apply": (apply(matrix, rows_of), lambda k: apply(matrix, rows[k])),
+                   "scaled": (scaled(rows[0], factors), lambda k: factors[k] * rows[0])}
+        for name, (out, per_row) in batched.items():
+            assert out.shape[-1] == R and out.T.flags.c_contiguous, name
+            for k in range(R):
+                assert node_contiguous(out[..., k]), name
+                assert np.array_equal(out[..., k], per_row(k)), (name, k)
 
 
 def node_contiguous(values):
@@ -411,12 +462,12 @@ class TestNodeContiguousLayout:
                 "tmatvec_table": (tree.tmatvec(table, vd),
                                   np.einsum("kde,kd->ke", table, x4d)),
             }
-            for order in both_orders(np.stack(cols, axis=1)):
+            for order in both_orders(np.stack(cols, axis=-1)):
                 got["tmatvec_sum_" + ("C" if order.flags.c_contiguous else "F")] = (
                     tree.tmatvec_sum(mats, order),
                     sum(col @ m.matrix for col, m in zip(cols, mats)))
             got["tmatvec_sum_stack"] = (
-                tree.tmatvec_sum(mats[:2], stack(cols)[:, :2]),
+                tree.tmatvec_sum(mats[:2], stack(cols)[..., :2]),
                 cols[0] @ mats[0].matrix + cols[1] @ mats[1].matrix)
             for form in (ScaledMatrix(None, square), ScaledMatrix(scale, square),
                          as_table(ScaledMatrix(scale, square), 1 << 4)):
@@ -439,8 +490,11 @@ class TestNodeContiguousLayout:
         assert all(node_contiguous(v) for v in const.levels)
         rows = TwoParamProcess([levels[:2], levels[:3]]).rows
         assert all(node_contiguous(v) for row in rows for v in row)
-        cols = stack(levels[3:] * 4)
-        assert cols.shape == (8, 4, 3) and node_contiguous(cols[:, 1])
+        # a row stack: rows on the trailing axis, each row node-contiguous
+        stacked = stack(levels[3:] * 4)
+        assert stacked.shape == (8, 3, 4) and stacked.T.flags.c_contiguous
+        assert node_contiguous(stacked[..., 1]) and stacked[..., 1:].T.flags.c_contiguous
+        assert np.array_equal(stacked[..., 1], levels[3])
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_pair_is_the_mean_inner_product(self, d):
