@@ -46,6 +46,11 @@ per-node factor, or constant when the scale is None.  ``Tree.matvec``,
 ``transpose`` and ``as_table`` take either.  ``Tree.tmatvec_sum`` sums
 the transposed products of K matrix fields with the rows of a stack of K
 vector fields, as one matrix product when every matrix is constant.
+``apply`` is the one place that applies a constant matrix to a field or
+a row stack.  When the matrix has one column, as every kernel of a
+scalar (n = m = 1) scenario has, it takes a broadcast product in place
+of numpy's matmul, which is 5-10x slower at inner dimension 1; each
+entry is one product either way, so the values are the same.
 """
 
 from __future__ import annotations
@@ -221,13 +226,20 @@ class Tree:
         return self.level_sum(terms, self.N)
 
     def dw_term(self, h: np.ndarray, j: int) -> np.ndarray:
-        """The increment h dW_j of a level-j integrand, a level-(j+1) field."""
-        return (h.T.repeat(2, axis=-1) * self._dw[j]).T
+        """The increment h dW_j of a level-j integrand, a level-(j+1) field,
+        built in the buffer of the repeat of h (one full-size array, not
+        two)."""
+        out = h.T.repeat(2, axis=-1)
+        out *= self._dw[j]
+        return out.T
 
     def ito_step(self, values: np.ndarray, h: np.ndarray, j: int) -> np.ndarray:
         """values + h dW_j for a level-j field and integrand: one step of a
-        forward noise recursion, a level-(j+1) field."""
-        return _repeat(values, 2) + self.dw_term(h, j)
+        forward noise recursion, a level-(j+1) field.  The repeat of values
+        is added into the buffer of ``dw_term``."""
+        out = self.dw_term(h, j)
+        out += _repeat(values, 2)
+        return out
 
     def repr_step(self, values: np.ndarray):
         """One backward martingale step: level k+1 -> (E_k mean, integrand).
@@ -243,10 +255,10 @@ class Tree:
 
     # -- kernel application ---------------------------------------------
     # The one place that applies a matrix field, in either form: a dense
-    # (2**i, d, e) table through einsum, a ScaledMatrix as one GEMM on the
-    # vector field (``apply``) followed by its per-node scale.
+    # (2**i, d, e) table through einsum, a ScaledMatrix as one ``apply``
+    # on the vector field followed by its per-node scale.
     # ``tmatvec_sum`` applies K matrix fields to the K rows of a
-    # (2**i, d, K) stack and sums: one GEMM against the stacked matrices
+    # (2**i, d, K) stack and sums: one ``apply`` of the stacked matrices
     # when all K are constant, else the ``level_sum`` of the K ``tmatvec``
     # products.
 
@@ -285,7 +297,7 @@ class Tree:
         (a run of rows of a stack reshapes as a view)."""
         if all(isinstance(mat, ScaledMatrix) and mat.scale is None for mat in mats):
             flat = stack.T.reshape(-1, stack.shape[0])
-            return (np.concatenate([mat.matrix for mat in mats]).T @ flat).T
+            return apply(np.concatenate([mat.matrix for mat in mats]).T, flat.T)
         return self.level_sum((self.tmatvec(mat, stack[..., k])
                                for k, mat in enumerate(mats)), self.level_of(stack))
 
@@ -318,8 +330,17 @@ def outer(nodes: np.ndarray, vector) -> np.ndarray:
 
 
 def apply(matrix: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """matrix @ v at every node of a (2**i, e) vector field: one (d, e) @
-    (e, 2**i) product."""
+    """matrix @ v at every node of a (2**i, e) vector field, or of every row
+    of a (2**i, e, R) row stack: one (d, e) @ (e, 2**i) product.
+
+    With e = 1 it is the broadcast product (d, 1) * (1, 2**i) instead:
+    every entry is then one product, the value of the matrix product, and
+    numpy's matmul is 5-10x slower there (a 1 x 1 matrix on 16,384 nodes:
+    28-55 us against 5-6 us, numpy 2.4 with single-thread OpenBLAS on a
+    2-core x86-64 host).  An exact zero may come out as -0.0 where the
+    matrix product sums onto +0.0."""
+    if matrix.shape[1] == 1:
+        return (matrix * vec.T).T
     return (matrix @ vec.T).T
 
 

@@ -343,6 +343,14 @@ class CoefficientSet:
 # cost
 
 
+def _vecmul(arr: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """arr @ vec at every node of a (nodes, d) field.  For d = 1 it is the
+    plain product, which has the same value; numpy's matmul is about 10x
+    slower there (50 us against 5 us on 16,384 nodes), as in
+    ``lattice.apply``."""
+    return arr[:, 0] * vec[0] if vec.shape[0] == 1 else arr @ vec
+
+
 class RunningCost:
     """f(s,x,y,z,u) = 1/2 sum a' Q_a a + sum l_a . a + const."""
 
@@ -377,7 +385,7 @@ class RunningCost:
         out = np.full(nodes, self.const)
         for a, arr in args.items():
             out += 0.5 * np.einsum("ki,ij,kj->k", arr, self.quads[a], arr)
-            out += arr @ self.lins[a]
+            out += _vecmul(arr, self.lins[a])
         return out
 
     def jacobian(self, slot: str, t: float, s: float, **args) -> np.ndarray:
@@ -401,8 +409,8 @@ class TerminalCost(_Section):
     def value(self, t: float, s: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         dx = x - self.x_target
         dy = y - self.y_target
-        out = 0.5 * np.einsum("ki,ij,kj->k", dx, self.qx, dx) + x @ self.lx
-        out += 0.5 * np.einsum("ki,ij,kj->k", dy, self.qy, dy) + y @ self.ly
+        out = 0.5 * np.einsum("ki,ij,kj->k", dx, self.qx, dx) + _vecmul(x, self.lx)
+        out += 0.5 * np.einsum("ki,ij,kj->k", dy, self.qy, dy) + _vecmul(y, self.ly)
         return out
 
     def jacobian(self, slot: str, t: float, s: float, x: np.ndarray,

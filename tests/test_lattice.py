@@ -388,6 +388,53 @@ class TestRowStacks:
                 assert np.array_equal(out[..., k], per_row(k)), (name, k)
 
 
+class TestInPlaceAndProductPaths:
+    """``apply`` takes a broadcast product for one-column matrices, and
+    ``dw_term``/``ito_step`` write into their repeat's buffer: both keep the
+    values of the plain formulas, on fields and row stacks, and leave their
+    inputs alone."""
+
+    @staticmethod
+    def inputs(rng, shape, zeros):
+        values = rng.standard_normal(shape)
+        if zeros:  # exact zeros, where a product gives -0.0 for +0.0
+            values[rng.random(shape) < 0.3] = 0.0
+        return values
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 3), e=st.integers(1, 3),
+           R=st.one_of(st.none(), st.integers(1, 4)), level=st.integers(0, 6),
+           zeros=st.booleans(), seed=SEED)
+    def test_apply_matches_matmul(self, d, e, R, level, zeros, seed):
+        rng = np.random.default_rng(seed)
+        matrix = self.inputs(rng, (d, e), zeros)
+        # node-contiguous: a (R, e, 2**i) or (e, 2**i) array, transposed
+        shape = (e, 1 << level) if R is None else (R, e, 1 << level)
+        vec = self.inputs(rng, shape, zeros).T
+        before = vec.copy()
+        out = apply(matrix, vec)
+        assert np.array_equal(out, (matrix @ vec.T).T)
+        assert out.T.flags.c_contiguous
+        assert np.array_equal(vec, before)
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 3), R=st.one_of(st.none(), st.integers(1, 4)),
+           level=st.integers(0, 5), order=st.sampled_from("CF"), seed=SEED)
+    def test_ito_helpers_are_the_plain_formulas(self, d, R, level, order, seed):
+        tree = Tree.build(1.0, 6)
+        rng = np.random.default_rng(seed)
+        shape = (1 << level, d) + (() if R is None else (R,))
+        values, h = (np.asarray(rng.standard_normal(shape), order=order)
+                     for _ in range(2))
+        saved = values.copy(), h.copy()
+        dw = tree.dw(level).reshape((-1,) + (1,) * (len(shape) - 1))
+        increment = np.repeat(h, 2, axis=0) * dw
+        assert np.array_equal(tree.dw_term(h, level), increment)
+        assert np.array_equal(tree.ito_step(values, h, level),
+                              np.repeat(values, 2, axis=0) + increment)
+        assert np.array_equal(values, saved[0]) and np.array_equal(h, saved[1])
+
+
 def node_contiguous(values):
     """The node axis has unit stride: moved last, the array is C-contiguous."""
     return np.moveaxis(values, 0, -1).flags.c_contiguous
@@ -435,7 +482,10 @@ class TestNodeContiguousLayout:
             got["repr_step_z"] = (z, (pairs[:, 1] - pairs[:, 0]) / (2.0 * tree.sqdt))
             for name, (out, want) in got.items():
                 assert node_contiguous(out), name
-                close_to(out, want)
+                if name == "dw_term":  # the same product per entry
+                    assert np.array_equal(out, want)
+                else:
+                    close_to(out, want)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_kernel_helpers(self, d):

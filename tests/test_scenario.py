@@ -124,6 +124,27 @@ class TestValidate:
         assert jacobian_discrepancies(s).keys() == {"b.dx"}
         assert jacobian_discrepancies(s)["b.dx"] > 1e-3
 
+    @pytest.mark.parametrize("dims", [(1, 1, 1), (2, 3, 2)])
+    def test_cost_values_are_the_matmul_formulas(self, dims):
+        # one-component slots take a plain product for ``arr @ lin``: the
+        # same values as the matrix product
+        n, m, l = dims
+        s = random_scenario(dims, 3, seed=5)
+        f, h = s.cost.f, s.cost.h
+        rng = np.random.default_rng(6)
+        args = {a: rng.standard_normal((64, d)) for a, d in zip(f.slots, (n, m, m, l))}
+        args["x"][::3] = 0.0
+        want = np.full(64, f.const)
+        for a, arr in args.items():
+            want += 0.5 * np.einsum("ki,ij,kj->k", arr, f.quads[a], arr)
+            want += arr @ f.lins[a]
+        assert np.array_equal(f.value(0.5, 0.25, **args), want)
+        x, y = args["x"], args["y"]
+        dx, dy = x - h.x_target, y - h.y_target
+        want = 0.5 * np.einsum("ki,ij,kj->k", dx, h.qx, dx) + x @ h.lx
+        want += 0.5 * np.einsum("ki,ij,kj->k", dy, h.qy, dy) + y @ h.ly
+        assert np.array_equal(h.value(1.0, 0.0, x, y), want)
+
     def test_deterministic_evaluators(self):
         s = load_scenario(fixture_path("lq"))
         x = np.array([[0.3], [1.2]])
