@@ -21,10 +21,22 @@ forward Euler scheme).  The 0..i sums in F_i and in the control gradient
 include the diagonal for the same reason.  These choices make the
 difference-quotient identity for the cost exact in exact arithmetic.
 
-Each coefficient derivative is one cached ``FrozenCoefficients.d(name,
-slot, i, j)``: the jacobian of catalog object ``name`` in ``slot`` at
-(t_i, t_j) along the state, e.g. g_y(j,i) = ``d("g", "y", j, i)``,
-f_z(j) = ``d("f", "z", 0, j)``, psi_x(j) = ``d("psi", "x", j, N)``.
+Each coefficient derivative is ``FrozenCoefficients.d(name, slot, i,
+j)``: the jacobian of catalog object ``name`` in ``slot`` at (t_i, t_j)
+along the state, e.g. g_y(j,i) = ``d("g", "y", j, i)``, f_z(j) =
+``d("f", "z", 0, j)``, psi_x(j) = ``d("psi", "x", j, N)``.  The jacobian
+of a slot without a quadratic term is a scalar kernel times one
+constant matrix; ``FrozenCoefficients.family`` returns a whole row or
+column of pairs of it as one (R, d, e) family, read off the object's
+per-grid table (see ``scenario``), and None for a state-dependent slot.
+The equations pass their kernels as ``FrozenCoefficients.kernel``
+objects, which the solvers ask for families, so every sum over pairs
+with constant jacobians is one batched ``Tree.matvec_family`` or
+``Tree.tmatvec_family`` over a row stack, with the bits of the per-pair
+products (which state-dependent slots and plain callables still take):
+the A terms and D steps of ``solve_fredholm``, the A and B terms of
+``solve_linear_backward``, the sums of F_i and theta
+(``Tree.tmatvec_sum``) and every sum of ``hamiltonian_gradient``.
 
 Each equation is written down once, as free-term rows plus kernels
 (``_lambda0_equation``, ``_xi_equation``, ``_pq_equation``) or as a sum
@@ -42,7 +54,9 @@ longer: F_i adds i + 1 leaf fields g_x(k,i)' xi_k.  That sum, like
 theta's psi_x sum, is one ``Tree.tmatvec_sum`` per row, a single matrix
 product over the stacked xi rows when the jacobians are constant.  The
 A and D terms of the Fredholm checks read E_i[xi_j] off the stored runs
-instead of reducing the leaves again.
+instead of reducing the leaves again, and the Hamiltonian gradient reads
+E_j[xi_i], E_j[p_i] and q(i, j) off the level stacks the two solvers
+keep.
 """
 
 from __future__ import annotations
@@ -51,28 +65,35 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backward import (BackwardSolution, backward_row_residual,
+from .backward import (BackwardSolution, backward_row_residual, family_of,
                        msolution_identity_residual, solve_linear_backward)
 from .forward import ForwardPath
-from .lattice import AdaptedProcess, Tree, stack, transpose
+from .lattice import AdaptedProcess, ScaledMatrix, Tree, stack, transpose
 from .scenario import Scenario
 
 
 @dataclass
 class FredholmSolution:
     """Rows xi_i (leaf fields) with their conditional runs E_r[xi_i], r >= i,
-    and the leaves as one (2**N, m, rows) row stack ``stack`` (see
-    ``lattice``).  ``solve_fredholm`` writes the leaves into the stack, so
-    each xi_i and the last level of its run are the view ``stack[..., i]``;
-    without one, the stack is a copy of the rows."""
+    and per level r the row stack ``levels[r]`` (see ``lattice``) of
+    E_r[xi_i], i = 0..min(r, rows - 1); ``stack`` is the last one, the leaves.
+    ``solve_fredholm`` writes each run into the level stacks, so each
+    E_r[xi_i] is the view ``levels[r][..., i]``; without them, the stacks
+    are copies of the runs, the last one of the rows."""
 
     xi: list
     cond: list
-    stack: np.ndarray | None = None
+    levels: list | None = None
 
     def __post_init__(self):
-        if self.stack is None and self.xi:
-            self.stack = stack(self.xi)
+        if self.levels is None and self.xi:
+            rows, top = len(self.xi), len(self.cond[0]) - 1
+            self.levels = [stack([self.cond[i][r - i] for i in range(min(r + 1, rows))])
+                           for r in range(top)] + [stack(self.xi)]
+
+    @property
+    def stack(self) -> np.ndarray:
+        return self.levels[-1]
 
     def cond_exp(self, i: int, r: int) -> np.ndarray:
         if r < i:
@@ -92,15 +113,18 @@ def solve_fredholm(tree: Tree, alpha_rows, A=None, B=None, D=None,
     (A-sum capped at j <= min(i, N-1); strict j < i when not
     ``include_diag_A``).  Kernels are callables (i, j) -> matrix fields,
     a per-node table or a ``ScaledMatrix`` (``Tree.matvec`` applies
-    either).  Row count equals len(alpha_rows); alpha_rows[i]
+    either); a kernel with a ``family`` (``FrozenCoefficients.kernel``)
+    gives the A terms of a row as one ``Tree.tmatvec_family`` over the
+    row stack of E_i[xi_j], j < i, and its D steps from one family.  Row
+    count equals len(alpha_rows); alpha_rows[i]
     is adapted at level i, and B(j,i) must be F_i-measurable (at most
     level i; a finer one raises ValueError).  For each row the level-i
     part is formed first, reading E_i[xi_j] off the earlier rows' runs:
     by the tower property E_j[B(j,i)' xi_j] = E_j[B(j,i)' E_i[xi_j]].
     Then one per-node linear solve when the diagonal A term is present,
     and the forward noise recursion propagates the row to the leaves,
-    realizing E_r[xi_i] on the way; the leaf goes into the row stack of
-    the solution.  Every term of row i is formed at
+    writing E_r[xi_i] into the level stacks of the solution on the way.
+    Every term of row i is formed at
     level <= i and the recursion costs O(2^N), so the whole solve is
     O(N 2^N) per kernel dimension.
     """
@@ -108,7 +132,7 @@ def solve_fredholm(tree: Tree, alpha_rows, A=None, B=None, D=None,
     n_rows = len(alpha_rows)
     if n_rows > N + 1:
         raise ValueError(f"at most {N + 1} rows, got {n_rows}")
-    xi, cond, leaves = [], [], None
+    levels = None
     for i in range(n_rows):
         if tree.level_of(np.asarray(alpha_rows[i])) != i:
             raise ValueError(f"alpha row {i} must be adapted at level {i}")
@@ -120,32 +144,42 @@ def solve_fredholm(tree: Tree, alpha_rows, A=None, B=None, D=None,
                     if tree.level_of(b) > i:
                         raise ValueError(f"B({j}, {i}) is finer than level {i}; "
                                          f"it must be F_{i}-measurable")
-                    proj = tree.cond_expect(tree.tmatvec(b, cond[j][i - j]), j)
+                    proj = tree.cond_expect(tree.tmatvec(b, levels[i][..., j]), j)
                     yield tree.dw_term(proj, j)
                 if beta is not None:
                     yield tree.dw_term(tree.embed(beta(i, j), j), j)
             yield np.array(alpha_rows[i], dtype=float)
-            if A is not None:
-                for j in range(i):
-                    yield tree.dt * tree.tmatvec(A(j, i), cond[j][i - j])
+            if A is not None and i:
+                family = family_of(A, slice(0, i), i)
+                if family is None:
+                    for j in range(i):
+                        yield tree.dt * tree.tmatvec(A(j, i), levels[i][..., j])
+                else:
+                    prods = tree.dt * tree.tmatvec_family(family, levels[i][..., :i])
+                    yield from (prods[..., j] for j in range(i))
         known = tree.level_sum(terms(), i)
         if include_diag_A and A is not None and i <= N - 1:
             known = tree.implicit_solve(transpose(A(i, i)), known)
-        if leaves is None:
-            leaves = np.empty((n_rows, known.shape[1], tree.n_leaves)).T
-        run = [known]
-        cur = known
+        if levels is None:
+            levels = [np.empty((min(r + 1, n_rows), known.shape[1], 1 << r)).T
+                      for r in range(N + 1)]
+        levels[i][..., i] = cur = known
+        d_family = None if D is None else family_of(D, i, slice(i, N))
         for r in range(i, N):
-            incr = np.zeros_like(cur) if D is None else tree.tmatvec(D(i, r), cur)
+            if D is None:
+                incr = np.zeros_like(cur)
+            elif d_family is None:
+                incr = tree.tmatvec(D(i, r), cur)
+            else:
+                incr = tree.tmatvec_family(d_family[r - i], cur)
             if beta is not None:
                 incr = tree.level_sum([incr, beta(i, r)], r)
             cur = tree.ito_step(cur, incr, r)
-            run.append(cur)
-        leaves[..., i] = cur
-        run[-1] = cur = leaves[..., i]
-        xi.append(cur)
-        cond.append(run)
-    return FredholmSolution(xi=xi, cond=cond, stack=leaves)
+            levels[r + 1][..., i] = cur
+    return FredholmSolution(
+        xi=[levels[N][..., i] for i in range(n_rows)],
+        cond=[[levels[r][..., i] for r in range(i, N + 1)] for i in range(n_rows)],
+        levels=levels)
 
 
 def fredholm_row_residual(tree: Tree, sol: FredholmSolution, i: int, alpha_rows,
@@ -187,10 +221,12 @@ def fredholm_row_residual(tree: Tree, sol: FredholmSolution, i: int, alpha_rows,
 class FrozenCoefficients:
     """Catalog derivatives frozen along a state 4-tuple (bwd may be None for b, sigma).
 
-    Each jacobian is cached per (name, slot, i, j) for this state; a
-    constant one (a slot in the object's ``constant_slots``) is asked for
-    without state arguments and comes from the object's own memo, so every
-    FrozenCoefficients on the scenario shares it."""
+    The jacobians of a constant slot (one in the object's
+    ``constant_slots``) are read off the object's ``grid_jacobians``
+    table, which every FrozenCoefficients on the scenario and grid shares:
+    ``family`` returns a row or a column of pairs as one (R, d, e) array,
+    ``d`` one pair.  A state-dependent jacobian has no family; ``d``
+    caches it per (name, slot, i, j) for this state."""
 
     def __init__(self, scenario: Scenario, tree: Tree, fwd: ForwardPath, bwd, u):
         self.objects = scenario.catalog
@@ -199,6 +235,7 @@ class FrozenCoefficients:
         self.bwd = bwd
         self._cache = {}
         self._arg_cache = {}
+        self._tables = {}  # (name, slot) -> the object's table, or None
         # the state-argument table: slot -> its field at (t_i, t_j)
         self._fields = {"x": lambda i, j: fwd.X.level(j), "u": lambda i, j: u.level(j),
                         "y": lambda i, j: bwd.Y.level(j), "z": lambda i, j: bwd.Z.value(i, j)}
@@ -224,19 +261,79 @@ class FrozenCoefficients:
             self._cache[key] = make()
         return self._cache[key]
 
+    def _table(self, name: str, slot: str):
+        """The object's jacobian table of a constant slot, else None."""
+        key = (name, slot)
+        if key not in self._tables:
+            obj = self.objects[name]
+            self._tables[key] = (obj.grid_jacobians(slot, self.tree)
+                                 if slot in obj.constant_slots else None)
+        return self._tables[key]
+
     def value(self, name: str, i: int, j: int) -> np.ndarray:
         """Value of object ``name`` at (t_i, t_j), not cached."""
         t, s = self.tree.t(i), self.tree.t(j)
         return self.objects[name].value(t, s, **self._args(name, i, j))
 
-    def d(self, name: str, slot: str, i: int, j: int) -> np.ndarray:
-        """Jacobian of object ``name`` in ``slot`` at (t_i, t_j), cached."""
+    def d(self, name: str, slot: str, i: int, j: int):
+        """Jacobian of object ``name`` in ``slot`` at (t_i, t_j): a constant
+        ``ScaledMatrix`` from the table, or a state-dependent one, cached."""
+        table = self._table(name, slot)
+        if table is not None:
+            return ScaledMatrix(None, table[i, j])
         obj = self.objects[name]
+        return self._get((name, slot, i, j), lambda: obj.jacobian(
+            slot, self.tree.t(i), self.tree.t(j), **self._args(name, i, j)))
 
-        def make():
-            args = {} if slot in obj.constant_slots else self._args(name, i, j)
-            return obj.jacobian(slot, self.tree.t(i), self.tree.t(j), **args)
-        return self._get((name, slot, i, j), make)
+    def family(self, name: str, slot: str, i, j):
+        """The jacobians of ``name`` in ``slot`` at the pairs (t_i, t_j), i
+        or j a slice, as one (R, d, e) family; None for a state-dependent
+        slot."""
+        table = self._table(name, slot)
+        return None if table is None else table[i, j]
+
+    def kernel(self, name: str, slot: str, swap: bool = False) -> "Jacobian":
+        return Jacobian(self, name, slot, swap)
+
+
+class Jacobian:
+    """The jacobian of one catalog object in one slot as a solver kernel:
+    (i, j) -> ``fro.d(name, slot, i, j)``, and ``family(i, j)`` for whole
+    rows or columns of pairs.  With ``swap`` it is the transpose of the
+    jacobian at (j, i), as the adjoint equations read b_x and sigma_x."""
+
+    def __init__(self, fro: FrozenCoefficients, name: str, slot: str, swap: bool):
+        self.fro, self.name, self.slot, self.swap = fro, name, slot, swap
+
+    def __call__(self, i: int, j: int):
+        if self.swap:
+            return transpose(self.fro.d(self.name, self.slot, j, i))
+        return self.fro.d(self.name, self.slot, i, j)
+
+    def family(self, i, j):
+        if self.swap:
+            family = self.fro.family(self.name, self.slot, j, i)
+            return None if family is None else family.mT
+        return self.fro.family(self.name, self.slot, i, j)
+
+
+def _matrices(fro, name: str, slot: str, rows: range, j: int):
+    """The jacobians at (t_i, t_j), i in ``rows``, as ``Tree.tmatvec_sum``
+    takes them: a family, else a list of per-pair matrix fields."""
+    family = fro.family(name, slot, slice(rows.start, rows.stop), j)
+    return family if family is not None else [fro.d(name, slot, i, j) for i in rows]
+
+
+def _tmatvecs(tree: Tree, fro, name: str, slot: str, rows: range, j: int,
+              vecs: np.ndarray) -> list:
+    """The fields d(name, slot, i, j)' vecs[..., k] for i = rows[k], with
+    ``vecs`` a row stack: one batched product for a family, else pair by
+    pair."""
+    mats = _matrices(fro, name, slot, rows, j)
+    if isinstance(mats, list):
+        return [tree.tmatvec(mat, vecs[..., k]) for k, mat in enumerate(mats)]
+    prods = tree.tmatvec_family(mats, vecs)
+    return [prods[..., k] for k in range(len(rows))]
 
 
 @dataclass
@@ -270,8 +367,7 @@ def _xi_equation(tree: Tree, fro: FrozenCoefficients, Lambda: AdaptedProcess):
     A = g_y, D = g_z, diagonal included."""
     alpha_rows = [tree.tmatvec(fro.d("g", "y", 0, i), Lambda.level(i))
                   + fro.d("f", "y", 0, i) for i in range(tree.N)]
-    return alpha_rows, {"A": lambda j, i: fro.d("g", "y", j, i),
-                        "D": lambda i, j: fro.d("g", "z", i, j),
+    return alpha_rows, {"A": fro.kernel("g", "y"), "D": fro.kernel("g", "z"),
                         "include_diag_A": True}
 
 
@@ -280,7 +376,7 @@ def _theta_equation(tree: Tree, fro: FrozenCoefficients, lambda0: np.ndarray,
     """theta = h_x + psi_x(0)' lambda0 + dt sum_j psi_x(j)' xi_j, with the
     xi rows given as one (2**N, m, N) row stack."""
     N = tree.N
-    psi_xi = tree.tmatvec_sum([fro.d("psi", "x", j, N) for j in range(N)], xi_stack)
+    psi_xi = tree.tmatvec_sum(_matrices(fro, "psi", "x", range(N), N), xi_stack)
     return (fro.d("h", "x", 0, N) + tree.tmatvec(fro.d("psi", "x", 0, N), lambda0)
             + tree.dt * psi_xi)
 
@@ -294,11 +390,11 @@ def _pq_equation(tree: Tree, fro: FrozenCoefficients, Lambda: AdaptedProcess,
     N = tree.N
     p_rows = [tree.level_sum(
         [fro.d("f", "x", 0, i) + tree.tmatvec(fro.d("g", "x", 0, i), Lambda.level(i)),
-         tree.dt * tree.tmatvec_sum([fro.d("g", "x", k, i) for k in range(i + 1)],
+         tree.dt * tree.tmatvec_sum(_matrices(fro, "g", "x", range(i + 1), i),
                                     xi_stack[..., :i + 1])], N)
         for i in range(N)]
-    return p_rows, {"A": lambda i, j: transpose(fro.d("b", "x", j, i)),
-                    "B": lambda i, j: transpose(fro.d("sigma", "x", j, i)),
+    return p_rows, {"A": fro.kernel("b", "x", swap=True),
+                    "B": fro.kernel("sigma", "x", swap=True),
                     "theta": theta, "include_diag_A": False}
 
 
@@ -330,25 +426,28 @@ def hamiltonian_gradient(scenario: Scenario, bundle: AdjointBundle,
     H_u(j) = f_u(j) + g_u(0,j)' Lambda_j + dt sum_{i<=j} g_u(i,j)' E_j[xi_i]
            + b_u(N,j)' mu_j + sigma_u(N,j)' nu_j
            + dt sum_{i>j} (b_u(i,j)' E_j[p_i] + sigma_u(i,j)' q(i,j))
+
+    Each sum over i is one batched product over a row stack the solvers
+    kept: E_j[xi_i] of the Fredholm level stack, E_j[p_i] and q(i, j) of
+    the backward runs; its terms are then added in the order above.
     """
     tree = tree or scenario.tree()
-    N = tree.N
-    fro = bundle.frozen
+    N, dt = tree.N, tree.dt
+    fro, pq = bundle.frozen, bundle.pq
     levels = []
     for j in range(N):
-        h = fro.d("f", "u", 0, j) + tree.tmatvec(fro.d("g", "u", 0, j),
-                                                 bundle.Lambda.level(j))
-        for i in range(j + 1):
-            h = h + tree.dt * tree.tmatvec(fro.d("g", "u", i, j),
-                                           bundle.xi.cond_exp(i, j))
-        h = h + tree.tmatvec(fro.d("b", "u", N, j), bundle.pq.mu.level(j))
-        h = h + tree.tmatvec(fro.d("sigma", "u", N, j), bundle.pq.nu.level(j))
-        for i in range(j + 1, N):
-            h = h + tree.dt * tree.tmatvec(
-                fro.d("b", "u", i, j), tree.cond_expect(bundle.pq.Y.level(i), j))
-            h = h + tree.dt * tree.tmatvec(fro.d("sigma", "u", i, j),
-                                           bundle.pq.Z.value(i, j))
-        levels.append(h)
+        terms = [fro.d("f", "u", 0, j) + tree.tmatvec(fro.d("g", "u", 0, j),
+                                                      bundle.Lambda.level(j))]
+        terms += [dt * v for v in _tmatvecs(tree, fro, "g", "u", range(j + 1), j,
+                                            bundle.xi.levels[j][..., :j + 1])]
+        terms.append(tree.tmatvec(fro.d("b", "u", N, j), pq.mu.level(j)))
+        terms.append(tree.tmatvec(fro.d("sigma", "u", N, j), pq.nu.level(j)))
+        later = range(j + 1, N)
+        for p_term, q_term in zip(
+                _tmatvecs(tree, fro, "b", "u", later, j, pq.cond_stacks[j]),
+                _tmatvecs(tree, fro, "sigma", "u", later, j, pq.z_stacks[j])):
+            terms += [dt * p_term, dt * q_term]
+        levels.append(tree.level_sum(terms, j))
     return AdaptedProcess(levels)
 
 

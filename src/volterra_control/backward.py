@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import AdaptedProcess, Tree, TwoParamProcess, stack
+from .lattice import AdaptedProcess, Tree, TwoParamProcess, pair_mean, stack
 from .scenario import Scenario
 
 
@@ -60,10 +60,38 @@ class BackwardPath:
 
 @dataclass
 class BackwardSolution:
+    """Rows Y_i, i = 0..N-1, with Z, mu and nu, and per level r the runs of
+    the later rows: ``cond_stacks[r]`` is the row stack (see ``lattice``)
+    of E_r[Y_i] and ``z_stacks[r]`` that of Z(i, r), i = r+1..N-1.
+    ``solve_linear_backward`` keeps its continuation's stacks; without
+    them, they are derived from Y by the same pair means and stacked from
+    Z."""
+
     Y: AdaptedProcess
     Z: TwoParamProcess
     mu: AdaptedProcess | None = None
     nu: AdaptedProcess | None = None
+    cond_stacks: list | None = None
+    z_stacks: list | None = None
+
+    def __post_init__(self):
+        N = len(self.Y.levels)
+        if self.cond_stacks is None:
+            self.cond_stacks = [None] * N
+            done = np.empty((0, self.Y.dim, 1 << N)).T
+            for r in range(N - 1, -1, -1):
+                self.cond_stacks[r] = done = pair_mean(done)
+                done = np.concatenate([self.Y.level(r).T[None], done.T]).T
+        if self.z_stacks is None:
+            self.z_stacks = [stack([self.Z.value(i, r) for i in range(r + 1, N)])
+                             if r < N - 1 else np.empty((0, self.Y.dim, 1 << r)).T
+                             for r in range(N)]
+
+    def cond_exp(self, i: int, r: int) -> np.ndarray:
+        """E_r[Y_i] for r <= i."""
+        if r > i:
+            raise ValueError(f"row {i} is adapted at level {i}, not {r}")
+        return self.Y.level(i) if r == i else self.cond_stacks[r][..., i - r - 1]
 
 
 def _implicit_step(mean: np.ndarray, step, tol: float, max_iter: int,
@@ -78,12 +106,11 @@ def _implicit_step(mean: np.ndarray, step, tol: float, max_iter: int,
     y = mean
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(max_iter):
-            y_new = mean + step(y)
-            gaps = np.abs(y_new - y).max(axis=1)
-            y = y_new
-            gap = float(gaps.max())
+            y_prev, y = y, mean + step(y)
+            gap = float(np.abs(y - y_prev).max())
             if gap < tol:
                 return y, gap
+        gaps = np.abs(y - y_prev).max(axis=1)
     node = int(np.argmax(gaps))
     raise PicardError(
         f"implicit step failed to contract at level {level}, node {node} "
@@ -142,11 +169,12 @@ def solve_bsvie(scenario: Scenario, fwd, u: AdaptedProcess,
     runs, y = stack(psi), [None] * N + [psi[N]]
     z_levels = [None] * N
     worst = 0.0
+    k_table = g.kernel.on_grid(tree)
     for r in range(N - 1, -1, -1):
         runs, z_levels[r] = tree.repr_step(runs)
         z = z_levels[r]
         u_term = g.term("u", u.level(r))
-        kernels = [g.kernel(tree.t(i), tree.t(r)) for i in range(N + 1)]
+        kernels = k_table[:, r]
         x_part, z_term = g.bracket(x=fwd.X.level(r)), g.term("z", z[..., r])
         y[r], gap = _implicit_step(
             runs[..., r], lambda y_r: tree.dt * (
@@ -187,7 +215,11 @@ def solve_linear_backward(tree: Tree, psi_rows, A=None, B=None,
 
     Rows are solved i = N-1..0.  The finished rows j > i are one row stack
     of E_{i+1}[Y_j], and one batched ``repr_step`` per row gives every
-    Z(j, i) that row i's free term reads.
+    Z(j, i) that row i's free term reads; the solution keeps these stacks
+    of every level.  A kernel with a ``family`` (``FrozenCoefficients.
+    kernel``) gives row i's B terms as one ``Tree.matvec_family`` over the
+    stack of Z(j, i), and its A terms A(i, j) Y_j, i < j, as one product
+    as soon as Y_j is finished; plain callables are applied pair by pair.
     """
     N = tree.N
     if len(psi_rows) != N:
@@ -201,20 +233,30 @@ def solve_linear_backward(tree: Tree, psi_rows, A=None, B=None,
 
     y_levels = [None] * N
     z_rows = [None] * N
-    done = None  # E_{i+1}[Y_j] of the finished rows j > i, as a row stack
+    a_terms = [None] * N  # dt A(i, j) Y_j for every row i < j, once Y_j exists
+    cond_stacks, z_stacks = [None] * N, [None] * N
+    # E_{i+1}[Y_j] of the finished rows j > i, as a row stack
+    done = np.empty((0,) + np.shape(psi_rows[N - 1])[::-1]).T
     for i in range(N - 1, -1, -1):
         if tree.level_of(np.asarray(psi_rows[i])) != N:
             raise ValueError(f"free-term row {i} must be a leaf field")
-        if done is not None:  # continue every finished row by one level
-            done, z = tree.repr_step(done)
-            for j in range(i + 1, N):
-                z_rows[j][i] = z[..., j - i - 1]
+        # continue every finished row by one level
+        cond_stacks[i], z_stacks[i] = done, z = tree.repr_step(done)
+        for j in range(i + 1, N):
+            z_rows[j][i] = z[..., j - i - 1]
+        b_family = None if B is None else family_of(B, i, slice(i + 1, N))
+        if b_family is not None:
+            b_terms = tree.dt * tree.matvec_family(b_family, z)
 
         def terms():  # coarse to fine, as far as the kernels' levels allow
             for j in range(i + 1, N):
-                if B is not None:
+                if b_family is not None:
+                    yield b_terms[..., j - i - 1]
+                elif B is not None:
                     yield tree.dt * tree.matvec(B(i, j), z_rows[j][i])
-                if A is not None:
+                if a_terms[j] is not None:
+                    yield a_terms[j][..., i]
+                elif A is not None:
                     yield tree.dt * tree.matvec(A(i, j), y_levels[j])
             if theta is not None and B is not None:
                 yield tree.matvec(B(i, N), nu.level(i))
@@ -231,10 +273,21 @@ def solve_linear_backward(tree: Tree, psi_rows, A=None, B=None,
         if include_diag_A and A is not None:
             cur = tree.implicit_solve(A(i, i), cur)
         y_levels[i], z_rows[i] = cur, z_cols
+        a_family = None if A is None or not i else family_of(A, slice(0, i), i)
+        if a_family is not None:
+            a_terms[i] = tree.dt * tree.matvec_family(a_family, cur)
         # row i joins the finished rows as the first row of the stack
-        done = np.concatenate([cur.T[None]] + ([] if done is None else [done.T])).T
-    return BackwardSolution(Y=AdaptedProcess(y_levels),
-                            Z=TwoParamProcess(z_rows), mu=mu, nu=nu)
+        done = np.concatenate([cur.T[None], done.T]).T
+    return BackwardSolution(Y=AdaptedProcess(y_levels), Z=TwoParamProcess(z_rows),
+                            mu=mu, nu=nu, cond_stacks=cond_stacks, z_stacks=z_stacks)
+
+
+def family_of(kernel, i, j):
+    """The family of a solver kernel at the pairs (i, j), one of them a
+    slice, or None: plain callables, and the jacobians of state-dependent
+    slots, have none, and are applied pair by pair."""
+    family = getattr(kernel, "family", None)
+    return None if family is None else family(i, j)
 
 
 def backward_row_residual(tree: Tree, sol: BackwardSolution, i: int, psi_rows,

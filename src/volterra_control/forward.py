@@ -109,9 +109,7 @@ def simulate_forward(scenario: Scenario, u: AdaptedProcess,
     co = scenario.coeffs
 
     def column(j, xj):  # the b and sigma brackets at (X_j, u_j), built once
-        rows = range(j + 1, tree.N + 1)
-        return [scaled(c.bracket(x=xj, u=u.level(j)),
-                       [c.kernel(tree.t(i), tree.t(j)) for i in rows])
+        return [scaled(c.bracket(x=xj, u=u.level(j)), c.kernel.on_grid(tree)[j + 1:, j])
                 for c in (co.b, co.sigma)]
 
     X = _euler_sweep(tree, lambda i: co.phi.value(tree, i), column, "X",

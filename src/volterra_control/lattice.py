@@ -46,11 +46,21 @@ per-node factor, or constant when the scale is None.  ``Tree.matvec``,
 ``transpose`` and ``as_table`` take either.  ``Tree.tmatvec_sum`` sums
 the transposed products of K matrix fields with the rows of a stack of K
 vector fields, as one matrix product when every matrix is constant.
-``apply`` is the one place that applies a constant matrix to a field or
-a row stack.  When the matrix has one column, as every kernel of a
-scalar (n = m = 1) scenario has, it takes a broadcast product in place
-of numpy's matmul, which is 5-10x slower at inner dimension 1; each
-entry is one product either way, so the values are the same.
+
+A family is R constant matrices held as one (R, d, e) array, such as
+the jacobians of one coefficient at a column of time pairs (t_i, t_j).
+``Tree.matvec_family`` and ``Tree.tmatvec_family`` apply it in one
+batched product, to one field (every matrix to the same vector field)
+or to a row stack (matrix k to row k), and give the row stack of the R
+products; each row has the bits of ``apply`` with its matrix, so a
+solver that reads a family gives the bits of its per-pair loop.
+``tmatvec_sum`` takes a family in place of a list of matrix fields.
+``apply`` is the one place that applies a constant matrix or a family to
+a field or a row stack.  When the matrices have one column, as every
+kernel of a scalar (n = m = 1) scenario has, it takes a broadcast
+product in place of numpy's matmul, which is 5-10x slower at inner
+dimension 1; each entry is one product either way, so the values are the
+same.
 """
 
 from __future__ import annotations
@@ -194,7 +204,7 @@ class Tree:
         if to_level == from_level:
             return field(values)
         if from_level == to_level + 1:
-            return _pair_mean(_blocks(values, 2))
+            return pair_mean(values)
         return _blocks(values, 1 << (from_level - to_level)).mean(axis=-1).T
 
     def expectation(self, values: np.ndarray) -> np.ndarray:
@@ -256,11 +266,11 @@ class Tree:
     # -- kernel application ---------------------------------------------
     # The one place that applies a matrix field, in either form: a dense
     # (2**i, d, e) table through einsum, a ScaledMatrix as one ``apply``
-    # on the vector field followed by its per-node scale.
-    # ``tmatvec_sum`` applies K matrix fields to the K rows of a
-    # (2**i, d, K) stack and sums: one ``apply`` of the stacked matrices
-    # when all K are constant, else the ``level_sum`` of the K ``tmatvec``
-    # products.
+    # on the vector field followed by its per-node scale.  A family of
+    # constant matrices is one ``apply``.  ``tmatvec_sum`` applies K
+    # matrix fields to the K rows of a (2**i, d, K) stack and sums: one
+    # ``apply`` of the stacked matrices when all K are constant (or a
+    # family), else the ``level_sum`` of the K ``tmatvec`` products.
 
     def _common_level(self, mat: np.ndarray, vec: np.ndarray):
         lev = max(self.level_of(mat), self.level_of(vec))
@@ -290,14 +300,31 @@ class Tree:
             return self._rescale(mat.scale, apply(mat.matrix.T, vec))
         return np.einsum("kde,kd->ke", *self._common_level(mat, vec), order="F")
 
+    def matvec_family(self, family: np.ndarray, vec: np.ndarray) -> np.ndarray:
+        """The row stack of family[k] @ vec for a (2**i, e) field, or of
+        family[k] @ vec[..., k] for a (2**i, e, R) row stack, with an
+        (R, d, e) family of constant matrices: one batched product whose
+        row k has the bits of ``apply(family[k], .)``."""
+        return apply(family, vec)
+
+    def tmatvec_family(self, family: np.ndarray, vec: np.ndarray) -> np.ndarray:
+        """The row stack of family[k]' applied as in ``matvec_family``."""
+        return apply(family.mT, vec)
+
     def tmatvec_sum(self, mats, stack: np.ndarray) -> np.ndarray:
         """sum_k mats[k]' stack[..., k] for a (2**i, d, K) row stack of
-        level-i vector fields and K matrix fields no finer than level i, as
-        a level-i field.  All constant: one (e, K d) @ (K d, 2**i) product
-        (a run of rows of a stack reshapes as a view)."""
-        if all(isinstance(mat, ScaledMatrix) and mat.scale is None for mat in mats):
+        level-i vector fields and K matrix fields no finer than level i (or
+        a (K, d, e) family), as a level-i field.  All constant: one
+        (e, K d) @ (K d, 2**i) product (a run of rows of a stack reshapes
+        as a view; the stacked matrices are made contiguous, as BLAS takes
+        another kernel, with other bits, for another layout)."""
+        if not isinstance(mats, np.ndarray) and all(
+                isinstance(mat, ScaledMatrix) and mat.scale is None for mat in mats):
+            mats = np.stack([mat.matrix for mat in mats])
+        if isinstance(mats, np.ndarray):
             flat = stack.T.reshape(-1, stack.shape[0])
-            return apply(np.concatenate([mat.matrix for mat in mats]).T, flat.T)
+            matrix = np.ascontiguousarray(mats).reshape(-1, mats.shape[-1])
+            return apply(matrix.T, flat.T)
         return self.level_sum((self.tmatvec(mat, stack[..., k])
                                for k, mat in enumerate(mats)), self.level_of(stack))
 
@@ -331,7 +358,9 @@ def outer(nodes: np.ndarray, vector) -> np.ndarray:
 
 def apply(matrix: np.ndarray, vec: np.ndarray) -> np.ndarray:
     """matrix @ v at every node of a (2**i, e) vector field, or of every row
-    of a (2**i, e, R) row stack: one (d, e) @ (e, 2**i) product.
+    of a (2**i, e, R) row stack: one (d, e) @ (e, 2**i) product.  An
+    (R, d, e) family gives the row stack of its R products, matrix k
+    applied to the field or to row k of the stack, as R such products.
 
     With e = 1 it is the broadcast product (d, 1) * (1, 2**i) instead:
     every entry is then one product, the value of the matrix product, and
@@ -339,7 +368,7 @@ def apply(matrix: np.ndarray, vec: np.ndarray) -> np.ndarray:
     28-55 us against 5-6 us, numpy 2.4 with single-thread OpenBLAS on a
     2-core x86-64 host).  An exact zero may come out as -0.0 where the
     matrix product sums onto +0.0."""
-    if matrix.shape[1] == 1:
+    if matrix.shape[-1] == 1:
         return (matrix * vec.T).T
     return (matrix @ vec.T).T
 
@@ -371,7 +400,12 @@ def _blocks(values: np.ndarray, block: int) -> np.ndarray:
     """The nodes-last view of a field split into consecutive blocks of
     nodes: shape (..., 2**i / block, block)."""
     last = field(values).T
-    return last.reshape(last.shape[:-1] + (-1, block))
+    return last.reshape(last.shape[:-1] + (last.shape[-1] // block, block))
+
+
+def pair_mean(values: np.ndarray) -> np.ndarray:
+    """E_{i-1} of a level-i field or row stack: the means of sibling pairs."""
+    return _pair_mean(_blocks(values, 2))
 
 
 def _pair_mean(paired: np.ndarray) -> np.ndarray:

@@ -14,6 +14,15 @@ not depend on the state, which ``jacobian`` takes without state
 arguments.  For b, sigma and g, ``value`` is the scalar kernel times
 ``bracket(**slots)``, which the solvers build once per level.
 
+Each ``Kernel`` keeps one (N + 1, N + 1) table of k(t_i, t_j) per time
+grid (``Kernel.on_grid``), made by its own ``__call__`` on the first
+request, so every entry has the bits of k(t_i, t_j).  ``grid_jacobians``
+of b, sigma, g and psi turns it into the jacobians of a constant slot at
+every pair, one (N + 1, N + 1, d, e) array whose entry (i, j) is bit for
+bit ``jacobian(slot, t_i, t_j)``; the adjoint layer reads whole rows and
+columns of it as families (see ``lattice``).  Tables are kept by their
+objects, so the coefficients must not change after their first use.
+
 Input contract: every section is read by ``_read`` through one field
 table that declares each key once (its shape or default).  Any defect --
 a section that is not an object, an unknown or missing key, a value that
@@ -138,6 +147,10 @@ def _norm(rows: np.ndarray) -> np.ndarray:
 class Kernel(_Section):
     """Scalar factor scale * exp(-kappa*(t-s)) * (t-s)**power."""
 
+    def __init__(self, **values):
+        super().__init__(**values)
+        self._grids = {}  # (N, dt) -> table of k(t_i, t_j)
+
     @staticmethod
     def table():
         return {"scale": 1.0, "kappa": 0.0, "power": 0}
@@ -165,17 +178,29 @@ class Kernel(_Section):
             out *= (t - s) ** self.power
         return out
 
+    def on_grid(self, tree: Tree) -> np.ndarray:
+        """The (N + 1, N + 1) table of k(t_i, t_j) on the grid of ``tree``,
+        made once per grid by ``__call__``.  A factor that overflows is NaN:
+        ``check_horizon`` bounds only the lags t - s in [0, T], which is all
+        the forward sweep reads; the BSVIE reads lags down to -(T - dt) and
+        stops on a NaN one with a PicardError."""
+        key = (tree.N, tree.dt)
+        table = self._grids.get(key)
+        if table is None:
+            table = self._grids[key] = np.array(
+                [[self._entry(tree.t(i), tree.t(j)) for j in range(tree.N + 1)]
+                 for i in range(tree.N + 1)])
+        return table
+
+    def _entry(self, t: float, s: float) -> float:
+        try:
+            return self(t, s)
+        except OverflowError:
+            return math.nan
+
     @property
     def time_invariant(self) -> bool:
         return self.kappa == 0.0 and self.power == 0
-
-
-def _memo(memo: dict, key, make):
-    """memo[key], made by ``make()`` on the first request."""
-    value = memo.get(key)
-    if value is None:
-        value = memo[key] = make()
-    return value
 
 
 class AffineCoefficient:
@@ -187,9 +212,8 @@ class AffineCoefficient:
     the bracket of a level once (``bracket``, ``term``) and scales it for
     each time pair; ``value`` is that product, bit for bit.  Derivatives
     are analytic: d/da = kernel * (M_a + 2 Q_a diag(a)).  In a slot without
-    a quadratic term it is the constant ScaledMatrix kernel * M_a, built
-    once per (slot, t, s) and kept by the object, so the coefficients must
-    not change after their first use.
+    a quadratic term it is the constant ScaledMatrix kernel * M_a, and
+    ``grid_jacobians`` gives it at every pair of a grid at once.
     """
 
     def __init__(self, name, slots, kernel, matrices, quads, const):
@@ -201,7 +225,7 @@ class AffineCoefficient:
         self.const = const
         self._quadratic = {a for a, q in quads.items() if q.any()}
         self._constant_slots = frozenset(self.slots) - self._quadratic
-        self._constant = {}  # (slot, t, s) -> constant jacobian
+        self._grids = {}  # (slot, N, dt) -> jacobians at every pair
 
     @classmethod
     def from_json(cls, name, out_dim, slots, entry):
@@ -249,24 +273,33 @@ class AffineCoefficient:
 
     def jacobian(self, slot: str, t: float, s: float, **args):
         if slot not in self._quadratic:  # one constant matrix, shared by every node
-            return _memo(self._constant, (slot, t, s), lambda: ScaledMatrix(
-                None, self.kernel(t, s) * self.matrices[slot]))
+            return ScaledMatrix(None, self.kernel(t, s) * self.matrices[slot])
         M = self.matrices[slot]
         return self.kernel(t, s) * (
             M + 2.0 * self.quads[slot][None, :, :] * args[slot][:, None, :])
 
+    def grid_jacobians(self, slot: str, tree: Tree) -> np.ndarray:
+        """The jacobians k(t_i, t_j) M_a of a constant slot at every pair of
+        the grid of ``tree``, one (N + 1, N + 1, d, e) array made once."""
+        key = (slot, tree.N, tree.dt)
+        table = self._grids.get(key)
+        if table is None:
+            table = self._grids[key] = (
+                self.kernel.on_grid(tree)[:, :, None, None] * self.matrices[slot])
+        return table
+
 
 class TerminalMap(_Section):
     """psi(t, x) = (P + t*P') x + (c + t*c'), with P = ``x``, P' = ``x_slope``;
-    evaluated at (t_i, T).  Its jacobian P + t*P' is built once per t and
-    kept by the object."""
+    evaluated at (t_i, T).  Its jacobian P + t*P' does not depend on s, and
+    ``grid_jacobians`` builds it once per grid time."""
 
     name = "psi"
     slots = constant_slots = ("x",)
 
     def __init__(self, **values):
         super().__init__(**values)
-        self._constant = {}  # t -> constant jacobian
+        self._grids = {}  # (N, dt) -> jacobians at every pair
 
     @staticmethod
     def table(m, n):
@@ -284,7 +317,18 @@ class TerminalMap(_Section):
 
     def jacobian(self, slot: str, t: float, s: float,
                  x: np.ndarray | None = None) -> ScaledMatrix:
-        return _memo(self._constant, t, lambda: ScaledMatrix(None, self.matrix(t)))
+        return ScaledMatrix(None, self.matrix(t))
+
+    def grid_jacobians(self, slot: str, tree: Tree) -> np.ndarray:
+        """P + t_i P' at every pair (t_i, t_j) of the grid of ``tree``: an
+        (N + 1, N + 1, m, n) view of one matrix per t_i."""
+        key = (tree.N, tree.dt)
+        table = self._grids.get(key)
+        if table is None:
+            rows = np.stack([self.matrix(tree.t(i)) for i in range(tree.N + 1)])
+            table = self._grids[key] = np.broadcast_to(
+                rows[:, None], (tree.N + 1,) + rows.shape)
+        return table
 
 
 class InitialCurve(_Section):

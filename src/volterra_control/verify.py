@@ -251,10 +251,8 @@ def solve_variational(scenario: Scenario, fwd, bwd, u: AdaptedProcess,
                  for j in range(i, N)]
         psi_x = fro.d("psi", "x", i, N)
         rows.append(tree.level_sum(terms + [tree.matvec(psi_x, x1_leaf)], N))
-    sol = solve_linear_backward(tree, rows,
-                                A=lambda i, j: fro.d("g", "y", i, j),
-                                D=lambda i, j: fro.d("g", "z", i, j),
-                                include_diag_A=True)
+    sol = solve_linear_backward(tree, rows, A=fro.kernel("g", "y"),
+                                D=fro.kernel("g", "z"), include_diag_A=True)
     y1 = AdaptedProcess(sol.Y.levels + [tree.matvec(fro.d("psi", "x", N, N), x1_leaf)])
     return x1, y1, sol.Z
 
@@ -327,12 +325,27 @@ def convergence_test(scenario: Scenario, u: AdaptedProcess, v: AdaptedProcess,
 # pointwise necessary condition
 
 
-@dataclass
 class NCReport:
-    worst_value: float
-    worst_location: tuple
-    rows: list
-    sup_gradient: float
+    """The worst value and location of the NC sweep, with one row (level,
+    node, minValue, cone kind) per node.  The sweep keeps its per-level
+    (values, boundary mask) arrays as ``levels``; ``rows`` builds the
+    tuples from them on first access (or is given as a list)."""
+
+    def __init__(self, worst_value: float, worst_location: tuple,
+                 sup_gradient: float, rows: list | None = None, levels=()):
+        self.worst_value, self.worst_location = worst_value, worst_location
+        self.sup_gradient, self._rows, self.levels = sup_gradient, rows, levels
+
+    @property
+    def rows(self) -> list:
+        if self._rows is None:
+            # an object table keeps one shared string per kind in the rows
+            kinds = np.array(["full", "polyhedral"], dtype=object)
+            self._rows = [row for level, (vals, boundary) in enumerate(self.levels)
+                          for row in zip([level] * len(vals), range(len(vals)),
+                                         vals.tolist(),
+                                         kinds[boundary.astype(int)].tolist())]
+        return self._rows
 
     def certified(self, tol: float) -> bool:
         return self.worst_value >= -tol
@@ -359,8 +372,9 @@ def check_pointwise_nc(scenario: Scenario, u: AdaptedProcess,
     and make no cone call, while the level's boundary nodes (an active
     inequality) share one ``adjacent_cone`` and one ``cone_min_linear``
     call.  Each row is (level, node, minValue, cone kind), the kind
-    "full" or "polyhedral"; -minValue is also the KKT residual
-    min_{lambda >= 0} |H_u + W' lambda| of the node.  Raises ValueError
+    "full" or "polyhedral", built when ``rows`` is first read; -minValue
+    is also the KKT residual min_{lambda >= 0} |H_u + W' lambda| of the
+    node.  Raises ValueError
     naming the first infeasible node or the first node whose gradient is
     not finite, and LicqError naming the first node where LICQ fails.
     """
@@ -370,7 +384,7 @@ def check_pointwise_nc(scenario: Scenario, u: AdaptedProcess,
     tol = scenario.tolerances.activity_tol
     worst = 0.0
     worst_loc = (0, 0)
-    rows = []
+    levels = []
     sup_grad = 0.0
     for level in range(tree.N):
         grads, u_level = hu.level(level), u.level(level)
@@ -395,16 +409,13 @@ def check_pointwise_nc(scenario: Scenario, u: AdaptedProcess,
                 raise LicqError((level, node), f"level {level}, node {node}",
                                 err.reason) from err
             vals[boundary], _ = cone_min_linear(grads[boundary], normals)
-        # an object table keeps one shared string per kind in the rows
-        kinds = np.array(["full", "polyhedral"], dtype=object)[boundary.astype(int)].tolist()
         sup_grad = max(sup_grad, float(norms.max()))
         low = float(vals.min())
         if low < worst:
             worst, worst_loc = low, (level, int(np.argmax(vals == low)))
-        rows.extend(zip([level] * len(norms), range(len(norms)), vals.tolist(),
-                        kinds))
-    return NCReport(worst_value=worst, worst_location=worst_loc, rows=rows,
-                    sup_gradient=sup_grad)
+        levels.append((vals, boundary))
+    return NCReport(worst_value=worst, worst_location=worst_loc,
+                    sup_gradient=sup_grad, levels=levels)
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +516,7 @@ def degenerate_fbsde_check(scenario: Scenario, u: AdaptedProcess,
         P_j = pq.mu.level(j).copy()
         Q_j = pq.nu.level(j).copy()
         for i in range(j + 1, N):
-            P_j = P_j + tree.dt * tree.cond_expect(pq.Y.level(i), j)
+            P_j = P_j + tree.dt * pq.cond_exp(i, j)
             Q_j = Q_j + tree.dt * pq.Z.value(i, j)
         reduced = _reduced_p(tree, fro, j, P_j, Q_j, L[j])
         gap_p = max(gap_p, float(np.abs(pq.Y.level(j) - reduced).max()))

@@ -14,7 +14,7 @@ from volterra_control.backward import (BackwardSolution, solve_bsvie,
                                        solve_linear_backward)
 from volterra_control.forward import simulate_forward
 from volterra_control import scenario as scenario_module
-from volterra_control.lattice import (AdaptedProcess, ScaledMatrix, Tree, TwoParamProcess,
+from volterra_control.lattice import (AdaptedProcess, Tree, TwoParamProcess,
                                       as_table)
 from volterra_control.scenario import fixture_path, load_scenario
 from volterra_control.verify import DualityInstance
@@ -292,24 +292,28 @@ class TestAssembleAdjoint:
 
     def test_dense_jacobians_match_factored(self, monkeypatch):
         # lq_multi (n = 2, m = 3, l = 2): every constant jacobian comes
-        # factored; densified it must give the same bundle up to rounding
+        # from a family; densified it must give the same bundle up to
+        # rounding, through the per-pair path
         def run():
             s, tree, u, fwd, bwd, bundle = run_pipeline("lq_multi")
             hu = hamiltonian_gradient(s, bundle, fwd, bwd, u, tree)
             kinds = {type(jac) for jac in bundle.frozen._cache.values()
                      if np.ndim(jac) != 2}
-            return adjoint_residuals(s, bundle, tree), hu, kinds
+            families = {bundle.frozen.family(name, slot, slice(0, 2), 2) is not None
+                        for name, slot in (("b", "x"), ("sigma", "u"), ("g", "z"),
+                                           ("psi", "x"))}
+            return adjoint_residuals(s, bundle, tree), hu, kinds, families
 
-        res, hu, kinds = run()
-        assert kinds == {ScaledMatrix}
+        res, hu, kinds, families = run()
+        assert kinds == set() and families == {True}  # no per-pair matrix cached
         for cls in (scenario_module.AffineCoefficient, scenario_module.TerminalMap):
             def dense(self, slot, t, s, _jacobian=cls.jacobian, **args):
                 return as_table(_jacobian(self, slot, t, s, **args), len(args[slot]))
             monkeypatch.setattr(cls, "jacobian", dense)
             # a dense table is per node, so it is asked for with the state
             monkeypatch.setattr(cls, "constant_slots", ())
-        res_dense, hu_dense, kinds_dense = run()
-        assert kinds_dense == {np.ndarray}
+        res_dense, hu_dense, kinds_dense, families_dense = run()
+        assert kinds_dense == {np.ndarray} and families_dense == {False}
         for name, val in res.items():
             assert abs(val - res_dense[name]) <= 1e-14, name
         assert (hu - hu_dense).sup_norm() <= 1e-14
@@ -328,6 +332,9 @@ class _ZeroFrozen:
         out = {"b": self.n, "sigma": self.n, "g": self.m}[name]
         fill = 1.0 if (name, slot) == ("b", "u") else 0.0
         return np.full((1 << j, out, dims[slot]), fill)
+
+    def family(self, name, slot, i, j):
+        return None  # per-node tables: applied pair by pair
 
 
 class TestHamiltonianGradient:

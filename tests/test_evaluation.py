@@ -1,7 +1,8 @@
 """Each catalog coefficient is evaluated once per level: the forward sweep
 and the BSVIE build the state bracket of a level once and scale it by the
 kernel per time pair, and constant jacobians are built once per (object,
-slot, t, s).  Both must give the bits of the per-pair evaluation.  The
+slot, grid) as a table that the adjoint layer reads as families.  Both
+must give the bits of the per-pair evaluation.  The
 forward sweep, the BSVIE and the linear backward family advance their
 rows as one row stack per level; each must give the bits of its
 row-by-row solve."""
@@ -16,13 +17,14 @@ from oracles import per_pair_bsvie, per_pair_forward, per_row_linear_backward
 
 from volterra_control import cli
 from volterra_control import scenario as scenario_module
-from volterra_control.adjoint import (_pq_equation, assemble_adjoint,
-                                      hamiltonian_gradient)
+from volterra_control.adjoint import (FrozenCoefficients, _pq_equation,
+                                      assemble_adjoint, hamiltonian_gradient,
+                                      solve_fredholm)
 from volterra_control.backward import solve_bsvie, solve_linear_backward
 from volterra_control.forward import ForwardPath, simulate_forward
 from volterra_control.lattice import AdaptedProcess, ScaledMatrix
 from volterra_control.scenario import Scenario, fixture_path, load_scenario
-from volterra_control.verify import smooth_duality_instance
+from volterra_control.verify import smooth_duality_instance, solve_variational
 
 from test_scenario import FIXTURES
 
@@ -141,23 +143,33 @@ def test_forward_builds_each_bracket_once_per_level(monkeypatch):
 
 
 def test_constant_jacobians_built_once_across_runs(monkeypatch):
-    made = []
+    calls = []
 
-    def counted(*args):
-        made.append(args)
-        return ScaledMatrix(*args)
-    monkeypatch.setattr(scenario_module, "ScaledMatrix", counted)
+    def counted(self, t, s, _call=scenario_module.Kernel.__call__):
+        calls.append((t, s))
+        return _call(self, t, s)
+    monkeypatch.setattr(scenario_module.Kernel, "__call__", counted)
     s = load_scenario(fixture_path("lq_multi"))  # affine: every jacobian constant
     tree = s.tree(STEPS)
     u = _control(s, tree)
     fwd = simulate_forward(s, u, tree)
     bwd = solve_bsvie(s, fwd, u, tree)
-    first = assemble_adjoint(s, fwd, bwd, u, tree).frozen._cache
-    constant = {key for key, jac in first.items() if isinstance(jac, ScaledMatrix)}
-    assert constant and len(made) == len(constant)  # once per (object, slot, t, s)
-    second = assemble_adjoint(s, fwd, bwd, u, tree).frozen._cache
-    assert len(made) == len(constant)
-    assert all(second[key] is first[key] for key in constant)
+    first = assemble_adjoint(s, fwd, bwd, u, tree).frozen
+    # one table of k(t_i, t_j) per kernel (b, sigma, g), made by __call__
+    assert len(calls) == 3 * (tree.N + 1) ** 2
+    # the state cache holds only the cost gradients, no matrix
+    assert first._cache and all(np.ndim(jac) == 2 for jac in first._cache.values())
+    tables = {name: dict(obj._grids) for name, obj in s.catalog.items()
+              if hasattr(obj, "grid_jacobians")}
+    assert all(tables.values())
+    second = assemble_adjoint(s, fwd, bwd, u, tree).frozen
+    assert len(calls) == 3 * (tree.N + 1) ** 2
+    for name, made in tables.items():
+        grids = s.catalog[name]._grids
+        assert grids.keys() == made.keys()
+        assert all(grids[key] is table for key, table in made.items())
+    assert np.shares_memory(first.family("g", "y", slice(0, 3), 3),
+                            second.family("g", "y", 2, slice(2, 5)))
 
 
 def test_solve_leaves_json_and_report_hash_unchanged(tmp_path):
@@ -169,7 +181,7 @@ def test_solve_leaves_json_and_report_hash_unchanged(tmp_path):
     fwd = simulate_forward(s, u, tree)
     bwd = solve_bsvie(s, fwd, u, tree)
     assemble_adjoint(s, fwd, bwd, u, tree)
-    assert s.coeffs.b._constant and s.coeffs.psi._constant  # the memos are in use
+    assert s.coeffs.b._grids and s.coeffs.psi._grids  # the tables are in use
     assert json.dumps(s.to_json(), sort_keys=True) == before
     # the CLI hashes its configuration after the run: the scenario part
     # must be that of a scenario never solved
@@ -205,3 +217,98 @@ def test_kernel_variants_never_share_a_jacobian():
         jac = b.jacobian("x", 0.5, 0.25)
         assert np.array_equal(jac.matrix, b.kernel(0.5, 0.25) * b.matrices["x"]), k
         del b, jac
+
+
+def test_tables_have_the_bits_of_the_kernel_and_the_jacobian():
+    doc = json.loads(fixture_path("lq_multi").read_text())
+    doc["coefficients"]["g"]["kernel"] = {"scale": 1.3, "kappa": 0.7, "power": 2}
+    s = Scenario.from_json(doc)
+    tree = s.tree(5)
+    t = [tree.t(i) for i in range(tree.N + 1)]
+    for c in (s.coeffs.b, s.coeffs.sigma, s.coeffs.g, s.coeffs.psi):
+        kernel = getattr(c, "kernel", None)
+        if kernel is not None:
+            table = kernel.on_grid(tree)
+            assert table is kernel.on_grid(s.tree(5))  # once per grid
+            assert all(table[i, j] == kernel(t[i], t[j])  # lags of both signs
+                       for i in range(tree.N + 1) for j in range(tree.N + 1))
+        for slot in c.constant_slots:
+            jacobians = c.grid_jacobians(slot, tree)
+            assert jacobians is c.grid_jacobians(slot, s.tree(5))
+            for i in range(tree.N + 1):
+                for j in range(tree.N + 1):
+                    assert np.array_equal(jacobians[i, j],
+                                          c.jacobian(slot, t[i], t[j]).matrix), (c.name, slot)
+    assert s.coeffs.psi.time_invariant is False  # P + t P' moves along the rows
+    assert json.dumps(s.to_json(), sort_keys=True) == json.dumps(
+        Scenario.from_json(doc).to_json(), sort_keys=True)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_families_have_the_bits_of_the_per_pair_path(name, monkeypatch):
+    # every fixture solved twice on one state: with the families, and with
+    # every jacobian served pair by pair; on quadratic b_u depends on the
+    # state, so H_u takes the per-pair path for it beside the families
+    s = load_scenario(fixture_path(name))
+    tree = s.tree(STEPS)
+    u = _control(s, tree)
+    fwd = simulate_forward(s, u, tree)
+    bwd = solve_bsvie(s, fwd, u, tree)
+    v = _control(s, tree, seed=5)
+
+    def run():
+        bundle = assemble_adjoint(s, fwd, bwd, u, tree)
+        hu = hamiltonian_gradient(s, bundle, fwd, bwd, u, tree)
+        return bundle, hu, solve_variational(s, fwd, bwd, u, v, tree)
+
+    bundle, hu, var = run()
+    families = bundle.frozen.family("b", "u", slice(0, 2), 2)
+    assert (families is None) == (name == "quadratic")
+    monkeypatch.setattr(FrozenCoefficients, "family", lambda self, *pair: None)
+    ref, ref_hu, ref_var = run()
+    for field, levels in _bundle_fields(bundle).items():
+        assert _equal_levels(levels, _bundle_fields(ref)[field]), field
+    assert _equal_levels(hu.levels, ref_hu.levels)
+    assert _equal_levels(var[0].levels, ref_var[0].levels)
+    assert _equal_levels(var[1].levels, ref_var[1].levels)
+    assert all(_equal_levels(a, b) for a, b in zip(var[2].rows, ref_var[2].rows))
+
+
+class _TableKernel:
+    """A constant kernel read off an (N + 1, N + 1, m, m) table, pair by
+    pair or as a family."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def __call__(self, i, j):
+        return ScaledMatrix(None, self.table[i, j])
+
+    def family(self, i, j):
+        return self.table[i, j]
+
+
+@pytest.mark.parametrize("mode", ["transpose", "continuum"])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_duality_solves_have_the_bits_of_the_per_pair_path(m, mode):
+    # the duality solvers with constant kernels, given as families and as
+    # the plain callables of the per-pair path
+    inst = smooth_duality_instance(1.0, STEPS, m, seed=m)
+    tree = inst.tree
+    rng = np.random.default_rng(m)
+    tables = {key: rng.uniform(-0.6, 0.6, (tree.N + 1, tree.N + 1, m, m))
+              for key in "ABD"}
+    solved = []
+    for kernels in ({key: _TableKernel(table) for key, table in tables.items()},
+                    {key: (lambda i, j, table=table: ScaledMatrix(None, table[i, j]))
+                     for key, table in tables.items()}):
+        xi = solve_fredholm(tree, inst.alpha, beta=inst.beta,
+                            include_diag_A=(mode == "transpose"), **kernels)
+        bwd = solve_linear_backward(tree, inst.psi_rows, theta=inst.theta,
+                                    include_diag_B=(mode == "continuum"), **kernels)
+        solved.append((xi, bwd))
+    (xi, bwd), (ref_xi, ref_bwd) = solved
+    assert _equal_levels(xi.levels, ref_xi.levels)
+    assert _equal_levels(sum(xi.cond, []), sum(ref_xi.cond, []))
+    _same_linear_solution(bwd, ref_bwd)
+    assert _equal_levels(bwd.cond_stacks, ref_bwd.cond_stacks)

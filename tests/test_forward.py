@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from volterra_control.backward import PicardError, solve_bsvie
 from volterra_control.forward import (
     SimulationError, simulate_forward, simulate_forward_linear,
 )
@@ -121,6 +122,26 @@ class TestSimulateForward:
         with pytest.raises(SimulationError, match=rf"at level {tree.N - 1}, "
                            rf"node {(1 << tree.N - 1) - 1}$"):
             simulate_forward(s, u, tree)
+
+    def test_kernel_overflow_at_negative_lags(self):
+        # exp(-kappa (t - s)) overflows only for s > t, which the forward
+        # sweep never reads: its kernel table holds NaN there, X stays finite
+        s = scenario_with({"coefficients.b": {"kernel": {"kappa": 800.0},
+                                              "x": [[0.5]], "u": [[1.0]]}})
+        tree = s.tree()
+        table = s.coeffs.b.kernel.on_grid(tree)
+        lower = np.tril_indices(tree.N + 1)
+        assert np.isfinite(table[lower]).all() and np.isnan(table[0, tree.N])
+        u = AdaptedProcess.constant([1.0], tree.N - 1)
+        X = simulate_forward(s, u, tree).X
+        assert all(np.isfinite(level).all() for level in X.levels)
+        # the BSVIE reads lags down to -(T - dt): a g factor that overflows
+        # there stops its implicit step with the level and node
+        s = scenario_with({"coefficients.g": {"kernel": {"kappa": 2000.0},
+                                              "y": [[0.5]]}})
+        fwd = simulate_forward(s, u, tree)
+        with pytest.raises(PicardError, match=r"at level 1, node 0 \(gap nan\)"):
+            solve_bsvie(s, fwd, u, tree)
 
     def test_nonfinite_detected(self):
         s = scenario_with({"coefficients.phi": {"const": [1e308], "slope": [0.0]},

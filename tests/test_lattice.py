@@ -435,6 +435,68 @@ class TestInPlaceAndProductPaths:
         assert np.array_equal(values, saved[0]) and np.array_equal(h, saved[1])
 
 
+class TestFamilies:
+    """A family of constant matrices through ``matvec_family`` and
+    ``tmatvec_family`` gives every row the bits of ``apply`` with its own
+    matrix, on a field and on a row stack, also when the family is a row
+    or a column sliced out of a larger table (another memory layout)."""
+
+    @staticmethod
+    def families(rng, d, e, R):
+        table = rng.uniform(-1.0, 1.0, (R + 3, R + 3, d, e))
+        per_t = np.broadcast_to(rng.uniform(-1.0, 1.0, (R + 3, 1, d, e)),
+                                (R + 3, R + 3, d, e))
+        return {"column": table[1:R + 1, 2], "row": table[2, 1:R + 1],
+                "contiguous": np.ascontiguousarray(table[1:R + 1, 2]),
+                "broadcast": per_t[:R, R],  # psi's: one matrix per t_i
+                # a swapped kernel's: the transposes of a transposed table's
+                "swapped": rng.uniform(-1.0, 1.0, (R + 3, R + 3, e, d))[2, 1:R + 1].mT}
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 3), e=st.integers(1, 3), R=st.integers(1, 5),
+           level=st.integers(0, 6), seed=SEED)
+    def test_rows_have_the_bits_of_apply(self, d, e, R, level, seed):
+        tree = Tree.build(1.0, 6)
+        rng = np.random.default_rng(seed)
+        vec_e, vec_d = (rng.standard_normal((k, 1 << level)).T for k in (e, d))
+        rows_e, rows_d = (rng.standard_normal((R, k, 1 << level)).T for k in (e, d))
+        for name, family in self.families(rng, d, e, R).items():
+            products = {
+                "field": (tree.matvec_family(family, vec_e),
+                          lambda k: apply(family[k], vec_e)),
+                "stack": (tree.matvec_family(family, rows_e),
+                          lambda k: apply(family[k], rows_e[..., k])),
+                "transposed field": (tree.tmatvec_family(family, vec_d),
+                                     lambda k: apply(family[k].T, vec_d)),
+                "transposed stack": (tree.tmatvec_family(family, rows_d),
+                                     lambda k: apply(family[k].T, rows_d[..., k]))}
+            for kind, (out, per_row) in products.items():
+                assert out.shape[-1] == R and out.T.flags.c_contiguous, (name, kind)
+                for k in range(R):
+                    assert np.array_equal(out[..., k], per_row(k)), (name, kind, k)
+                    # the per-pair path: a constant ScaledMatrix of the entry
+                    # (a view: BLAS may round a copy of another layout apart)
+                    mat = ScaledMatrix(None, family[k])
+                    pair = (tree.matvec(mat, vec_e) if kind == "field" else
+                            tree.matvec(mat, rows_e[..., k]) if kind == "stack" else
+                            tree.tmatvec(mat, vec_d) if kind == "transposed field" else
+                            tree.tmatvec(mat, rows_d[..., k]))
+                    assert np.array_equal(out[..., k], pair), (name, kind, k)
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(1, 3), e=st.integers(1, 3), R=st.integers(1, 5),
+           level=st.integers(0, 5), seed=SEED)
+    def test_tmatvec_sum_of_a_family_is_that_of_its_matrices(self, d, e, R, level,
+                                                             seed):
+        tree = Tree.build(1.0, 5)
+        rng = np.random.default_rng(seed)
+        rows = rng.standard_normal((R + 2, d, 1 << level)).T[..., :R]
+        for name, family in self.families(rng, d, e, R).items():
+            mats = [ScaledMatrix(None, mat) for mat in family]
+            assert np.array_equal(tree.tmatvec_sum(family, rows),
+                                  tree.tmatvec_sum(mats, rows)), name
+
+
 def node_contiguous(values):
     """The node axis has unit stride: moved last, the array is C-contiguous."""
     return np.moveaxis(values, 0, -1).flags.c_contiguous

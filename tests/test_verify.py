@@ -305,6 +305,20 @@ class TestPointwiseNC:
         # no cone is trivial: LICQ leaves only these two kinds
         assert {row[3] for row in rep.rows} <= {"full", "polyhedral"}
 
+    def test_rows_are_built_on_first_read(self):
+        s = load_scenario(fixture_path("annulus"))
+        tree = s.tree(4)
+        u = s.default_control(tree)
+        rep = check_pointwise_nc(s, u, tree)
+        assert rep._rows is None and len(rep.levels) == tree.N
+        rows = rep.rows
+        assert rep.rows is rows and len(rows) == (1 << tree.N) - 1
+        for level, (vals, boundary) in enumerate(rep.levels):
+            mine = [row for row in rows if row[0] == level]
+            assert [row[2] for row in mine] == vals.tolist()
+            assert [row[3] == "polyhedral" for row in mine] == boundary.tolist()
+        assert min(row[2] for row in rows) == rep.worst_value
+
 
     def test_infeasible_control_names_node(self):
         s = load_scenario(fixture_path("annulus"))
