@@ -65,7 +65,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backward import (BackwardSolution, backward_row_residual, family_of,
+from .backward import (BackwardSolution, backward_row_residual,
+                       backward_run_residual, family_of,
                        msolution_identity_residual, solve_linear_backward)
 from .forward import ForwardPath
 from .lattice import AdaptedProcess, ScaledMatrix, Tree, stack, transpose
@@ -456,7 +457,11 @@ def adjoint_residuals(scenario: Scenario, bundle: AdjointBundle,
     """Node-wise defects of the four adjoint equations plus the M-identity.
 
     Each equation is re-evaluated from the stored solution fields with the
-    generic lattice operations, independently of the solver sweeps.
+    generic lattice operations, independently of the solver sweeps.  The
+    stored runs count as part of their solution: Lambda and E_r[xi_i] in
+    the "lambda0" and "xi" entries, the (p, q) level stacks
+    ``cond_stacks`` and ``z_stacks`` that ``hamiltonian_gradient`` reads
+    in the "pq" entry.
     """
     tree = tree or scenario.tree()
     N = tree.N
@@ -487,9 +492,9 @@ def adjoint_residuals(scenario: Scenario, bundle: AdjointBundle,
         res3 = max(res3, float(np.abs(
             tree.embed(pq.mu.level(i), N) - (theta - tail)).max()))
 
-    # fourth equation rows + M-identity
-    res4 = max(backward_row_residual(tree, pq, i, p_rows, **pq_kernels)
-               for i in range(N))
+    # fourth equation rows, the runs hamiltonian_gradient reads, M-identity
+    res4 = max(max(backward_row_residual(tree, pq, i, p_rows, **pq_kernels)
+                   for i in range(N)), backward_run_residual(tree, pq))
     res_m = msolution_identity_residual(tree, pq)
     return {"lambda0": res1, "xi": res2, "mu_nu": res3, "pq": res4,
             "m_identity": res_m}

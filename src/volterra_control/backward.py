@@ -316,6 +316,20 @@ def backward_row_residual(tree: Tree, sol: BackwardSolution, i: int, psi_rows,
     return float(np.abs(tree.embed(sol.Y.level(i), N) - tree.level_sum(terms(), N)).max())
 
 
+def backward_run_residual(tree: Tree, sol: BackwardSolution) -> float:
+    """Node-wise defect of the stored runs of the later rows: each
+    ``cond_stacks[r]`` the pair mean of the stack [Y_{r+1},
+    ``cond_stacks[r+1]``] and each ``z_stacks[r]`` its ``repr_step``
+    integrand (at r = N - 1 both hold no rows)."""
+    worst = 0.0
+    for r in range(len(sol.cond_stacks) - 1):
+        mean, z = tree.repr_step(np.concatenate(
+            [sol.Y.level(r + 1).T[None], sol.cond_stacks[r + 1].T]).T)
+        worst = max(worst, float(np.abs(sol.cond_stacks[r] - mean).max()),
+                    float(np.abs(sol.z_stacks[r] - z).max()))
+    return worst
+
+
 def msolution_identity_residual(tree: Tree, sol: BackwardSolution) -> float:
     """max_i node-wise defect of Y_i = E[Y_i] + sum_{j<i} Z(i,j) dW_j."""
     worst = 0.0

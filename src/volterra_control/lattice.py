@@ -43,9 +43,16 @@ dense per-node table of shape (2**i, d, e), or a factored
 ``ScaledMatrix(scale, M)``, one (d, e) matrix M times a level-i (2**i,)
 per-node factor, or constant when the scale is None.  ``Tree.matvec``,
 ``Tree.tmatvec`` and ``Tree.implicit_solve`` apply either form, and
-``transpose`` and ``as_table`` take either.  ``Tree.tmatvec_sum`` sums
-the transposed products of K matrix fields with the rows of a stack of K
-vector fields, as one matrix product when every matrix is constant.
+``transpose`` takes either.  ``Tree.tmatvec_sum`` sums the transposed
+products of K matrix fields with the rows of a stack of K vector fields,
+as one matrix product when every matrix is constant.
+``Tree.implicit_solve`` solves (I - dt M) x = rhs at every node: a
+constant M is one LAPACK solve with every node as a right-hand side, a
+per-node M one Gaussian elimination with partial pivoting over all nodes
+at once (``_eliminate``), d column steps of whole-array operations on
+the nodes-last system.  For d = 1 that is one division, with LAPACK's
+bits; for d >= 2 the elimination does not reproduce LAPACK's rounding
+and agrees with it to a few ulps of x.
 
 A family is R constant matrices held as one (R, d, e) array, such as
 the jacobians of one coefficient at a column of time pairs (t_i, t_j).
@@ -330,13 +337,34 @@ class Tree:
 
     def implicit_solve(self, mat, rhs: np.ndarray) -> np.ndarray:
         """Per-node solve of (I - dt mat) x = rhs at the level of rhs, for a
-        matrix field in either form at most as fine as rhs: one solve with
-        every node as a right-hand side when the matrix is constant."""
-        eye = np.eye(rhs.shape[-1])
+        matrix field in either form at most as fine as rhs, returned
+        node-contiguous.
+
+        A constant matrix is one LAPACK solve with every node as a
+        right-hand side.  Otherwise the nodes-last (d, d, 2**i) system
+        I - dt (s_k M) is built from the scale and the matrix (or from a
+        table) without a dense per-node table, and ``_eliminate`` solves
+        it at all nodes at once.  For d = 1 that is one division, with
+        LAPACK's bits; for d >= 2 it does not reproduce LAPACK's rounding
+        and agrees with it to a few ulps of x.  A zero pivot raises
+        ``np.linalg.LinAlgError`` naming the level and the first singular
+        node."""
+        d = rhs.shape[-1]
         if isinstance(mat, ScaledMatrix) and mat.scale is None:
-            return np.linalg.solve(eye - self.dt * mat.matrix, rhs.T).T
-        lhs = eye - self.dt * as_table(mat, rhs.shape[0])
-        return field(np.linalg.solve(lhs, rhs[..., None])[..., 0])
+            return np.linalg.solve(np.eye(d) - self.dt * mat.matrix, rhs.T).T
+        level, mat_level = self.level_of(rhs), self.level_of(mat)
+        if mat_level > level:
+            raise ValueError(f"matrix at level {mat_level} is finer than the "
+                             f"right-hand side at level {level}")
+        reps = 1 << (level - mat_level)
+        if isinstance(mat, ScaledMatrix):
+            scale = mat.scale if reps == 1 else mat.scale.repeat(reps)
+            lhs = np.multiply.outer(mat.matrix, scale)
+        else:
+            lhs = np.moveaxis(mat, 0, -1).repeat(reps, axis=-1)
+        lhs *= self.dt
+        np.subtract(np.eye(d)[..., None], lhs, out=lhs)
+        return _eliminate(lhs, np.array(rhs.T, dtype=float, order="C"), level).T
 
 
 # -- node-contiguous layout ---------------------------------------------
@@ -362,12 +390,11 @@ def apply(matrix: np.ndarray, vec: np.ndarray) -> np.ndarray:
     (R, d, e) family gives the row stack of its R products, matrix k
     applied to the field or to row k of the stack, as R such products.
 
-    With e = 1 it is the broadcast product (d, 1) * (1, 2**i) instead:
-    every entry is then one product, the value of the matrix product, and
-    numpy's matmul is 5-10x slower there (a 1 x 1 matrix on 16,384 nodes:
-    28-55 us against 5-6 us, numpy 2.4 with single-thread OpenBLAS on a
-    2-core x86-64 host).  An exact zero may come out as -0.0 where the
-    matrix product sums onto +0.0."""
+    With e = 1 it is the broadcast product (d, 1) * (1, 2**i) instead,
+    which numpy runs much faster than its matmul at inner dimension 1:
+    every entry is then one product, the value of the matrix product.  An
+    exact zero may come out as -0.0 where the matrix product sums onto
+    +0.0."""
     if matrix.shape[-1] == 1:
         return (matrix * vec.T).T
     return (matrix @ vec.T).T
@@ -389,6 +416,49 @@ def dot(a: np.ndarray, b: np.ndarray) -> float:
     """sum over every node and component of a * b for two fields of one
     level, as one dot product."""
     return float(np.dot(field(a).T.ravel(), field(b).T.ravel()))
+
+
+def _eliminate(lhs: np.ndarray, rhs: np.ndarray, level: int) -> np.ndarray:
+    """Solve lhs[..., k] x_k = rhs[:, k] at every node k of a level, for a
+    nodes-last (d, d, n) lhs and a (d, n) rhs, both overwritten: Gaussian
+    elimination with partial pivoting, d column steps of whole-array
+    operations.  The pivot is the first entry of largest magnitude (as
+    LAPACK's ``idamax`` picks), the multipliers are products with its
+    reciprocal, and the back substitution divides by each diagonal entry
+    and then eliminates its column.  Returns rhs, holding x."""
+    d = rhs.shape[0]
+    for c in range(d):
+        if c + 1 < d:
+            sizes = np.abs(lhs[c:, c])
+            best, top = 0, sizes[0]  # a running first maximum down the column
+            for r in range(1, d - c):
+                better = sizes[r] > top
+                best = np.where(better, r, best)
+                if r + 1 < d - c:
+                    top = np.where(better, sizes[r], top)
+            for r in range(1, d - c):
+                swap = best == r
+                if swap.any():
+                    for rows in (lhs[:, c:], rhs):
+                        upper = np.where(swap, rows[c + r], rows[c])
+                        rows[c + r] = np.where(swap, rows[c], rows[c + r])
+                        rows[c] = upper
+        pivot = lhs[c, c]
+        if not pivot.all():
+            node = int(np.flatnonzero(pivot == 0)[0])
+            raise np.linalg.LinAlgError(
+                f"singular implicit step at level {level}, node {node}")
+        if c + 1 < d:
+            inv = 1.0 / pivot
+            for r in range(c + 1, d):
+                factor = lhs[r, c] * inv
+                lhs[r, c + 1:] -= factor * lhs[c, c + 1:]
+                rhs[r] -= factor * rhs[c]
+    for c in range(d - 1, -1, -1):
+        rhs[c] /= lhs[c, c]
+        if c:
+            rhs[:c] -= lhs[:c, c] * rhs[c]
+    return rhs
 
 
 def _repeat(values: np.ndarray, reps: int) -> np.ndarray:
@@ -434,19 +504,6 @@ def transpose(mat):
     if isinstance(mat, ScaledMatrix):
         return ScaledMatrix(mat.scale, mat.matrix.T)
     return mat.mT
-
-
-def as_table(mat, nodes: int) -> np.ndarray:
-    """A matrix field as a dense (nodes, d, e) table.  A constant
-    ScaledMatrix becomes a broadcast view; a table or a per-node scale
-    with fewer rows is repeated onto ``nodes`` (a finer level)."""
-    if isinstance(mat, ScaledMatrix):
-        if mat.scale is None:
-            return np.broadcast_to(mat.matrix, (nodes,) + mat.matrix.shape)
-        return as_table(mat.scale, nodes)[:, None, None] * mat.matrix
-    if nodes % mat.shape[0]:
-        raise ValueError(f"cannot repeat {mat.shape[0]} rows onto {nodes}")
-    return mat if nodes == mat.shape[0] else _repeat(mat, nodes // mat.shape[0])
 
 
 class AdaptedProcess:

@@ -149,14 +149,17 @@ def smooth_duality_instance(horizon: float, steps: int, m: int,
         return outer(beta_scales[j], b0 * scale)
 
     wN = tree.w(tree.N)
+    wN2 = wN ** 2
     c = rng.uniform(-0.7, 0.7, (3, m))
-    theta = c[0] + outer(wN, c[1]) + outer(wN ** 2, c[2])
+    theta = c[0] + outer(wN, c[1]) + outer(wN2, c[2])
     p = rng.uniform(-0.7, 0.7, (2, m))
-    psi_rows = [p[0] * (1.0 + 0.4 * math.cos(tree.t(i))) + outer(wN, p[1])
+    psi_path = outer(wN, p[1])  # the row-invariant parts, built once
+    psi_rows = [p[0] * (1.0 + 0.4 * math.cos(tree.t(i))) + psi_path
                 for i in range(tree.N)]
     q = rng.uniform(-0.7, 0.7, (2, m))
-    psi_tilde_rows = [q[0] * (1.0 - 0.3 * math.sin(tree.t(i)))
-                      + outer(wN ** 2, q[1]) * 0.5 for i in range(tree.N)]
+    tilde_path = outer(wN2, q[1]) * 0.5
+    psi_tilde_rows = [q[0] * (1.0 - 0.3 * math.sin(tree.t(i))) + tilde_path
+                      for i in range(tree.N)]
     return DualityInstance(tree=tree, dim=m, alpha=alpha, beta=beta,
                            theta=theta, psi_rows=psi_rows,
                            psi_tilde_rows=psi_tilde_rows, A=A, B=B, D=D,

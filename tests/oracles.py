@@ -29,14 +29,27 @@ from volterra_control.backward import (BackwardPath, BackwardSolution, PicardErr
                                        solve_linear_backward)
 from volterra_control.cones import adjacent_cone, cone_min_linear
 from volterra_control.forward import SimulationError, simulate_forward
-from volterra_control.lattice import (AdaptedProcess, Tree, TwoParamProcess,
-                                      as_table, transpose)
+from volterra_control.lattice import (AdaptedProcess, ScaledMatrix, Tree,
+                                      TwoParamProcess, transpose)
 from volterra_control.scenario import (Ball, ControlConstraint, Halfspaces,
                                        ProjectionUnavailable, Scenario)
 from volterra_control.verify import (DualityInstance, NCReport, check_duality_1,
                                      check_duality_2, control_pairing,
                                      evaluate_cost, feasible_direction,
                                      full_pipeline, smooth_duality_instance)
+
+
+def as_table(mat, nodes: int) -> np.ndarray:
+    """A matrix field as a dense (nodes, d, e) table.  A constant
+    ScaledMatrix becomes a broadcast view; a table or a per-node scale
+    with fewer rows is repeated onto ``nodes`` (a finer level)."""
+    if isinstance(mat, ScaledMatrix):
+        if mat.scale is None:
+            return np.broadcast_to(mat.matrix, (nodes,) + mat.matrix.shape)
+        return as_table(mat.scale, nodes)[:, None, None] * mat.matrix
+    if nodes % mat.shape[0]:
+        raise ValueError(f"cannot repeat {mat.shape[0]} rows onto {nodes}")
+    return mat if nodes == mat.shape[0] else mat.repeat(nodes // mat.shape[0], axis=0)
 
 
 def zero_process(last_level: int, dim: int) -> AdaptedProcess:

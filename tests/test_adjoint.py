@@ -3,8 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import (dense_fredholm_solve, random_duality_instance, zero_process,
-                     zero_two_param)
+from oracles import (as_table, dense_fredholm_solve, random_duality_instance,
+                     zero_process, zero_two_param)
 
 from volterra_control.adjoint import (
     FredholmSolution, _pq_equation, adjoint_residuals, assemble_adjoint,
@@ -14,8 +14,7 @@ from volterra_control.backward import (BackwardSolution, solve_bsvie,
                                        solve_linear_backward)
 from volterra_control.forward import simulate_forward
 from volterra_control import scenario as scenario_module
-from volterra_control.lattice import (AdaptedProcess, Tree, TwoParamProcess,
-                                      as_table)
+from volterra_control.lattice import AdaptedProcess, Tree, TwoParamProcess
 from volterra_control.scenario import fixture_path, load_scenario
 from volterra_control.verify import DualityInstance
 
@@ -248,6 +247,10 @@ PERTURBATIONS = [
     ("p level", "pq",
      lambda b: replace(b, pq=replace(b.pq, Y=AdaptedProcess(
          _bumped(b.pq.Y.levels, 2))))),
+    ("p run level", "pq",  # E_2[p_i], i > 2, stale beside unchanged p
+     lambda b: replace(b, pq=replace(b.pq, cond_stacks=_bumped(b.pq.cond_stacks, 2)))),
+    ("q run level", "pq",  # q(i, 2), i > 2, stale beside unchanged q
+     lambda b: replace(b, pq=replace(b.pq, z_stacks=_bumped(b.pq.z_stacks, 2)))),
     ("q column", "m_identity",  # Z(3, 1), below the diagonal
      lambda b: replace(b, pq=replace(b.pq, Z=TwoParamProcess(
          [_bumped(row, 1) if i == 3 else row

@@ -1,17 +1,19 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import grid_points, zero_process, zero_two_param
+from oracles import as_table, grid_points, zero_process, zero_two_param
 from volterra_control.adjoint import solve_fredholm
 from volterra_control.backward import _row_run, solve_linear_backward
 from volterra_control.lattice import (AdaptedProcess, ScaledMatrix, TimeGrid, Tree,
-                                      TwoParamProcess, apply, as_table, dot, scaled,
-                                      stack, transpose)
-from volterra_control.verify import _pair, smooth_duality_instance
+                                      TwoParamProcess, apply, dot, scaled, stack,
+                                      transpose)
+from volterra_control.verify import (_pair, check_duality_1, check_duality_2,
+                                     smooth_duality_instance)
 
 
 def field(values):
@@ -314,6 +316,80 @@ class TestKernelApplication:
         mat = ScaledMatrix(np.ones(8), np.eye(1))
         with pytest.raises(ValueError):
             tree.implicit_solve(mat, np.ones((4, 1)))
+
+
+class TestImplicitSolve:
+    """The per-node implicit step: one elimination over all nodes."""
+
+    @staticmethod
+    def scaled_system(tree, rng, d, scale_level, swap):
+        """A ScaledMatrix with a per-node scale near 1.  With ``swap``,
+        I - dt s M is near a cyclic row shift of a well-conditioned matrix,
+        so for d >= 2 every node's first column is largest below the
+        diagonal and its first step swaps rows."""
+        scale = rng.uniform(0.95, 1.05, 1 << scale_level)
+        if swap:
+            target = np.roll(np.eye(d), 1, axis=0) @ (
+                np.eye(d) + 0.2 * rng.uniform(-1.0, 1.0, (d, d)))
+            return ScaledMatrix(scale, (np.eye(d) - target) / tree.dt)
+        return ScaledMatrix(scale, rng.uniform(-1.0, 1.0, (d, d)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 3), scale_level=st.integers(0, 4),
+           lift=st.integers(0, 2), swap=st.booleans(), seed=SEED)
+    def test_matches_per_node_lapack(self, d, scale_level, lift, swap, seed):
+        tree = Tree.build(1.0, 6)
+        rng = np.random.default_rng(seed)
+        mat = self.scaled_system(tree, rng, d, scale_level, swap)
+        rhs = rng.standard_normal((1 << (scale_level + lift), d))
+        lhs = np.eye(d) - tree.dt * as_table(mat, len(rhs))
+        if swap and d > 1:
+            assert np.all(np.abs(lhs[:, 1, 0]) > np.abs(lhs[:, 0, 0]))
+        got = tree.implicit_solve(mat, rhs)
+        want = np.linalg.solve(lhs, rhs[..., None])[..., 0]
+        assert node_contiguous(got)
+        assert np.all(np.abs(got - want) <= 1e-14 * (1.0 + np.abs(want)))
+        if d == 1:  # one division: LAPACK's bits
+            assert np.array_equal(got, rhs / lhs[..., 0])
+        table = as_table(mat, 1 << scale_level)
+        assert np.array_equal(tree.implicit_solve(table, rhs), got)
+        assert np.array_equal(tree.implicit_solve(transpose(mat), rhs),
+                              tree.implicit_solve(table.mT, rhs))
+        # a right-hand side stored row-major gives the same bits
+        assert np.array_equal(tree.implicit_solve(mat, np.ascontiguousarray(rhs)), got)
+
+    def test_only_a_constant_matrix_calls_lapack(self, monkeypatch):
+        calls = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda *args: calls.append(1) or solve(*args))
+        tree = Tree.build(1.0, 4)
+        rhs = np.ones((1 << 4, 2))
+        tree.implicit_solve(ScaledMatrix(np.ones(1 << 3), np.eye(2)), rhs)
+        tree.implicit_solve(np.ones((1 << 2, 2, 2)), rhs)
+        assert not calls
+        inst = smooth_duality_instance(1.0, 4, 2, seed=1)  # per-node kernels
+        for mode in ("transpose", "continuum"):
+            check_duality_1(inst, mode)
+            check_duality_2(inst, mode)
+        assert not calls
+        tree.implicit_solve(ScaledMatrix(None, np.eye(2)), rhs)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_singular_node_is_located(self, d):
+        # dt s M = J / d (all entries 1 / d) at level-3 node 5, so
+        # I - dt s M is singular there, at level-4 nodes 10 and 11
+        tree = Tree.build(1.0, 4)
+        scale = np.ones(1 << 3)
+        scale[5] = 4.0
+        mat = ScaledMatrix(scale, np.full((d, d), 1.0 / d))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError, match="level 4, node 10$"):
+                tree.implicit_solve(mat, np.ones((1 << 4, d)))
+            scale[5] = 1.0
+            assert np.all(np.isfinite(tree.implicit_solve(mat, np.ones((1 << 4, d)))))
 
 
 class TestProcessContainers:

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import (degenerate_duality_gaps, gateaux_vs_hamiltonian,
+from oracles import (as_table, degenerate_duality_gaps, gateaux_vs_hamiltonian,
                      operator_transpose_oracle, qp_oracle,
                      random_duality_instance, zero_process)
 
 from volterra_control import verify
 from volterra_control.cones import LicqError
-from volterra_control.lattice import AdaptedProcess, ScaledMatrix, Tree, as_table
+from volterra_control.lattice import AdaptedProcess, ScaledMatrix, Tree
 from volterra_control.scenario import (ControlConstraint, ProjectionUnavailable,
                                        Scenario, fixture_path, load_scenario)
 from volterra_control.verify import (
