@@ -44,9 +44,10 @@ Each equation is written down once, as free-term rows plus kernels
 in ``adjoint_residuals`` both read that one statement.  lambda0 is the
 one-row case of the xi Fredholm equation, so both are solved by
 ``solve_fredholm`` and checked, stored runs included, by
-``fredholm_row_residual``.  mu and nu come with the (p, q) solve, which
-takes theta as its boundary term.  Every row sum over terms of mixed
-levels is one ``Tree.level_sum``.
+``fredholm_row_residual``; the bundle keeps both as their level stacks,
+of which lambda0 and Lambda, like xi_i and E_r[xi_i], are views.  mu and
+nu come with the (p, q) solve, which takes theta as its boundary term.
+Every row sum over terms of mixed levels is one ``Tree.level_sum``.
 
 Every equation is assembled and checked in O(N 2^N) node operations per
 dimension, except for one sum that the (p, q) equation itself makes
@@ -62,6 +63,7 @@ keep.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -69,37 +71,29 @@ from .backward import (BackwardSolution, backward_row_residual,
                        backward_run_residual, family_of,
                        msolution_identity_residual, solve_linear_backward)
 from .forward import ForwardPath
-from .lattice import AdaptedProcess, ScaledMatrix, Tree, stack, transpose
+from .lattice import AdaptedProcess, ScaledMatrix, Tree, transpose
 from .scenario import Scenario
 
 
 @dataclass
 class FredholmSolution:
-    """Rows xi_i (leaf fields) with their conditional runs E_r[xi_i], r >= i,
-    and per level r the row stack ``levels[r]`` (see ``lattice``) of
-    E_r[xi_i], i = 0..min(r, rows - 1); ``stack`` is the last one, the leaves.
-    ``solve_fredholm`` writes each run into the level stacks, so each
-    E_r[xi_i] is the view ``levels[r][..., i]``; without them, the stacks
-    are copies of the runs, the last one of the rows."""
+    """Rows xi_i with their conditional runs E_r[xi_i], r >= i, stored as
+    one row stack per level r (see ``lattice``): ``levels[r]`` holds
+    E_r[xi_i], i = 0..min(r, rows - 1).  E_r[xi_i] is the view
+    ``cond_exp(i, r)`` and the rows ``xi``, leaf fields, are the views of
+    the last stack."""
 
-    xi: list
-    cond: list
-    levels: list | None = None
-
-    def __post_init__(self):
-        if self.levels is None and self.xi:
-            rows, top = len(self.xi), len(self.cond[0]) - 1
-            self.levels = [stack([self.cond[i][r - i] for i in range(min(r + 1, rows))])
-                           for r in range(top)] + [stack(self.xi)]
+    levels: list
 
     @property
-    def stack(self) -> np.ndarray:
-        return self.levels[-1]
+    def xi(self) -> list:
+        leaves = self.levels[-1]
+        return [leaves[..., i] for i in range(leaves.shape[-1])]
 
     def cond_exp(self, i: int, r: int) -> np.ndarray:
         if r < i:
             raise ValueError(f"conditional run of row {i} starts at level {i}")
-        return self.cond[i][r - i]
+        return self.levels[r][..., i]
 
 
 def solve_fredholm(tree: Tree, alpha_rows, A=None, B=None, D=None,
@@ -177,18 +171,14 @@ def solve_fredholm(tree: Tree, alpha_rows, A=None, B=None, D=None,
                 incr = tree.level_sum([incr, beta(i, r)], r)
             cur = tree.ito_step(cur, incr, r)
             levels[r + 1][..., i] = cur
-    return FredholmSolution(
-        xi=[levels[N][..., i] for i in range(n_rows)],
-        cond=[[levels[r][..., i] for r in range(i, N + 1)] for i in range(n_rows)],
-        levels=levels)
+    return FredholmSolution(levels)
 
 
 def fredholm_row_residual(tree: Tree, sol: FredholmSolution, i: int, alpha_rows,
                           A=None, B=None, D=None, beta=None,
                           include_diag_A: bool = True) -> float:
     """Node-wise defect of row i of the defining discrete equation and of
-    its stored run: each level E_r[xi_i] the pair mean of the next, the
-    last one xi_i itself.
+    its stored run: each level E_r[xi_i] the pair mean of the next.
 
     The A terms read E_i[xi_j] and the D terms E_j[xi_i] off the stored
     runs, which the run check bounds, so without B all rows together cost
@@ -199,7 +189,7 @@ def fredholm_row_residual(tree: Tree, sol: FredholmSolution, i: int, alpha_rows,
     def terms():
         for j in range(i):
             if B is not None:
-                proj = tree.cond_expect(tree.tmatvec(B(j, i), sol.xi[j]), j)
+                proj = tree.cond_expect(tree.tmatvec(B(j, i), sol.cond_exp(j, N)), j)
                 yield tree.dw_term(proj, j)
         yield np.array(alpha_rows[i], dtype=float)
         hi = min(i, N - 1) if include_diag_A else i - 1
@@ -212,10 +202,9 @@ def fredholm_row_residual(tree: Tree, sol: FredholmSolution, i: int, alpha_rows,
         if beta is not None:
             yield tree.ito_sum(lambda j: tree.embed(beta(i, j), j), 0, N)
 
-    run = sol.cond[i]
-    defects = [sol.xi[i] - tree.level_sum(terms(), N), run[-1] - sol.xi[i]]
-    defects += [run[r] - tree.cond_expect(run[r + 1], i + r)
-                for r in range(len(run) - 1)]
+    defects = [sol.cond_exp(i, N) - tree.level_sum(terms(), N)]
+    defects += [sol.cond_exp(i, r) - tree.cond_expect(sol.cond_exp(i, r + 1), r)
+                for r in range(i, N)]
     return max(float(np.abs(d).max()) for d in defects)
 
 
@@ -339,12 +328,22 @@ def _tmatvecs(tree: Tree, fro, name: str, slot: str, rows: range, j: int,
 
 @dataclass
 class AdjointBundle:
-    lambda0: np.ndarray
-    Lambda: AdaptedProcess
+    """The adjoint solutions.  ``lam`` is the one-row lambda(0) solution;
+    lambda0, its row, and Lambda, its run, are views of it."""
+
+    lam: FredholmSolution
     xi: FredholmSolution
     theta: np.ndarray
     pq: BackwardSolution
     frozen: FrozenCoefficients
+
+    @cached_property
+    def lambda0(self) -> np.ndarray:
+        return self.lam.xi[0]
+
+    @cached_property
+    def Lambda(self) -> AdaptedProcess:
+        return AdaptedProcess([level[..., 0] for level in self.lam.levels])
 
 
 def _lambda0_equation(tree: Tree, fro: FrozenCoefficients):
@@ -362,11 +361,12 @@ def solve_lambda0(tree: Tree, fro: FrozenCoefficients) -> FredholmSolution:
     return solve_fredholm(tree, alpha_rows, **kernels)
 
 
-def _xi_equation(tree: Tree, fro: FrozenCoefficients, Lambda: AdaptedProcess):
+def _xi_equation(tree: Tree, fro: FrozenCoefficients, lam: FredholmSolution):
     """The xi equation as ``solve_fredholm`` arguments: the free-term rows
-    alpha_i = g_y(0,i)' Lambda_i + f_y(i) and the keyword arguments
-    A = g_y, D = g_z, diagonal included."""
-    alpha_rows = [tree.tmatvec(fro.d("g", "y", 0, i), Lambda.level(i))
+    alpha_i = g_y(0,i)' Lambda_i + f_y(i), Lambda_i read off the lambda(0)
+    solution, and the keyword arguments A = g_y, D = g_z, diagonal
+    included."""
+    alpha_rows = [tree.tmatvec(fro.d("g", "y", 0, i), lam.cond_exp(0, i))
                   + fro.d("f", "y", 0, i) for i in range(tree.N)]
     return alpha_rows, {"A": fro.kernel("g", "y"), "D": fro.kernel("g", "z"),
                         "include_diag_A": True}
@@ -382,7 +382,7 @@ def _theta_equation(tree: Tree, fro: FrozenCoefficients, lambda0: np.ndarray,
             + tree.dt * psi_xi)
 
 
-def _pq_equation(tree: Tree, fro: FrozenCoefficients, Lambda: AdaptedProcess,
+def _pq_equation(tree: Tree, fro: FrozenCoefficients, lam: FredholmSolution,
                  xi_stack: np.ndarray, theta: np.ndarray):
     """The (p, q) equation as ``solve_linear_backward`` arguments: the
     free-term rows F_i (the xi rows given as one (2**N, m, N) row stack) and
@@ -390,7 +390,7 @@ def _pq_equation(tree: Tree, fro: FrozenCoefficients, Lambda: AdaptedProcess,
     swapped), boundary theta, strict A-sum."""
     N = tree.N
     p_rows = [tree.level_sum(
-        [fro.d("f", "x", 0, i) + tree.tmatvec(fro.d("g", "x", 0, i), Lambda.level(i)),
+        [fro.d("f", "x", 0, i) + tree.tmatvec(fro.d("g", "x", 0, i), lam.cond_exp(0, i)),
          tree.dt * tree.tmatvec_sum(_matrices(fro, "g", "x", range(i + 1), i),
                                     xi_stack[..., :i + 1])], N)
         for i in range(N)]
@@ -406,17 +406,15 @@ def assemble_adjoint(scenario: Scenario, fwd: ForwardPath, bwd, u: AdaptedProces
     fro = FrozenCoefficients(scenario, tree, fwd, bwd, u)
 
     lam = solve_lambda0(tree, fro)
-    lambda0, Lambda = lam.xi[0], AdaptedProcess(lam.cond[0])
 
-    alpha_rows, xi_kernels = _xi_equation(tree, fro, Lambda)
+    alpha_rows, xi_kernels = _xi_equation(tree, fro, lam)
     xi = solve_fredholm(tree, alpha_rows, **xi_kernels)
 
-    theta = _theta_equation(tree, fro, lambda0, xi.stack)
-    p_rows, pq_kernels = _pq_equation(tree, fro, Lambda, xi.stack, theta)
+    theta = _theta_equation(tree, fro, lam.xi[0], xi.levels[-1])
+    p_rows, pq_kernels = _pq_equation(tree, fro, lam, xi.levels[-1], theta)
     pq_sol = solve_linear_backward(tree, p_rows, **pq_kernels)
 
-    return AdjointBundle(lambda0=lambda0, Lambda=Lambda, xi=xi, theta=theta,
-                         pq=pq_sol, frozen=fro)
+    return AdjointBundle(lam=lam, xi=xi, theta=theta, pq=pq_sol, frozen=fro)
 
 
 def hamiltonian_gradient(scenario: Scenario, bundle: AdjointBundle,
@@ -434,11 +432,11 @@ def hamiltonian_gradient(scenario: Scenario, bundle: AdjointBundle,
     """
     tree = tree or scenario.tree()
     N, dt = tree.N, tree.dt
-    fro, pq = bundle.frozen, bundle.pq
+    fro, pq, z_stacks = bundle.frozen, bundle.pq, bundle.pq.z_stacks
     levels = []
     for j in range(N):
         terms = [fro.d("f", "u", 0, j) + tree.tmatvec(fro.d("g", "u", 0, j),
-                                                      bundle.Lambda.level(j))]
+                                                      bundle.lam.cond_exp(0, j))]
         terms += [dt * v for v in _tmatvecs(tree, fro, "g", "u", range(j + 1), j,
                                             bundle.xi.levels[j][..., :j + 1])]
         terms.append(tree.tmatvec(fro.d("b", "u", N, j), pq.mu.level(j)))
@@ -446,7 +444,7 @@ def hamiltonian_gradient(scenario: Scenario, bundle: AdjointBundle,
         later = range(j + 1, N)
         for p_term, q_term in zip(
                 _tmatvecs(tree, fro, "b", "u", later, j, pq.cond_stacks[j]),
-                _tmatvecs(tree, fro, "sigma", "u", later, j, pq.z_stacks[j])):
+                _tmatvecs(tree, fro, "sigma", "u", later, j, z_stacks[j])):
             terms += [dt * p_term, dt * q_term]
         levels.append(tree.level_sum(terms, j))
     return AdaptedProcess(levels)
@@ -469,17 +467,17 @@ def adjoint_residuals(scenario: Scenario, bundle: AdjointBundle,
 
     # first equation: the one-row Fredholm statement with its runs Lambda
     lam_rows, lam_kernels = _lambda0_equation(tree, fro)
-    lam = FredholmSolution(xi=[bundle.lambda0], cond=[bundle.Lambda.levels])
-    res1 = fredholm_row_residual(tree, lam, 0, lam_rows, **lam_kernels)
+    res1 = fredholm_row_residual(tree, bundle.lam, 0, lam_rows, **lam_kernels)
 
     # second equation rows
-    alpha_rows, xi_kernels = _xi_equation(tree, fro, bundle.Lambda)
+    alpha_rows, xi_kernels = _xi_equation(tree, fro, bundle.lam)
     res2 = max(fredholm_row_residual(tree, bundle.xi, i, alpha_rows, **xi_kernels)
                for i in range(N))
 
     # theta from its definition and the (p, q) free terms
-    theta = _theta_equation(tree, fro, bundle.lambda0, bundle.xi.stack)
-    p_rows, pq_kernels = _pq_equation(tree, fro, bundle.Lambda, bundle.xi.stack, theta)
+    xi_stack = bundle.xi.levels[-1]
+    theta = _theta_equation(tree, fro, bundle.lambda0, xi_stack)
+    p_rows, pq_kernels = _pq_equation(tree, fro, bundle.lam, xi_stack, theta)
 
     # third equation: mu_i = theta - sum_{j>=i} nu_j dW_j, the tails summed
     # from i = N down

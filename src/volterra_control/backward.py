@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import AdaptedProcess, Tree, TwoParamProcess, pair_mean, stack
+from .lattice import AdaptedProcess, Tree, TwoParamProcess, stack
 from .scenario import Scenario
 
 
@@ -61,31 +61,19 @@ class BackwardPath:
 @dataclass
 class BackwardSolution:
     """Rows Y_i, i = 0..N-1, with Z, mu and nu, and per level r the runs of
-    the later rows: ``cond_stacks[r]`` is the row stack (see ``lattice``)
-    of E_r[Y_i] and ``z_stacks[r]`` that of Z(i, r), i = r+1..N-1.
-    ``solve_linear_backward`` keeps its continuation's stacks; without
-    them, they are derived from Y by the same pair means and stacked from
-    Z."""
+    the later rows i = r+1..N-1: ``cond_stacks[r]`` is the row stack (see
+    ``lattice``) of E_r[Y_i], and ``z_stacks[r]`` the view of Z(i, r) in
+    ``Z.levels[r]``."""
 
     Y: AdaptedProcess
     Z: TwoParamProcess
+    cond_stacks: list
     mu: AdaptedProcess | None = None
     nu: AdaptedProcess | None = None
-    cond_stacks: list | None = None
-    z_stacks: list | None = None
 
-    def __post_init__(self):
-        N = len(self.Y.levels)
-        if self.cond_stacks is None:
-            self.cond_stacks = [None] * N
-            done = np.empty((0, self.Y.dim, 1 << N)).T
-            for r in range(N - 1, -1, -1):
-                self.cond_stacks[r] = done = pair_mean(done)
-                done = np.concatenate([self.Y.level(r).T[None], done.T]).T
-        if self.z_stacks is None:
-            self.z_stacks = [stack([self.Z.value(i, r) for i in range(r + 1, N)])
-                             if r < N - 1 else np.empty((0, self.Y.dim, 1 << r)).T
-                             for r in range(N)]
+    @property
+    def z_stacks(self) -> list:
+        return [z[..., r + 1:] for r, z in enumerate(self.Z.levels)]
 
     def cond_exp(self, i: int, r: int) -> np.ndarray:
         """E_r[Y_i] for r <= i."""
@@ -185,8 +173,7 @@ def solve_bsvie(scenario: Scenario, fwd, u: AdaptedProcess,
         runs += tree.dt * (kernels * (g.bracket(prefix[..., None], z=z)
                                       + u_term[..., None]))
         runs[..., r] = y[r]
-    z_rows = [[z_levels[r][..., i] for r in range(N)] for i in range(N + 1)]
-    return BackwardPath(Y=AdaptedProcess(y), Z=TwoParamProcess(z_rows),
+    return BackwardPath(Y=AdaptedProcess(y), Z=TwoParamProcess(z_levels),
                         residual_history=[worst])
 
 
@@ -215,11 +202,13 @@ def solve_linear_backward(tree: Tree, psi_rows, A=None, B=None,
 
     Rows are solved i = N-1..0.  The finished rows j > i are one row stack
     of E_{i+1}[Y_j], and one batched ``repr_step`` per row gives every
-    Z(j, i) that row i's free term reads; the solution keeps these stacks
-    of every level.  A kernel with a ``family`` (``FrozenCoefficients.
-    kernel``) gives row i's B terms as one ``Tree.matvec_family`` over the
-    stack of Z(j, i), and its A terms A(i, j) Y_j, i < j, as one product
-    as soon as Y_j is finished; plain callables are applied pair by pair.
+    Z(j, i) that row i's free term reads; the solution keeps the stacks
+    of E_i[Y_j] of every level.  Z is one stack per level: at level j,
+    row i's run integrand Z(i, j) for i <= j and the continuation's for
+    i > j.  A kernel with a ``family`` (``FrozenCoefficients.kernel``)
+    gives row i's B terms as one ``Tree.matvec_family`` over the stack of
+    Z(j, i), and its A terms A(i, j) Y_j, i < j, as one product as soon
+    as Y_j is finished; plain callables are applied pair by pair.
     """
     N = tree.N
     if len(psi_rows) != N:
@@ -232,18 +221,17 @@ def solve_linear_backward(tree: Tree, psi_rows, A=None, B=None,
         mu = AdaptedProcess([tree.cond_expect(theta, i) for i in range(N + 1)])
 
     y_levels = [None] * N
-    z_rows = [None] * N
     a_terms = [None] * N  # dt A(i, j) Y_j for every row i < j, once Y_j exists
-    cond_stacks, z_stacks = [None] * N, [None] * N
+    cond_stacks = [None] * N
+    dim = np.shape(psi_rows[N - 1])[1]
+    z_levels = [np.empty((N, dim, 1 << r)).T for r in range(N)]
     # E_{i+1}[Y_j] of the finished rows j > i, as a row stack
-    done = np.empty((0,) + np.shape(psi_rows[N - 1])[::-1]).T
+    done = np.empty((0, dim, 1 << N)).T
     for i in range(N - 1, -1, -1):
         if tree.level_of(np.asarray(psi_rows[i])) != N:
             raise ValueError(f"free-term row {i} must be a leaf field")
         # continue every finished row by one level
-        cond_stacks[i], z_stacks[i] = done, z = tree.repr_step(done)
-        for j in range(i + 1, N):
-            z_rows[j][i] = z[..., j - i - 1]
+        cond_stacks[i], z_levels[i][..., i + 1:] = done, z = tree.repr_step(done)
         b_family = None if B is None else family_of(B, i, slice(i + 1, N))
         if b_family is not None:
             b_terms = tree.dt * tree.matvec_family(b_family, z)
@@ -253,7 +241,7 @@ def solve_linear_backward(tree: Tree, psi_rows, A=None, B=None,
                 if b_family is not None:
                     yield b_terms[..., j - i - 1]
                 elif B is not None:
-                    yield tree.dt * tree.matvec(B(i, j), z_rows[j][i])
+                    yield tree.dt * tree.matvec(B(i, j), z[..., j - i - 1])
                 if a_terms[j] is not None:
                     yield a_terms[j][..., i]
                 elif A is not None:
@@ -272,14 +260,16 @@ def solve_linear_backward(tree: Tree, psi_rows, A=None, B=None,
             cur = cur + tree.dt * tree.matvec(B(i, i), z_cols[i])
         if include_diag_A and A is not None:
             cur = tree.implicit_solve(A(i, i), cur)
-        y_levels[i], z_rows[i] = cur, z_cols
+        y_levels[i] = cur
+        for r in range(i, N):
+            z_levels[r][..., i] = z_cols[r]
         a_family = None if A is None or not i else family_of(A, slice(0, i), i)
         if a_family is not None:
             a_terms[i] = tree.dt * tree.matvec_family(a_family, cur)
         # row i joins the finished rows as the first row of the stack
         done = np.concatenate([cur.T[None], done.T]).T
-    return BackwardSolution(Y=AdaptedProcess(y_levels), Z=TwoParamProcess(z_rows),
-                            mu=mu, nu=nu, cond_stacks=cond_stacks, z_stacks=z_stacks)
+    return BackwardSolution(Y=AdaptedProcess(y_levels), Z=TwoParamProcess(z_levels),
+                            cond_stacks=cond_stacks, mu=mu, nu=nu)
 
 
 def family_of(kernel, i, j):
@@ -321,12 +311,12 @@ def backward_run_residual(tree: Tree, sol: BackwardSolution) -> float:
     ``cond_stacks[r]`` the pair mean of the stack [Y_{r+1},
     ``cond_stacks[r+1]``] and each ``z_stacks[r]`` its ``repr_step``
     integrand (at r = N - 1 both hold no rows)."""
-    worst = 0.0
+    worst, z_stacks = 0.0, sol.z_stacks
     for r in range(len(sol.cond_stacks) - 1):
         mean, z = tree.repr_step(np.concatenate(
             [sol.Y.level(r + 1).T[None], sol.cond_stacks[r + 1].T]).T)
         worst = max(worst, float(np.abs(sol.cond_stacks[r] - mean).max()),
-                    float(np.abs(sol.z_stacks[r] - z).max()))
+                    float(np.abs(z_stacks[r] - z).max()))
     return worst
 
 

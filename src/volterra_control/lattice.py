@@ -19,14 +19,12 @@ has unit stride, and the transpose ``values.T`` (node axis last) is a
 C-contiguous array.  Every pass over a field (a pair mean, a repeat onto
 a finer level, a per-node scale, a product with a constant matrix) then
 runs numpy's inner loop along the 2**i nodes instead of along the d
-components, which for d > 1 is several times faster; the layout was
-chosen for that.  A d = 1 field is both row- and column-major, so d = 1
-fields are unaffected.  This module is the one place that knows the
-layout: ``field`` stores an array so (``AdaptedProcess`` and
-``TwoParamProcess`` store their levels through it), ``outer``, ``apply``,
-``stack`` and ``scaled`` build node-contiguous fields and row stacks
-(below), ``dot`` pairs two fields, and every ``Tree`` helper returns
-node-contiguous fields for input in either order.
+components.  A d = 1 field is both row- and column-major.  This module
+is the one place that knows the layout: ``field`` stores an array so
+(``AdaptedProcess`` and ``TwoParamProcess`` store their levels through
+it), ``outer``, ``apply``, ``stack`` and ``scaled`` build node-contiguous
+fields and row stacks (below), ``dot`` pairs two fields, and every
+``Tree`` helper returns node-contiguous fields for input in either order.
 
 A row stack is R level-i fields held as one (2**i, d, R) array with a
 trailing row axis, stored the same way: its ``.T`` is a C-contiguous
@@ -36,7 +34,9 @@ and a run of rows ``stack[..., a:b]`` is again a row stack.
 work on the nodes-last view ``.T``, so they take a row stack as they
 take a field and give every row the bits of the per-row call; the
 solvers advance all rows of a recursion by one such batched step per
-level.
+level.  The solvers' two-parameter solutions are stored as such stacks,
+one per level: ``TwoParamProcess`` is the view class over them, its
+value at (t_i, t_j) row i of the level-j stack.
 
 A matrix field (a kernel or a jacobian) comes in one of two forms: a
 dense per-node table of shape (2**i, d, e), or a factored
@@ -65,14 +65,14 @@ solver that reads a family gives the bits of its per-pair loop.
 ``apply`` is the one place that applies a constant matrix or a family to
 a field or a row stack.  When the matrices have one column, as every
 kernel of a scalar (n = m = 1) scenario has, it takes a broadcast
-product in place of numpy's matmul, which is 5-10x slower at inner
-dimension 1; each entry is one product either way, so the values are the
-same.
+product in place of numpy's matmul; each entry is one product either
+way, so the values are the same.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,8 +90,10 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+        if not math.isfinite(self.horizon) or self.horizon <= 0:
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
+        if isinstance(self.steps, bool) or not isinstance(self.steps, numbers.Integral):
+            raise ValueError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         if self.steps > MAX_EXACT_STEPS:
@@ -288,7 +290,8 @@ class Tree:
         common level."""
         if scale is None:
             return out
-        scale, out = self._common_level(scale, out)
+        if scale.shape[0] != out.shape[0]:
+            scale, out = self._common_level(scale, out)
         return (out.T * scale).T
 
     def matvec(self, mat, vec: np.ndarray) -> np.ndarray:
@@ -390,8 +393,7 @@ def apply(matrix: np.ndarray, vec: np.ndarray) -> np.ndarray:
     (R, d, e) family gives the row stack of its R products, matrix k
     applied to the field or to row k of the stack, as R such products.
 
-    With e = 1 it is the broadcast product (d, 1) * (1, 2**i) instead,
-    which numpy runs much faster than its matmul at inner dimension 1:
+    With e = 1 it is the broadcast product (d, 1) * (1, 2**i) instead:
     every entry is then one product, the value of the matrix product.  An
     exact zero may come out as -0.0 where the matrix product sums onto
     +0.0."""
@@ -480,7 +482,7 @@ def pair_mean(values: np.ndarray) -> np.ndarray:
 
 def _pair_mean(paired: np.ndarray) -> np.ndarray:
     """The coarser field of the means of sibling pairs ``_blocks(values,
-    2)``: the bits of ``.mean(axis=-1)``, an order of magnitude faster."""
+    2)``: the bits of ``.mean(axis=-1)``."""
     return ((paired[..., 0] + paired[..., 1]) * 0.5).T
 
 
@@ -572,19 +574,17 @@ class AdaptedProcess:
 
 
 class TwoParamProcess:
-    """Two-parameter field Z(t_i, t_j): per row i, one level-j table per j.
+    """Two-parameter field Z(t_i, t_j) as one row stack per level:
+    ``levels[j]`` is the (2**j, d, R) stack of Z(t_i, t_j) over the rows
+    i, and ``value(i, j)`` its row i, a node-contiguous view.  Within row
+    i the s-section is adapted: column j lives on level j."""
 
-    Rows are indexed by the grid point t_i; within row i the s-section is
-    adapted, stored at its own level (column j lives on level j).
-    """
-
-    def __init__(self, rows):
-        self.rows = [[field(v) for v in row] for row in rows]
-        for row in self.rows:
-            for j, v in enumerate(row):
-                if v.ndim != 2 or v.shape[0] != 1 << j:
-                    raise ValueError(
-                        f"column {j} has shape {v.shape}, wanted ({1 << j}, d)")
+    def __init__(self, levels):
+        self.levels = [field(v) for v in levels]
+        for j, v in enumerate(self.levels):
+            if v.ndim != 3 or v.shape[0] != 1 << j:
+                raise ValueError(
+                    f"level {j} stack has shape {v.shape}, wanted ({1 << j}, d, rows)")
 
     def value(self, i: int, j: int) -> np.ndarray:
-        return self.rows[i][j]
+        return self.levels[j][..., i]

@@ -195,8 +195,9 @@ def check_duality_1(inst: DualityInstance, mode: str = "transpose") -> DualityRe
                                 D=inst.D, theta=inst.theta,
                                 include_diag_A=True,
                                 include_diag_B=(mode == "continuum"))
-    lhs = _pair(tree, xi.xi[tree.N], inst.theta)
-    lhs += sum(tree.dt * _pair(tree, inst.psi_rows[i], xi.xi[i])
+    rows = xi.xi
+    lhs = _pair(tree, rows[tree.N], inst.theta)
+    lhs += sum(tree.dt * _pair(tree, inst.psi_rows[i], rows[i])
                for i in range(tree.N))
     rhs = _pair(tree, tree.embed(inst.alpha[tree.N], tree.N), inst.theta)
     rhs += sum(tree.dt * _pair(tree, inst.beta(tree.N, j), bwd.nu.level(j))

@@ -12,7 +12,10 @@ evaluated by ``value`` at every time pair, the reference for the
 solvers' once-per-level brackets; with ``per_row_linear_backward``, the
 linear backward family solved one row at a time, they are the row-by-row
 references for the solvers' batched row stacks.  ``zero_process``,
-``zero_two_param`` and ``grid_points`` are test-only constructors.
+``zero_two_param`` and ``grid_points`` are test-only constructors, and
+``two_param``, ``backward_solution`` and ``fredholm_solution`` build the
+solvers' containers, which store their solutions as level stacks, from
+per-row lists.
 """
 
 from __future__ import annotations
@@ -24,13 +27,14 @@ from itertools import combinations
 
 import numpy as np
 
+from volterra_control.adjoint import FredholmSolution
 from volterra_control.backward import (BackwardPath, BackwardSolution, PicardError,
                                        _implicit_step, _row_run, solve_bsvie,
                                        solve_linear_backward)
 from volterra_control.cones import adjacent_cone, cone_min_linear
 from volterra_control.forward import SimulationError, simulate_forward
 from volterra_control.lattice import (AdaptedProcess, ScaledMatrix, Tree,
-                                      TwoParamProcess, transpose)
+                                      TwoParamProcess, pair_mean, stack, transpose)
 from volterra_control.scenario import (Ball, ControlConstraint, Halfspaces,
                                        ProjectionUnavailable, Scenario)
 from volterra_control.verify import (DualityInstance, NCReport, check_duality_1,
@@ -59,8 +63,36 @@ def zero_process(last_level: int, dim: int) -> AdaptedProcess:
 
 def zero_two_param(n_rows: int, n_cols: int, dim: int) -> TwoParamProcess:
     """The zero two-parameter field with n_rows rows of columns 0..n_cols-1."""
-    return TwoParamProcess([[np.zeros((1 << j, dim)) for j in range(n_cols)]
-                            for _ in range(n_rows)])
+    return two_param([[np.zeros((1 << j, dim)) for j in range(n_cols)]
+                      for _ in range(n_rows)])
+
+
+def two_param(rows) -> TwoParamProcess:
+    """The two-parameter field of per-row lists rows[i][j] = Z(t_i, t_j),
+    one row stack per level j."""
+    return TwoParamProcess([stack([row[j] for row in rows])
+                            for j in range(len(rows[0]))])
+
+
+def backward_solution(Y: AdaptedProcess, Z: TwoParamProcess, mu=None,
+                      nu=None) -> BackwardSolution:
+    """The linear backward solution of rows Y and field Z, with the runs
+    E_r[Y_i], i > r, of the later rows made by the solver's pair means."""
+    N = len(Y.levels)
+    cond_stacks = [None] * N
+    done = np.empty((0, Y.dim, 1 << N)).T
+    for r in range(N - 1, -1, -1):
+        cond_stacks[r] = done = pair_mean(done)
+        done = np.concatenate([Y.level(r).T[None], done.T]).T
+    return BackwardSolution(Y=Y, Z=Z, cond_stacks=cond_stacks, mu=mu, nu=nu)
+
+
+def fredholm_solution(runs) -> FredholmSolution:
+    """The Fredholm solution of per-row runs runs[i] = [E_i[xi_i], ...,
+    E_N[xi_i]], stacked per level."""
+    top = len(runs[0]) - 1
+    return FredholmSolution([stack([runs[i][r - i] for i in range(min(r + 1, len(runs)))])
+                             for r in range(top + 1)])
 
 
 def grid_points(grid) -> np.ndarray:
@@ -182,7 +214,7 @@ def picard_bsvie_oracle(scenario, fwd, u, tree) -> BackwardPath:
         history.append(residual)
         y = y_new
         if residual < tol:
-            return BackwardPath(Y=y, Z=TwoParamProcess(z_rows),
+            return BackwardPath(Y=y, Z=two_param(z_rows),
                                 residual_history=history)
         if sweep >= 2 and history[-1] >= history[-2] and history[-1] > 1e-13:
             raise PicardError("Picard residuals stopped decreasing before "
@@ -244,7 +276,7 @@ def per_pair_bsvie(scenario, fwd, u, tree) -> BackwardPath:
         worst = max(worst, gap)
     for i in range(1, N + 1):
         run(i, i, 0)
-    return BackwardPath(Y=AdaptedProcess(y), Z=TwoParamProcess(z_rows),
+    return BackwardPath(Y=AdaptedProcess(y), Z=two_param(z_rows),
                         residual_history=[worst])
 
 
@@ -285,8 +317,7 @@ def per_row_linear_backward(tree: Tree, psi_rows, A=None, B=None, D=None,
         run[i] = y_levels[i] = cur
         _row_run(tree, run, z_cols, i, 0)
         z_rows[i] = z_cols
-    return BackwardSolution(Y=AdaptedProcess(y_levels), Z=TwoParamProcess(z_rows),
-                            mu=mu, nu=nu)
+    return backward_solution(AdaptedProcess(y_levels), two_param(z_rows), mu=mu, nu=nu)
 
 
 def solve_bsde(tree: Tree, terminal: np.ndarray, driver,

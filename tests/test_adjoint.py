@@ -3,15 +3,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import (as_table, dense_fredholm_solve, random_duality_instance,
-                     zero_process, zero_two_param)
+from oracles import (as_table, backward_solution, dense_fredholm_solve,
+                     fredholm_solution, random_duality_instance, zero_process,
+                     zero_two_param)
 
 from volterra_control.adjoint import (
-    FredholmSolution, _pq_equation, adjoint_residuals, assemble_adjoint,
-    fredholm_row_residual, hamiltonian_gradient, solve_fredholm, solve_lambda0,
+    AdjointBundle, FredholmSolution, _pq_equation, adjoint_residuals,
+    assemble_adjoint, fredholm_row_residual, hamiltonian_gradient, solve_fredholm,
+    solve_lambda0,
 )
-from volterra_control.backward import (BackwardSolution, solve_bsvie,
-                                       solve_linear_backward)
+from volterra_control.backward import solve_bsvie, solve_linear_backward
 from volterra_control.forward import simulate_forward
 from volterra_control import scenario as scenario_module
 from volterra_control.lattice import AdaptedProcess, Tree, TwoParamProcess
@@ -42,7 +43,7 @@ class TestSolveLambda0:
     def solve(tree, fz, d, hy):
         sol = solve_lambda0(tree, _Lambda0Frozen(hy, fz, d))
         assert len(sol.xi) == 1
-        return sol.xi[0], AdaptedProcess(sol.cond[0])
+        return sol.xi[0], AdaptedProcess([v[..., 0] for v in sol.levels])
 
     def test_zero_inputs_constant(self):
         tree = Tree.build(1.0, 5)
@@ -170,9 +171,10 @@ class TestSolveFredholm:
         beta = lambda i, j: np.full((1 << j, 1), 0.1 * (i + j))
         sol = solve_fredholm(tree, alphas, beta=beta)
         assert fredholm_row_residual(tree, sol, 1, alphas, beta=beta) <= 1e-14
-        cond = [list(run) for run in sol.cond]
-        cond[1][2] = cond[1][2] + 1e-3  # E_3[xi_1]
-        bumped = FredholmSolution(sol.xi, cond)
+        runs = [[sol.cond_exp(i, r) for r in range(i, tree.N + 1)]
+                for i in range(tree.N + 1)]
+        runs[1][2] = runs[1][2] + 1e-3  # E_3[xi_1]
+        bumped = fredholm_solution(runs)
         assert fredholm_row_residual(tree, bumped, 1, alphas, beta=beta) >= 5e-4
 
 
@@ -213,11 +215,12 @@ def run_pipeline(name, steps=None, control=None, scale=0.3, seed=0):
     return s, tree, control, fwd, bwd, bundle
 
 
-def _bumped(levels, k):
-    """``levels`` with entry k shifted by 1e-3 at its first node."""
+def _bumped(levels, k, *row):
+    """``levels`` with entry k (or its row ``row``, a row stack's) shifted
+    by 1e-3 at its first node; the other entries are shared."""
     out = list(levels)
-    out[k] = np.array(out[k], dtype=float)
-    out[k][0, 0] += 1e-3
+    out[k] = np.array(out[k], dtype=float, order="F")
+    out[k][(0, 0) + row] += 1e-3
     return out
 
 
@@ -225,21 +228,20 @@ def _shifted_theta(b):
     """theta + 0.1 with (p, q, mu, nu) re-solved from it: every equation
     but theta's own definition still holds."""
     tree, theta = b.frozen.tree, b.theta + 0.1
-    p_rows, kernels = _pq_equation(tree, b.frozen, b.Lambda, b.xi.stack, theta)
+    p_rows, kernels = _pq_equation(tree, b.frozen, b.lam, b.xi.levels[-1], theta)
     return replace(b, theta=theta, pq=solve_linear_backward(tree, p_rows, **kernels))
 
 
 # (perturbed field, the adjoint_residuals entry that must flag it, perturbation)
 PERTURBATIONS = [
-    ("lambda0", "lambda0",
-     lambda b: replace(b, lambda0=_bumped([b.lambda0], 0)[0])),
-    ("Lambda level", "lambda0",  # only the run check reads Lambda
-     lambda b: replace(b, Lambda=AdaptedProcess(_bumped(b.Lambda.levels, 3)))),
+    ("lambda0", "lambda0",  # the leaves of the lambda(0) solution
+     lambda b: replace(b, lam=FredholmSolution(_bumped(b.lam.levels, -1, 0)))),
+    ("Lambda level", "lambda0",  # only the run check reads Lambda_3
+     lambda b: replace(b, lam=FredholmSolution(_bumped(b.lam.levels, 3, 0)))),
     ("xi row", "xi",
-     lambda b: replace(b, xi=FredholmSolution(_bumped(b.xi.xi, 2), b.xi.cond))),
+     lambda b: replace(b, xi=FredholmSolution(_bumped(b.xi.levels, -1, 2)))),
     ("xi run level", "xi",  # E_3[xi_2] off, the leaves xi_2 unchanged
-     lambda b: replace(b, xi=FredholmSolution(b.xi.xi, [
-         _bumped(run, 1) if i == 2 else run for i, run in enumerate(b.xi.cond)]))),
+     lambda b: replace(b, xi=FredholmSolution(_bumped(b.xi.levels, 3, 2)))),
     ("theta", "mu_nu", _shifted_theta),
     ("mu", "mu_nu",
      lambda b: replace(b, pq=replace(b.pq, mu=AdaptedProcess(
@@ -249,12 +251,12 @@ PERTURBATIONS = [
          _bumped(b.pq.Y.levels, 2))))),
     ("p run level", "pq",  # E_2[p_i], i > 2, stale beside unchanged p
      lambda b: replace(b, pq=replace(b.pq, cond_stacks=_bumped(b.pq.cond_stacks, 2)))),
-    ("q run level", "pq",  # q(i, 2), i > 2, stale beside unchanged q
-     lambda b: replace(b, pq=replace(b.pq, z_stacks=_bumped(b.pq.z_stacks, 2)))),
+    ("q run level", "pq",  # q(i, 2), i > 2, the run z_stacks[2] views
+     lambda b: replace(b, pq=replace(b.pq, Z=TwoParamProcess(
+         _bumped(b.pq.Z.levels, 2, slice(3, None)))))),
     ("q column", "m_identity",  # Z(3, 1), below the diagonal
      lambda b: replace(b, pq=replace(b.pq, Z=TwoParamProcess(
-         [_bumped(row, 1) if i == 3 else row
-          for i, row in enumerate(b.pq.Z.rows)])))),
+         _bumped(b.pq.Z.levels, 1, 3))))),
 ]
 
 
@@ -285,6 +287,24 @@ class TestAssembleAdjoint:
             s, tree, _, _, _, bundle = run_pipeline(name, steps=14)
             for entry, val in adjoint_residuals(s, bundle, tree).items():
                 assert val <= 1e-12, (name, entry, val)
+
+    def test_solutions_are_views_of_their_level_stacks(self):
+        # one storage per solution: each accessor a node-contiguous view of
+        # its level stack, for the BSVIE and the linear (p, q) family
+        s, tree, _, _, bwd, bundle = run_pipeline("lq_multi")
+        N, pq, lam = tree.N, bundle.pq, bundle.lam
+
+        def view_of(values, stack):
+            return np.shares_memory(values, stack) and values.T.flags.c_contiguous
+
+        for sol, rows in ((bwd, N + 1), (pq, N)):
+            assert all(view_of(sol.Z.value(i, j), sol.Z.levels[j])
+                       for i in range(rows) for j in range(N))
+        assert all(view_of(pq.z_stacks[r], pq.Z.levels[r]) for r in range(N - 1))
+        assert all(view_of(x, bundle.xi.levels[-1]) for x in bundle.xi.xi)
+        assert view_of(bundle.lambda0, lam.levels[-1])
+        assert all(view_of(bundle.Lambda.level(r), lam.levels[r]) for r in range(N + 1))
+        assert bundle.lambda0 is bundle.lambda0 and bundle.Lambda is bundle.Lambda  # built once
 
     @pytest.mark.parametrize("field,entry,perturb", PERTURBATIONS,
                              ids=[f for f, _, _ in PERTURBATIONS])
@@ -345,19 +365,18 @@ class TestHamiltonianGradient:
         # H_u(t_j) = dt * sum_{i=j+1}^{N-1} c = c (T - t_{j+1})
         tree = Tree.build(1.0, 4)
         c = 1.3
-        from volterra_control.adjoint import AdjointBundle
+
+        def zero_runs(rows):
+            return fredholm_solution([[np.zeros((1 << r, 1)) for r in range(i, tree.N + 1)]
+                                      for i in range(rows)])
+
         bundle = AdjointBundle(
-            lambda0=np.zeros((tree.n_leaves, 1)),
-            Lambda=zero_process(tree.N, 1),
-            xi=FredholmSolution(
-                xi=[np.zeros((tree.n_leaves, 1)) for _ in range(tree.N)],
-                cond=[[np.zeros((1 << r, 1)) for r in range(i, tree.N + 1)]
-                      for i in range(tree.N)]),
+            lam=zero_runs(1), xi=zero_runs(tree.N),
             theta=np.zeros((tree.n_leaves, 1)),
-            pq=BackwardSolution(Y=AdaptedProcess.constant([c], tree.N - 1),
-                                Z=zero_two_param(tree.N, tree.N, 1),
-                                mu=zero_process(tree.N, 1),
-                                nu=zero_process(tree.N - 1, 1)),
+            pq=backward_solution(AdaptedProcess.constant([c], tree.N - 1),
+                                 zero_two_param(tree.N, tree.N, 1),
+                                 mu=zero_process(tree.N, 1),
+                                 nu=zero_process(tree.N - 1, 1)),
             frozen=_ZeroFrozen(tree, 1, 1, 1))
         hu = hamiltonian_gradient(None, bundle, None, None, None, tree)
         for j in range(tree.N):

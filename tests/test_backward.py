@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from volterra_control.backward import (
-    BackwardSolution, PicardError, backward_row_residual,
+    PicardError, backward_row_residual,
     msolution_identity_residual, solve_bsvie, solve_linear_backward,
 )
 from volterra_control.forward import simulate_forward
@@ -13,8 +13,9 @@ from volterra_control.lattice import AdaptedProcess, Tree
 from volterra_control.scenario import Scenario, fixture_path, load_scenario
 from volterra_control.verify import smooth_duality_instance
 
-from oracles import (dense_bsvie_oracle, picard_bsvie_oracle, projector,
-                     recompute_bsvie_row, repr_operator, solve_bsde, zero_process)
+from oracles import (backward_solution, dense_bsvie_oracle, picard_bsvie_oracle,
+                     projector, recompute_bsvie_row, repr_operator, solve_bsde,
+                     zero_process)
 from test_scenario import FIXTURES
 
 
@@ -219,16 +220,17 @@ def dense_msolution_oracle(tree, psi_rows, A, B, D, theta, include_diag_A):
 class TestSolveLinearBackward:
     def test_runs_are_the_pair_means_of_the_rows(self):
         # the stacks the continuation keeps are those a hand-built solution
-        # derives from Y and Z, and E_r[Y_i] within rounding of one block mean
+        # derives from Y, E_r[Y_i] within rounding of one block mean, and
+        # z_stacks[r] the rows i > r of Z's level-r stack
         inst = smooth_duality_instance(1.0, 6, 2, seed=4)
         tree = inst.tree
         sol = solve_linear_backward(tree, inst.psi_rows, A=inst.A, B=inst.B,
                                     D=inst.D, theta=inst.theta)
-        hand = BackwardSolution(Y=sol.Y, Z=sol.Z)
+        hand = backward_solution(sol.Y, sol.Z)
         for r in range(tree.N):
             assert sol.cond_stacks[r].shape == (1 << r, 2, tree.N - r - 1)
+            assert sol.z_stacks[r].shape == (1 << r, 2, tree.N - r - 1)
             assert np.array_equal(sol.cond_stacks[r], hand.cond_stacks[r])
-            assert np.array_equal(sol.z_stacks[r], hand.z_stacks[r])
             for i in range(r, tree.N):
                 assert np.allclose(sol.cond_exp(i, r), tree.cond_expect(sol.Y.level(i), r),
                                    rtol=0.0, atol=1e-14)

@@ -28,12 +28,14 @@ class TestTimeGrid:
         assert abs(grid.dt * grid.steps - grid.horizon) <= 1e-15
 
     def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            TimeGrid(1.0, 0)
-        with pytest.raises(ValueError):
-            TimeGrid(-1.0, 4)
-        with pytest.raises(ValueError):
-            TimeGrid(1.0, 15)
+        for horizon, steps, name in [
+                (1.0, 0, "steps"), (-1.0, 4, "horizon"), (1.0, 15, "steps"),
+                (math.nan, 4, "horizon"), (math.inf, 4, "horizon"),
+                (-math.inf, 4, "horizon"), (1.0, 4.5, "steps"), (1.0, 4.0, "steps"),
+                (1.0, True, "steps")]:
+            with pytest.raises(ValueError, match=name):
+                TimeGrid(horizon, steps)
+        assert TimeGrid(1.0, np.int64(4)).steps == 4  # numpy integers stay valid
 
 
 class TestCondExpect:
@@ -424,10 +426,12 @@ class TestProcessContainers:
 
     def test_two_param_shapes(self):
         z = zero_two_param(3, 4, 2)
-        assert len(z.rows) == 3
+        assert [v.shape for v in z.levels] == [(1 << j, 2, 3) for j in range(4)]
         assert z.value(1, 2).shape == (4, 2)
-        with pytest.raises(ValueError):
-            TwoParamProcess([[np.zeros((2, 1))]])
+        for bad in ([np.zeros((2, 1, 3))], [np.zeros((1, 1, 3)), np.zeros((3, 1, 3))],
+                    [np.zeros((1, 1))]):  # 2 or 3 nodes at levels 0 and 1; not a stack
+            with pytest.raises(ValueError):
+                TwoParamProcess(bad)
 
 
 class TestRowStacks:
@@ -637,6 +641,8 @@ class TestNodeContiguousLayout:
         mats = [ScaledMatrix(None, rng.uniform(-1.0, 1.0, (d, e))) for _ in range(3)]
         cols = [rng.standard_normal((1 << 4, d)) for _ in range(3)]
         square = rng.uniform(-1.0, 1.0, (d, d))
+        # per-node scales at the vectors' level 4 and finer, at level 5
+        same, fine = rng.uniform(0.5, 1.5, 1 << 4), rng.uniform(0.5, 1.5, 1 << 5)
         for ve, vd in zip(both_orders(x4e), both_orders(x4d)):
             got = {
                 "matvec": (tree.matvec(ScaledMatrix(None, mat), ve), x4e @ mat.T),
@@ -645,6 +651,10 @@ class TestNodeContiguousLayout:
                                   np.repeat(scale, 4)[:, None] * (x4e @ mat.T)),
                 "tmatvec_scaled": (tree.tmatvec(ScaledMatrix(scale, mat), vd),
                                    np.repeat(scale, 4)[:, None] * (x4d @ mat)),
+                "matvec_scaled_same": (tree.matvec(ScaledMatrix(same, mat), ve),
+                                       same[:, None] * (x4e @ mat.T)),
+                "tmatvec_scaled_fine": (tree.tmatvec(ScaledMatrix(fine, mat), vd),
+                                        fine[:, None] * np.repeat(x4d @ mat, 2, axis=0)),
                 "matvec_table": (tree.matvec(table, ve),
                                  np.einsum("kde,ke->kd", table, x4e)),
                 "tmatvec_table": (tree.tmatvec(table, vd),
@@ -676,8 +686,13 @@ class TestNodeContiguousLayout:
         assert all(np.array_equal(a, b) for a, b in zip(proc.levels, levels))
         const = AdaptedProcess.constant([1.0, 2.0], 3)
         assert all(node_contiguous(v) for v in const.levels)
-        rows = TwoParamProcess([levels[:2], levels[:3]]).rows
-        assert all(node_contiguous(v) for row in rows for v in row)
+        # a two-parameter field: per level a row stack, Z(t_i, t_j) its row i
+        z = TwoParamProcess([stack([v, 2.0 * v]) for v in levels])
+        for j, v in enumerate(levels):
+            for i in range(2):
+                assert node_contiguous(z.value(i, j))
+                assert np.shares_memory(z.value(i, j), z.levels[j])
+                assert np.array_equal(z.value(i, j), (i + 1.0) * v)
         # a row stack: rows on the trailing axis, each row node-contiguous
         stacked = stack(levels[3:] * 4)
         assert stacked.shape == (8, 3, 4) and stacked.T.flags.c_contiguous
@@ -711,8 +726,7 @@ class TestNodeContiguousLayout:
             bwd = solve_linear_backward(tree, [order(p) for p in inst.psi_rows],
                                         A=inst.A, B=inst.B, D=inst.D,
                                         theta=order(inst.theta))
-            fields = xi.xi + [v for run in xi.cond for v in run] + bwd.Y.levels
-            fields += [v for row in bwd.Z.rows for v in row]
+            fields = xi.levels + bwd.Y.levels + bwd.Z.levels
             fields += bwd.mu.levels + bwd.nu.levels
             solutions.append(fields)
         for a, b in zip(*solutions):
