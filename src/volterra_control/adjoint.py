@@ -22,42 +22,33 @@ include the diagonal for the same reason.  These choices make the
 difference-quotient identity for the cost exact in exact arithmetic.
 
 Each coefficient derivative is ``FrozenCoefficients.d(name, slot, i,
-j)``: the jacobian of catalog object ``name`` in ``slot`` at (t_i, t_j)
-along the state, e.g. g_y(j,i) = ``d("g", "y", j, i)``, f_z(j) =
-``d("f", "z", 0, j)``, psi_x(j) = ``d("psi", "x", j, N)``.  The jacobian
-of a slot without a quadratic term is a scalar kernel times one
-constant matrix; ``FrozenCoefficients.family`` returns a whole row or
-column of pairs of it as one (R, d, e) family, read off the object's
-per-grid table (see ``scenario``), and None for a state-dependent slot.
-The equations pass their kernels as ``FrozenCoefficients.kernel``
-objects, which the solvers ask for families, so every sum over pairs
-with constant jacobians is one batched ``Tree.matvec_family`` or
-``Tree.tmatvec_family`` over a row stack, with the bits of the per-pair
-products (which state-dependent slots and plain callables still take):
-the A terms and D steps of ``solve_fredholm``, the A and B terms of
-``solve_linear_backward``, the sums of F_i and theta
-(``Tree.tmatvec_sum``) and every sum of ``hamiltonian_gradient``.
+j)``, the jacobian of catalog object ``name`` in ``slot`` at (t_i, t_j)
+along the state: g_y(j,i) = ``d("g", "y", j, i)``, f_z(j) = ``d("f", "z",
+0, j)``, psi_x(j) = ``d("psi", "x", j, N)``.  A slot without a quadratic
+term gives a row or column of pairs as one (R, d, e) family, read off the
+object's per-grid table (``FrozenCoefficients.family``); the solvers and
+checks get it from the ``FrozenCoefficients.kernel`` objects and apply it
+in one batched product (``kernel_terms``, ``Tree.tmatvec_sum``) with the
+bits of the per-pair products that state-dependent slots and plain
+callables still take.
 
 Each equation is written down once, as free-term rows plus kernels
-(``_lambda0_equation``, ``_xi_equation``, ``_pq_equation``) or as a sum
-(``_theta_equation``); the solver in ``assemble_adjoint`` and the check
-in ``adjoint_residuals`` both read that one statement.  lambda0 is the
-one-row case of the xi Fredholm equation, so both are solved by
-``solve_fredholm`` and checked, stored runs included, by
-``fredholm_row_residual``; the bundle keeps both as their level stacks,
-of which lambda0 and Lambda, like xi_i and E_r[xi_i], are views.  mu and
+(``_lambda0_equation``, ``_xi_equation``, ``_pq_rows`` with ``_pq_kernels``) or as a sum
+(``_theta_equation``), which the solver in ``assemble_adjoint`` and the
+check in ``adjoint_residuals`` both read.  lambda0 is the one-row case of
+the xi Fredholm equation: both are solved by ``solve_fredholm``, checked
+with their stored runs by ``fredholm_row_residual`` and kept as level
+stacks, of which lambda0, Lambda, xi_i and E_r[xi_i] are views.  mu and
 nu come with the (p, q) solve, which takes theta as its boundary term.
-Every row sum over terms of mixed levels is one ``Tree.level_sum``.
 
 Every equation is assembled and checked in O(N 2^N) node operations per
-dimension, except for one sum that the (p, q) equation itself makes
-longer: F_i adds i + 1 leaf fields g_x(k,i)' xi_k.  That sum, like
-theta's psi_x sum, is one ``Tree.tmatvec_sum`` per row, a single matrix
-product over the stacked xi rows when the jacobians are constant.  The
-A and D terms of the Fredholm checks read E_i[xi_j] off the stored runs
-instead of reducing the leaves again, and the Hamiltonian gradient reads
-E_j[xi_i], E_j[p_i] and q(i, j) off the level stacks the two solvers
-keep.
+dimension, except F_i, which adds i + 1 leaf fields g_x(k,i)' xi_k (one
+``Tree.tmatvec_sum`` per row); the bundle keeps the F rows it was solved
+with, so the check states them and re-derives theta only.  Each row
+check sums its terms in its solver's order, advancing the total by
+``Tree.ito_step`` up to level N - 1; ``Tree.level_defect`` compares the
+last dW step plus the leaf terms with the stored row on both sibling
+halves of the leaves in one scratch, and no leaf-size sum is formed.
 """
 
 from __future__ import annotations
@@ -68,20 +59,18 @@ from functools import cached_property
 import numpy as np
 
 from .backward import (BackwardSolution, backward_row_residual,
-                       backward_run_residual, family_of,
+                       backward_run_residual, family_of, kernel_terms,
                        msolution_identity_residual, solve_linear_backward)
 from .forward import ForwardPath
-from .lattice import AdaptedProcess, ScaledMatrix, Tree, transpose
+from .lattice import AdaptedProcess, ScaledMatrix, Tree, apply, transpose
 from .scenario import Scenario
 
 
 @dataclass
 class FredholmSolution:
-    """Rows xi_i with their conditional runs E_r[xi_i], r >= i, stored as
-    one row stack per level r (see ``lattice``): ``levels[r]`` holds
-    E_r[xi_i], i = 0..min(r, rows - 1).  E_r[xi_i] is the view
-    ``cond_exp(i, r)`` and the rows ``xi``, leaf fields, are the views of
-    the last stack."""
+    """Rows xi_i with their runs E_r[xi_i], r >= i, as one row stack per
+    level: ``levels[r]`` holds E_r[xi_i], i <= r, and ``cond_exp(i, r)``
+    and the leaf rows ``xi`` are views of it."""
 
     levels: list
 
@@ -106,22 +95,15 @@ def solve_fredholm(tree: Tree, alpha_rows, A=None, B=None, D=None,
            + sum_{i<=j<N} D(i,j)' E_j[xi_i] dW_j
 
     (A-sum capped at j <= min(i, N-1); strict j < i when not
-    ``include_diag_A``).  Kernels are callables (i, j) -> matrix fields,
-    a per-node table or a ``ScaledMatrix`` (``Tree.matvec`` applies
-    either); a kernel with a ``family`` (``FrozenCoefficients.kernel``)
-    gives the A terms of a row as one ``Tree.tmatvec_family`` over the
-    row stack of E_i[xi_j], j < i, and its D steps from one family.  Row
-    count equals len(alpha_rows); alpha_rows[i]
-    is adapted at level i, and B(j,i) must be F_i-measurable (at most
-    level i; a finer one raises ValueError).  For each row the level-i
-    part is formed first, reading E_i[xi_j] off the earlier rows' runs:
-    by the tower property E_j[B(j,i)' xi_j] = E_j[B(j,i)' E_i[xi_j]].
-    Then one per-node linear solve when the diagonal A term is present,
-    and the forward noise recursion propagates the row to the leaves,
-    writing E_r[xi_i] into the level stacks of the solution on the way.
-    Every term of row i is formed at
-    level <= i and the recursion costs O(2^N), so the whole solve is
-    O(N 2^N) per kernel dimension.
+    ``include_diag_A``).  Kernels are callables (i, j) -> matrix fields
+    (a per-node table or a ``ScaledMatrix``) or have families
+    (``kernel_terms``).  alpha_rows[i] is adapted at level i, and B(j,i)
+    must be F_i-measurable (a finer one raises ValueError).  Each row's
+    level-i part reads E_i[xi_j] off the earlier rows' runs, by the tower
+    property E_j[B(j,i)' xi_j] = E_j[B(j,i)' E_i[xi_j]]; one per-node
+    solve takes the diagonal A term, and ``Tree.ito_step`` carries the row
+    to the leaves, writing each E_r[xi_i] straight into its level stack.
+    The solve is O(N 2^N) per kernel dimension.
     """
     N = tree.N
     n_rows = len(alpha_rows)
@@ -132,26 +114,20 @@ def solve_fredholm(tree: Tree, alpha_rows, A=None, B=None, D=None,
         if tree.level_of(np.asarray(alpha_rows[i])) != i:
             raise ValueError(f"alpha row {i} must be adapted at level {i}")
 
-        def terms():  # coarse to fine: dW_j terms on level j + 1, then level i
+        def terms():  # coarse to fine: dW_j steps onto level j + 1, then level i
             for j in range(i):
                 if B is not None:
                     b = B(j, i)
                     if tree.level_of(b) > i:
                         raise ValueError(f"B({j}, {i}) is finer than level {i}; "
                                          f"it must be F_{i}-measurable")
-                    proj = tree.cond_expect(tree.tmatvec(b, levels[i][..., j]), j)
-                    yield tree.dw_term(proj, j)
+                    yield tree.cond_expect(tree.tmatvec(b, levels[i][..., j]), j), j
                 if beta is not None:
-                    yield tree.dw_term(tree.embed(beta(i, j), j), j)
-            yield np.array(alpha_rows[i], dtype=float)
+                    yield tree.embed(beta(i, j), j), j
+            yield np.asarray(alpha_rows[i], dtype=float)
             if A is not None and i:
-                family = family_of(A, slice(0, i), i)
-                if family is None:
-                    for j in range(i):
-                        yield tree.dt * tree.tmatvec(A(j, i), levels[i][..., j])
-                else:
-                    prods = tree.dt * tree.tmatvec_family(family, levels[i][..., :i])
-                    yield from (prods[..., j] for j in range(i))
+                yield from kernel_terms(tree, A, range(i), i, levels[i][..., :i], tree.dt,
+                                        transpose=True)
         known = tree.level_sum(terms(), i)
         if include_diag_A and A is not None and i <= N - 1:
             known = tree.implicit_solve(transpose(A(i, i)), known)
@@ -166,85 +142,66 @@ def solve_fredholm(tree: Tree, alpha_rows, A=None, B=None, D=None,
             elif d_family is None:
                 incr = tree.tmatvec(D(i, r), cur)
             else:
-                incr = tree.tmatvec_family(d_family[r - i], cur)
+                incr = apply(d_family[r - i].T, cur)
             if beta is not None:
                 incr = tree.level_sum([incr, beta(i, r)], r)
-            cur = tree.ito_step(cur, incr, r)
-            levels[r + 1][..., i] = cur
+            cur = tree.ito_step(cur, incr, r, out=levels[r + 1][..., i])
     return FredholmSolution(levels)
 
 
 def fredholm_row_residual(tree: Tree, sol: FredholmSolution, i: int, alpha_rows,
                           A=None, B=None, D=None, beta=None,
                           include_diag_A: bool = True) -> float:
-    """Node-wise defect of row i of the defining discrete equation and of
-    its stored run: each level E_r[xi_i] the pair mean of the next.
-
-    The A terms read E_i[xi_j] and the D terms E_j[xi_i] off the stored
-    runs, which the run check bounds, so without B all rows together cost
-    O(N 2^N) per dimension.  The B terms take E_j[B(j,i)' xi_j] from the
-    leaf product, independently of the solver's tower-property shortcut."""
+    """Node-wise defect of row i of the defining discrete equation
+    (``Tree.level_defect`` of its terms, the dW_j terms as steps) and of
+    its stored run, each E_r[xi_i] the pair mean of the next
+    (``Tree.run_defect``).  The A and D terms read the runs, so without B
+    all rows cost O(N 2^N) per dimension; the B terms take E_j[B(j,i)'
+    xi_j] from the leaves, apart from the solver's tower-property step."""
     N = tree.N
+    hi = min(i, N - 1) if include_diag_A else i - 1
+    run = [sol.cond_exp(i, r) for r in range(i, N + 1)]
 
-    def terms():
+    def terms():  # coarse to fine, the dW_j terms as steps (h, j)
         for j in range(i):
             if B is not None:
-                proj = tree.cond_expect(tree.tmatvec(B(j, i), sol.cond_exp(j, N)), j)
-                yield tree.dw_term(proj, j)
-        yield np.array(alpha_rows[i], dtype=float)
-        hi = min(i, N - 1) if include_diag_A else i - 1
-        for j in range(hi + 1):
-            if A is not None:
-                yield tree.dt * tree.tmatvec(A(j, i), sol.cond_exp(j, i))
-        for j in range(i, N):
-            if D is not None:
-                yield tree.dw_term(tree.tmatvec(D(i, j), sol.cond_exp(i, j)), j)
+                yield tree.cond_expect(tree.tmatvec(B(j, i), sol.cond_exp(j, N)), j), j
+        yield np.asarray(alpha_rows[i], dtype=float)
+        if A is not None and hi >= 0:
+            yield from kernel_terms(tree, A, range(hi + 1), i, sol.levels[i][..., :hi + 1],
+                                    tree.dt, transpose=True)
+        if D is not None:
+            yield from zip(kernel_terms(tree, D, i, range(i, N), run[:-1], transpose=True),
+                           range(i, N))
         if beta is not None:
             yield tree.ito_sum(lambda j: tree.embed(beta(i, j), j), 0, N)
 
-    defects = [sol.cond_exp(i, N) - tree.level_sum(terms(), N)]
-    defects += [sol.cond_exp(i, r) - tree.cond_expect(sol.cond_exp(i, r + 1), r)
-                for r in range(i, N)]
-    return max(float(np.abs(d).max()) for d in defects)
+    return max(tree.level_defect(run[-1], terms(), N), tree.run_defect(run))
 
 
 class FrozenCoefficients:
-    """Catalog derivatives frozen along a state 4-tuple (bwd may be None for b, sigma).
-
-    The jacobians of a constant slot (one in the object's
-    ``constant_slots``) are read off the object's ``grid_jacobians``
-    table, which every FrozenCoefficients on the scenario and grid shares:
-    ``family`` returns a row or a column of pairs as one (R, d, e) array,
-    ``d`` one pair.  A state-dependent jacobian has no family; ``d``
-    caches it per (name, slot, i, j) for this state."""
+    """Catalog derivatives frozen along a state 4-tuple (bwd may be None for
+    b, sigma).  A constant slot's jacobians are read off the object's
+    ``grid_jacobians`` table: ``family`` gives a row or column of pairs as
+    one (R, d, e) array, ``d`` one pair.  A state-dependent jacobian has
+    no family; ``d`` caches it per (name, slot, i, j)."""
 
     def __init__(self, scenario: Scenario, tree: Tree, fwd: ForwardPath, bwd, u):
         self.objects = scenario.catalog
-        self.tree = tree
-        self.fwd = fwd
-        self.bwd = bwd
+        self.tree, self.fwd, self.bwd, self.u = tree, fwd, bwd, u
         self._cache = {}
-        self._arg_cache = {}
         self._tables = {}  # (name, slot) -> the object's table, or None
-        # the state-argument table: slot -> its field at (t_i, t_j)
-        self._fields = {"x": lambda i, j: fwd.X.level(j), "u": lambda i, j: u.level(j),
-                        "y": lambda i, j: bwd.Y.level(j), "z": lambda i, j: bwd.Z.value(i, j)}
 
-    def _args(self, name: str, i: int, j: int) -> dict:
-        """The state arguments of ``name`` at (t_i, t_j), built once per
-        (name, i, j); psi and h sit at j = N, where X_j is X_T, and h reads
-        (X_T, Y_0)."""
-        key = (name, i, j)
-        args = self._arg_cache.get(key)
-        if args is None:
-            if name == "h":
-                args = {"x": self.fwd.X.level(j),
-                        "y": self.tree.embed(self.bwd.Y.level(0), j)}
-            else:
-                args = {slot: self._fields[slot](i, j)
-                        for slot in self.objects[name].slots}
-            self._arg_cache[key] = args
-        return args
+    def _state(self, name: str, slot: str, i: int, j: int) -> np.ndarray:
+        """The state argument of ``name`` in ``slot`` at (t_i, t_j), read
+        when asked for: x -> X_j, u -> u_j, y -> Y_j, z -> Z(t_i, t_j).
+        psi and h sit at j = N, where X_j is X_T, and h reads Y_0."""
+        if slot == "y":
+            return (self.tree.embed(self.bwd.Y.level(0), j) if name == "h"
+                    else self.bwd.Y.level(j))
+        if slot == "z":
+            return self.bwd.Z.value(i, j)
+        return (self.fwd.X if slot == "x" else self.u).level(j)
 
     def _get(self, key, make):
         if key not in self._cache:
@@ -262,8 +219,9 @@ class FrozenCoefficients:
 
     def value(self, name: str, i: int, j: int) -> np.ndarray:
         """Value of object ``name`` at (t_i, t_j), not cached."""
-        t, s = self.tree.t(i), self.tree.t(j)
-        return self.objects[name].value(t, s, **self._args(name, i, j))
+        obj = self.objects[name]
+        return obj.value(self.tree.t(i), self.tree.t(j),
+                         **{slot: self._state(name, slot, i, j) for slot in obj.slots})
 
     def d(self, name: str, slot: str, i: int, j: int):
         """Jacobian of object ``name`` in ``slot`` at (t_i, t_j): a constant
@@ -273,38 +231,28 @@ class FrozenCoefficients:
             return ScaledMatrix(None, table[i, j])
         obj = self.objects[name]
         return self._get((name, slot, i, j), lambda: obj.jacobian(
-            slot, self.tree.t(i), self.tree.t(j), **self._args(name, i, j)))
+            slot, self.tree.t(i), self.tree.t(j), **{slot: self._state(name, slot, i, j)}))
 
     def family(self, name: str, slot: str, i, j):
         """The jacobians of ``name`` in ``slot`` at the pairs (t_i, t_j), i
-        or j a slice, as one (R, d, e) family; None for a state-dependent
-        slot."""
+        or j a slice, as one (R, d, e) family; None if state-dependent."""
         table = self._table(name, slot)
         return None if table is None else table[i, j]
 
-    def kernel(self, name: str, slot: str, swap: bool = False) -> "Jacobian":
-        return Jacobian(self, name, slot, swap)
+    def kernel(self, name: str, slot: str, swap: bool = False):
+        """The jacobian of ``name`` in ``slot`` as a solver kernel: (i, j) ->
+        ``d(name, slot, i, j)``, and ``family(i, j)`` for a row or column of
+        pairs; with ``swap`` the transpose of the jacobian at (j, i), as the
+        adjoint equations read b_x and sigma_x."""
+        def at(i, j):
+            return transpose(self.d(name, slot, j, i)) if swap else self.d(name, slot, i, j)
 
+        def family(i, j):
+            fam = self.family(name, slot, *((j, i) if swap else (i, j)))
+            return fam.mT if swap and fam is not None else fam
 
-class Jacobian:
-    """The jacobian of one catalog object in one slot as a solver kernel:
-    (i, j) -> ``fro.d(name, slot, i, j)``, and ``family(i, j)`` for whole
-    rows or columns of pairs.  With ``swap`` it is the transpose of the
-    jacobian at (j, i), as the adjoint equations read b_x and sigma_x."""
-
-    def __init__(self, fro: FrozenCoefficients, name: str, slot: str, swap: bool):
-        self.fro, self.name, self.slot, self.swap = fro, name, slot, swap
-
-    def __call__(self, i: int, j: int):
-        if self.swap:
-            return transpose(self.fro.d(self.name, self.slot, j, i))
-        return self.fro.d(self.name, self.slot, i, j)
-
-    def family(self, i, j):
-        if self.swap:
-            family = self.fro.family(self.name, self.slot, j, i)
-            return None if family is None else family.mT
-        return self.fro.family(self.name, self.slot, i, j)
+        at.family = family
+        return at
 
 
 def _matrices(fro, name: str, slot: str, rows: range, j: int):
@@ -314,26 +262,16 @@ def _matrices(fro, name: str, slot: str, rows: range, j: int):
     return family if family is not None else [fro.d(name, slot, i, j) for i in rows]
 
 
-def _tmatvecs(tree: Tree, fro, name: str, slot: str, rows: range, j: int,
-              vecs: np.ndarray) -> list:
-    """The fields d(name, slot, i, j)' vecs[..., k] for i = rows[k], with
-    ``vecs`` a row stack: one batched product for a family, else pair by
-    pair."""
-    mats = _matrices(fro, name, slot, rows, j)
-    if isinstance(mats, list):
-        return [tree.tmatvec(mat, vecs[..., k]) for k, mat in enumerate(mats)]
-    prods = tree.tmatvec_family(mats, vecs)
-    return [prods[..., k] for k in range(len(rows))]
-
-
 @dataclass
 class AdjointBundle:
     """The adjoint solutions.  ``lam`` is the one-row lambda(0) solution;
-    lambda0, its row, and Lambda, its run, are views of it."""
+    lambda0, its row, and Lambda, its run, are views of it.  ``F`` holds
+    the free-term rows F_i of the (p, q) equation as they were solved."""
 
     lam: FredholmSolution
     xi: FredholmSolution
     theta: np.ndarray
+    F: list
     pq: BackwardSolution
     frozen: FrozenCoefficients
 
@@ -348,8 +286,7 @@ class AdjointBundle:
 
 def _lambda0_equation(tree: Tree, fro: FrozenCoefficients):
     """The lambda(0) equation as one-row ``solve_fredholm`` arguments: the
-    free term alpha_0 = E[h_y] and the keyword arguments D = g_z(0, .),
-    beta = f_z."""
+    free term alpha_0 = E[h_y], D = g_z(0, .) and beta = f_z."""
     return [tree.cond_expect(fro.d("h", "y", 0, tree.N), 0)], {
         "D": lambda i, j: fro.d("g", "z", 0, j),
         "beta": lambda i, j: fro.d("f", "z", 0, j)}
@@ -364,8 +301,7 @@ def solve_lambda0(tree: Tree, fro: FrozenCoefficients) -> FredholmSolution:
 def _xi_equation(tree: Tree, fro: FrozenCoefficients, lam: FredholmSolution):
     """The xi equation as ``solve_fredholm`` arguments: the free-term rows
     alpha_i = g_y(0,i)' Lambda_i + f_y(i), Lambda_i read off the lambda(0)
-    solution, and the keyword arguments A = g_y, D = g_z, diagonal
-    included."""
+    solution, and A = g_y, D = g_z, diagonal included."""
     alpha_rows = [tree.tmatvec(fro.d("g", "y", 0, i), lam.cond_exp(0, i))
                   + fro.d("f", "y", 0, i) for i in range(tree.N)]
     return alpha_rows, {"A": fro.kernel("g", "y"), "D": fro.kernel("g", "z"),
@@ -382,21 +318,23 @@ def _theta_equation(tree: Tree, fro: FrozenCoefficients, lambda0: np.ndarray,
             + tree.dt * psi_xi)
 
 
-def _pq_equation(tree: Tree, fro: FrozenCoefficients, lam: FredholmSolution,
-                 xi_stack: np.ndarray, theta: np.ndarray):
-    """The (p, q) equation as ``solve_linear_backward`` arguments: the
-    free-term rows F_i (the xi rows given as one (2**N, m, N) row stack) and
-    the keyword arguments A = b_x', B = sigma_x' (transposed, slots
-    swapped), boundary theta, strict A-sum."""
-    N = tree.N
-    p_rows = [tree.level_sum(
+def _pq_rows(tree: Tree, fro: FrozenCoefficients, lam: FredholmSolution,
+             xi_stack: np.ndarray) -> list:
+    """The (p, q) equation's free-term rows F_i, the xi rows given as one
+    (2**N, m, N) row stack."""
+    return [tree.level_sum(
         [fro.d("f", "x", 0, i) + tree.tmatvec(fro.d("g", "x", 0, i), lam.cond_exp(0, i)),
          tree.dt * tree.tmatvec_sum(_matrices(fro, "g", "x", range(i + 1), i),
-                                    xi_stack[..., :i + 1])], N)
-        for i in range(N)]
-    return p_rows, {"A": fro.kernel("b", "x", swap=True),
-                    "B": fro.kernel("sigma", "x", swap=True),
-                    "theta": theta, "include_diag_A": False}
+                                    xi_stack[..., :i + 1])], tree.N)
+        for i in range(tree.N)]
+
+
+def _pq_kernels(fro: FrozenCoefficients, theta: np.ndarray) -> dict:
+    """The rest of the (p, q) equation as ``solve_linear_backward``
+    arguments: A = b_x', B = sigma_x' (slots swapped), boundary theta,
+    strict A-sum."""
+    return {"A": fro.kernel("b", "x", swap=True), "B": fro.kernel("sigma", "x", swap=True),
+            "theta": theta, "include_diag_A": False}
 
 
 def assemble_adjoint(scenario: Scenario, fwd: ForwardPath, bwd, u: AdaptedProcess,
@@ -411,10 +349,9 @@ def assemble_adjoint(scenario: Scenario, fwd: ForwardPath, bwd, u: AdaptedProces
     xi = solve_fredholm(tree, alpha_rows, **xi_kernels)
 
     theta = _theta_equation(tree, fro, lam.xi[0], xi.levels[-1])
-    p_rows, pq_kernels = _pq_equation(tree, fro, lam, xi.levels[-1], theta)
-    pq_sol = solve_linear_backward(tree, p_rows, **pq_kernels)
-
-    return AdjointBundle(lam=lam, xi=xi, theta=theta, pq=pq_sol, frozen=fro)
+    F = _pq_rows(tree, fro, lam, xi.levels[-1])
+    pq_sol = solve_linear_backward(tree, F, **_pq_kernels(fro, theta))
+    return AdjointBundle(lam=lam, xi=xi, theta=theta, F=F, pq=pq_sol, frozen=fro)
 
 
 def hamiltonian_gradient(scenario: Scenario, bundle: AdjointBundle,
@@ -426,41 +363,39 @@ def hamiltonian_gradient(scenario: Scenario, bundle: AdjointBundle,
            + b_u(N,j)' mu_j + sigma_u(N,j)' nu_j
            + dt sum_{i>j} (b_u(i,j)' E_j[p_i] + sigma_u(i,j)' q(i,j))
 
-    Each sum over i is one batched product over a row stack the solvers
-    kept: E_j[xi_i] of the Fredholm level stack, E_j[p_i] and q(i, j) of
-    the backward runs; its terms are then added in the order above.
-    """
+    Each sum over i is one ``kernel_terms`` over a level stack the solvers
+    kept, its terms added in the order above."""
     tree = tree or scenario.tree()
     N, dt = tree.N, tree.dt
     fro, pq, z_stacks = bundle.frozen, bundle.pq, bundle.pq.z_stacks
+    g_u, b_u, sigma_u = (fro.kernel(name, "u") for name in ("g", "b", "sigma"))
     levels = []
     for j in range(N):
         terms = [fro.d("f", "u", 0, j) + tree.tmatvec(fro.d("g", "u", 0, j),
                                                       bundle.lam.cond_exp(0, j))]
-        terms += [dt * v for v in _tmatvecs(tree, fro, "g", "u", range(j + 1), j,
-                                            bundle.xi.levels[j][..., :j + 1])]
+        terms += kernel_terms(tree, g_u, range(j + 1), j, bundle.xi.levels[j][..., :j + 1],
+                              dt, transpose=True)
         terms.append(tree.tmatvec(fro.d("b", "u", N, j), pq.mu.level(j)))
         terms.append(tree.tmatvec(fro.d("sigma", "u", N, j), pq.nu.level(j)))
         later = range(j + 1, N)
         for p_term, q_term in zip(
-                _tmatvecs(tree, fro, "b", "u", later, j, pq.cond_stacks[j]),
-                _tmatvecs(tree, fro, "sigma", "u", later, j, z_stacks[j])):
-            terms += [dt * p_term, dt * q_term]
+                kernel_terms(tree, b_u, later, j, pq.cond_stacks[j], dt, transpose=True),
+                kernel_terms(tree, sigma_u, later, j, z_stacks[j], dt, transpose=True)):
+            terms += [p_term, q_term]
         levels.append(tree.level_sum(terms, j))
     return AdaptedProcess(levels)
 
 
 def adjoint_residuals(scenario: Scenario, bundle: AdjointBundle,
                       tree: Tree | None = None) -> dict:
-    """Node-wise defects of the four adjoint equations plus the M-identity.
-
-    Each equation is re-evaluated from the stored solution fields with the
-    generic lattice operations, independently of the solver sweeps.  The
-    stored runs count as part of their solution: Lambda and E_r[xi_i] in
-    the "lambda0" and "xi" entries, the (p, q) level stacks
-    ``cond_stacks`` and ``z_stacks`` that ``hamiltonian_gradient`` reads
-    in the "pq" entry.
-    """
+    """Node-wise defects of the four adjoint equations plus the M-identity,
+    each re-evaluated from the stored fields with the generic lattice
+    operations, independently of the solver sweeps: every row's sum up to
+    level N - 1, then its last dW step and leaf terms against the stored
+    row on both sibling halves of the leaves in one scratch.  The stored
+    runs count as part of their solution: Lambda, E_r[xi_i] and the (p, q)
+    stacks ``cond_stacks`` and ``z_stacks``.  theta is re-derived from its
+    definition; the F rows are the ones the bundle states."""
     tree = tree or scenario.tree()
     N = tree.N
     fro = bundle.frozen
@@ -474,24 +409,25 @@ def adjoint_residuals(scenario: Scenario, bundle: AdjointBundle,
     res2 = max(fredholm_row_residual(tree, bundle.xi, i, alpha_rows, **xi_kernels)
                for i in range(N))
 
-    # theta from its definition and the (p, q) free terms
-    xi_stack = bundle.xi.levels[-1]
-    theta = _theta_equation(tree, fro, bundle.lambda0, xi_stack)
-    p_rows, pq_kernels = _pq_equation(tree, fro, bundle.lam, xi_stack, theta)
+    theta = _theta_equation(tree, fro, bundle.lambda0, bundle.xi.levels[-1])
 
-    # third equation: mu_i = theta - sum_{j>=i} nu_j dW_j, the tails summed
-    # from i = N down
+    # third equation: mu_i = theta - sum_{j>=i} nu_j dW_j, the tail summed
+    # from i = N down in place and each defect formed in one scratch, both
+    # nodes last and seen as one block per node of level i
     pq = bundle.pq
-    res3 = 0.0
-    tail = np.zeros_like(theta)
+    res3, tail, scratch = 0.0, np.zeros(theta.T.shape), np.empty(theta.T.shape)
     for i in range(N, -1, -1):
         if i < N:
-            tail = tail + tree.embed(tree.dw_term(pq.nu.level(i), i), N)
-        res3 = max(res3, float(np.abs(
-            tree.embed(pq.mu.level(i), N) - (theta - tail)).max()))
+            blocks = tail.reshape(tail.shape[:-1] + (2 << i, -1))
+            blocks += tree.dw_term(pq.nu.level(i), i).T[..., None]
+        np.subtract(theta.T, tail, out=scratch)
+        blocks = scratch.reshape(scratch.shape[:-1] + (1 << i, -1))
+        np.subtract(pq.mu.level(i).T[..., None], blocks, out=blocks)
+        res3 = max(res3, float(np.abs(scratch, out=scratch).max()))
 
     # fourth equation rows, the runs hamiltonian_gradient reads, M-identity
-    res4 = max(max(backward_row_residual(tree, pq, i, p_rows, **pq_kernels)
+    pq_kernels = _pq_kernels(fro, theta)
+    res4 = max(max(backward_row_residual(tree, pq, i, bundle.F, **pq_kernels)
                    for i in range(N)), backward_run_residual(tree, pq))
     res_m = msolution_identity_residual(tree, pq)
     return {"lambda0": res1, "xi": res2, "mu_nu": res3, "pq": res4,

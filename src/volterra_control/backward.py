@@ -15,12 +15,13 @@ of a row stack (see ``lattice``):
   finished rows), and then joins the stack of finished rows, which one
   drift-free step per row continues below the diagonal.
 
-The per-row descents are ``_row_run``: a level-by-level martingale step
-plus an optional explicit drift term, continued from any level.  It runs
-each linear row down to its diagonal (D-terms as drift), and theta for
-nu.  Each linear row's free term, a sum over columns on their own
-levels, is one ``Tree.level_sum``.  Every row keeps the order of its
-sums, so the batched steps give each row the bits of its own descent.
+The per-row descents are ``_row_run``, a martingale step per level plus
+an optional explicit drift (the D-terms), which writes each integrand
+into its Z stack; each linear row's free term is one ``Tree.level_sum``.
+Every row keeps the order of its sums, so the batched steps give each
+row the bits of its own descent.  The row checks sum the same terms in
+the same order and compare them with the stored rows by
+``Tree.level_defect``.
 
 Discrete conventions (used identically by the primal solvers, so that
 every duality identity is an exact transpose statement):
@@ -41,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import AdaptedProcess, Tree, TwoParamProcess, stack
+from .lattice import AdaptedProcess, Tree, TwoParamProcess, apply, stack
 from .scenario import Scenario
 
 
@@ -109,17 +110,13 @@ def _implicit_step(mean: np.ndarray, step, tol: float, max_iter: int,
 def _row_run(tree: Tree, run: list, zs: list, start: int, stop: int,
              drift=None) -> None:
     """Continue a descending row run in place from level ``start`` down to
-    level ``stop``:
-
-        run[r] = E_r[run[r+1]] + dt * drift(r, z_r),   r = start-1..stop,
-
-    with zs[r] = z_r the representation integrand of run[r+1] (no drift
-    term when ``drift`` is None).  ``run`` is indexed by level 0..N and
-    must hold level ``start``; ``zs`` is indexed by level 0..N-1.
-    """
+    level ``stop``: run[r] = E_r[run[r+1]] + dt * drift(r, z_r), with
+    zs[r] = z_r the representation integrand of run[r+1] (no drift when
+    ``drift`` is None), written into the field zs[r] when there is one.
+    ``run`` is indexed by level 0..N, ``zs`` by level 0..N-1."""
     cur = run[start]
     for r in range(start - 1, stop - 1, -1):
-        mean, zs[r] = tree.repr_step(cur)
+        mean, zs[r] = tree.repr_step(cur, out=zs[r])
         cur = mean if drift is None else mean + tree.dt * drift(r, zs[r])
         run[r] = cur
 
@@ -134,20 +131,16 @@ def solve_bsvie(scenario: Scenario, fwd, u: AdaptedProcess,
                    + dt * g(t_i, t_r, X_r, Y_r, Z(t_i, t_r), u_r)
 
     down to r = 0, with the diagonal Y_r = lam_r(r).  The N + 1 rows
-    descend together as one row stack, one batched step per level: at
-    level r one ``repr_step`` gives every row's mean and Z(t_i, t_r), the
-    implicit step of row r fixes Y_r, and every other row takes its
-    explicit step with that Y_r.  Only the current level of the runs is
-    held.  ``residual_history`` holds the worst final gap of the implicit
-    steps.
+    descend as one row stack: at level r one ``repr_step`` gives every
+    row's mean and Z(t_i, t_r), the implicit step of row r fixes Y_r, and
+    every other row takes its explicit step with that Y_r.
+    ``residual_history`` holds the worst final gap of the implicit steps.
 
     g is k(t_i, t_r) times a bracket summed in slot order, const + x + y +
-    z + u (``AffineCoefficient.bracket``), and only its z term and the
-    scalar k depend on the row.  So the u term of each level is built
-    once and its (const + x) + y prefix as soon as Y_r is fixed; the
-    implicit step keeps all but the y term across its sweeps.  Every sum
-    keeps its order, so g has the bits of ``value``, and every row the
-    bits of its own descent.
+    z + u (``AffineCoefficient.bracket``); only its z term and k depend on
+    the row, so each level builds the u term once and the (const + x) + y
+    prefix once Y_r is fixed.  Every sum keeps its order, so g has the
+    bits of ``value``, and every row the bits of its own descent.
     """
     tree = tree or scenario.tree()
     co, tols = scenario.coeffs, scenario.tolerances
@@ -201,14 +194,11 @@ def solve_linear_backward(tree: Tree, psi_rows, A=None, B=None,
     nu with theta = E[theta] + sum nu_j dW_j.
 
     Rows are solved i = N-1..0.  The finished rows j > i are one row stack
-    of E_{i+1}[Y_j], and one batched ``repr_step`` per row gives every
-    Z(j, i) that row i's free term reads; the solution keeps the stacks
-    of E_i[Y_j] of every level.  Z is one stack per level: at level j,
-    row i's run integrand Z(i, j) for i <= j and the continuation's for
-    i > j.  A kernel with a ``family`` (``FrozenCoefficients.kernel``)
-    gives row i's B terms as one ``Tree.matvec_family`` over the stack of
-    Z(j, i), and its A terms A(i, j) Y_j, i < j, as one product as soon
-    as Y_j is finished; plain callables are applied pair by pair.
+    of E_{i+1}[Y_j]; one batched ``repr_step`` per row writes every
+    Z(j, i) into the level-i stack of Z, where each row's run also writes
+    its own integrands Z(i, j), j >= i, and the stacks of E_i[Y_j] are
+    kept.  A row's B terms are one ``kernel_terms``; a family's A terms
+    A(i, j) Y_j of all rows i < j are one product once Y_j exists.
     """
     N = tree.N
     if len(psi_rows) != N:
@@ -221,7 +211,7 @@ def solve_linear_backward(tree: Tree, psi_rows, A=None, B=None,
         mu = AdaptedProcess([tree.cond_expect(theta, i) for i in range(N + 1)])
 
     y_levels = [None] * N
-    a_terms = [None] * N  # dt A(i, j) Y_j for every row i < j, once Y_j exists
+    a_terms = [None] * N  # dt A(i, j) Y_j for the rows i < j, once Y_j exists
     cond_stacks = [None] * N
     dim = np.shape(psi_rows[N - 1])[1]
     z_levels = [np.empty((N, dim, 1 << r)).T for r in range(N)]
@@ -231,17 +221,14 @@ def solve_linear_backward(tree: Tree, psi_rows, A=None, B=None,
         if tree.level_of(np.asarray(psi_rows[i])) != N:
             raise ValueError(f"free-term row {i} must be a leaf field")
         # continue every finished row by one level
-        cond_stacks[i], z_levels[i][..., i + 1:] = done, z = tree.repr_step(done)
-        b_family = None if B is None else family_of(B, i, slice(i + 1, N))
-        if b_family is not None:
-            b_terms = tree.dt * tree.matvec_family(b_family, z)
+        done, z = tree.repr_step(done, out=z_levels[i][..., i + 1:])
+        cond_stacks[i] = done
+        b_terms = iter(() if B is None else kernel_terms(tree, B, i, range(i + 1, N), z, tree.dt))
 
         def terms():  # coarse to fine, as far as the kernels' levels allow
             for j in range(i + 1, N):
-                if b_family is not None:
-                    yield b_terms[..., j - i - 1]
-                elif B is not None:
-                    yield tree.dt * tree.matvec(B(i, j), z[..., j - i - 1])
+                if B is not None:
+                    yield next(b_terms)
                 if a_terms[j] is not None:
                     yield a_terms[j][..., i]
                 elif A is not None:
@@ -251,8 +238,10 @@ def solve_linear_backward(tree: Tree, psi_rows, A=None, B=None,
             if theta is not None and A is not None:
                 yield tree.matvec(A(i, N), theta)
             yield np.array(psi_rows[i], dtype=float)
-        # row run down to level i, absorbing the D-terms
-        run, z_cols = [None] * N + [tree.level_sum(terms(), N)], [None] * N
+        # row run down to level i, absorbing the D-terms; its integrands
+        # are written into the Z stacks
+        run = [None] * N + [tree.level_sum(terms(), N)]
+        z_cols = [None] * i + [z[..., i] for z in z_levels[i:]]
         _row_run(tree, run, z_cols, N, i, None if D is None else (
             lambda r, z: tree.matvec(D(i, r), z)))
         cur = run[i]
@@ -261,11 +250,9 @@ def solve_linear_backward(tree: Tree, psi_rows, A=None, B=None,
         if include_diag_A and A is not None:
             cur = tree.implicit_solve(A(i, i), cur)
         y_levels[i] = cur
-        for r in range(i, N):
-            z_levels[r][..., i] = z_cols[r]
         a_family = None if A is None or not i else family_of(A, slice(0, i), i)
         if a_family is not None:
-            a_terms[i] = tree.dt * tree.matvec_family(a_family, cur)
+            a_terms[i] = tree.dt * apply(a_family, cur)
         # row i joins the finished rows as the first row of the stack
         done = np.concatenate([cur.T[None], done.T]).T
     return BackwardSolution(Y=AdaptedProcess(y_levels), Z=TwoParamProcess(z_levels),
@@ -280,30 +267,65 @@ def family_of(kernel, i, j):
     return None if family is None else family(i, j)
 
 
+def kernel_terms(tree: Tree, kernel, i, j, vecs, factor=None,
+                 transpose: bool = False) -> list:
+    """kernel(i_k, j_k) vecs_k (transposed with ``transpose``) times
+    ``factor`` over a row or column of pairs (i or j a range), ``vecs`` a
+    row stack (row k for pair k), a list of fields or one field: one
+    batched product for a family on a stack or field, else pair by pair as
+    iterated (plain callables, state-dependent jacobians), same bits."""
+    span = i if type(i) is range else j
+    if not span:
+        return []
+    cut = slice(span.start, span.stop)
+    family = family_of(kernel, cut, j) if span is i else family_of(kernel, i, cut)
+    if family is not None and type(vecs) is not list:
+        stack = apply(family.mT if transpose else family, vecs)
+        if factor is not None:
+            stack *= factor
+        return [row.T for row in stack.T]
+    each = vecs if isinstance(vecs, list) else [
+        vecs if vecs.ndim == 2 else vecs[..., k] for k in range(len(span))]
+    if family is None:
+        product = tree.tmatvec if transpose else tree.matvec
+        out = (product(kernel(k, j) if span is i else kernel(i, k), vec)
+               for k, vec in zip(span, each))
+    else:
+        out = (apply(mat.T if transpose else mat, vec) for mat, vec in zip(family, each))
+    return out if factor is None else (factor * term for term in out)
+
+
 def backward_row_residual(tree: Tree, sol: BackwardSolution, i: int, psi_rows,
                           A=None, B=None, D=None, theta=None,
                           include_diag_A: bool = True,
                           include_diag_B: bool = False) -> float:
-    """Node-wise residual of row i of the defining discrete equation."""
-    N = tree.N
+    """Node-wise residual of row i of the defining discrete equation: the
+    ``Tree.level_defect`` of its terms in the solver's order against Y_i,
+    the dW_j terms as steps."""
+    N, dt = tree.N, tree.dt
+    a_cols, b_cols = (range(i if diag else i + 1, N)
+                      for diag in (include_diag_A, include_diag_B))
 
     def terms():
         if B is not None:
             if theta is not None:
                 yield tree.matvec(B(i, N), sol.nu.level(i))
-            for j in range(i if include_diag_B else i + 1, N):
-                yield tree.dt * tree.matvec(B(i, j), sol.Z.value(j, i))
+            yield from kernel_terms(tree, B, i, b_cols, sol.Z.levels[i][..., b_cols.start:], dt)
+        a_terms = dict(zip(a_cols, [] if A is None else kernel_terms(
+            tree, A, i, a_cols, [sol.Y.level(j) for j in a_cols], dt)))
+        d_terms = [] if D is None else list(kernel_terms(
+            tree, D, i, range(i, N), [sol.Z.value(i, j) for j in range(i, N)], dt))
         for j in range(i, N):
-            if A is not None and (include_diag_A or j > i):
-                yield tree.dt * tree.matvec(A(i, j), sol.Y.level(j))
+            if j in a_terms:
+                yield a_terms.pop(j)
             if D is not None:
-                yield tree.dt * tree.matvec(D(i, j), sol.Z.value(i, j))
-            yield -tree.dw_term(sol.Z.value(i, j), j)
+                yield d_terms[j - i]
+            yield -sol.Z.value(i, j), j
         if A is not None and theta is not None:
             yield tree.matvec(A(i, N), theta)
-        yield np.array(psi_rows[i], dtype=float)
+        yield np.asarray(psi_rows[i], dtype=float)
 
-    return float(np.abs(tree.embed(sol.Y.level(i), N) - tree.level_sum(terms(), N)).max())
+    return tree.level_defect(sol.Y.level(i), terms(), N)
 
 
 def backward_run_residual(tree: Tree, sol: BackwardSolution) -> float:
@@ -321,12 +343,11 @@ def backward_run_residual(tree: Tree, sol: BackwardSolution) -> float:
 
 
 def msolution_identity_residual(tree: Tree, sol: BackwardSolution) -> float:
-    """max_i node-wise defect of Y_i = E[Y_i] + sum_{j<i} Z(i,j) dW_j."""
+    """max_i node-wise defect of Y_i = E[Y_i] + sum_{j<i} Z(i,j) dW_j, the
+    dW_j terms steps of ``Tree.level_defect``."""
     worst = 0.0
     for i in range(sol.Y.last_level + 1):
         y = sol.Y.level(i)
-        recon = tree.level_sum(
-            [tree.cond_expect(y, 0)]
-            + [tree.dw_term(sol.Z.value(i, j), j) for j in range(i)], i)
-        worst = max(worst, float(np.abs(y - recon).max()))
+        steps = ((sol.Z.value(i, j), j) for j in range(i))
+        worst = max(worst, tree.level_defect(y, [tree.cond_expect(y, 0), *steps], i))
     return worst

@@ -15,16 +15,12 @@ F_T-measurable vector ("terminal field"); ``Tree.level_sum`` adds fields
 of mixed levels.
 
 Fields are stored node-contiguous, in column-major order: the node axis
-has unit stride, and the transpose ``values.T`` (node axis last) is a
-C-contiguous array.  Every pass over a field (a pair mean, a repeat onto
-a finer level, a per-node scale, a product with a constant matrix) then
-runs numpy's inner loop along the 2**i nodes instead of along the d
-components.  A d = 1 field is both row- and column-major.  This module
-is the one place that knows the layout: ``field`` stores an array so
-(``AdaptedProcess`` and ``TwoParamProcess`` store their levels through
-it), ``outer``, ``apply``, ``stack`` and ``scaled`` build node-contiguous
-fields and row stacks (below), ``dot`` pairs two fields, and every
-``Tree`` helper returns node-contiguous fields for input in either order.
+has unit stride and ``values.T`` (node axis last) is C-contiguous, so
+every pass over a field runs numpy's inner loop along the 2**i nodes.
+This module is the one place that knows the layout: ``field``, ``outer``,
+``apply``, ``stack`` and ``scaled`` build node-contiguous fields and row
+stacks, ``dot`` pairs two fields, and every ``Tree`` helper returns
+node-contiguous fields for input in either order.
 
 A row stack is R level-i fields held as one (2**i, d, R) array with a
 trailing row axis, stored the same way: its ``.T`` is a C-contiguous
@@ -36,7 +32,11 @@ take a field and give every row the bits of the per-row call; the
 solvers advance all rows of a recursion by one such batched step per
 level.  The solvers' two-parameter solutions are stored as such stacks,
 one per level: ``TwoParamProcess`` is the view class over them, its
-value at (t_i, t_j) row i of the level-j stack.
+value at (t_i, t_j) row i of the level-j stack.  ``ito_step`` writes
+its step one sibling half at a time, and ``repr_step`` its integrand,
+into a given field (a view of a level stack); ``step_defect``,
+``level_defect`` and ``run_defect`` compare a stored field with a sum
+or a pair mean they never form, through one scratch.
 
 A matrix field (a kernel or a jacobian) comes in one of two forms: a
 dense per-node table of shape (2**i, d, e), or a factored
@@ -45,32 +45,19 @@ per-node factor, or constant when the scale is None.  ``Tree.matvec``,
 ``Tree.tmatvec`` and ``Tree.implicit_solve`` apply either form, and
 ``transpose`` takes either.  ``Tree.tmatvec_sum`` sums the transposed
 products of K matrix fields with the rows of a stack of K vector fields,
-as one matrix product when every matrix is constant.
-``Tree.implicit_solve`` solves (I - dt M) x = rhs at every node: a
-constant M is one LAPACK solve with every node as a right-hand side, a
-per-node M one Gaussian elimination with partial pivoting over all nodes
-at once (``_eliminate``), d column steps of whole-array operations on
-the nodes-last system.  For d = 1 that is one division, with LAPACK's
-bits; for d >= 2 the elimination does not reproduce LAPACK's rounding
-and agrees with it to a few ulps of x.
-
-A family is R constant matrices held as one (R, d, e) array, such as
-the jacobians of one coefficient at a column of time pairs (t_i, t_j).
-``Tree.matvec_family`` and ``Tree.tmatvec_family`` apply it in one
-batched product, to one field (every matrix to the same vector field)
-or to a row stack (matrix k to row k), and give the row stack of the R
-products; each row has the bits of ``apply`` with its matrix, so a
-solver that reads a family gives the bits of its per-pair loop.
-``tmatvec_sum`` takes a family in place of a list of matrix fields.
-``apply`` is the one place that applies a constant matrix or a family to
-a field or a row stack.  When the matrices have one column, as every
-kernel of a scalar (n = m = 1) scenario has, it takes a broadcast
-product in place of numpy's matmul; each entry is one product either
-way, so the values are the same.
+as one matrix product when every matrix is constant.  A family is R
+constant matrices held as one (R, d, e) array, such as the jacobians of
+one coefficient at a column of time pairs; ``apply``, the one place that
+applies a constant matrix or a family, gives the row stack of its R
+products in one batched product, each row with the bits of ``apply``
+on its own matrix.  Matrices with one column, as every kernel of a
+scalar scenario has, take a broadcast product in place of numpy's
+matmul, with the same values.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -178,11 +165,19 @@ class Tree:
 
         Terms are taken one at a time and added to a running total, embedded
         up once per finer level; terms coarser than the total are summed in
-        level order and added last.  Work and memory: O(2**to_level) beyond
-        the terms.  Nondecreasing level order gives bit for bit the sum of
+        level order and added last.  A step (h, j), the increment h dW_j,
+        advances a total on a level <= j by ``ito_step``, else is a
+        ``dw_term``.  Nondecreasing level order gives bit for bit the sum of
         embedding each term and adding in order."""
         total, top, late = None, 0, {}
         for term in terms:
+            if isinstance(term, tuple):
+                h, j = term
+                if total is not None and top <= j:
+                    total = total if top == j else self.embed(total, j)
+                    total, top = self.ito_step(total, h, j), j + 1
+                    continue
+                term = self.dw_term(h, j)
             level = self.level_of(term)
             if total is None:
                 total, top = term, level
@@ -252,24 +247,87 @@ class Tree:
         out *= self._dw[j]
         return out.T
 
-    def ito_step(self, values: np.ndarray, h: np.ndarray, j: int) -> np.ndarray:
+    def ito_step(self, values: np.ndarray, h: np.ndarray, j: int,
+                 out: np.ndarray | None = None) -> np.ndarray:
         """values + h dW_j for a level-j field and integrand: one step of a
-        forward noise recursion, a level-(j+1) field.  The repeat of values
-        is added into the buffer of ``dw_term``."""
-        out = self.dw_term(h, j)
-        out += _repeat(values, 2)
+        forward noise recursion, a level-(j+1) field.  With a = h sqrt(dt)
+        formed once, the down children are values - a and the up children
+        values + a (the bits of adding h dW_j), each sibling half written
+        straight into ``out`` (a new node-contiguous field when None)."""
+        if out is None:
+            out = np.empty((2 << j,) + h.shape[1:], order="F")
+        a = h.T * self.sqdt
+        halves = _halves(out)
+        np.subtract(values.T, a, out=halves[..., 0])
+        np.add(values.T, a, out=halves[..., 1])
         return out
 
-    def repr_step(self, values: np.ndarray):
-        """One backward martingale step: level k+1 -> (E_k mean, integrand).
+    def step_defect(self, target: np.ndarray, values: np.ndarray, h: np.ndarray,
+                    j: int, leaves=()) -> float:
+        """max |target - (ito_step(values, h, j) + leaves[0] + ...)| over the
+        nodes, for level-(j+1) ``leaves`` and a target on a level <= j + 1
+        (fields or row stacks in either order), with the bits of the defect
+        of that sum, in one scratch of the down then the up children."""
+        scratch = np.empty((2,) + h.T.shape)
+        np.multiply(h.T, self._dw[j][:2].reshape((2,) + (1,) * h.ndim), out=scratch)
+        scratch += values.T
+        for leaf in leaves:
+            scratch += np.moveaxis(_halves(leaf), -1, 0)
+        tgt = np.moveaxis(_halves(target), -1, 0) if self.level_of(target) > j else target.T
+        view = scratch.reshape(scratch.shape[:-1] + (tgt.shape[-1], -1))  # a block per node
+        np.subtract(tgt[..., None], view, out=view)
+        return float(np.abs(scratch, out=scratch).max())
 
-        integrand z_k = (up child mean - down child mean) / (2 sqrt(dt)),
-        so that values = mean + z_k dW_k exactly on the two children.
-        """
+    def level_defect(self, target: np.ndarray, terms, to_level: int) -> float:
+        """max |target - level_sum(terms, to_level)| over the nodes, for a
+        target on a level <= to_level: the terms below to_level go to
+        ``level_sum``, the first on to_level (a zero step if not a step) and
+        later ones to ``step_defect``; in nondecreasing level order with the
+        bits of the formed sum's defect (zeros can change a zero's sign)."""
+        terms, tail = iter(terms), []
+        if not to_level:
+            return float(np.abs(target - self.level_sum(terms, 0)).max())
+
+        def head():  # the terms up to the first one on to_level
+            for term in terms:
+                if (term[1] + 1 if isinstance(term, tuple)
+                        else self.level_of(term)) == to_level:
+                    tail.append(term)
+                    return
+                yield term
+
+        below = head()
+        first = next(below, None)
+        values = (np.zeros((1 << (to_level - 1),) + target.shape[1:]) if first is None
+                  else self.level_sum(itertools.chain([first], below), to_level - 1))
+        h = tail.pop(0)[0] if tail and isinstance(tail[0], tuple) else np.zeros_like(values)
+        leaves = [self.level_sum([term], to_level) for term in itertools.chain(tail, terms)]
+        return self.step_defect(target, values, h, to_level - 1, leaves)
+
+    def run_defect(self, run) -> float:
+        """max over k of |run[k] - E[run[k+1]]| at every node, for fields or
+        row stacks on consecutive levels: each pair mean, with the bits of
+        ``cond_expect``, is formed in one scratch."""
+        worst, scratch = 0.0, np.empty(run[-2].size if len(run) > 1 else 0)
+        for coarse, fine in zip(run, run[1:]):
+            pairs = _halves(fine)
+            out = scratch[:coarse.size].reshape(pairs.shape[:-1])
+            np.add(pairs[..., 0], pairs[..., 1], out=out)
+            out *= 0.5
+            np.subtract(coarse.T, out, out=out)
+            worst = max(worst, float(np.abs(out, out=out).max()))
+        return worst
+
+    def repr_step(self, values: np.ndarray, out: np.ndarray | None = None):
+        """One backward martingale step: level k+1 -> (E_k mean, integrand
+        z_k = (up child - down child) / (2 sqrt(dt)), written into ``out``
+        if given), so that values = mean + z_k dW_k on the two children."""
         if self.level_of(values) < 1:
             raise ValueError("repr_step needs level >= 1")
         paired = _blocks(values, 2)
-        z = (paired[..., 1] - paired[..., 0]) / (2.0 * self.sqdt)
+        z = np.subtract(paired[..., 1], paired[..., 0],
+                        out=None if out is None else out.T)
+        z /= 2.0 * self.sqdt
         return _pair_mean(paired), z.T
 
     # -- kernel application ---------------------------------------------
@@ -310,17 +368,6 @@ class Tree:
             return self._rescale(mat.scale, apply(mat.matrix.T, vec))
         return np.einsum("kde,kd->ke", *self._common_level(mat, vec), order="F")
 
-    def matvec_family(self, family: np.ndarray, vec: np.ndarray) -> np.ndarray:
-        """The row stack of family[k] @ vec for a (2**i, e) field, or of
-        family[k] @ vec[..., k] for a (2**i, e, R) row stack, with an
-        (R, d, e) family of constant matrices: one batched product whose
-        row k has the bits of ``apply(family[k], .)``."""
-        return apply(family, vec)
-
-    def tmatvec_family(self, family: np.ndarray, vec: np.ndarray) -> np.ndarray:
-        """The row stack of family[k]' applied as in ``matvec_family``."""
-        return apply(family.mT, vec)
-
     def tmatvec_sum(self, mats, stack: np.ndarray) -> np.ndarray:
         """sum_k mats[k]' stack[..., k] for a (2**i, d, K) row stack of
         level-i vector fields and K matrix fields no finer than level i (or
@@ -340,18 +387,12 @@ class Tree:
 
     def implicit_solve(self, mat, rhs: np.ndarray) -> np.ndarray:
         """Per-node solve of (I - dt mat) x = rhs at the level of rhs, for a
-        matrix field in either form at most as fine as rhs, returned
-        node-contiguous.
-
-        A constant matrix is one LAPACK solve with every node as a
-        right-hand side.  Otherwise the nodes-last (d, d, 2**i) system
-        I - dt (s_k M) is built from the scale and the matrix (or from a
-        table) without a dense per-node table, and ``_eliminate`` solves
-        it at all nodes at once.  For d = 1 that is one division, with
-        LAPACK's bits; for d >= 2 it does not reproduce LAPACK's rounding
-        and agrees with it to a few ulps of x.  A zero pivot raises
-        ``np.linalg.LinAlgError`` naming the level and the first singular
-        node."""
+        matrix field in either form at most as fine as rhs.  A constant
+        matrix is one LAPACK solve with every node as a right-hand side;
+        otherwise ``_eliminate`` solves the nodes-last (d, d, 2**i) system
+        I - dt (s_k M) at all nodes at once: one division with LAPACK's bits
+        for d = 1, a few ulps off LAPACK for d >= 2.  A zero pivot raises
+        ``np.linalg.LinAlgError`` naming the level and the node."""
         d = rhs.shape[-1]
         if isinstance(mat, ScaledMatrix) and mat.scale is None:
             return np.linalg.solve(np.eye(d) - self.dt * mat.matrix, rhs.T).T
@@ -388,15 +429,11 @@ def outer(nodes: np.ndarray, vector) -> np.ndarray:
 
 
 def apply(matrix: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """matrix @ v at every node of a (2**i, e) vector field, or of every row
-    of a (2**i, e, R) row stack: one (d, e) @ (e, 2**i) product.  An
-    (R, d, e) family gives the row stack of its R products, matrix k
-    applied to the field or to row k of the stack, as R such products.
-
-    With e = 1 it is the broadcast product (d, 1) * (1, 2**i) instead:
-    every entry is then one product, the value of the matrix product.  An
-    exact zero may come out as -0.0 where the matrix product sums onto
-    +0.0."""
+    """matrix @ v at every node of a (2**i, e) field or every row of a
+    (2**i, e, R) row stack: one (d, e) @ (e, 2**i) product; an (R, d, e)
+    family gives the row stack of its R products, matrix k on the field or
+    on row k.  With e = 1 it is the broadcast product instead, each entry
+    one product with the same value (an exact zero may come out -0.0)."""
     if matrix.shape[-1] == 1:
         return (matrix * vec.T).T
     return (matrix @ vec.T).T
@@ -466,6 +503,13 @@ def _eliminate(lhs: np.ndarray, rhs: np.ndarray, level: int) -> np.ndarray:
 def _repeat(values: np.ndarray, reps: int) -> np.ndarray:
     """Each node of a field repeated ``reps`` times along the node axis."""
     return values.T.repeat(reps, axis=-1).T
+
+
+def _halves(values: np.ndarray) -> np.ndarray:
+    """The nodes-last view of a field or row stack as sibling pairs,
+    (..., 2**(i-1), 2), in its own memory order (a view one can write)."""
+    last = values.T
+    return last.reshape(last.shape[:-1] + (-1, 2))
 
 
 def _blocks(values: np.ndarray, block: int) -> np.ndarray:

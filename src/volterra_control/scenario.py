@@ -9,17 +9,18 @@ first derivatives are supplied analytically.
 The six objects b, sigma, g, psi, f, h (``Scenario.catalog``) share one
 interface: ``name``, ``slots`` (their state arguments among x, y, z, u),
 ``value(t, s, **slots)`` and ``jacobian(slot, t, s, **slots)`` (a cost's
-is its gradient), and ``constant_slots``: the slots whose jacobian does
-not depend on the state, which ``jacobian`` takes without state
-arguments.  For b, sigma and g, ``value`` is the scalar kernel times
-``bracket(**slots)``, which the solvers build once per level.
+is its gradient; it reads the state in ``slot`` only), and
+``constant_slots``: the slots whose jacobian does not depend on the
+state, read off ``grid_jacobians`` (below).  For b, sigma and g, ``value``
+is the scalar kernel times ``bracket(**slots)``, which the solvers build
+once per level.
 
 Each ``Kernel`` keeps one (N + 1, N + 1) table of k(t_i, t_j) per time
 grid (``Kernel.on_grid``), made by its own ``__call__`` on the first
 request, so every entry has the bits of k(t_i, t_j).  ``grid_jacobians``
 of b, sigma, g and psi turns it into the jacobians of a constant slot at
 every pair, one (N + 1, N + 1, d, e) array whose entry (i, j) is bit for
-bit ``jacobian(slot, t_i, t_j)``; the adjoint layer reads whole rows and
+bit k(t_i, t_j) M_a (psi: P + t_i P'); the adjoint layer reads whole rows and
 columns of it as families (see ``lattice``).  Tables are kept by their
 objects, so the coefficients must not change after their first use.
 
@@ -212,8 +213,8 @@ class AffineCoefficient:
     the bracket of a level once (``bracket``, ``term``) and scales it for
     each time pair; ``value`` is that product, bit for bit.  Derivatives
     are analytic: d/da = kernel * (M_a + 2 Q_a diag(a)).  In a slot without
-    a quadratic term it is the constant ScaledMatrix kernel * M_a, and
-    ``grid_jacobians`` gives it at every pair of a grid at once.
+    a quadratic term it is the constant matrix kernel * M_a, which
+    ``grid_jacobians`` gives at every pair of a grid at once.
     """
 
     def __init__(self, name, slots, kernel, matrices, quads, const):
@@ -272,8 +273,7 @@ class AffineCoefficient:
         return self.kernel(t, s) * self.bracket(**args)
 
     def jacobian(self, slot: str, t: float, s: float, **args):
-        if slot not in self._quadratic:  # one constant matrix, shared by every node
-            return ScaledMatrix(None, self.kernel(t, s) * self.matrices[slot])
+        """kernel * (M_a + 2 Q_a diag(a)) per node of the state ``args``."""
         M = self.matrices[slot]
         return self.kernel(t, s) * (
             M + 2.0 * self.quads[slot][None, :, :] * args[slot][:, None, :])
@@ -455,10 +455,9 @@ class TerminalCost(_Section):
         out += 0.5 * np.einsum("ki,ij,kj->k", dy, self.qy, dy) + _vecmul(y, self.ly)
         return out
 
-    def jacobian(self, slot: str, t: float, s: float, x: np.ndarray,
-                 y: np.ndarray) -> np.ndarray:
+    def jacobian(self, slot: str, t: float, s: float, **args) -> np.ndarray:
         q = getattr(self, f"q{slot}")
-        gap = (x if slot == "x" else y) - getattr(self, f"{slot}_target")
+        gap = args[slot] - getattr(self, f"{slot}_target")
         return apply(0.5 * (q + q.T), gap) + getattr(self, f"l{slot}")
 
 

@@ -11,7 +11,10 @@ time-invariant BSVIE reduces to.  ``per_pair_forward`` and
 evaluated by ``value`` at every time pair, the reference for the
 solvers' once-per-level brackets; with ``per_row_linear_backward``, the
 linear backward family solved one row at a time, they are the row-by-row
-references for the solvers' batched row stacks.  ``zero_process``,
+references for the solvers' batched row stacks.  The ``leaf_*``
+residuals are the adjoint row checks with every row's sum formed at the
+leaves by one ``level_sum``, pair by pair: the reference for the checks'
+step-by-step sums and half-by-half leaf comparisons.  ``zero_process``,
 ``zero_two_param`` and ``grid_points`` are test-only constructors, and
 ``two_param``, ``backward_solution`` and ``fredholm_solution`` build the
 solvers' containers, which store their solutions as level stacks, from
@@ -27,10 +30,11 @@ from itertools import combinations
 
 import numpy as np
 
-from volterra_control.adjoint import FredholmSolution
+from volterra_control.adjoint import (FredholmSolution, _lambda0_equation, _pq_kernels,
+                                      _pq_rows, _theta_equation, _xi_equation)
 from volterra_control.backward import (BackwardPath, BackwardSolution, PicardError,
-                                       _implicit_step, _row_run, solve_bsvie,
-                                       solve_linear_backward)
+                                       _implicit_step, _row_run, backward_run_residual,
+                                       solve_bsvie, solve_linear_backward)
 from volterra_control.cones import adjacent_cone, cone_min_linear
 from volterra_control.forward import SimulationError, simulate_forward
 from volterra_control.lattice import (AdaptedProcess, ScaledMatrix, Tree,
@@ -320,6 +324,103 @@ def per_row_linear_backward(tree: Tree, psi_rows, A=None, B=None, D=None,
     return backward_solution(AdaptedProcess(y_levels), two_param(z_rows), mu=mu, nu=nu)
 
 
+def leaf_fredholm_row_residual(tree: Tree, sol: FredholmSolution, i: int, alpha_rows,
+                               A=None, B=None, D=None, beta=None,
+                               include_diag_A: bool = True) -> float:
+    """``fredholm_row_residual`` as one ``level_sum`` of row i's terms up
+    to the leaves, every kernel applied pair by pair and every dW_j term
+    formed by ``dw_term``, then its defect against xi_i, and the run
+    defects each formed in full."""
+    N = tree.N
+
+    def terms():
+        for j in range(i):
+            if B is not None:
+                proj = tree.cond_expect(tree.tmatvec(B(j, i), sol.cond_exp(j, N)), j)
+                yield tree.dw_term(proj, j)
+        yield np.array(alpha_rows[i], dtype=float)
+        hi = min(i, N - 1) if include_diag_A else i - 1
+        for j in range(hi + 1):
+            if A is not None:
+                yield tree.dt * tree.tmatvec(A(j, i), sol.cond_exp(j, i))
+        for j in range(i, N):
+            if D is not None:
+                yield tree.dw_term(tree.tmatvec(D(i, j), sol.cond_exp(i, j)), j)
+        if beta is not None:
+            yield tree.ito_sum(lambda j: tree.embed(beta(i, j), j), 0, N)
+
+    defects = [sol.cond_exp(i, N) - tree.level_sum(terms(), N)]
+    defects += [sol.cond_exp(i, r) - tree.cond_expect(sol.cond_exp(i, r + 1), r)
+                for r in range(i, N)]
+    return max(float(np.abs(d).max()) for d in defects)
+
+
+def leaf_backward_row_residual(tree: Tree, sol: BackwardSolution, i: int, psi_rows,
+                               A=None, B=None, D=None, theta=None,
+                               include_diag_A: bool = True,
+                               include_diag_B: bool = False) -> float:
+    """``backward_row_residual`` as one ``level_sum`` of row i's terms up
+    to the leaves, pair by pair, against Y_i embedded in the leaves."""
+    N = tree.N
+
+    def terms():
+        if B is not None:
+            if theta is not None:
+                yield tree.matvec(B(i, N), sol.nu.level(i))
+            for j in range(i if include_diag_B else i + 1, N):
+                yield tree.dt * tree.matvec(B(i, j), sol.Z.value(j, i))
+        for j in range(i, N):
+            if A is not None and (include_diag_A or j > i):
+                yield tree.dt * tree.matvec(A(i, j), sol.Y.level(j))
+            if D is not None:
+                yield tree.dt * tree.matvec(D(i, j), sol.Z.value(i, j))
+            yield -tree.dw_term(sol.Z.value(i, j), j)
+        if A is not None and theta is not None:
+            yield tree.matvec(A(i, N), theta)
+        yield np.array(psi_rows[i], dtype=float)
+
+    return float(np.abs(tree.embed(sol.Y.level(i), N) - tree.level_sum(terms(), N)).max())
+
+
+def leaf_msolution_identity_residual(tree: Tree, sol: BackwardSolution) -> float:
+    """``msolution_identity_residual`` with each row's sum formed."""
+    worst = 0.0
+    for i in range(sol.Y.last_level + 1):
+        y = sol.Y.level(i)
+        recon = tree.level_sum(
+            [tree.cond_expect(y, 0)]
+            + [tree.dw_term(sol.Z.value(i, j), j) for j in range(i)], i)
+        worst = max(worst, float(np.abs(y - recon).max()))
+    return worst
+
+
+def leaf_adjoint_residuals(scenario: Scenario, bundle, tree: Tree) -> dict:
+    """``adjoint_residuals`` from the leaf-summed row checks above, with
+    the (p, q) free terms F_i rebuilt from their definition and the mu/nu
+    tails formed in full at every step."""
+    N, fro = tree.N, bundle.frozen
+    lam_rows, lam_kernels = _lambda0_equation(tree, fro)
+    res1 = leaf_fredholm_row_residual(tree, bundle.lam, 0, lam_rows, **lam_kernels)
+    alpha_rows, xi_kernels = _xi_equation(tree, fro, bundle.lam)
+    res2 = max(leaf_fredholm_row_residual(tree, bundle.xi, i, alpha_rows, **xi_kernels)
+               for i in range(N))
+    xi_stack = bundle.xi.levels[-1]
+    theta = _theta_equation(tree, fro, bundle.lambda0, xi_stack)
+    p_rows, pq_kernels = _pq_rows(tree, fro, bundle.lam, xi_stack), _pq_kernels(fro, theta)
+    pq = bundle.pq
+    res3 = 0.0
+    tail = np.zeros_like(theta)
+    for i in range(N, -1, -1):
+        if i < N:
+            tail = tail + tree.embed(tree.dw_term(pq.nu.level(i), i), N)
+        res3 = max(res3, float(np.abs(
+            tree.embed(pq.mu.level(i), N) - (theta - tail)).max()))
+    res4 = max(max(leaf_backward_row_residual(tree, pq, i, p_rows, **pq_kernels)
+                   for i in range(N)), backward_run_residual(tree, pq))
+    return {"lambda0": res1, "xi": res2, "mu_nu": res3, "pq": res4,
+            "m_identity": leaf_msolution_identity_residual(tree, pq)}
+
+
 def solve_bsde(tree: Tree, terminal: np.ndarray, driver,
                picard_tol: float = 1e-12, picard_max_iter: int = 200):
     """Backward recursion Y_j = E_j[Y_{j+1}] + driver(t_j, Y_j, Z_j) dt.
@@ -356,10 +457,13 @@ def jacobian_discrepancies(scenario: Scenario) -> dict:
                ("u", scenario.l))}
     ts = grid_points(scenario.grid)
     t, s = float(ts[1]), float(ts[0])
+    tree = scenario.tree()
     for obj in scenario.catalog.values():
         args = {a: probes[a] for a in obj.slots}
         for slot in obj.slots:
-            jac = as_table(obj.jacobian(slot, t, s, **args), args[slot].shape[0])
+            jac = (np.broadcast_to(obj.grid_jacobians(slot, tree)[1, 0],
+                                   (6,) + obj.grid_jacobians(slot, tree).shape[2:])
+                   if slot in obj.constant_slots else obj.jacobian(slot, t, s, **args))
             fd = np.zeros_like(jac)
             for idx in range(args[slot].shape[1]):
                 eps = 1e-5 * (1.0 + float(np.abs(args[slot][:, idx]).max()))

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from oracles import (as_table, backward_solution, dense_fredholm_solve,
-                     fredholm_solution, random_duality_instance, zero_process,
-                     zero_two_param)
+                     fredholm_solution, leaf_adjoint_residuals,
+                     leaf_fredholm_row_residual, random_duality_instance,
+                     zero_process, zero_two_param)
 
 from volterra_control.adjoint import (
-    AdjointBundle, FredholmSolution, _pq_equation, adjoint_residuals,
+    AdjointBundle, FredholmSolution, _pq_kernels, adjoint_residuals,
     assemble_adjoint, fredholm_row_residual, hamiltonian_gradient, solve_fredholm,
     solve_lambda0,
 )
@@ -18,6 +19,8 @@ from volterra_control import scenario as scenario_module
 from volterra_control.lattice import AdaptedProcess, Tree, TwoParamProcess
 from volterra_control.scenario import fixture_path, load_scenario
 from volterra_control.verify import DualityInstance
+
+from test_scenario import FIXTURES
 
 
 class _Lambda0Frozen:
@@ -129,10 +132,13 @@ class TestSolveFredholm:
             for r in range(i, tree.N + 1):
                 assert np.allclose(sol.cond_exp(i, r),
                                    tree.cond_expect(sol.xi[i], r), atol=1e-12)
-            res = fredholm_row_residual(tree, sol, i, alphas, A=kA, B=kB,
-                                        D=kD, beta=kbeta,
-                                        include_diag_A=include_diag_A)
+            kernels = {"A": kA, "B": kB, "D": kD, "beta": kbeta,
+                       "include_diag_A": include_diag_A}
+            res = fredholm_row_residual(tree, sol, i, alphas, **kernels)
             assert res <= 1e-12
+            # row N's leaf terms come after its last step: the same sum
+            assert res == pytest.approx(
+                leaf_fredholm_row_residual(tree, sol, i, alphas, **kernels), abs=1e-15)
 
     @pytest.mark.parametrize("include_diag_A", [False, True])
     def test_per_node_kernels_match_dense_solve(self, include_diag_A):
@@ -228,8 +234,8 @@ def _shifted_theta(b):
     """theta + 0.1 with (p, q, mu, nu) re-solved from it: every equation
     but theta's own definition still holds."""
     tree, theta = b.frozen.tree, b.theta + 0.1
-    p_rows, kernels = _pq_equation(tree, b.frozen, b.lam, b.xi.levels[-1], theta)
-    return replace(b, theta=theta, pq=solve_linear_backward(tree, p_rows, **kernels))
+    return replace(b, theta=theta, pq=solve_linear_backward(
+        tree, b.F, **_pq_kernels(b.frozen, theta)))
 
 
 # (perturbed field, the adjoint_residuals entry that must flag it, perturbation)
@@ -287,6 +293,23 @@ class TestAssembleAdjoint:
             s, tree, _, _, _, bundle = run_pipeline(name, steps=14)
             for entry, val in adjoint_residuals(s, bundle, tree).items():
                 assert val <= 1e-12, (name, entry, val)
+
+    @pytest.mark.parametrize("name,steps", [(name, steps) for name in FIXTURES
+                                            for steps in (6, 9)] + [("lq_multi", 14)])
+    def test_checks_have_the_bits_of_the_leaf_sums(self, name, steps):
+        # the row checks advance their sums step by step and compare the
+        # leaves half by half, the bundle states F: every entry keeps the
+        # bits of the checks that formed each row's sum at the leaves
+        s = load_scenario(fixture_path(name))
+        tree = s.tree(steps)
+        rng = np.random.default_rng(steps)
+        u = s.default_control(tree) + AdaptedProcess(
+            [0.05 * rng.standard_normal((1 << i, s.l)) for i in range(tree.N)])
+        u = AdaptedProcess([s.constraint.project(u.level(j)) for j in range(tree.N)])
+        s, tree, _, _, _, bundle = run_pipeline(name, steps, control=u)
+        got = adjoint_residuals(s, bundle, tree)
+        assert got == leaf_adjoint_residuals(s, bundle, tree)
+        assert max(got.values()) <= 1e-12
 
     def test_solutions_are_views_of_their_level_stacks(self):
         # one storage per solution: each accessor a node-contiguous view of
@@ -356,8 +379,8 @@ class _ZeroFrozen:
         fill = 1.0 if (name, slot) == ("b", "u") else 0.0
         return np.full((1 << j, out, dims[slot]), fill)
 
-    def family(self, name, slot, i, j):
-        return None  # per-node tables: applied pair by pair
+    def kernel(self, name, slot):
+        return lambda i, j: self.d(name, slot, i, j)  # no family: pair by pair
 
 
 class TestHamiltonianGradient:
@@ -372,7 +395,7 @@ class TestHamiltonianGradient:
 
         bundle = AdjointBundle(
             lam=zero_runs(1), xi=zero_runs(tree.N),
-            theta=np.zeros((tree.n_leaves, 1)),
+            theta=np.zeros((tree.n_leaves, 1)), F=[np.zeros((tree.n_leaves, 1))] * tree.N,
             pq=backward_solution(AdaptedProcess.constant([c], tree.N - 1),
                                  zero_two_param(tree.N, tree.N, 1),
                                  mu=zero_process(tree.N, 1),

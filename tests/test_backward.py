@@ -13,7 +13,8 @@ from volterra_control.lattice import AdaptedProcess, Tree
 from volterra_control.scenario import Scenario, fixture_path, load_scenario
 from volterra_control.verify import smooth_duality_instance
 
-from oracles import (backward_solution, dense_bsvie_oracle, picard_bsvie_oracle,
+from oracles import (backward_solution, dense_bsvie_oracle, leaf_backward_row_residual,
+                     leaf_msolution_identity_residual, picard_bsvie_oracle,
                      projector, recompute_bsvie_row, repr_operator, solve_bsde,
                      zero_process)
 from test_scenario import FIXTURES
@@ -294,7 +295,12 @@ class TestSolveLinearBackward:
             res = backward_row_residual(tree, sol, i, rows, A=kA, B=kB, D=kD,
                                         theta=theta)
             assert res <= 1e-12
+            # the sum formed at the leaves, pair by pair
+            assert res == pytest.approx(leaf_backward_row_residual(
+                tree, sol, i, rows, A=kA, B=kB, D=kD, theta=theta), abs=1e-15)
         assert msolution_identity_residual(tree, sol) <= 1e-12
+        assert msolution_identity_residual(tree, sol) == leaf_msolution_identity_residual(
+            tree, sol)
 
     def test_mu_nu_round_trip(self):
         tree = Tree.build(1.0, 6)

@@ -17,7 +17,7 @@ from oracles import per_pair_bsvie, per_pair_forward, per_row_linear_backward
 
 from volterra_control import cli
 from volterra_control import scenario as scenario_module
-from volterra_control.adjoint import (FrozenCoefficients, _pq_equation,
+from volterra_control.adjoint import (FrozenCoefficients, _pq_kernels, _pq_rows,
                                       assemble_adjoint, hamiltonian_gradient,
                                       solve_fredholm)
 from volterra_control.backward import solve_bsvie, solve_linear_backward
@@ -120,9 +120,9 @@ def test_adjoint_pq_has_the_bits_of_the_row_by_row_solve(name):
     u = _control(s, tree)
     fwd = simulate_forward(s, u, tree)
     bundle = assemble_adjoint(s, fwd, solve_bsvie(s, fwd, u, tree), u, tree)
-    p_rows, kernels = _pq_equation(tree, bundle.frozen, bundle.lam,
-                                   bundle.xi.levels[-1], bundle.theta)
-    ref = per_row_linear_backward(tree, p_rows, **kernels)
+    assert all(np.array_equal(a, b) for a, b in zip(bundle.F, _pq_rows(
+        tree, bundle.frozen, bundle.lam, bundle.xi.levels[-1])))
+    ref = per_row_linear_backward(tree, bundle.F, **_pq_kernels(bundle.frozen, bundle.theta))
     _same_linear_solution(bundle.pq, ref)
 
 
@@ -214,8 +214,8 @@ def test_kernel_variants_never_share_a_jacobian():
     for k in range(12):
         b = scenario_module.AffineCoefficient.from_json(
             "b", 1, {"x": 1}, {"kernel": {"kappa": 0.9 * (k % 3)}, "x": [[0.3]]})
-        jac = b.jacobian("x", 0.5, 0.25)
-        assert np.array_equal(jac.matrix, b.kernel(0.5, 0.25) * b.matrices["x"]), k
+        jac = b.grid_jacobians("x", tree)
+        assert np.array_equal(jac[3, 1], b.kernel(tree.t(3), tree.t(1)) * b.matrices["x"]), k
         del b, jac
 
 
@@ -237,8 +237,9 @@ def test_tables_have_the_bits_of_the_kernel_and_the_jacobian():
             assert jacobians is c.grid_jacobians(slot, s.tree(5))
             for i in range(tree.N + 1):
                 for j in range(tree.N + 1):
-                    assert np.array_equal(jacobians[i, j],
-                                          c.jacobian(slot, t[i], t[j]).matrix), (c.name, slot)
+                    expected = (c.matrix(t[i]) if kernel is None
+                                else kernel(t[i], t[j]) * c.matrices[slot])
+                    assert np.array_equal(jacobians[i, j], expected), (c.name, slot)
     assert s.coeffs.psi.time_invariant is False  # P + t P' moves along the rows
     assert json.dumps(s.to_json(), sort_keys=True) == json.dumps(
         Scenario.from_json(doc).to_json(), sort_keys=True)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import as_table, grid_points, zero_process, zero_two_param
 from volterra_control.adjoint import solve_fredholm
-from volterra_control.backward import _row_run, solve_linear_backward
+from volterra_control.backward import _row_run, kernel_terms, solve_linear_backward
 from volterra_control.lattice import (AdaptedProcess, ScaledMatrix, TimeGrid, Tree,
                                       TwoParamProcess, apply, dot, scaled, stack,
                                       transpose)
@@ -515,11 +515,100 @@ class TestInPlaceAndProductPaths:
         assert np.array_equal(values, saved[0]) and np.array_equal(h, saved[1])
 
 
+class TestStepsAndDefects:
+    """A step (h, j) in ``level_sum`` is the term h dW_j; ``step_defect``,
+    ``level_defect`` and ``run_defect`` give the bits of the defect of the
+    sum or pair mean they never form, and ``ito_step`` and ``repr_step``
+    with ``out`` the bits of the plain calls: on fields and row stacks in
+    either memory order, with exact zeros of both signs."""
+
+    @staticmethod
+    def maker(rng, d, R, order, zeros):
+        def make(level):
+            shape = (1 << level, d) + (() if R is None else (R,))
+            values = rng.standard_normal(shape)
+            if zeros:
+                values[rng.random(shape) < 0.3] = 0.0
+                values[rng.random(shape) < 0.2] = -0.0
+            return np.asarray(values, order=order)
+        return make
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 3), R=st.one_of(st.none(), st.integers(1, 4)),
+           level=LEVELS, target_level=st.integers(0, 7), n_leaves=st.integers(0, 2),
+           order=st.sampled_from("CF"), zeros=st.booleans(), seed=SEED)
+    def test_step_defect_is_the_defect_of_the_step(self, d, R, level, target_level,
+                                                   n_leaves, order, zeros, seed):
+        tree = Tree.build(1.0, 7)
+        make = self.maker(np.random.default_rng(seed), d, R, order, zeros)
+        values, h, out = make(level), make(level), make(level + 1)
+        leaves = [make(level + 1) for _ in range(n_leaves)]
+        target = make(min(target_level, level + 1))
+        saved = [a.copy() for a in [values, h, target] + leaves]
+        step = tree.ito_step(values, h, level)
+        assert tree.ito_step(values, h, level, out=out) is out
+        assert out.tobytes() == step.tobytes()
+        total = step
+        for leaf in leaves:
+            total = total + leaf
+        want = float(np.abs(tree.embed(target, level + 1) - total).max())
+        got = tree.step_defect(target, values, h, level, leaves)
+        assert got == want and not math.copysign(1.0, got) < 0
+        assert all(np.array_equal(a, b) for a, b in zip([values, h, target] + leaves, saved))
+
+    @settings(max_examples=60, deadline=None)
+    @given(kinds=st.lists(st.tuples(st.booleans(), LEVELS), min_size=1, max_size=8),
+           d=st.integers(1, 3), lift=st.integers(0, 1), coarse=st.integers(0, 6),
+           order=st.sampled_from("CF"), zeros=st.booleans(), seed=SEED)
+    def test_level_defect_is_the_defect_of_the_sum(self, kinds, d, lift, coarse,
+                                                   order, zeros, seed):
+        # (step, level): a step (h, level - 1) onto ``level``, else a field;
+        # nondecreasing levels give the bits of the formed sum's defect
+        tree = Tree.build(1.0, 7)
+        make = self.maker(np.random.default_rng(seed), d, None, order, zeros)
+        kinds = sorted(((step and level > 0, level) for step, level in kinds),
+                       key=lambda kind: kind[1])
+        to_level = max(level for _, level in kinds) + lift
+        terms = [(make(level - 1), level - 1) if step else make(level)
+                 for step, level in kinds]
+        formed = [tree.dw_term(*t) if isinstance(t, tuple) else t for t in terms]
+        total = tree.level_sum(formed, to_level)
+        assert tree.level_sum(iter(terms), to_level).tobytes() == total.tobytes()
+        target = make(min(coarse, to_level))
+        want = float(np.abs(tree.embed(target, to_level) - total).max())
+        assert tree.level_defect(target, iter(terms), to_level) == want
+        # any order: the same sum up to rounding
+        shuffled = terms[::-1]
+        assert abs(tree.level_defect(target, shuffled, to_level) - want) <= 1e-13 * (
+            1.0 + float(np.abs(total).max()))
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 3), R=st.one_of(st.none(), st.integers(1, 4)),
+           start=st.integers(0, 5), length=st.integers(1, 3),
+           order=st.sampled_from("CF"), zeros=st.booleans(), seed=SEED)
+    def test_run_defect_and_repr_step_into_out(self, d, R, start, length, order,
+                                               zeros, seed):
+        tree = Tree.build(1.0, 8)
+        make = self.maker(np.random.default_rng(seed), d, R, order, zeros)
+        run = [make(level) for level in range(start, start + length)]
+        want = max([float(np.abs(run[k] - tree.cond_expect(run[k + 1], start + k)).max())
+                    for k in range(length - 1)], default=0.0)
+        assert tree.run_defect(run) == want
+        if start + length > 1:  # the last level has a martingale step
+            mean, z = tree.repr_step(run[-1])
+            out = make(start + length - 2)
+            got_mean, got_z = tree.repr_step(run[-1], out=out)
+            assert got_mean.tobytes() == mean.tobytes() and np.shares_memory(got_z, out)
+            assert np.array_equal(got_z, z) and np.array_equal(out, z)
+
+
 class TestFamilies:
-    """A family of constant matrices through ``matvec_family`` and
-    ``tmatvec_family`` gives every row the bits of ``apply`` with its own
-    matrix, on a field and on a row stack, also when the family is a row
-    or a column sliced out of a larger table (another memory layout)."""
+    """A family of constant matrices through one ``apply`` (as
+    ``kernel_terms`` applies it) gives every row the bits of ``apply`` with
+    its own matrix, on a field and on a row stack, also when the family is
+    a row or a column sliced out of a larger table (another memory
+    layout); ``kernel_terms`` gives a kernel with a family the bits of the
+    same kernel applied pair by pair."""
 
     @staticmethod
     def families(rng, d, e, R):
@@ -542,13 +631,13 @@ class TestFamilies:
         rows_e, rows_d = (rng.standard_normal((R, k, 1 << level)).T for k in (e, d))
         for name, family in self.families(rng, d, e, R).items():
             products = {
-                "field": (tree.matvec_family(family, vec_e),
+                "field": (apply(family, vec_e),
                           lambda k: apply(family[k], vec_e)),
-                "stack": (tree.matvec_family(family, rows_e),
+                "stack": (apply(family, rows_e),
                           lambda k: apply(family[k], rows_e[..., k])),
-                "transposed field": (tree.tmatvec_family(family, vec_d),
+                "transposed field": (apply(family.mT, vec_d),
                                      lambda k: apply(family[k].T, vec_d)),
-                "transposed stack": (tree.tmatvec_family(family, rows_d),
+                "transposed stack": (apply(family.mT, rows_d),
                                      lambda k: apply(family[k].T, rows_d[..., k]))}
             for kind, (out, per_row) in products.items():
                 assert out.shape[-1] == R and out.T.flags.c_contiguous, (name, kind)
@@ -562,6 +651,33 @@ class TestFamilies:
                             tree.tmatvec(mat, vec_d) if kind == "transposed field" else
                             tree.tmatvec(mat, rows_d[..., k]))
                     assert np.array_equal(out[..., k], pair), (name, kind, k)
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(1, 3), e=st.integers(1, 3), R=st.integers(1, 5),
+           level=st.integers(0, 5), transpose=st.booleans(), seed=SEED)
+    def test_kernel_terms_of_a_family_are_the_per_pair_products(self, d, e, R, level,
+                                                                transpose, seed):
+        tree = Tree.build(1.0, 6)
+        rng = np.random.default_rng(seed)
+        table = rng.uniform(-1.0, 1.0, (R + 3, R + 3, d, e))
+        k = d if transpose else e  # the vectors' dimension
+
+        class WithFamily:  # as FrozenCoefficients.kernel
+            def __call__(self, i, j):
+                return ScaledMatrix(None, table[i, j])
+
+            def family(self, i, j):
+                return table[i, j]
+
+        stack_ = rng.standard_normal((R, k, 1 << level)).T
+        field_ = rng.standard_normal((k, 1 << level)).T
+        fields = [rng.standard_normal((k, 1 << lev)).T for lev in range(R)]
+        for i, j in ((range(1, R + 1), 2), (2, range(1, R + 1))):
+            for vecs in (stack_, field_, fields):
+                got, want = (list(kernel_terms(tree, kernel, i, j, vecs, 0.5, transpose))
+                             for kernel in (WithFamily(), WithFamily().__call__))
+                assert len(got) == len(want) == R
+                assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
     @settings(max_examples=40, deadline=None)
     @given(d=st.integers(1, 3), e=st.integers(1, 3), R=st.integers(1, 5),

@@ -113,14 +113,15 @@ class TestValidate:
 
     def test_wrong_derivative_is_flagged(self):
         s = load_scenario(fixture_path("lq"))
-        # double the analytic b_x: discrepancy should be about factor 2
-        original = s.coeffs.b.jacobian
+        # double the analytic b_x (a constant slot, so its grid table):
+        # discrepancy should be about factor 2
+        original = s.coeffs.b.grid_jacobians
 
-        def doubled(slot, t, _s, **args):
-            jac = original(slot, t, _s, **args)
-            return 2.0 * jac if slot == "x" else jac
+        def doubled(slot, tree):
+            table = original(slot, tree)
+            return 2.0 * table if slot == "x" else table
 
-        s.coeffs.b.jacobian = doubled
+        s.coeffs.b.grid_jacobians = doubled
         assert jacobian_discrepancies(s).keys() == {"b.dx"}
         assert jacobian_discrepancies(s)["b.dx"] > 1e-3
 
