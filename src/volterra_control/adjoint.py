@@ -28,9 +28,9 @@ along the state: g_y(j,i) = ``d("g", "y", j, i)``, f_z(j) = ``d("f", "z",
 term gives a row or column of pairs as one (R, d, e) family, read off the
 object's per-grid table (``FrozenCoefficients.family``); the solvers and
 checks get it from the ``FrozenCoefficients.kernel`` objects and apply it
-in one batched product (``kernel_terms``, ``Tree.tmatvec_sum``) with the
-bits of the per-pair products that state-dependent slots and plain
-callables still take.
+in one batched product (``kernel_terms``; a summed column, as in theta and
+F_i, through ``kernel_sum``) with the bits of the per-pair products that
+state-dependent slots and plain callables still take.
 
 Each equation is written down once, as free-term rows plus kernels
 (``_lambda0_equation``, ``_xi_equation``, ``_pq_rows`` with ``_pq_kernels``) or as a sum
@@ -43,7 +43,7 @@ nu come with the (p, q) solve, which takes theta as its boundary term.
 
 Every equation is assembled and checked in O(N 2^N) node operations per
 dimension, except F_i, which adds i + 1 leaf fields g_x(k,i)' xi_k (one
-``Tree.tmatvec_sum`` per row); the bundle keeps the F rows it was solved
+``kernel_sum`` per row); the bundle keeps the F rows it was solved
 with, so the check states them and re-derives theta only.  Each row
 check sums its terms in its solver's order, advancing the total by
 ``Tree.ito_step`` up to level N - 1; ``Tree.level_defect`` compares the
@@ -59,7 +59,7 @@ from functools import cached_property
 import numpy as np
 
 from .backward import (BackwardSolution, backward_row_residual,
-                       backward_run_residual, family_of, kernel_terms,
+                       backward_run_residual, family_of, kernel_sum, kernel_terms,
                        msolution_identity_residual, solve_linear_backward)
 from .forward import ForwardPath
 from .lattice import AdaptedProcess, ScaledMatrix, Tree, apply, transpose
@@ -255,13 +255,6 @@ class FrozenCoefficients:
         return at
 
 
-def _matrices(fro, name: str, slot: str, rows: range, j: int):
-    """The jacobians at (t_i, t_j), i in ``rows``, as ``Tree.tmatvec_sum``
-    takes them: a family, else a list of per-pair matrix fields."""
-    family = fro.family(name, slot, slice(rows.start, rows.stop), j)
-    return family if family is not None else [fro.d(name, slot, i, j) for i in rows]
-
-
 @dataclass
 class AdjointBundle:
     """The adjoint solutions.  ``lam`` is the one-row lambda(0) solution;
@@ -288,8 +281,7 @@ def _lambda0_equation(tree: Tree, fro: FrozenCoefficients):
     """The lambda(0) equation as one-row ``solve_fredholm`` arguments: the
     free term alpha_0 = E[h_y], D = g_z(0, .) and beta = f_z."""
     return [tree.cond_expect(fro.d("h", "y", 0, tree.N), 0)], {
-        "D": lambda i, j: fro.d("g", "z", 0, j),
-        "beta": lambda i, j: fro.d("f", "z", 0, j)}
+        "D": fro.kernel("g", "z"), "beta": fro.kernel("f", "z")}
 
 
 def solve_lambda0(tree: Tree, fro: FrozenCoefficients) -> FredholmSolution:
@@ -313,7 +305,7 @@ def _theta_equation(tree: Tree, fro: FrozenCoefficients, lambda0: np.ndarray,
     """theta = h_x + psi_x(0)' lambda0 + dt sum_j psi_x(j)' xi_j, with the
     xi rows given as one (2**N, m, N) row stack."""
     N = tree.N
-    psi_xi = tree.tmatvec_sum(_matrices(fro, "psi", "x", range(N), N), xi_stack)
+    psi_xi = kernel_sum(tree, fro.kernel("psi", "x"), range(N), N, xi_stack)
     return (fro.d("h", "x", 0, N) + tree.tmatvec(fro.d("psi", "x", 0, N), lambda0)
             + tree.dt * psi_xi)
 
@@ -322,10 +314,10 @@ def _pq_rows(tree: Tree, fro: FrozenCoefficients, lam: FredholmSolution,
              xi_stack: np.ndarray) -> list:
     """The (p, q) equation's free-term rows F_i, the xi rows given as one
     (2**N, m, N) row stack."""
+    g_x = fro.kernel("g", "x")
     return [tree.level_sum(
         [fro.d("f", "x", 0, i) + tree.tmatvec(fro.d("g", "x", 0, i), lam.cond_exp(0, i)),
-         tree.dt * tree.tmatvec_sum(_matrices(fro, "g", "x", range(i + 1), i),
-                                    xi_stack[..., :i + 1])], tree.N)
+         tree.dt * kernel_sum(tree, g_x, range(i + 1), i, xi_stack[..., :i + 1])], tree.N)
         for i in range(tree.N)]
 
 

@@ -273,7 +273,8 @@ def kernel_terms(tree: Tree, kernel, i, j, vecs, factor=None,
     ``factor`` over a row or column of pairs (i or j a range), ``vecs`` a
     row stack (row k for pair k), a list of fields or one field: one
     batched product for a family on a stack or field, else pair by pair as
-    iterated (plain callables, state-dependent jacobians), same bits."""
+    iterated (plain callables, state-dependent jacobians), same bits.
+    ``kernel_sum`` adds the transposed terms of a column."""
     span = i if type(i) is range else j
     if not span:
         return []
@@ -293,6 +294,17 @@ def kernel_terms(tree: Tree, kernel, i, j, vecs, factor=None,
     else:
         out = (apply(mat.T if transpose else mat, vec) for mat, vec in zip(family, each))
     return out if factor is None else (factor * term for term in out)
+
+
+def kernel_sum(tree: Tree, kernel, rows: range, j: int, stack: np.ndarray) -> np.ndarray:
+    """sum_k kernel(k, j)' stack[..., k] over k in ``rows`` (a row of the
+    stack per pair): one ``Tree.tmatvec_sum`` product for a family, else
+    the ``level_sum`` of the per-pair ``kernel_terms`` in row order."""
+    family = family_of(kernel, slice(rows.start, rows.stop), j)
+    if family is not None:
+        return tree.tmatvec_sum(family, stack)
+    return tree.level_sum(kernel_terms(tree, kernel, rows, j, stack, transpose=True),
+                          tree.level_of(stack))
 
 
 def backward_row_residual(tree: Tree, sol: BackwardSolution, i: int, psi_rows,

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .backward import kernel_terms
 from .lattice import AdaptedProcess, Tree, scaled, stack
 from .scenario import Scenario
 
@@ -131,9 +132,12 @@ def simulate_forward_linear(scenario: Scenario, base: ForwardPath,
         raise SimulationError(f"direction dim {v.dim}, scenario wants {scenario.l}")
     fro = FrozenCoefficients(scenario, tree, base, None, base.u)
 
+    kernels = [(fro.kernel(c, "x"), fro.kernel(c, "u")) for c in ("b", "sigma")]
+
     def column(j, x1j):  # (drift, diff) = [c_x X1 + c_u v] for c = b, sigma
-        return [stack([tree.matvec(fro.d(c, "x", i, j), x1j)
-                       + tree.matvec(fro.d(c, "u", i, j), v.level(j))
-                       for i in range(j + 1, tree.N + 1)]) for c in ("b", "sigma")]
+        rows = range(j + 1, tree.N + 1)
+        return [stack([x + u for x, u in zip(kernel_terms(tree, c_x, rows, j, x1j),
+                                              kernel_terms(tree, c_u, rows, j, v.level(j)))])
+                for c_x, c_u in kernels]
 
     return _euler_sweep(tree, lambda i: np.zeros((1 << i, scenario.n)), column, "X1")

@@ -43,16 +43,16 @@ dense per-node table of shape (2**i, d, e), or a factored
 ``ScaledMatrix(scale, M)``, one (d, e) matrix M times a level-i (2**i,)
 per-node factor, or constant when the scale is None.  ``Tree.matvec``,
 ``Tree.tmatvec`` and ``Tree.implicit_solve`` apply either form, and
-``transpose`` takes either.  ``Tree.tmatvec_sum`` sums the transposed
-products of K matrix fields with the rows of a stack of K vector fields,
-as one matrix product when every matrix is constant.  A family is R
+``transpose`` takes either; every implicit step is one elimination over
+all nodes, a constant matrix broadcast over them.  A family is R
 constant matrices held as one (R, d, e) array, such as the jacobians of
 one coefficient at a column of time pairs; ``apply``, the one place that
 applies a constant matrix or a family, gives the row stack of its R
 products in one batched product, each row with the bits of ``apply``
-on its own matrix.  Matrices with one column, as every kernel of a
-scalar scenario has, take a broadcast product in place of numpy's
-matmul, with the same values.
+on its own matrix, and ``Tree.tmatvec_sum`` sums the transposed products
+of a family with the rows of a stack as one matrix product.  Matrices
+with one column, as every kernel of a scalar scenario has, take a
+broadcast product in place of numpy's matmul, with the same values.
 """
 
 from __future__ import annotations
@@ -334,10 +334,9 @@ class Tree:
     # The one place that applies a matrix field, in either form: a dense
     # (2**i, d, e) table through einsum, a ScaledMatrix as one ``apply``
     # on the vector field followed by its per-node scale.  A family of
-    # constant matrices is one ``apply``.  ``tmatvec_sum`` applies K
-    # matrix fields to the K rows of a (2**i, d, K) stack and sums: one
-    # ``apply`` of the stacked matrices when all K are constant (or a
-    # family), else the ``level_sum`` of the K ``tmatvec`` products.
+    # constant matrices is one ``apply``, and ``tmatvec_sum`` applies the
+    # K matrices of a family to the K rows of a (2**i, d, K) stack and
+    # sums, as one ``apply`` of the stacked matrices.
 
     def _common_level(self, mat: np.ndarray, vec: np.ndarray):
         lev = max(self.level_of(mat), self.level_of(vec))
@@ -368,46 +367,35 @@ class Tree:
             return self._rescale(mat.scale, apply(mat.matrix.T, vec))
         return np.einsum("kde,kd->ke", *self._common_level(mat, vec), order="F")
 
-    def tmatvec_sum(self, mats, stack: np.ndarray) -> np.ndarray:
-        """sum_k mats[k]' stack[..., k] for a (2**i, d, K) row stack of
-        level-i vector fields and K matrix fields no finer than level i (or
-        a (K, d, e) family), as a level-i field.  All constant: one
-        (e, K d) @ (K d, 2**i) product (a run of rows of a stack reshapes
-        as a view; the stacked matrices are made contiguous, as BLAS takes
+    def tmatvec_sum(self, family: np.ndarray, stack: np.ndarray) -> np.ndarray:
+        """sum_k family[k]' stack[..., k] for a (K, d, e) family and a
+        (2**i, d, K) row stack of level-i vector fields, as a level-i field:
+        one (e, K d) @ (K d, 2**i) product (a run of rows of a stack
+        reshapes as a view; the family is made contiguous, as BLAS takes
         another kernel, with other bits, for another layout)."""
-        if not isinstance(mats, np.ndarray) and all(
-                isinstance(mat, ScaledMatrix) and mat.scale is None for mat in mats):
-            mats = np.stack([mat.matrix for mat in mats])
-        if isinstance(mats, np.ndarray):
-            flat = stack.T.reshape(-1, stack.shape[0])
-            matrix = np.ascontiguousarray(mats).reshape(-1, mats.shape[-1])
-            return apply(matrix.T, flat.T)
-        return self.level_sum((self.tmatvec(mat, stack[..., k])
-                               for k, mat in enumerate(mats)), self.level_of(stack))
+        flat = stack.T.reshape(-1, stack.shape[0])
+        matrix = np.ascontiguousarray(family).reshape(-1, family.shape[-1])
+        return apply(matrix.T, flat.T)
 
     def implicit_solve(self, mat, rhs: np.ndarray) -> np.ndarray:
         """Per-node solve of (I - dt mat) x = rhs at the level of rhs, for a
-        matrix field in either form at most as fine as rhs.  A constant
-        matrix is one LAPACK solve with every node as a right-hand side;
-        otherwise ``_eliminate`` solves the nodes-last (d, d, 2**i) system
-        I - dt (s_k M) at all nodes at once: one division with LAPACK's bits
-        for d = 1, a few ulps off LAPACK for d >= 2.  A zero pivot raises
-        ``np.linalg.LinAlgError`` naming the level and the node."""
-        d = rhs.shape[-1]
-        if isinstance(mat, ScaledMatrix) and mat.scale is None:
-            return np.linalg.solve(np.eye(d) - self.dt * mat.matrix, rhs.T).T
+        matrix field in either form at most as fine as rhs: ``_eliminate``
+        solves the nodes-last (d, d, n) system at all nodes at once, n = 1
+        for a constant matrix (broadcast over the nodes), and for d = 1 it
+        is one division.  A zero pivot raises ``np.linalg.LinAlgError``
+        naming the level and the node (node 0 for a constant matrix)."""
         level, mat_level = self.level_of(rhs), self.level_of(mat)
         if mat_level > level:
             raise ValueError(f"matrix at level {mat_level} is finer than the "
                              f"right-hand side at level {level}")
         reps = 1 << (level - mat_level)
         if isinstance(mat, ScaledMatrix):
-            scale = mat.scale if reps == 1 else mat.scale.repeat(reps)
+            scale = np.ones(1) if mat.scale is None else mat.scale.repeat(reps)
             lhs = np.multiply.outer(mat.matrix, scale)
         else:
             lhs = np.moveaxis(mat, 0, -1).repeat(reps, axis=-1)
         lhs *= self.dt
-        np.subtract(np.eye(d)[..., None], lhs, out=lhs)
+        np.subtract(np.eye(rhs.shape[-1])[..., None], lhs, out=lhs)
         return _eliminate(lhs, np.array(rhs.T, dtype=float, order="C"), level).T
 
 
@@ -459,12 +447,13 @@ def dot(a: np.ndarray, b: np.ndarray) -> float:
 
 def _eliminate(lhs: np.ndarray, rhs: np.ndarray, level: int) -> np.ndarray:
     """Solve lhs[..., k] x_k = rhs[:, k] at every node k of a level, for a
-    nodes-last (d, d, n) lhs and a (d, n) rhs, both overwritten: Gaussian
-    elimination with partial pivoting, d column steps of whole-array
-    operations.  The pivot is the first entry of largest magnitude (as
-    LAPACK's ``idamax`` picks), the multipliers are products with its
-    reciprocal, and the back substitution divides by each diagonal entry
-    and then eliminates its column.  Returns rhs, holding x."""
+    nodes-last (d, d, n) lhs (or (d, d, 1), one matrix for every node) and
+    a (d, n) rhs, both overwritten: Gaussian elimination with partial
+    pivoting, d column steps of whole-array operations.  The pivot is the
+    first entry of largest magnitude (as LAPACK's ``idamax`` picks), the
+    multipliers are products with its reciprocal, and the back substitution
+    divides by each diagonal entry and then eliminates its column.  Returns
+    rhs, holding x."""
     d = rhs.shape[0]
     for c in range(d):
         if c + 1 < d:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .adjoint import (FredholmSolution, FrozenCoefficients, assemble_adjoint,
                       hamiltonian_gradient, solve_fredholm)
-from .backward import solve_bsvie, solve_linear_backward
+from .backward import kernel_terms, solve_bsvie, solve_linear_backward
 from .cones import LicqError, adjacent_cone, cone_min_linear
 from .forward import simulate_forward, simulate_forward_linear
 from .lattice import AdaptedProcess, ScaledMatrix, Tree, dot, outer, transpose
@@ -247,17 +247,19 @@ def solve_variational(scenario: Scenario, fwd, bwd, u: AdaptedProcess,
     fro = FrozenCoefficients(scenario, tree, fwd, bwd, u)
     x1 = simulate_forward_linear(scenario, fwd, v, tree)
     N = tree.N
-    x1_leaf = x1.level(N)
+    g_x, g_u = fro.kernel("g", "x"), fro.kernel("g", "u")
+    # psi_x(i, N) X1_T for the rows i = 0..N, the last one Y1's leaf level
+    psi_terms = list(kernel_terms(tree, fro.kernel("psi", "x"), range(N + 1), N,
+                                  x1.level(N)))
     rows = []
     for i in range(N):
-        terms = [tree.dt * (tree.matvec(fro.d("g", "x", i, j), x1.level(j))
-                            + tree.matvec(fro.d("g", "u", i, j), v.level(j)))
-                 for j in range(i, N)]
-        psi_x = fro.d("psi", "x", i, N)
-        rows.append(tree.level_sum(terms + [tree.matvec(psi_x, x1_leaf)], N))
+        terms = [tree.dt * (x + u) for x, u in zip(
+            kernel_terms(tree, g_x, i, range(i, N), x1.levels[i:N]),
+            kernel_terms(tree, g_u, i, range(i, N), v.levels[i:N]))]
+        rows.append(tree.level_sum(terms + [psi_terms[i]], N))
     sol = solve_linear_backward(tree, rows, A=fro.kernel("g", "y"),
                                 D=fro.kernel("g", "z"), include_diag_A=True)
-    y1 = AdaptedProcess(sol.Y.levels + [tree.matvec(fro.d("psi", "x", N, N), x1_leaf)])
+    y1 = AdaptedProcess(sol.Y.levels + [psi_terms[N]])
     return x1, y1, sol.Z
 
 

@@ -25,7 +25,8 @@ from test_scenario import FIXTURES
 
 class _Lambda0Frozen:
     """Hand-built frozen coefficients for the lambda(0) equation: h_y a
-    leaf field, f_z the levels of ``fz``, g_z(0, j) the constant d."""
+    leaf field, f_z the levels of ``fz``, g_z(0, j) the constant d; its
+    kernels have no family, as a state-dependent slot's."""
 
     def __init__(self, hy, fz, d):
         self.hy, self.fz, self.d_gz = hy, fz, d
@@ -36,6 +37,9 @@ class _Lambda0Frozen:
         if name == "f":
             return self.fz.level(j)
         return np.full((1, 1, 1), self.d_gz)
+
+    def kernel(self, name, slot):
+        return lambda i, j: self.d(name, slot, i, j)
 
 
 class TestSolveLambda0:

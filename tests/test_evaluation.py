@@ -7,6 +7,7 @@ forward sweep, the BSVIE and the linear backward family advance their
 rows as one row stack per level; each must give the bits of its
 row-by-row solve."""
 
+import dataclasses
 import gc
 import json
 
@@ -18,9 +19,9 @@ from oracles import per_pair_bsvie, per_pair_forward, per_row_linear_backward
 from volterra_control import cli
 from volterra_control import scenario as scenario_module
 from volterra_control.adjoint import (FrozenCoefficients, _pq_kernels, _pq_rows,
-                                      assemble_adjoint, hamiltonian_gradient,
-                                      solve_fredholm)
-from volterra_control.backward import solve_bsvie, solve_linear_backward
+                                      adjoint_residuals, assemble_adjoint,
+                                      hamiltonian_gradient, solve_fredholm)
+from volterra_control.backward import kernel_sum, solve_bsvie, solve_linear_backward
 from volterra_control.forward import ForwardPath, simulate_forward
 from volterra_control.lattice import AdaptedProcess, ScaledMatrix
 from volterra_control.scenario import Scenario, fixture_path, load_scenario
@@ -248,31 +249,61 @@ def test_tables_have_the_bits_of_the_kernel_and_the_jacobian():
 @pytest.mark.parametrize("name", FIXTURES)
 def test_families_have_the_bits_of_the_per_pair_path(name, monkeypatch):
     # every fixture solved twice on one state: with the families, and with
-    # every jacobian served pair by pair; on quadratic b_u depends on the
-    # state, so H_u takes the per-pair path for it beside the families
+    # every jacobian served pair by pair (``family`` patched to None); on
+    # quadratic b_u depends on the state, so X1 and H_u take the per-pair
+    # path for it beside the families.  theta and the F rows add a column
+    # of products (``kernel_sum``): one GEMM with a family, the ordered sum
+    # of the per-pair products without, which round apart.  So each run's
+    # sums are held to their own path, and the per-pair run's (p, q) solve,
+    # H_u and checks are fed the family run's theta and F rows.
     s = load_scenario(fixture_path(name))
     tree = s.tree(STEPS)
+    N = tree.N
     u = _control(s, tree)
     fwd = simulate_forward(s, u, tree)
     bwd = solve_bsvie(s, fwd, u, tree)
     v = _control(s, tree, seed=5)
 
-    def run():
+    def run(per_pair):
         bundle = assemble_adjoint(s, fwd, bwd, u, tree)
-        hu = hamiltonian_gradient(s, bundle, fwd, bwd, u, tree)
-        return bundle, hu, solve_variational(s, fwd, bwd, u, v, tree)
+        fro, xi = bundle.frozen, bundle.xi.levels[-1]
+        columns = [("psi", range(N), N)] + [("g", range(i + 1), i) for i in range(N)]
+        for obj, rows, j in columns:  # theta's sum, then each F row's
+            stack = xi[..., :rows.stop]
+            got = kernel_sum(tree, fro.kernel(obj, "x"), rows, j, stack)
+            want = (tree.level_sum([tree.tmatvec(fro.d(obj, "x", k, j), stack[..., k])
+                                    for k in rows], N) if per_pair else
+                    tree.tmatvec_sum(fro.family(obj, "x", slice(0, rows.stop), j), stack))
+            assert np.array_equal(got, want), (obj, j)
+            if obj == "psi":
+                assert np.array_equal(bundle.theta, fro.d("h", "x", 0, N) + tree.tmatvec(
+                    fro.d("psi", "x", 0, N), bundle.lambda0) + tree.dt * got)
+            else:
+                assert np.array_equal(bundle.F[j], tree.level_sum(
+                    [fro.d("f", "x", 0, j) + tree.tmatvec(fro.d("g", "x", 0, j),
+                                                          bundle.lam.cond_exp(0, j)),
+                     tree.dt * got], N)), j
+        return bundle, solve_variational(s, fwd, bwd, u, v, tree)
 
-    bundle, hu, var = run()
+    bundle, var = run(per_pair=False)
+    hu = hamiltonian_gradient(s, bundle, fwd, bwd, u, tree)
+    res = adjoint_residuals(s, bundle, tree)
     families = bundle.frozen.family("b", "u", slice(0, 2), 2)
     assert (families is None) == (name == "quadratic")
     monkeypatch.setattr(FrozenCoefficients, "family", lambda self, *pair: None)
-    ref, ref_hu, ref_var = run()
+    ref, ref_var = run(per_pair=True)
+    for a, b in zip([ref.theta] + ref.F, [bundle.theta] + bundle.F):
+        assert np.all(np.abs(a - b) <= 1e-14 * (1.0 + np.abs(b)))
+    pq = solve_linear_backward(tree, bundle.F, **_pq_kernels(ref.frozen, bundle.theta))
+    ref = dataclasses.replace(ref, theta=bundle.theta, F=bundle.F, pq=pq)
     for field, levels in _bundle_fields(bundle).items():
         assert _equal_levels(levels, _bundle_fields(ref)[field]), field
-    assert _equal_levels(hu.levels, ref_hu.levels)
-    assert _equal_levels(var[0].levels, ref_var[0].levels)
-    assert _equal_levels(var[1].levels, ref_var[1].levels)
-    assert _equal_levels(var[2].levels, ref_var[2].levels)
+    assert _equal_levels(hu.levels, hamiltonian_gradient(s, ref, fwd, bwd, u, tree).levels)
+    # the checks that do not re-derive theta, the lambda(0) check among them
+    ref_res = adjoint_residuals(s, ref, tree)
+    assert all(ref_res[key] == res[key] for key in ("lambda0", "xi", "m_identity"))
+    for got, want in zip(var, ref_var):  # X1, Y1, Z1
+        assert _equal_levels(got.levels, want.levels)
 
 
 class _TableKernel:

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import as_table, grid_points, zero_process, zero_two_param
 from volterra_control.adjoint import solve_fredholm
-from volterra_control.backward import _row_run, kernel_terms, solve_linear_backward
+from volterra_control.backward import (_row_run, kernel_sum, kernel_terms,
+                                       solve_linear_backward)
 from volterra_control.lattice import (AdaptedProcess, ScaledMatrix, TimeGrid, Tree,
                                       TwoParamProcess, apply, dot, scaled, stack,
                                       transpose)
@@ -18,6 +19,23 @@ from volterra_control.verify import (_pair, check_duality_1, check_duality_2,
 
 def field(values):
     return np.asarray(values, dtype=float).reshape(-1, 1)
+
+
+class _Column:
+    """A kernel over the pairs (k, 2), k = 1..K: ``mats[k - 1]`` pair by
+    pair, and with ``family`` the rows of that (K, d, e) array for a run of
+    pairs, as ``FrozenCoefficients.kernel`` gives them."""
+
+    def __init__(self, mats, family=None):
+        self.mats, self._family = mats, family
+
+    def __call__(self, i, j):
+        assert j == 2
+        return self.mats[i - 1]
+
+    def family(self, i, j):
+        assert j == 2
+        return None if self._family is None else self._family[i.start - 1:i.stop - 1]
 
 
 class TestTimeGrid:
@@ -265,12 +283,10 @@ class TestKernelApplication:
         rhs = rng.standard_normal((1 << ((scale_level or 0) + lift), d))
         table = as_table(mat, len(rhs))
         for factored, dense in ((mat, table), (transpose(mat), table.mT)):
-            got = tree.implicit_solve(factored, rhs)
-            want = tree.implicit_solve(dense, rhs)
-            if scale is None:  # one solve with every node as a right-hand side
-                assert np.abs(got - want).max() <= 1e-15 * (1.0 + np.abs(want).max())
-            else:  # the per-node solve of the table
-                assert np.array_equal(got, want)
+            # a constant matrix too: one elimination broadcast over the
+            # nodes has the bits of the per-node solve of its table
+            assert np.array_equal(tree.implicit_solve(factored, rhs),
+                                  tree.implicit_solve(dense, rhs))
 
     @settings(max_examples=60, deadline=None)
     @given(d=st.integers(1, 3), e=st.integers(1, 3),
@@ -295,12 +311,14 @@ class TestKernelApplication:
         stack = rng.standard_normal((K + 2, d, 1 << level)).T[..., :K]
         ref = tree.level_sum([tree.tmatvec(mat, stack[..., k])
                               for k, mat in enumerate(mats)], level)
-        got = tree.tmatvec_sum(mats, stack)
+        # pair by pair: the ordered sum of the per-pair products
+        got = kernel_sum(tree, _Column(mats), range(1, K + 1), 2, stack)
         assert got.shape == ref.shape == (1 << level, e)
-        if set(kinds) == {"constant"}:  # one GEMM: summed in another order
+        assert np.array_equal(got, ref)
+        if set(kinds) == {"constant"}:  # a family: one GEMM, summed in another order
+            family = np.stack([mat.matrix for mat in mats])
+            got = kernel_sum(tree, _Column(mats, family), range(1, K + 1), 2, stack)
             assert np.all(np.abs(got - ref) <= 1e-14 * (1.0 + np.abs(ref)))
-        else:
-            assert np.array_equal(got, ref)
 
     def test_constant_table_is_a_view(self):
         mat = ScaledMatrix(None, np.arange(6.0).reshape(2, 3))
@@ -351,7 +369,7 @@ class TestImplicitSolve:
         want = np.linalg.solve(lhs, rhs[..., None])[..., 0]
         assert node_contiguous(got)
         assert np.all(np.abs(got - want) <= 1e-14 * (1.0 + np.abs(want)))
-        if d == 1:  # one division: LAPACK's bits
+        if d == 1:  # one division per node
             assert np.array_equal(got, rhs / lhs[..., 0])
         table = as_table(mat, 1 << scale_level)
         assert np.array_equal(tree.implicit_solve(table, rhs), got)
@@ -360,23 +378,45 @@ class TestImplicitSolve:
         # a right-hand side stored row-major gives the same bits
         assert np.array_equal(tree.implicit_solve(mat, np.ascontiguousarray(rhs)), got)
 
-    def test_only_a_constant_matrix_calls_lapack(self, monkeypatch):
+    def test_no_implicit_step_calls_lapack(self, monkeypatch):
         calls = []
         solve = np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve",
                             lambda *args: calls.append(1) or solve(*args))
         tree = Tree.build(1.0, 4)
-        rhs = np.ones((1 << 4, 2))
-        tree.implicit_solve(ScaledMatrix(np.ones(1 << 3), np.eye(2)), rhs)
-        tree.implicit_solve(np.ones((1 << 2, 2, 2)), rhs)
-        assert not calls
+        for d in (1, 2, 3):
+            rhs = np.ones((1 << 4, d))
+            for mat in (ScaledMatrix(None, np.eye(d)), ScaledMatrix(np.ones(1 << 3), np.eye(d)),
+                        np.ones((1 << 2, d, d))):
+                assert np.all(np.isfinite(tree.implicit_solve(mat, rhs)))
         inst = smooth_duality_instance(1.0, 4, 2, seed=1)  # per-node kernels
         for mode in ("transpose", "continuum"):
             check_duality_1(inst, mode)
             check_duality_2(inst, mode)
         assert not calls
-        tree.implicit_solve(ScaledMatrix(None, np.eye(2)), rhs)
-        assert len(calls) == 1
+
+    @settings(max_examples=30, deadline=None)
+    @given(level=st.integers(0, 6), seed=SEED)
+    def test_constant_scalar_step_is_one_division(self, level, seed):
+        tree = Tree.build(1.0, 6)
+        rng = np.random.default_rng(seed)
+        m = float(rng.uniform(-2.0, 2.0))
+        rhs = rng.standard_normal((1 << level, 1))
+        got = tree.implicit_solve(ScaledMatrix(None, np.array([[m]])), rhs)
+        assert np.array_equal(got, rhs / (1.0 - tree.dt * m))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_singular_constant_matrix_is_located(self, d):
+        # I - dt M is zero for d = 1 and the all-ones matrix for d > 1,
+        # singular at every node (its elimination meets an exact zero
+        # pivot); a constant matrix names node 0
+        tree = Tree.build(1.0, 4)
+        lhs = np.ones((d, d)) if d > 1 else np.zeros((1, 1))
+        mat = ScaledMatrix(None, (np.eye(d) - lhs) / tree.dt)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError, match="level 3, node 0$"):
+                tree.implicit_solve(mat, np.ones((1 << 3, d)))
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_singular_node_is_located(self, d):
@@ -689,8 +729,8 @@ class TestFamilies:
         rows = rng.standard_normal((R + 2, d, 1 << level)).T[..., :R]
         for name, family in self.families(rng, d, e, R).items():
             mats = [ScaledMatrix(None, mat) for mat in family]
-            assert np.array_equal(tree.tmatvec_sum(family, rows),
-                                  tree.tmatvec_sum(mats, rows)), name
+            got = kernel_sum(tree, _Column(mats, family), range(1, R + 1), 2, rows)
+            assert np.array_equal(got, tree.tmatvec_sum(np.stack(list(family)), rows)), name
 
 
 def node_contiguous(values):
@@ -776,13 +816,15 @@ class TestNodeContiguousLayout:
                 "tmatvec_table": (tree.tmatvec(table, vd),
                                   np.einsum("kde,kd->ke", table, x4d)),
             }
-            for order in both_orders(np.stack(cols, axis=-1)):
-                got["tmatvec_sum_" + ("C" if order.flags.c_contiguous else "F")] = (
-                    tree.tmatvec_sum(mats, order),
-                    sum(col @ m.matrix for col, m in zip(cols, mats)))
-            got["tmatvec_sum_stack"] = (
-                tree.tmatvec_sum(mats[:2], stack(cols)[..., :2]),
-                cols[0] @ mats[0].matrix + cols[1] @ mats[1].matrix)
+            family = np.stack([m.matrix for m in mats])
+            for kernel, path in ((_Column(mats, family), "family"), (_Column(mats), "pairs")):
+                for order in both_orders(np.stack(cols, axis=-1)):
+                    got[f"kernel_sum_{path}_" + ("C" if order.flags.c_contiguous else "F")] = (
+                        kernel_sum(tree, kernel, range(1, 4), 2, order),
+                        sum(col @ m.matrix for col, m in zip(cols, mats)))
+                got[f"kernel_sum_{path}_stack"] = (
+                    kernel_sum(tree, kernel, range(1, 3), 2, stack(cols)[..., :2]),
+                    cols[0] @ mats[0].matrix + cols[1] @ mats[1].matrix)
             for form in (ScaledMatrix(None, square), ScaledMatrix(scale, square),
                          as_table(ScaledMatrix(scale, square), 1 << 4)):
                 lhs = np.eye(d) - tree.dt * as_table(form, 1 << 4)
