@@ -15,12 +15,15 @@ of a row stack (see ``lattice``):
   finished rows), and then joins the stack of finished rows, which one
   drift-free step per row continues below the diagonal.
 
-The per-row descents are ``_row_run``, a martingale step per level plus
-an optional explicit drift (the D-terms), which writes each integrand
-into its Z stack; each linear row's free term is one ``Tree.level_sum``.
-Every row keeps the order of its sums, so the batched steps give each
-row the bits of its own descent.  The row checks sum the same terms in
-the same order and compare them with the stored rows by
+The per-row descents are ``_row_run``: per level a martingale step, an
+optional explicit drift (the D-terms) and the row's terms that live on
+that level; it writes each integrand into its Z stack.  A linear row's
+run starts from its leaf terms alone, and each other term joins it on
+its own level, the finer of its kernel value's and its vector's, so no
+term is carried up to the leaves and averaged back down.  Every row
+keeps the order of its sums, so the batched steps give each row the
+bits of its own descent.  The row checks sum the row's terms in an
+order of their own and compare them with the stored rows by
 ``Tree.level_defect``.
 
 Discrete conventions (used identically by the primal solvers, so that
@@ -38,6 +41,7 @@ every duality identity is an exact transpose statement):
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,16 +112,19 @@ def _implicit_step(mean: np.ndarray, step, tol: float, max_iter: int,
 
 
 def _row_run(tree: Tree, run: list, zs: list, start: int, stop: int,
-             drift=None) -> None:
+             drift=None, terms=None) -> None:
     """Continue a descending row run in place from level ``start`` down to
-    level ``stop``: run[r] = E_r[run[r+1]] + dt * drift(r, z_r), with
-    zs[r] = z_r the representation integrand of run[r+1] (no drift when
+    level ``stop``: run[r] = E_r[run[r+1]] + dt * drift(r, z_r) + terms[r],
+    with zs[r] = z_r the representation integrand of run[r+1] (no drift when
     ``drift`` is None), written into the field zs[r] when there is one.
-    ``run`` is indexed by level 0..N, ``zs`` by level 0..N-1."""
+    ``terms[r]`` lists level-r fields, added one at a time in its order.
+    ``run`` and ``terms`` are indexed by level 0..N, ``zs`` by level 0..N-1."""
     cur = run[start]
     for r in range(start - 1, stop - 1, -1):
         mean, zs[r] = tree.repr_step(cur, out=zs[r])
         cur = mean if drift is None else mean + tree.dt * drift(r, zs[r])
+        for term in () if terms is None else terms[r]:
+            cur += term
         run[r] = cur
 
 
@@ -162,9 +169,11 @@ def solve_bsvie(scenario: Scenario, fwd, u: AdaptedProcess,
                 kernels[r] * ((g.bracket(x_part, y=y_r) + z_term) + u_term)),
             tols.picard_tol, tols.picard_max_iter, r)
         worst = max(worst, gap)
-        prefix = g.bracket(x_part, y=y[r])
-        runs += tree.dt * (kernels * (g.bracket(prefix[..., None], z=z)
-                                      + u_term[..., None]))
+        update = g.bracket(g.bracket(x_part, y=y[r])[..., None], z=z)
+        update += u_term[..., None]
+        update *= kernels
+        update *= tree.dt
+        runs += update
         runs[..., r] = y[r]
     return BackwardPath(Y=AdaptedProcess(y), Z=TwoParamProcess(z_levels),
                         residual_history=[worst])
@@ -199,6 +208,18 @@ def solve_linear_backward(tree: Tree, psi_rows, A=None, B=None,
     its own integrands Z(i, j), j >= i, and the stacks of E_i[Y_j] are
     kept.  A row's B terms are one ``kernel_terms``; a family's A terms
     A(i, j) Y_j of all rows i < j are one product once Y_j exists.
+
+    Row i's run starts from the sum of its leaf terms: psi_i, A(i,N)
+    theta, and B(i,N) nu_i when that product lives on level N.  Every
+    other term joins the run on its own level, the finer of its kernel
+    value's and its vector's (as ``Tree.matvec`` makes it): dt A(i,j) Y_j
+    on level j or finer, dt B(i,j) Z(j,i) anywhere from level i (a
+    constant B) to level j (B(i,j) scaled on level j, as in the duality
+    instances).  A level's terms go in one fixed order: B(i,j) Z(j,i)
+    and A(i,j) Y_j by ascending j, then B(i,N) nu_i, A(i,N) theta and
+    psi_i.  The terms on level i go in before the diagonal B term and the
+    implicit A step.  Each row costs O(2^N) node operations per
+    dimension, the solve O(N 2^N).
     """
     N = tree.N
     if len(psi_rows) != N:
@@ -225,7 +246,7 @@ def solve_linear_backward(tree: Tree, psi_rows, A=None, B=None,
         cond_stacks[i] = done
         b_terms = iter(() if B is None else kernel_terms(tree, B, i, range(i + 1, N), z, tree.dt))
 
-        def terms():  # coarse to fine, as far as the kernels' levels allow
+        def terms():  # a level's terms go in this order
             for j in range(i + 1, N):
                 if B is not None:
                     yield next(b_terms)
@@ -237,13 +258,18 @@ def solve_linear_backward(tree: Tree, psi_rows, A=None, B=None,
                 yield tree.matvec(B(i, N), nu.level(i))
             if theta is not None and A is not None:
                 yield tree.matvec(A(i, N), theta)
-            yield np.array(psi_rows[i], dtype=float)
-        # row run down to level i, absorbing the D-terms; its integrands
-        # are written into the Z stacks
-        run = [None] * N + [tree.level_sum(terms(), N)]
+            yield np.asarray(psi_rows[i], dtype=float)
+        # each term on its own level, the finer of its kernel value's and
+        # its vector's; the leaf terms start the run
+        by_level = [[] for _ in range(N + 1)]
+        for term in terms():
+            by_level[tree.level_of(term)].append(term)
+        # row run down to level i, absorbing the D-terms and the terms of
+        # each level; its integrands are written into the Z stacks
+        run = [None] * N + [functools.reduce(np.add, by_level[N])]
         z_cols = [None] * i + [z[..., i] for z in z_levels[i:]]
         _row_run(tree, run, z_cols, N, i, None if D is None else (
-            lambda r, z: tree.matvec(D(i, r), z)))
+            lambda r, z: tree.matvec(D(i, r), z)), by_level)
         cur = run[i]
         if include_diag_B and B is not None:
             cur = cur + tree.dt * tree.matvec(B(i, i), z_cols[i])
@@ -312,8 +338,8 @@ def backward_row_residual(tree: Tree, sol: BackwardSolution, i: int, psi_rows,
                           include_diag_A: bool = True,
                           include_diag_B: bool = False) -> float:
     """Node-wise residual of row i of the defining discrete equation: the
-    ``Tree.level_defect`` of its terms in the solver's order against Y_i,
-    the dW_j terms as steps."""
+    ``Tree.level_defect`` of its terms against Y_i, the dW_j terms as
+    steps."""
     N, dt = tree.N, tree.dt
     a_cols, b_cols = (range(i if diag else i + 1, N)
                       for diag in (include_diag_A, include_diag_B))

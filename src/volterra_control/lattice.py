@@ -19,8 +19,8 @@ has unit stride and ``values.T`` (node axis last) is C-contiguous, so
 every pass over a field runs numpy's inner loop along the 2**i nodes.
 This module is the one place that knows the layout: ``field``, ``outer``,
 ``apply``, ``stack`` and ``scaled`` build node-contiguous fields and row
-stacks, ``dot`` pairs two fields, and every ``Tree`` helper returns
-node-contiguous fields for input in either order.
+stacks, and every ``Tree`` helper returns node-contiguous fields for
+input in either order.
 
 A row stack is R level-i fields held as one (2**i, d, R) array with a
 trailing row axis, stored the same way: its ``.T`` is a C-contiguous
@@ -439,24 +439,25 @@ def scaled(values: np.ndarray, factors) -> np.ndarray:
     return np.multiply.outer(factors, field(values).T).T
 
 
-def dot(a: np.ndarray, b: np.ndarray) -> float:
-    """sum over every node and component of a * b for two fields of one
-    level, as one dot product."""
-    return float(np.dot(field(a).T.ravel(), field(b).T.ravel()))
-
-
 def _eliminate(lhs: np.ndarray, rhs: np.ndarray, level: int) -> np.ndarray:
     """Solve lhs[..., k] x_k = rhs[:, k] at every node k of a level, for a
     nodes-last (d, d, n) lhs (or (d, d, 1), one matrix for every node) and
     a (d, n) rhs, both overwritten: Gaussian elimination with partial
     pivoting, d column steps of whole-array operations.  The pivot is the
-    first entry of largest magnitude (as LAPACK's ``idamax`` picks), the
+    first entry of largest magnitude (as LAPACK's ``idamax`` picks; for one
+    matrix it is picked, and its row swapped, once for all nodes), the
     multipliers are products with its reciprocal, and the back substitution
     divides by each diagonal entry and then eliminates its column.  Returns
     rhs, holding x."""
     d = rhs.shape[0]
     for c in range(d):
-        if c + 1 < d:
+        if c + 1 < d and lhs.shape[-1] == 1:  # one matrix: swap rows once
+            sizes = np.abs(lhs[c:, c, 0]).tolist()
+            best = max(range(d - c), key=sizes.__getitem__)  # the first maximum
+            if best:
+                for rows in (lhs[:, c:], rhs):
+                    rows[[c, c + best]] = rows[[c + best, c]]
+        elif c + 1 < d:
             sizes = np.abs(lhs[c:, c])
             best, top = 0, sizes[0]  # a running first maximum down the column
             for r in range(1, d - c):

@@ -31,7 +31,7 @@ from .adjoint import (FredholmSolution, FrozenCoefficients, assemble_adjoint,
 from .backward import kernel_terms, solve_bsvie, solve_linear_backward
 from .cones import LicqError, adjacent_cone, cone_min_linear
 from .forward import simulate_forward, simulate_forward_linear
-from .lattice import AdaptedProcess, ScaledMatrix, Tree, dot, outer, transpose
+from .lattice import AdaptedProcess, ScaledMatrix, Tree, outer, transpose
 from .scenario import ProjectionUnavailable, Scenario
 
 
@@ -167,9 +167,12 @@ def smooth_duality_instance(horizon: float, steps: int, m: int,
 
 
 def _pair(tree: Tree, a: np.ndarray, b: np.ndarray) -> float:
-    """E<a, b> at the common refinement level: one dot product."""
+    """E<a, b> at the common refinement level: numpy's pairwise sum of the
+    products, whose rounding does not grow with the node count as a
+    sequential dot product's does."""
     lev = max(tree.level_of(a), tree.level_of(b))
-    return dot(tree.embed(a, lev), tree.embed(b, lev)) / tree.n_nodes(lev)
+    products = tree.embed(a, lev).T * tree.embed(b, lev).T  # nodes last, C order
+    return float(np.sum(products.ravel())) / tree.n_nodes(lev)
 
 
 @dataclass

@@ -289,7 +289,12 @@ def per_row_linear_backward(tree: Tree, psi_rows, A=None, B=None, D=None,
                             include_diag_B: bool = False) -> BackwardSolution:
     """``solve_linear_backward`` one row at a time: each row i = N-1..0
     descends to its diagonal and then on to level 0 by itself, giving
-    Z(i, j < i) before row i - 1 reads Z(i, i - 1)."""
+    Z(i, j < i) before row i - 1 reads Z(i, i - 1).  Every kernel is
+    applied pair by pair, and each term joins the run on its own level,
+    the finer of the kernel value's and the vector's; a level's terms go
+    in the solver's order: B(i,j) Z(j,i) and A(i,j) Y_j by ascending j,
+    then B(i,N) nu_i, A(i,N) theta and psi_i, the leaf terms summed in
+    that order to start the run."""
     N = tree.N
     mu = nu = None
     if theta is not None:
@@ -310,9 +315,14 @@ def per_row_linear_backward(tree: Tree, psi_rows, A=None, B=None, D=None,
         if theta is not None and A is not None:
             terms.append(tree.matvec(A(i, N), theta))
         terms.append(np.array(psi_rows[i], dtype=float))
-        run, z_cols = [None] * N + [tree.level_sum(terms, N)], [None] * N
+        by_level = [[term for term in terms if tree.level_of(term) == r]
+                    for r in range(N + 1)]
+        start = by_level[N][0]
+        for term in by_level[N][1:]:
+            start = start + term
+        run, z_cols = [None] * N + [start], [None] * N
         _row_run(tree, run, z_cols, N, i, None if D is None else (
-            lambda r, z: tree.matvec(D(i, r), z)))
+            lambda r, z: tree.matvec(D(i, r), z)), by_level)
         cur = run[i]
         if include_diag_B and B is not None:
             cur = cur + tree.dt * tree.matvec(B(i, i), z_cols[i])

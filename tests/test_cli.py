@@ -1,8 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from volterra_control import adjoint, backward, forward, lattice, verify
 from volterra_control.cli import COMMANDS, main
 from volterra_control.scenario import fixture_path, load_scenario
 
@@ -175,6 +177,59 @@ class TestSmoke:
             assert code == 0, err
         else:
             assert code in (0, 1), err
+
+
+class TestBranchesReachedFromTheCli:
+    """Each numeric branch below runs for at least one shipped fixture under
+    ``optimize`` and ``converge`` at its own N, counted by wrappers around
+    the elimination and the kernel helpers."""
+
+    def test_every_branch_is_reached(self, tmp_path, monkeypatch):
+        seen = set()
+        eliminate = lattice._eliminate
+
+        def counted_eliminate(lhs, rhs, level):
+            d = rhs.shape[0]
+            if d >= 2 and lhs.shape[-1] > 1:
+                seen.add("per-node elimination, d >= 2")
+            elif d >= 2 and not np.array_equal(lhs[..., 0], np.eye(d)):
+                seen.add("constant non-identity elimination, d >= 2")
+            return eliminate(lhs, rhs, level)
+
+        terms, depth = backward.kernel_terms, []
+
+        def counted_terms(tree, kernel, i, j, vecs, factor=None, transpose=False):
+            span = i if type(i) is range else j
+            cut = slice(span.start, span.stop)
+            pair = (cut, j) if span is i else (i, cut)
+            if span and not depth and backward.family_of(kernel, *pair) is None:
+                seen.add(f"per-pair kernel_terms, transpose={transpose}")
+            return terms(tree, kernel, i, j, vecs, factor, transpose)
+
+        kernel_sum = backward.kernel_sum
+
+        def counted_sum(tree, kernel, rows, j, stack):
+            if backward.family_of(kernel, slice(rows.start, rows.stop), j) is None:
+                seen.add("per-pair kernel_sum")
+            depth.append(1)
+            try:
+                return kernel_sum(tree, kernel, rows, j, stack)
+            finally:
+                depth.pop()
+
+        monkeypatch.setattr(lattice, "_eliminate", counted_eliminate)
+        for module in (backward, adjoint, forward, verify):
+            monkeypatch.setattr(module, "kernel_terms", counted_terms)
+        for module in (backward, adjoint):
+            monkeypatch.setattr(module, "kernel_sum", counted_sum)
+        for fixture in FIXTURES:
+            for command in ("optimize", "converge"):
+                assert run(tmp_path, command, "--scenario", str(fixture_path(fixture))) == 0
+        assert seen == {"constant non-identity elimination, d >= 2",
+                        "per-node elimination, d >= 2",
+                        "per-pair kernel_terms, transpose=False",
+                        "per-pair kernel_terms, transpose=True",
+                        "per-pair kernel_sum"}
 
 
 class TestCheckNcSchema:

@@ -25,7 +25,8 @@ from volterra_control.backward import kernel_sum, solve_bsvie, solve_linear_back
 from volterra_control.forward import ForwardPath, simulate_forward
 from volterra_control.lattice import AdaptedProcess, ScaledMatrix
 from volterra_control.scenario import Scenario, fixture_path, load_scenario
-from volterra_control.verify import smooth_duality_instance, solve_variational
+from volterra_control.verify import (check_duality_1, check_duality_2, smooth_duality_instance,
+                                     solve_variational)
 
 from test_scenario import FIXTURES
 
@@ -112,6 +113,39 @@ def test_linear_backward_has_the_bits_of_the_row_by_row_solve(m, mode):
             (inst.psi_tilde_rows, {"A": inst.A_tilde, "D": inst.D})):
         _same_linear_solution(solve_linear_backward(tree, rows, **kernels),
                               per_row_linear_backward(tree, rows, **kernels))
+
+
+def _between_levels_B(tree, m, seed, boundary_at_row):
+    """A B kernel whose value B(i, j) sits on a level strictly between i and
+    j when j >= i + 2 (on level j when j = i + 1, on level i when j = i);
+    B(i, N) sits on level N, or on level i with ``boundary_at_row``."""
+    rng = np.random.default_rng(seed)
+    base = rng.uniform(-0.6, 0.6, (tree.N + 1, tree.N + 1, m, m))
+    scales = [1.0 + 0.3 * np.tanh(tree.w(k)) for k in range(tree.N + 1)]
+
+    def kernel(i, j):
+        if j == tree.N:
+            level = i if boundary_at_row else tree.N
+        else:
+            level = (i + j + 1) // 2
+        return ScaledMatrix(scales[level], base[i, j])
+    return kernel
+
+
+@pytest.mark.parametrize("boundary_at_row", [False, True])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_b_between_levels_has_the_bits_of_the_row_by_row_solve(m, boundary_at_row):
+    # each B(i, j) Z(j, i) term joins row i's run on its own level, between
+    # the row's diagonal and the leaves; the duality pair stays exact
+    inst = smooth_duality_instance(1.0, STEPS, m, seed=m)
+    inst = dataclasses.replace(inst, B=_between_levels_B(inst.tree, m, 10 + m, boundary_at_row))
+    for diag_B in (False, True):
+        kernels = {"A": inst.A, "B": inst.B, "D": inst.D, "theta": inst.theta,
+                   "include_diag_B": diag_B}
+        _same_linear_solution(solve_linear_backward(inst.tree, inst.psi_rows, **kernels),
+                              per_row_linear_backward(inst.tree, inst.psi_rows, **kernels))
+    assert abs(check_duality_1(inst, "transpose").gap) <= 1e-13
+    assert abs(check_duality_2(inst, "transpose").gap) <= 1e-13
 
 
 @pytest.mark.parametrize("name", FIXTURES)
@@ -250,8 +284,9 @@ def test_tables_have_the_bits_of_the_kernel_and_the_jacobian():
 def test_families_have_the_bits_of_the_per_pair_path(name, monkeypatch):
     # every fixture solved twice on one state: with the families, and with
     # every jacobian served pair by pair (``family`` patched to None); on
-    # quadratic b_u depends on the state, so X1 and H_u take the per-pair
-    # path for it beside the families.  theta and the F rows add a column
+    # quadratic and coupled b_u depend on the state (on coupled g_x and
+    # g_y too), so X1 and H_u take the per-pair path for them beside the
+    # families.  theta and the F rows add a column
     # of products (``kernel_sum``): one GEMM with a family, the ordered sum
     # of the per-pair products without, which round apart.  So each run's
     # sums are held to their own path, and the per-pair run's (p, q) solve,
@@ -271,9 +306,10 @@ def test_families_have_the_bits_of_the_per_pair_path(name, monkeypatch):
         for obj, rows, j in columns:  # theta's sum, then each F row's
             stack = xi[..., :rows.stop]
             got = kernel_sum(tree, fro.kernel(obj, "x"), rows, j, stack)
+            family = fro.family(obj, "x", slice(0, rows.stop), j)
             want = (tree.level_sum([tree.tmatvec(fro.d(obj, "x", k, j), stack[..., k])
-                                    for k in rows], N) if per_pair else
-                    tree.tmatvec_sum(fro.family(obj, "x", slice(0, rows.stop), j), stack))
+                                    for k in rows], N) if family is None else
+                    tree.tmatvec_sum(family, stack))
             assert np.array_equal(got, want), (obj, j)
             if obj == "psi":
                 assert np.array_equal(bundle.theta, fro.d("h", "x", 0, N) + tree.tmatvec(
@@ -289,7 +325,7 @@ def test_families_have_the_bits_of_the_per_pair_path(name, monkeypatch):
     hu = hamiltonian_gradient(s, bundle, fwd, bwd, u, tree)
     res = adjoint_residuals(s, bundle, tree)
     families = bundle.frozen.family("b", "u", slice(0, 2), 2)
-    assert (families is None) == (name == "quadratic")
+    assert (families is None) == (name in ("quadratic", "coupled"))
     monkeypatch.setattr(FrozenCoefficients, "family", lambda self, *pair: None)
     ref, ref_var = run(per_pair=True)
     for a, b in zip([ref.theta] + ref.F, [bundle.theta] + bundle.F):

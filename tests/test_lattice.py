@@ -11,7 +11,7 @@ from volterra_control.adjoint import solve_fredholm
 from volterra_control.backward import (_row_run, kernel_sum, kernel_terms,
                                        solve_linear_backward)
 from volterra_control.lattice import (AdaptedProcess, ScaledMatrix, TimeGrid, Tree,
-                                      TwoParamProcess, apply, dot, scaled, stack,
+                                      TwoParamProcess, apply, scaled, stack,
                                       transpose)
 from volterra_control.verify import (_pair, check_duality_1, check_duality_2,
                                      smooth_duality_instance)
@@ -377,6 +377,22 @@ class TestImplicitSolve:
                               tree.implicit_solve(table.mT, rhs))
         # a right-hand side stored row-major gives the same bits
         assert np.array_equal(tree.implicit_solve(mat, np.ascontiguousarray(rhs)), got)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_constant_swap_has_the_bits_of_the_per_node_solve(self, d):
+        # one matrix whose first step swaps rows: picked once for all
+        # nodes, with the bits of the per-node pivot search on its table
+        tree = Tree.build(1.0, 6)
+        rng = np.random.default_rng(40 + d)
+        mat = ScaledMatrix(None, self.scaled_system(tree, rng, d, 0, swap=True).matrix)
+        rhs = rng.standard_normal((1 << 5, d))
+        table = as_table(mat, len(rhs))
+        lhs = np.eye(d) - tree.dt * table
+        assert np.all(np.abs(lhs[:, 1, 0]) > np.abs(lhs[:, 0, 0]))
+        got = tree.implicit_solve(mat, rhs)
+        assert np.array_equal(got, tree.implicit_solve(table, rhs))
+        want = np.linalg.solve(lhs, rhs[..., None])[..., 0]
+        assert np.all(np.abs(got - want) <= 1e-14 * (1.0 + np.abs(want)))
 
     def test_no_implicit_step_calls_lapack(self, monkeypatch):
         calls = []
@@ -867,8 +883,9 @@ class TestNodeContiguousLayout:
             assert abs(_pair(tree, a_ord, b_ord) - want) <= 1e-15 * (1.0 + abs(want))
             assert abs(_pair(tree, b_ord, a_ord) - want) <= 1e-15 * (1.0 + abs(want))
         c = rng.standard_normal((1 << 6, d))
+        same_level = np.mean(np.sum(a * c, axis=1))
         for a_ord, c_ord in itertools.product(both_orders(a), both_orders(c)):
-            assert abs(dot(a_ord, c_ord) - np.sum(a * c)) <= 1e-13
+            assert abs(_pair(tree, a_ord, c_ord) - same_level) <= 1e-15 * (1.0 + abs(same_level))
 
     def test_solvers_agree_across_input_orders(self):
         # an m = 3 instance, once with node-contiguous and once with

@@ -12,7 +12,7 @@ from volterra_control.scenario import (
 from oracles import jacobian_discrepancies
 from test_properties import random_scenario
 
-FIXTURES = ("zero", "lq", "fbsde", "quadratic", "annulus", "lq_multi")
+FIXTURES = ("zero", "lq", "fbsde", "quadratic", "annulus", "lq_multi", "coupled")
 # +-I is matched exactly, so (1 + 1e-6) I makes this a general quadratics
 # region, not the torus
 NEAR_TORUS = [
