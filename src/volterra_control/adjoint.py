@@ -98,19 +98,12 @@ def solve_fredholm(tree: Tree, alpha_rows, A=None, B=None, D=None,
     ``include_diag_A``).  Kernels are callables (i, j) -> matrix fields
     (a per-node table or a ``ScaledMatrix``) or have families
     (``kernel_terms``).  alpha_rows[i] is adapted at level i, and B(j,i)
-    must be F_i-measurable (a finer one raises ValueError).
-
-    The rows ascend together, level by level.  At level i, row i's
-    level-i part reads E_i[xi_j] off the earlier rows in the level-i
-    stack, by the tower property E_j[B(j,i)' xi_j] = E_j[B(j,i)'
-    E_i[xi_j]], and one per-node solve takes the diagonal A term.  Then
-    every row k <= i steps on to level i + 1: the dW_i integrands
-    D(k,i)' E_i[xi_k] + beta(k,i) are one ``apply`` for a family (else
-    each product is written into its row of the increment stack, beta
-    added in that write), and one ``Tree.ito_step`` writes every
-    E_{i+1}[xi_k] into the level-(i+1) stack.  Each row keeps the bits of
-    its own ascent; the solve takes N steps and is O(N 2^N) per kernel
-    dimension.
+    must be F_i-measurable (a finer one raises ValueError).  Each row's
+    level-i part reads E_i[xi_j] off the earlier rows' runs, by the tower
+    property E_j[B(j,i)' xi_j] = E_j[B(j,i)' E_i[xi_j]]; one per-node
+    solve takes the diagonal A term, and ``Tree.ito_step`` carries the row
+    to the leaves, writing each E_r[xi_i] straight into its level stack.
+    The solve is O(N 2^N) per kernel dimension.
     """
     N = tree.N
     n_rows = len(alpha_rows)
@@ -141,34 +134,19 @@ def solve_fredholm(tree: Tree, alpha_rows, A=None, B=None, D=None,
         if levels is None:
             levels = [np.empty((min(r + 1, n_rows), known.shape[1], 1 << r)).T
                       for r in range(N + 1)]
-        levels[i][..., i] = known
-        # the rows up to i step on together to the next row's level, after
-        # the last row to the leaves
-        for r in range(i, N if i == n_rows - 1 else i + 1):
-            cur = levels[r]
-            tree.ito_step(cur, _fredholm_increments(tree, cur, r, D, beta), r,
-                          out=levels[r + 1][..., :cur.shape[-1]])
-    return FredholmSolution(levels)
-
-
-def _fredholm_increments(tree: Tree, cur: np.ndarray, r: int, D, beta) -> np.ndarray:
-    """The dW_r integrands D(k,r)' E_r[xi_k] + beta(k,r) of the rows k of
-    the level-r stack ``cur``: one ``apply`` for a family, else each
-    product written into its row, beta added as it is written."""
-    rows = cur.shape[-1]
-    family = None if D is None else family_of(D, slice(0, rows), r)
-    incr = apply(family.mT, cur) if family is not None else np.zeros_like(cur)
-    for k in range(rows):
-        extra = None if beta is None else tree.embed(beta(k, r), r)
-        if family is None and D is not None:
-            product = tree.tmatvec(D(k, r), cur[..., k])
-            if extra is None:
-                incr[..., k] = product
+        levels[i][..., i] = cur = known
+        d_family = None if D is None else family_of(D, i, slice(i, N))
+        for r in range(i, N):
+            if D is None:
+                incr = np.zeros_like(cur)
+            elif d_family is None:
+                incr = tree.tmatvec(D(i, r), cur)
             else:
-                np.add(product, extra, out=incr[..., k])
-        elif extra is not None:
-            incr[..., k] += extra
-    return incr
+                incr = apply(d_family[r - i].T, cur)
+            if beta is not None:
+                incr = tree.level_sum([incr, beta(i, r)], r)
+            cur = tree.ito_step(cur, incr, r, out=levels[r + 1][..., i])
+    return FredholmSolution(levels)
 
 
 def fredholm_row_residual(tree: Tree, sol: FredholmSolution, i: int, alpha_rows,

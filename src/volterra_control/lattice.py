@@ -444,20 +444,13 @@ def _eliminate(lhs: np.ndarray, rhs: np.ndarray, level: int) -> np.ndarray:
     nodes-last (d, d, n) lhs (or (d, d, 1), one matrix for every node) and
     a (d, n) rhs, both overwritten: Gaussian elimination with partial
     pivoting, d column steps of whole-array operations.  The pivot is the
-    first entry of largest magnitude (as LAPACK's ``idamax`` picks; for one
-    matrix it is picked, and its row swapped, once for all nodes), the
+    first entry of largest magnitude (as LAPACK's ``idamax`` picks), the
     multipliers are products with its reciprocal, and the back substitution
     divides by each diagonal entry and then eliminates its column.  Returns
     rhs, holding x."""
     d = rhs.shape[0]
     for c in range(d):
-        if c + 1 < d and lhs.shape[-1] == 1:  # one matrix: swap rows once
-            sizes = np.abs(lhs[c:, c, 0]).tolist()
-            best = max(range(d - c), key=sizes.__getitem__)  # the first maximum
-            if best:
-                for rows in (lhs[:, c:], rhs):
-                    rows[[c, c + best]] = rows[[c + best, c]]
-        elif c + 1 < d:
+        if c + 1 < d:
             sizes = np.abs(lhs[c:, c])
             best, top = 0, sizes[0]  # a running first maximum down the column
             for r in range(1, d - c):

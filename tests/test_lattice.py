@@ -380,8 +380,8 @@ class TestImplicitSolve:
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_constant_swap_has_the_bits_of_the_per_node_solve(self, d):
-        # one matrix whose first step swaps rows: picked once for all
-        # nodes, with the bits of the per-node pivot search on its table
+        # one matrix whose first step swaps rows, broadcast over the nodes,
+        # has the bits of the pivot search on its per-node table
         tree = Tree.build(1.0, 6)
         rng = np.random.default_rng(40 + d)
         mat = ScaledMatrix(None, self.scaled_system(tree, rng, d, 0, swap=True).matrix)
