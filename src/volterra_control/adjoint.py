@@ -9,9 +9,9 @@ The bundle (lambda0, Lambda, xi, mu, nu, p, q) solves, on the lattice,
   p_i     = F_i + dt sum_{j>i} (b_x(j,i)' p_j + sigma_x(j,i)' q(j,i))
                 - sum_{j>=i} q(i,j) dW_j
 
-with Lambda_j = E_j[lambda0], alpha_i = g_y(0,i)' Lambda_i + f_y(i) and
-F_i = b_x(N,i)' theta + sigma_x(N,i)' nu_i + g_x(0,i)' Lambda_i + f_x(i)
-    + dt sum_{k<=i} g_x(k,i)' xi_k.
+with Lambda_j = E_j[lambda0], alpha_i = f_y(i) + g_y(0,i)' Lambda_i and
+F_i = b_x(N,i)' theta + sigma_x(N,i)' nu_i + f_x(i) + g_x(0,i)' Lambda_i
+    + dt sum_{k<=i} g_x(k,i)' xi_k (each f_a + g_a' Lambda: ``_lambda_term``).
 
 Sum conventions are the exact transposes of the primal solvers: the
 xi-equation includes its diagonal index (its dual, the linearized
@@ -38,17 +38,19 @@ Each equation is written down once, as free-term rows plus kernels
 check in ``adjoint_residuals`` both read.  lambda0 is the one-row case of
 the xi Fredholm equation: both are solved by ``solve_fredholm``, checked
 with their stored runs by ``fredholm_row_residual`` and kept as level
-stacks, of which lambda0, Lambda, xi_i and E_r[xi_i] are views.  mu and
-nu come with the (p, q) solve, which takes theta as its boundary term.
+stacks, of which lambda0, Lambda, xi_i and E_r[xi_i] are views (p_i and
+E_r[p_i] of the (p, q) stacks).  mu, theta's run, and nu come with the
+(p, q) solve, which takes theta as its boundary term.
 
 Every equation is assembled and checked in O(N 2^N) node operations per
 dimension, except F_i, which adds i + 1 leaf fields g_x(k,i)' xi_k (one
-``kernel_sum`` per row); the bundle keeps the F rows it was solved
-with, so the check states them and re-derives theta only.  Each row
-check sums its terms, advancing the total by
-``Tree.ito_step`` up to level N - 1; ``Tree.level_defect`` compares the
-last dW step plus the leaf terms with the stored row on both sibling
-halves of the leaves in one scratch, and no leaf-size sum is formed.
+``kernel_sum`` per row).  Each F_i is the term list [its level-i part,
+its leaf part]; the bundle keeps the rows it was solved with, so the
+check states them and re-derives theta only.  Each row check sums its
+terms, advancing the total by ``Tree.ito_step`` up to level N - 1;
+``Tree.level_defect`` compares the last dW step plus the leaf terms with
+the stored row on both sibling halves of the leaves in one scratch, and
+no leaf-size sum is formed.
 """
 
 from __future__ import annotations
@@ -259,7 +261,8 @@ class FrozenCoefficients:
 class AdjointBundle:
     """The adjoint solutions.  ``lam`` is the one-row lambda(0) solution;
     lambda0, its row, and Lambda, its run, are views of it.  ``F`` holds
-    the free-term rows F_i of the (p, q) equation as they were solved."""
+    the free-term rows F_i of the (p, q) equation, each a term list, as
+    they were solved."""
 
     lam: FredholmSolution
     xi: FredholmSolution
@@ -290,12 +293,16 @@ def solve_lambda0(tree: Tree, fro: FrozenCoefficients) -> FredholmSolution:
     return solve_fredholm(tree, alpha_rows, **kernels)
 
 
+def _lambda_term(tree: Tree, fro: FrozenCoefficients, lam: FredholmSolution, slot, j):
+    """The level-j term f_a(j) + g_a(0,j)' Lambda_j of alpha_j, F_j or H_u(j), a = y, x, u."""
+    return fro.d("f", slot, 0, j) + tree.tmatvec(fro.d("g", slot, 0, j), lam.cond_exp(0, j))
+
+
 def _xi_equation(tree: Tree, fro: FrozenCoefficients, lam: FredholmSolution):
     """The xi equation as ``solve_fredholm`` arguments: the free-term rows
-    alpha_i = g_y(0,i)' Lambda_i + f_y(i), Lambda_i read off the lambda(0)
-    solution, and A = g_y, D = g_z, diagonal included."""
-    alpha_rows = [tree.tmatvec(fro.d("g", "y", 0, i), lam.cond_exp(0, i))
-                  + fro.d("f", "y", 0, i) for i in range(tree.N)]
+    alpha_i = f_y(i) + g_y(0,i)' Lambda_i, and A = g_y, D = g_z, diagonal
+    included."""
+    alpha_rows = [_lambda_term(tree, fro, lam, "y", i) for i in range(tree.N)]
     return alpha_rows, {"A": fro.kernel("g", "y"), "D": fro.kernel("g", "z"),
                         "include_diag_A": True}
 
@@ -312,13 +319,12 @@ def _theta_equation(tree: Tree, fro: FrozenCoefficients, lambda0: np.ndarray,
 
 def _pq_rows(tree: Tree, fro: FrozenCoefficients, lam: FredholmSolution,
              xi_stack: np.ndarray) -> list:
-    """The (p, q) equation's free-term rows F_i, the xi rows given as one
-    (2**N, m, N) row stack."""
+    """The (p, q) free-term rows F_i, each its level-i and its leaf part
+    (one ``kernel_sum`` over the xi rows, a (2**N, m, N) row stack)."""
     g_x = fro.kernel("g", "x")
-    return [tree.level_sum(
-        [fro.d("f", "x", 0, i) + tree.tmatvec(fro.d("g", "x", 0, i), lam.cond_exp(0, i)),
-         tree.dt * kernel_sum(tree, g_x, range(i + 1), i, xi_stack[..., :i + 1])], tree.N)
-        for i in range(tree.N)]
+    return [[_lambda_term(tree, fro, lam, "x", i),
+             tree.dt * kernel_sum(tree, g_x, range(i + 1), i, xi_stack[..., :i + 1])]
+            for i in range(tree.N)]
 
 
 def _pq_kernels(fro: FrozenCoefficients, theta: np.ndarray) -> dict:
@@ -363,15 +369,14 @@ def hamiltonian_gradient(scenario: Scenario, bundle: AdjointBundle,
     g_u, b_u, sigma_u = (fro.kernel(name, "u") for name in ("g", "b", "sigma"))
     levels = []
     for j in range(N):
-        terms = [fro.d("f", "u", 0, j) + tree.tmatvec(fro.d("g", "u", 0, j),
-                                                      bundle.lam.cond_exp(0, j))]
+        terms = [_lambda_term(tree, fro, bundle.lam, "u", j)]
         terms += kernel_terms(tree, g_u, range(j + 1), j, bundle.xi.levels[j][..., :j + 1],
                               dt, transpose=True)
         terms.append(tree.tmatvec(fro.d("b", "u", N, j), pq.mu.level(j)))
         terms.append(tree.tmatvec(fro.d("sigma", "u", N, j), pq.nu.level(j)))
         later = range(j + 1, N)
         for p_term, q_term in zip(
-                kernel_terms(tree, b_u, later, j, pq.cond_stacks[j], dt, transpose=True),
+                kernel_terms(tree, b_u, later, j, pq.levels[j][..., 1:], dt, transpose=True),
                 kernel_terms(tree, sigma_u, later, j, z_stacks[j], dt, transpose=True)):
             terms += [p_term, q_term]
         levels.append(tree.level_sum(terms, j))
@@ -386,7 +391,7 @@ def adjoint_residuals(scenario: Scenario, bundle: AdjointBundle,
     level N - 1, then its last dW step and leaf terms against the stored
     row on both sibling halves of the leaves in one scratch.  The stored
     runs count as part of their solution: Lambda, E_r[xi_i] and the (p, q)
-    stacks ``cond_stacks`` and ``z_stacks``.  theta is re-derived from its
+    runs E_r[p_i] and ``z_stacks``.  theta is re-derived from its
     definition; the F rows are the ones the bundle states."""
     tree = tree or scenario.tree()
     N = tree.N

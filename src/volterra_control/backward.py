@@ -12,19 +12,18 @@ of a row stack (see ``lattice``):
 * ``solve_linear_backward``: the linear backward Volterra family in
   M-solution form used by the adjoint system and the duality checks.
   Each row descends to its diagonal by itself (the B coupling reads the
-  finished rows), and then joins the stack of finished rows, which one
-  drift-free step per row continues below the diagonal.
+  finished rows); one drift-free ``repr_step`` of the level-(i+1) stack
+  continues the finished rows below it (``BackwardSolution``).
 
 The per-row descents are ``_row_run``: per level a martingale step, an
 optional explicit drift (the D-terms) and the row's terms that live on
 that level; it writes each integrand into its Z stack.  A linear row's
-run starts from its leaf terms alone, and each other term joins it on
-its own level, the finer of its kernel value's and its vector's, so no
-term is carried up to the leaves and averaged back down.  Every row
-keeps the order of its sums, so the batched steps give each row the
-bits of its own descent.  The row checks sum the row's terms in an
-order of their own and compare them with the stored rows by
-``Tree.level_defect``.
+run starts from its leaf terms, and each other term (free terms too)
+joins it on its own level, the finer of its kernel value's and its
+vector's, so no term is carried up to the leaves and averaged back down.
+Every row keeps the order of its sums, so the batched steps give each
+row the bits of its own descent.  The row checks sum a row's terms in
+their own order and compare them with the stored rows by ``level_defect``.
 
 Discrete conventions (used identically by the primal solvers, so that
 every duality identity is an exact transpose statement):
@@ -65,16 +64,20 @@ class BackwardPath:
 
 @dataclass
 class BackwardSolution:
-    """Rows Y_i, i = 0..N-1, with Z, mu and nu, and per level r the runs of
-    the later rows i = r+1..N-1: ``cond_stacks[r]`` is the row stack (see
-    ``lattice``) of E_r[Y_i], and ``z_stacks[r]`` the view of Z(i, r) in
+    """Rows Y_i, i = 0..N-1, with Z, mu and nu, as one row stack per level:
+    ``levels[r]`` holds E_r[Y_i], i = r..N-1, so Y_r is its first row and
+    the runs of the later rows the rest.  ``Y`` and ``cond_exp(i, r)`` are
+    views of it, and ``z_stacks[r]`` the view of Z(i, r), i > r, in
     ``Z.levels[r]``."""
 
-    Y: AdaptedProcess
+    levels: list
     Z: TwoParamProcess
-    cond_stacks: list
     mu: AdaptedProcess | None = None
     nu: AdaptedProcess | None = None
+
+    @functools.cached_property
+    def Y(self) -> AdaptedProcess:
+        return AdaptedProcess([level[..., 0] for level in self.levels])
 
     @property
     def z_stacks(self) -> list:
@@ -84,7 +87,7 @@ class BackwardSolution:
         """E_r[Y_i] for r <= i."""
         if r > i:
             raise ValueError(f"row {i} is adapted at level {i}, not {r}")
-        return self.Y.level(i) if r == i else self.cond_stacks[r][..., i - r - 1]
+        return self.levels[r][..., i - r]
 
 
 def _implicit_step(mean: np.ndarray, step, tol: float, max_iter: int,
@@ -189,7 +192,7 @@ def solve_linear_backward(tree: Tree, psi_rows, A=None, B=None,
     per-node table or a ``ScaledMatrix``; column j = N is the boundary
     slot paired with theta and nu):
 
-        Y_i = psi_rows[i] + A(i,N) theta + B(i,N) nu_i
+        Y_i = psi_i + A(i,N) theta + B(i,N) nu_i
             + dt * sum_{j in A-range} A(i,j) Y_j
             + dt * sum_{j > i}        B(i,j) Z(j, i)
             + dt * sum_{j >= i}       D(i,j) Z(i, j)
@@ -197,53 +200,47 @@ def solve_linear_backward(tree: Tree, psi_rows, A=None, B=None,
 
     with A-range j >= i when ``include_diag_A`` else j > i, and the B-sum
     gaining its diagonal term when ``include_diag_B`` (continuum-form
-    convention).  Z below the diagonal is the martingale-representation
-    integrand of Y_i, so the M-identity Y_i = E[Y_i] + sum_{j<i} Z(i,j) dW_j
-    holds exactly.  theta also yields mu_i = E_i[theta] and the integrands
-    nu with theta = E[theta] + sum nu_j dW_j.
+    convention).  psi_i sums the fields ``psi_rows[i]``, each on a level
+    i..N (a coarser one raises ValueError).  Z below the diagonal is the
+    martingale-representation integrand of Y_i, so the M-identity
+    Y_i = E[Y_i] + sum_{j<i} Z(i,j) dW_j holds exactly.  theta also yields
+    its run mu_i = E_i[theta] and the integrands nu of theta.
 
-    Rows are solved i = N-1..0.  The finished rows j > i are one row stack
-    of E_{i+1}[Y_j]; one batched ``repr_step`` per row writes every
-    Z(j, i) into the level-i stack of Z, where each row's run also writes
-    its own integrands Z(i, j), j >= i, and the stacks of E_i[Y_j] are
-    kept.  A row's B terms are one ``kernel_terms``; a family's A terms
-    A(i, j) Y_j of all rows i < j are one product once Y_j exists.
+    Rows are solved i = N-1..0.  One batched ``repr_step`` of the
+    level-(i+1) stack writes E_i[Y_j], j > i, into the level-i stack and
+    Z(j, i) into Z's, beside the integrands Z(i, j), j >= i, of row i's
+    run, whose Y_i is the first row of the level-i stack.  A row's B terms
+    are one ``kernel_terms``; a family's A terms A(i, j) Y_j of all rows
+    i < j are one product once Y_j exists.
 
-    Row i's run starts from the sum of its leaf terms: psi_i, A(i,N)
-    theta, and B(i,N) nu_i when that product lives on level N.  Every
-    other term joins the run on its own level, the finer of its kernel
-    value's and its vector's (as ``Tree.matvec`` makes it): dt A(i,j) Y_j
-    on level j or finer, dt B(i,j) Z(j,i) anywhere from level i (a
-    constant B) to level j (B(i,j) scaled on level j, as in the duality
-    instances).  A level's terms go in one fixed order: B(i,j) Z(j,i)
-    and A(i,j) Y_j by ascending j, then B(i,N) nu_i, A(i,N) theta and
-    psi_i.  The terms on level i go in before the diagonal B term and the
-    implicit A step.  Each row costs O(2^N) node operations per
-    dimension, the solve O(N 2^N).
+    Row i's run starts from the sum of its leaf terms (it must have one).
+    Every other term joins the run on its own level, the finer of its
+    kernel value's and its vector's (as ``Tree.matvec`` makes it):
+    dt A(i,j) Y_j on level j or finer, dt B(i,j) Z(j,i) anywhere from
+    level i (a constant B) to level j (B(i,j) scaled on level j, as in the
+    duality instances), a free term on its own.  A level's terms go in one
+    fixed order: B(i,j) Z(j,i) and A(i,j) Y_j by ascending j, then
+    B(i,N) nu_i, A(i,N) theta and the free terms in list order.  The terms
+    on level i go in before the diagonal B term and the implicit A step.
+    Each row costs O(2^N) node operations per dimension, the solve O(N 2^N).
     """
     N = tree.N
     if len(psi_rows) != N:
         raise ValueError(f"expected {N} free-term rows, got {len(psi_rows)}")
     mu = nu = None
     if theta is not None:
-        nus = [None] * N
-        _row_run(tree, [None] * N + [theta], nus, N, 0)
-        nu = AdaptedProcess(nus)
-        mu = AdaptedProcess([tree.cond_expect(theta, i) for i in range(N + 1)])
+        mus, nus = [None] * N + [theta], [None] * N
+        _row_run(tree, mus, nus, N, 0)
+        mu, nu = AdaptedProcess(mus), AdaptedProcess(nus)
 
-    y_levels = [None] * N
     a_terms = [None] * N  # dt A(i, j) Y_j for the rows i < j, once Y_j exists
-    cond_stacks = [None] * N
-    dim = np.shape(psi_rows[N - 1])[1]
+    dim = np.shape(psi_rows[N - 1][0])[1]
+    levels = [None] * N  # E_r[Y_i], i >= r, each stack made when its row is reached
     z_levels = [np.empty((N, dim, 1 << r)).T for r in range(N)]
-    # E_{i+1}[Y_j] of the finished rows j > i, as a row stack
-    done = np.empty((0, dim, 1 << N)).T
     for i in range(N - 1, -1, -1):
-        if tree.level_of(np.asarray(psi_rows[i])) != N:
-            raise ValueError(f"free-term row {i} must be a leaf field")
-        # continue every finished row by one level
-        done, z = tree.repr_step(done, out=z_levels[i][..., i + 1:])
-        cond_stacks[i] = done
+        z, levels[i] = z_levels[i][..., i + 1:], np.empty((N - i, dim, 1 << i)).T
+        if i < N - 1:  # continue every finished row by one level
+            levels[i][..., 1:] = tree.repr_step(levels[i + 1], out=z)[0]
         b_terms = iter(() if B is None else kernel_terms(tree, B, i, range(i + 1, N), z, tree.dt))
 
         def terms():  # a level's terms go in this order
@@ -253,19 +250,21 @@ def solve_linear_backward(tree: Tree, psi_rows, A=None, B=None,
                 if a_terms[j] is not None:
                     yield a_terms[j][..., i]
                 elif A is not None:
-                    yield tree.dt * tree.matvec(A(i, j), y_levels[j])
+                    yield tree.dt * tree.matvec(A(i, j), levels[j][..., 0])
             if theta is not None and B is not None:
                 yield tree.matvec(B(i, N), nu.level(i))
             if theta is not None and A is not None:
                 yield tree.matvec(A(i, N), theta)
-            yield np.asarray(psi_rows[i], dtype=float)
-        # each term on its own level, the finer of its kernel value's and
-        # its vector's; the leaf terms start the run
+            yield from psi_rows[i]
+        # each term on its own level (see above); the leaf terms start the run
         by_level = [[] for _ in range(N + 1)]
         for term in terms():
             by_level[tree.level_of(term)].append(term)
-        # row run down to level i, absorbing the D-terms and the terms of
-        # each level; its integrands are written into the Z stacks
+        if any(by_level[:i]):
+            raise ValueError(f"free-term row {i} has a term coarser than level {i}")
+        if not by_level[N]:
+            raise ValueError(f"row {i} has no term on the leaves")
+        # row run down to level i with the D-terms, its integrands into Z
         run = [None] * N + [functools.reduce(np.add, by_level[N])]
         z_cols = [None] * i + [z[..., i] for z in z_levels[i:]]
         _row_run(tree, run, z_cols, N, i, None if D is None else (
@@ -275,14 +274,11 @@ def solve_linear_backward(tree: Tree, psi_rows, A=None, B=None,
             cur = cur + tree.dt * tree.matvec(B(i, i), z_cols[i])
         if include_diag_A and A is not None:
             cur = tree.implicit_solve(A(i, i), cur)
-        y_levels[i] = cur
+        levels[i][..., 0] = cur
         a_family = None if A is None or not i else family_of(A, slice(0, i), i)
         if a_family is not None:
             a_terms[i] = tree.dt * apply(a_family, cur)
-        # row i joins the finished rows as the first row of the stack
-        done = np.concatenate([cur.T[None], done.T]).T
-    return BackwardSolution(Y=AdaptedProcess(y_levels), Z=TwoParamProcess(z_levels),
-                            cond_stacks=cond_stacks, mu=mu, nu=nu)
+    return BackwardSolution(levels, TwoParamProcess(z_levels), mu=mu, nu=nu)
 
 
 def family_of(kernel, i, j):
@@ -339,7 +335,7 @@ def backward_row_residual(tree: Tree, sol: BackwardSolution, i: int, psi_rows,
                           include_diag_B: bool = False) -> float:
     """Node-wise residual of row i of the defining discrete equation: the
     ``Tree.level_defect`` of its terms against Y_i, the dW_j terms as
-    steps."""
+    steps and each free term before the first step past its level."""
     N, dt = tree.N, tree.dt
     a_cols, b_cols = (range(i if diag else i + 1, N)
                       for diag in (include_diag_A, include_diag_B))
@@ -358,24 +354,23 @@ def backward_row_residual(tree: Tree, sol: BackwardSolution, i: int, psi_rows,
                 yield a_terms.pop(j)
             if D is not None:
                 yield d_terms[j - i]
+            yield from (term for term in psi_rows[i] if max(tree.level_of(term), i) == j)
             yield -sol.Z.value(i, j), j
         if A is not None and theta is not None:
             yield tree.matvec(A(i, N), theta)
-        yield np.asarray(psi_rows[i], dtype=float)
+        yield from (term for term in psi_rows[i] if tree.level_of(term) == N)
 
     return tree.level_defect(sol.Y.level(i), terms(), N)
 
 
 def backward_run_residual(tree: Tree, sol: BackwardSolution) -> float:
-    """Node-wise defect of the stored runs of the later rows: each
-    ``cond_stacks[r]`` the pair mean of the stack [Y_{r+1},
-    ``cond_stacks[r+1]``] and each ``z_stacks[r]`` its ``repr_step``
-    integrand (at r = N - 1 both hold no rows)."""
+    """Node-wise defect of the stored runs of the later rows: the rows
+    after the first of each ``levels[r]`` the pair means of ``levels[r +
+    1]``, and each ``z_stacks[r]`` its ``repr_step`` integrand."""
     worst, z_stacks = 0.0, sol.z_stacks
-    for r in range(len(sol.cond_stacks) - 1):
-        mean, z = tree.repr_step(np.concatenate(
-            [sol.Y.level(r + 1).T[None], sol.cond_stacks[r + 1].T]).T)
-        worst = max(worst, float(np.abs(sol.cond_stacks[r] - mean).max()),
+    for r in range(len(sol.levels) - 1):
+        mean, z = tree.repr_step(sol.levels[r + 1])
+        worst = max(worst, float(np.abs(sol.levels[r][..., 1:] - mean).max()),
                     float(np.abs(z_stacks[r] - z).max()))
     return worst
 

@@ -65,8 +65,8 @@ from dataclasses import dataclass
 import numpy as np
 
 # Storage for two-parameter fields is O(N * 2**N) per dimension; beyond
-# this the exact tree stops being a desk-scale object.
-MAX_EXACT_STEPS = 14
+# this (1.1 GB for `optimize` on coupled at N = 17) the tree is not desk-scale.
+MAX_EXACT_STEPS = 16
 
 
 @dataclass(frozen=True)

@@ -194,7 +194,7 @@ def check_duality_1(inst: DualityInstance, mode: str = "transpose") -> DualityRe
     """
     tree = inst.tree
     xi = inst.fredholm(mode)
-    bwd = solve_linear_backward(tree, inst.psi_rows, A=inst.A, B=inst.B,
+    bwd = solve_linear_backward(tree, [[row] for row in inst.psi_rows], A=inst.A, B=inst.B,
                                 D=inst.D, theta=inst.theta,
                                 include_diag_A=True,
                                 include_diag_B=(mode == "continuum"))
@@ -223,7 +223,7 @@ def check_duality_2(inst: DualityInstance, mode: str = "transpose") -> DualityRe
     """
     tree = inst.tree
     xi = inst.fredholm(mode)
-    tilde = solve_linear_backward(tree, inst.psi_tilde_rows, A=inst.A_tilde,
+    tilde = solve_linear_backward(tree, [[row] for row in inst.psi_tilde_rows], A=inst.A_tilde,
                                   D=inst.D, theta=None, include_diag_A=True)
     xi0 = xi.xi[0]
     lhs = _pair(tree, xi0, inst.psi_tilde_rows[0])
@@ -254,12 +254,11 @@ def solve_variational(scenario: Scenario, fwd, bwd, u: AdaptedProcess,
     # psi_x(i, N) X1_T for the rows i = 0..N, the last one Y1's leaf level
     psi_terms = list(kernel_terms(tree, fro.kernel("psi", "x"), range(N + 1), N,
                                   x1.level(N)))
-    rows = []
-    for i in range(N):
-        terms = [tree.dt * (x + u) for x, u in zip(
-            kernel_terms(tree, g_x, i, range(i, N), x1.levels[i:N]),
-            kernel_terms(tree, g_u, i, range(i, N), v.levels[i:N]))]
-        rows.append(tree.level_sum(terms + [psi_terms[i]], N))
+    # row i's free terms dt (g_x(i,j) X1_j + g_u(i,j) v_j), j >= i, then its leaf term
+    rows = [[tree.dt * (x + u) for x, u in zip(
+        kernel_terms(tree, g_x, i, range(i, N), x1.levels[i:N]),
+        kernel_terms(tree, g_u, i, range(i, N), v.levels[i:N]))] + [psi_terms[i]]
+        for i in range(N)]
     sol = solve_linear_backward(tree, rows, A=fro.kernel("g", "y"),
                                 D=fro.kernel("g", "z"), include_diag_A=True)
     y1 = AdaptedProcess(sol.Y.levels + [psi_terms[N]])

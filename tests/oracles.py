@@ -80,15 +80,16 @@ def two_param(rows) -> TwoParamProcess:
 
 def backward_solution(Y: AdaptedProcess, Z: TwoParamProcess, mu=None,
                       nu=None) -> BackwardSolution:
-    """The linear backward solution of rows Y and field Z, with the runs
-    E_r[Y_i], i > r, of the later rows made by the solver's pair means."""
+    """The linear backward solution of rows Y and field Z, its level stacks
+    holding each Y_r and the runs E_r[Y_i], i > r, of the later rows made
+    by the solver's pair means."""
     N = len(Y.levels)
-    cond_stacks = [None] * N
-    done = np.empty((0, Y.dim, 1 << N)).T
+    levels = [np.empty((N - r, Y.dim, 1 << r)).T for r in range(N)]
     for r in range(N - 1, -1, -1):
-        cond_stacks[r] = done = pair_mean(done)
-        done = np.concatenate([Y.level(r).T[None], done.T]).T
-    return BackwardSolution(Y=Y, Z=Z, cond_stacks=cond_stacks, mu=mu, nu=nu)
+        levels[r][..., 0] = Y.level(r)
+        if r < N - 1:
+            levels[r][..., 1:] = pair_mean(levels[r + 1])
+    return BackwardSolution(levels, Z, mu=mu, nu=nu)
 
 
 def fredholm_solution(runs) -> FredholmSolution:
@@ -293,15 +294,15 @@ def per_row_linear_backward(tree: Tree, psi_rows, A=None, B=None, D=None,
     applied pair by pair, and each term joins the run on its own level,
     the finer of the kernel value's and the vector's; a level's terms go
     in the solver's order: B(i,j) Z(j,i) and A(i,j) Y_j by ascending j,
-    then B(i,N) nu_i, A(i,N) theta and psi_i, the leaf terms summed in
-    that order to start the run."""
+    then B(i,N) nu_i, A(i,N) theta and the free terms psi_rows[i] in list
+    order, the leaf terms summed in that order to start the run.  mu is
+    the run of theta that gives nu."""
     N = tree.N
     mu = nu = None
     if theta is not None:
-        nus = [None] * N
-        _row_run(tree, [None] * N + [theta], nus, N, 0)
-        nu = AdaptedProcess(nus)
-        mu = AdaptedProcess([tree.cond_expect(theta, i) for i in range(N + 1)])
+        mus, nus = [None] * N + [theta], [None] * N
+        _row_run(tree, mus, nus, N, 0)
+        mu, nu = AdaptedProcess(mus), AdaptedProcess(nus)
     y_levels, z_rows = [None] * N, [None] * N
     for i in range(N - 1, -1, -1):
         terms = []
@@ -314,7 +315,7 @@ def per_row_linear_backward(tree: Tree, psi_rows, A=None, B=None, D=None,
             terms.append(tree.matvec(B(i, N), nu.level(i)))
         if theta is not None and A is not None:
             terms.append(tree.matvec(A(i, N), theta))
-        terms.append(np.array(psi_rows[i], dtype=float))
+        terms += psi_rows[i]
         by_level = [[term for term in terms if tree.level_of(term) == r]
                     for r in range(N + 1)]
         start = by_level[N][0]
@@ -370,7 +371,8 @@ def leaf_backward_row_residual(tree: Tree, sol: BackwardSolution, i: int, psi_ro
                                include_diag_A: bool = True,
                                include_diag_B: bool = False) -> float:
     """``backward_row_residual`` as one ``level_sum`` of row i's terms up
-    to the leaves, pair by pair, against Y_i embedded in the leaves."""
+    to the leaves, pair by pair, against Y_i embedded in the leaves; the
+    terms go in the check's order."""
     N = tree.N
 
     def terms():
@@ -384,10 +386,11 @@ def leaf_backward_row_residual(tree: Tree, sol: BackwardSolution, i: int, psi_ro
                 yield tree.dt * tree.matvec(A(i, j), sol.Y.level(j))
             if D is not None:
                 yield tree.dt * tree.matvec(D(i, j), sol.Z.value(i, j))
+            yield from (term for term in psi_rows[i] if max(tree.level_of(term), i) == j)
             yield -tree.dw_term(sol.Z.value(i, j), j)
         if A is not None and theta is not None:
             yield tree.matvec(A(i, N), theta)
-        yield np.array(psi_rows[i], dtype=float)
+        yield from (term for term in psi_rows[i] if tree.level_of(term) == N)
 
     return float(np.abs(tree.embed(sol.Y.level(i), N) - tree.level_sum(terms(), N)).max())
 
@@ -677,13 +680,12 @@ def operator_transpose_oracle(inst: DualityInstance,
     Bb = scaled(inst.B, "B")
     Db = scaled(inst.D, "D")
     right = np.zeros((n_in, n_out))
-    zero_rows = [np.zeros((L, m)) for _ in range(N)]
     for out_idx in range(n_out):
-        rows = [r.copy() for r in zero_rows]
+        rows = [[np.zeros((L, m))] for _ in range(N)]
         theta = np.zeros((L, m))
         if out_idx < N * row_size:
             i, rem = divmod(out_idx, row_size)
-            rows[i][rem // m, rem % m] = 1.0
+            rows[i][0][rem // m, rem % m] = 1.0
         else:
             rem = out_idx - N * row_size
             theta[rem // m, rem % m] = 1.0

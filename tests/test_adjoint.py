@@ -194,7 +194,7 @@ class TestSolveMuNu:
 
     @staticmethod
     def mu_nu(tree, theta):
-        rows = [np.zeros_like(theta) for _ in range(tree.N)]
+        rows = [[np.zeros_like(theta)] for _ in range(tree.N)]
         sol = solve_linear_backward(tree, rows, theta=theta)
         return sol.mu, sol.nu
 
@@ -256,11 +256,10 @@ PERTURBATIONS = [
     ("mu", "mu_nu",
      lambda b: replace(b, pq=replace(b.pq, mu=AdaptedProcess(
          _bumped(b.pq.mu.levels, 2))))),
-    ("p level", "pq",
-     lambda b: replace(b, pq=replace(b.pq, Y=AdaptedProcess(
-         _bumped(b.pq.Y.levels, 2))))),
-    ("p run level", "pq",  # E_2[p_i], i > 2, stale beside unchanged p
-     lambda b: replace(b, pq=replace(b.pq, cond_stacks=_bumped(b.pq.cond_stacks, 2)))),
+    ("p level", "pq",  # p_2, the first row of the level-2 stack
+     lambda b: replace(b, pq=replace(b.pq, levels=_bumped(b.pq.levels, 2, 0)))),
+    ("p run level", "pq",  # E_2[p_3] stale beside unchanged p
+     lambda b: replace(b, pq=replace(b.pq, levels=_bumped(b.pq.levels, 2, 1)))),
     ("q run level", "pq",  # q(i, 2), i > 2, the run z_stacks[2] views
      lambda b: replace(b, pq=replace(b.pq, Z=TwoParamProcess(
          _bumped(b.pq.Z.levels, 2, slice(3, None)))))),
@@ -328,6 +327,10 @@ class TestAssembleAdjoint:
             assert all(view_of(sol.Z.value(i, j), sol.Z.levels[j])
                        for i in range(rows) for j in range(N))
         assert all(view_of(pq.z_stacks[r], pq.Z.levels[r]) for r in range(N - 1))
+        assert all(view_of(pq.Y.level(i), pq.levels[i]) for i in range(N))
+        assert all(view_of(pq.cond_exp(i, r), pq.levels[r])
+                   for r in range(N) for i in range(r, N))
+        assert pq.Y is pq.Y  # built once
         assert all(view_of(x, bundle.xi.levels[-1]) for x in bundle.xi.xi)
         assert view_of(bundle.lambda0, lam.levels[-1])
         assert all(view_of(bundle.Lambda.level(r), lam.levels[r]) for r in range(N + 1))
@@ -399,7 +402,7 @@ class TestHamiltonianGradient:
 
         bundle = AdjointBundle(
             lam=zero_runs(1), xi=zero_runs(tree.N),
-            theta=np.zeros((tree.n_leaves, 1)), F=[np.zeros((tree.n_leaves, 1))] * tree.N,
+            theta=np.zeros((tree.n_leaves, 1)), F=[[np.zeros((tree.n_leaves, 1))]] * tree.N,
             pq=backward_solution(AdaptedProcess.constant([c], tree.N - 1),
                                  zero_two_param(tree.N, tree.N, 1),
                                  mu=zero_process(tree.N, 1),

@@ -225,33 +225,33 @@ class TestSolveLinearBackward:
         # z_stacks[r] the rows i > r of Z's level-r stack
         inst = smooth_duality_instance(1.0, 6, 2, seed=4)
         tree = inst.tree
-        sol = solve_linear_backward(tree, inst.psi_rows, A=inst.A, B=inst.B,
-                                    D=inst.D, theta=inst.theta)
+        sol = solve_linear_backward(tree, [[row] for row in inst.psi_rows], A=inst.A,
+                                    B=inst.B, D=inst.D, theta=inst.theta)
         hand = backward_solution(sol.Y, sol.Z)
         for r in range(tree.N):
-            assert sol.cond_stacks[r].shape == (1 << r, 2, tree.N - r - 1)
+            assert sol.levels[r].shape == (1 << r, 2, tree.N - r)
             assert sol.z_stacks[r].shape == (1 << r, 2, tree.N - r - 1)
-            assert np.array_equal(sol.cond_stacks[r], hand.cond_stacks[r])
+            assert np.array_equal(sol.levels[r], hand.levels[r])
             for i in range(r, tree.N):
                 assert np.allclose(sol.cond_exp(i, r), tree.cond_expect(sol.Y.level(i), r),
                                    rtol=0.0, atol=1e-14)
                 if i > r:
                     assert np.array_equal(sol.z_stacks[r][..., i - r - 1],
                                           sol.Z.value(i, r))
-        assert sol.cond_exp(3, 3) is sol.Y.level(3)
+        assert np.shares_memory(sol.cond_exp(3, 3), sol.Y.level(3))
         with pytest.raises(ValueError, match="adapted at level 2"):
             sol.cond_exp(2, 3)
 
     def test_all_zero(self):
         tree = Tree.build(1.0, 4)
-        rows = [np.zeros((tree.n_leaves, 1)) for _ in range(tree.N)]
+        rows = [[np.zeros((tree.n_leaves, 1))] for _ in range(tree.N)]
         sol = solve_linear_backward(tree, rows)
         assert sol.Y.sup_norm() == 0.0
 
     def test_deterministic_free_term(self):
         tree = Tree.build(1.0, 5)
         rho = [math.sin(1.0 + tree.t(i)) for i in range(tree.N)]
-        rows = [np.full((tree.n_leaves, 1), rho[i]) for i in range(tree.N)]
+        rows = [[np.full((tree.n_leaves, 1), rho[i])] for i in range(tree.N)]
         sol = solve_linear_backward(tree, rows)
         for i in range(tree.N):
             assert np.allclose(sol.Y.level(i), rho[i], atol=1e-14)
@@ -267,7 +267,7 @@ class TestSolveLinearBackward:
         kA = lambda i, j: np.full((1, 1, 1), 0.4)
         kB = lambda i, j: np.full((1, 1, 1), 0.3)
         kD = lambda i, j: np.full((1, 1, 1), 0.5)
-        sol = solve_linear_backward(tree, rows, A=kA, B=kB, D=kD,
+        sol = solve_linear_backward(tree, [[row] for row in rows], A=kA, B=kB, D=kD,
                                     theta=theta, include_diag_A=include_diag_A)
         Yo, Zo = dense_msolution_oracle(tree, rows, kA, kB, kD, theta,
                                         include_diag_A)
@@ -281,7 +281,7 @@ class TestSolveLinearBackward:
     def test_row_residuals_and_m_identity(self):
         tree = Tree.build(1.0, 5)
         rng = np.random.default_rng(77)
-        rows = [rng.standard_normal((tree.n_leaves, 2)) for _ in range(tree.N)]
+        rows = [[rng.standard_normal((tree.n_leaves, 2))] for _ in range(tree.N)]
         theta = rng.standard_normal((tree.n_leaves, 2))
         mats = rng.standard_normal((tree.N + 1, tree.N + 1, 2, 2)) * 0.3
 
@@ -306,10 +306,39 @@ class TestSolveLinearBackward:
         tree = Tree.build(1.0, 6)
         rng = np.random.default_rng(4)
         theta = rng.standard_normal((tree.n_leaves, 1))
-        rows = [np.zeros((tree.n_leaves, 1)) for _ in range(tree.N)]
+        rows = [[np.zeros((tree.n_leaves, 1))] for _ in range(tree.N)]
         sol = solve_linear_backward(tree, rows, theta=theta)
         # mu(t_i) + sum_{j>=i} nu_j dW_j = theta exactly
         for i in range(tree.N + 1):
             recon = tree.embed(sol.mu.level(i), tree.N) + tree.ito_sum(
                 sol.nu, i, tree.N)
             assert np.allclose(recon, theta, atol=1e-13)
+
+    def test_mu_is_the_run_of_theta(self):
+        # mu is the run of pair means that gives nu, each E_i[theta] within
+        # rounding of theta's block mean
+        inst = smooth_duality_instance(1.0, 8, 2, seed=5)
+        tree = inst.tree
+        sol = solve_linear_backward(tree, [[row] for row in inst.psi_rows], A=inst.A,
+                                    B=inst.B, D=inst.D, theta=inst.theta)
+        assert tree.run_defect(sol.mu.levels) == 0.0
+        bound = 1e-15 * np.abs(inst.theta).max()
+        for i in range(tree.N + 1):
+            assert np.abs(sol.mu.level(i) - tree.cond_expect(inst.theta, i)).max() <= bound
+
+    def test_free_terms_live_on_the_levels_of_their_row(self):
+        # a row's free terms may sit on any level from the row's own to the
+        # leaves; a row needs a term on the leaves, and a term coarser than
+        # its row's level raises, naming the row
+        inst = smooth_duality_instance(1.0, 6, 2, seed=6)
+        tree = inst.tree
+        kernels = {"A": inst.A, "B": inst.B, "D": inst.D}
+        zero = np.zeros((tree.n_leaves, 2))
+        rows = [[tree.cond_expect(row, i), zero] for i, row in enumerate(inst.psi_rows)]
+        solve_linear_backward(tree, rows, **kernels)
+        rows[3] = rows[3][:1]
+        with pytest.raises(ValueError, match="row 3 has no term on the leaves"):
+            solve_linear_backward(tree, rows, **kernels)
+        rows[3] = [tree.cond_expect(inst.psi_rows[3], 2), zero]
+        with pytest.raises(ValueError, match="row 3 has a term coarser than level 3"):
+            solve_linear_backward(tree, rows, **kernels)

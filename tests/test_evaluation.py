@@ -50,7 +50,7 @@ def _bundle_fields(bundle):
     pq = bundle.pq
     return {"lambda0 and Lambda": bundle.lam.levels, "xi and its runs": bundle.xi.levels,
             "theta": [bundle.theta], "p": pq.Y.levels, "q": pq.Z.levels,
-            "p runs": pq.cond_stacks, "mu": pq.mu.levels, "nu": pq.nu.levels}
+            "p runs": pq.levels, "mu": pq.mu.levels, "nu": pq.nu.levels}
 
 
 @pytest.mark.parametrize("name", FIXTURES)
@@ -94,7 +94,7 @@ def test_adjoint_bundle_has_the_bits_of_fresh_jacobians(name):
 def _same_linear_solution(got, ref):
     assert _equal_levels(got.Y.levels, ref.Y.levels)
     assert _equal_levels(got.Z.levels, ref.Z.levels)
-    assert _equal_levels(got.cond_stacks, ref.cond_stacks)
+    assert _equal_levels(got.levels, ref.levels)
     for name in ("mu", "nu"):
         a, b = getattr(got, name), getattr(ref, name)
         assert (a is None and b is None) or _equal_levels(a.levels, b.levels), name
@@ -108,11 +108,32 @@ def test_linear_backward_has_the_bits_of_the_row_by_row_solve(m, mode):
     inst = smooth_duality_instance(1.0, STEPS, m, seed=m)
     tree = inst.tree
     for rows, kernels in (
-            (inst.psi_rows, {"A": inst.A, "B": inst.B, "D": inst.D, "theta": inst.theta,
-                             "include_diag_B": mode == "continuum"}),
-            (inst.psi_tilde_rows, {"A": inst.A_tilde, "D": inst.D})):
+            ([[row] for row in inst.psi_rows],
+             {"A": inst.A, "B": inst.B, "D": inst.D, "theta": inst.theta,
+              "include_diag_B": mode == "continuum"}),
+            ([[row] for row in inst.psi_tilde_rows], {"A": inst.A_tilde, "D": inst.D})):
         _same_linear_solution(solve_linear_backward(tree, rows, **kernels),
                               per_row_linear_backward(tree, rows, **kernels))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_free_terms_on_their_own_level_have_the_bits_of_the_row_by_row_solve(m):
+    # each row's free terms [level-i part, leaf part] join its run on their
+    # own levels, as in the row-by-row solve; summed at the leaves first,
+    # they give the same rows up to rounding
+    inst = smooth_duality_instance(1.0, STEPS, m, seed=m)
+    tree = inst.tree
+    rows = [[tree.cond_expect(inst.psi_tilde_rows[i], i), inst.psi_rows[i]]
+            for i in range(tree.N)]
+    kernels = {"A": inst.A, "B": inst.B, "D": inst.D, "theta": inst.theta}
+    got = solve_linear_backward(tree, rows, **kernels)
+    _same_linear_solution(got, per_row_linear_backward(tree, rows, **kernels))
+    at_leaves = solve_linear_backward(
+        tree, [[tree.level_sum(terms, tree.N)] for terms in rows], **kernels)
+    for a, b in zip(got.levels + got.Z.levels + got.mu.levels + got.nu.levels,
+                    at_leaves.levels + at_leaves.Z.levels + at_leaves.mu.levels
+                    + at_leaves.nu.levels):
+        assert np.abs(a - b).max() <= 1e-14
 
 
 def _between_levels_B(tree, m, seed, boundary_at_row):
@@ -139,11 +160,12 @@ def test_b_between_levels_has_the_bits_of_the_row_by_row_solve(m, boundary_at_ro
     # the row's diagonal and the leaves; the duality pair stays exact
     inst = smooth_duality_instance(1.0, STEPS, m, seed=m)
     inst = dataclasses.replace(inst, B=_between_levels_B(inst.tree, m, 10 + m, boundary_at_row))
+    rows = [[row] for row in inst.psi_rows]
     for diag_B in (False, True):
         kernels = {"A": inst.A, "B": inst.B, "D": inst.D, "theta": inst.theta,
                    "include_diag_B": diag_B}
-        _same_linear_solution(solve_linear_backward(inst.tree, inst.psi_rows, **kernels),
-                              per_row_linear_backward(inst.tree, inst.psi_rows, **kernels))
+        _same_linear_solution(solve_linear_backward(inst.tree, rows, **kernels),
+                              per_row_linear_backward(inst.tree, rows, **kernels))
     assert abs(check_duality_1(inst, "transpose").gap) <= 1e-13
     assert abs(check_duality_2(inst, "transpose").gap) <= 1e-13
 
@@ -155,7 +177,7 @@ def test_adjoint_pq_has_the_bits_of_the_row_by_row_solve(name):
     u = _control(s, tree)
     fwd = simulate_forward(s, u, tree)
     bundle = assemble_adjoint(s, fwd, solve_bsvie(s, fwd, u, tree), u, tree)
-    assert all(np.array_equal(a, b) for a, b in zip(bundle.F, _pq_rows(
+    assert all(_equal_levels(a, b) for a, b in zip(bundle.F, _pq_rows(
         tree, bundle.frozen, bundle.lam, bundle.xi.levels[-1])))
     ref = per_row_linear_backward(tree, bundle.F, **_pq_kernels(bundle.frozen, bundle.theta))
     _same_linear_solution(bundle.pq, ref)
@@ -315,10 +337,10 @@ def test_families_have_the_bits_of_the_per_pair_path(name, monkeypatch):
                 assert np.array_equal(bundle.theta, fro.d("h", "x", 0, N) + tree.tmatvec(
                     fro.d("psi", "x", 0, N), bundle.lambda0) + tree.dt * got)
             else:
-                assert np.array_equal(bundle.F[j], tree.level_sum(
-                    [fro.d("f", "x", 0, j) + tree.tmatvec(fro.d("g", "x", 0, j),
-                                                          bundle.lam.cond_exp(0, j)),
-                     tree.dt * got], N)), j
+                assert _equal_levels(bundle.F[j], [
+                    fro.d("f", "x", 0, j) + tree.tmatvec(fro.d("g", "x", 0, j),
+                                                         bundle.lam.cond_exp(0, j)),
+                    tree.dt * got]), j
         return bundle, solve_variational(s, fwd, bwd, u, v, tree)
 
     bundle, var = run(per_pair=False)
@@ -328,7 +350,7 @@ def test_families_have_the_bits_of_the_per_pair_path(name, monkeypatch):
     assert (families is None) == (name in ("quadratic", "coupled"))
     monkeypatch.setattr(FrozenCoefficients, "family", lambda self, *pair: None)
     ref, ref_var = run(per_pair=True)
-    for a, b in zip([ref.theta] + ref.F, [bundle.theta] + bundle.F):
+    for a, b in zip([ref.theta] + sum(ref.F, []), [bundle.theta] + sum(bundle.F, [])):
         assert np.all(np.abs(a - b) <= 1e-14 * (1.0 + np.abs(b)))
     pq = solve_linear_backward(tree, bundle.F, **_pq_kernels(ref.frozen, bundle.theta))
     ref = dataclasses.replace(ref, theta=bundle.theta, F=bundle.F, pq=pq)
@@ -372,7 +394,7 @@ def test_duality_solves_have_the_bits_of_the_per_pair_path(m, mode):
                      for key, table in tables.items()}):
         xi = solve_fredholm(tree, inst.alpha, beta=inst.beta,
                             include_diag_A=(mode == "transpose"), **kernels)
-        bwd = solve_linear_backward(tree, inst.psi_rows, theta=inst.theta,
+        bwd = solve_linear_backward(tree, [[row] for row in inst.psi_rows], theta=inst.theta,
                                     include_diag_B=(mode == "continuum"), **kernels)
         solved.append((xi, bwd))
     (xi, bwd), (ref_xi, ref_bwd) = solved

@@ -10,9 +10,9 @@ from oracles import as_table, grid_points, zero_process, zero_two_param
 from volterra_control.adjoint import solve_fredholm
 from volterra_control.backward import (_row_run, kernel_sum, kernel_terms,
                                        solve_linear_backward)
-from volterra_control.lattice import (AdaptedProcess, ScaledMatrix, TimeGrid, Tree,
-                                      TwoParamProcess, apply, scaled, stack,
-                                      transpose)
+from volterra_control.lattice import (MAX_EXACT_STEPS, AdaptedProcess, ScaledMatrix,
+                                      TimeGrid, Tree, TwoParamProcess, apply, scaled,
+                                      stack, transpose)
 from volterra_control.verify import (_pair, check_duality_1, check_duality_2,
                                      smooth_duality_instance)
 
@@ -47,7 +47,7 @@ class TestTimeGrid:
 
     def test_rejects_bad_parameters(self):
         for horizon, steps, name in [
-                (1.0, 0, "steps"), (-1.0, 4, "horizon"), (1.0, 15, "steps"),
+                (1.0, 0, "steps"), (-1.0, 4, "horizon"), (1.0, MAX_EXACT_STEPS + 1, "steps"),
                 (math.nan, 4, "horizon"), (math.inf, 4, "horizon"),
                 (-math.inf, 4, "horizon"), (1.0, 4.5, "steps"), (1.0, 4.0, "steps"),
                 (1.0, True, "steps")]:
@@ -898,7 +898,7 @@ class TestNodeContiguousLayout:
                 return order(inst.beta(i, j))
             xi = solve_fredholm(tree, [order(a) for a in inst.alpha], A=inst.A, B=inst.B,
                                 D=inst.D, beta=beta)
-            bwd = solve_linear_backward(tree, [order(p) for p in inst.psi_rows],
+            bwd = solve_linear_backward(tree, [[order(p)] for p in inst.psi_rows],
                                         A=inst.A, B=inst.B, D=inst.D,
                                         theta=order(inst.theta))
             fields = xi.levels + bwd.Y.levels + bwd.Z.levels

@@ -12,7 +12,7 @@ from oracles import (as_table, degenerate_duality_gaps, gateaux_vs_hamiltonian,
 
 from volterra_control import verify
 from volterra_control.cones import LicqError
-from volterra_control.lattice import AdaptedProcess, ScaledMatrix, Tree
+from volterra_control.lattice import MAX_EXACT_STEPS, AdaptedProcess, ScaledMatrix, Tree
 from volterra_control.scenario import (ControlConstraint, ProjectionUnavailable,
                                        Scenario, fixture_path, load_scenario)
 from volterra_control.verify import (
@@ -108,27 +108,31 @@ class TestDualityIdentities:
             assert check_duality_2(shared, mode) == check_duality_2(fresh, mode)
 
     def test_pairing_rounding_does_not_grow_with_the_node_count(self):
-        # the first gap at N = 14 stays within a tenth of eps times the sum
-        # over the identity's pairings of E<|a|, |b|>; a sequential dot
-        # product over the 2**14 * m products reads several tenths
-        inst = smooth_duality_instance(1.0, 14, 2, seed=3)
-        tree, N = inst.tree, inst.tree.N
-        xi = inst.fredholm("transpose").xi
-        bwd = verify.solve_linear_backward(tree, inst.psi_rows, A=inst.A, B=inst.B,
-                                           D=inst.D, theta=inst.theta)
+        # the first gap at N = 14 and at the cap MAX_EXACT_STEPS stays within
+        # a tenth of eps times the sum over the identity's pairings of
+        # E<|a|, |b|>; a sequential dot product over the 2**14 * m products
+        # reads several tenths at N = 14
+        for steps in (14, MAX_EXACT_STEPS):
+            inst = smooth_duality_instance(1.0, steps, 2, seed=3)
+            tree, N = inst.tree, inst.tree.N
+            xi = inst.fredholm("transpose").xi
+            bwd = verify.solve_linear_backward(tree, [[row] for row in inst.psi_rows],
+                                               A=inst.A, B=inst.B, D=inst.D, theta=inst.theta)
 
-        def size(a, b):
-            lev = max(tree.level_of(a), tree.level_of(b))
-            return float(np.mean(np.sum(np.abs(tree.embed(a, lev) * tree.embed(b, lev)),
-                                        axis=1)))
+            def size(a, b):
+                lev = max(tree.level_of(a), tree.level_of(b))
+                return float(np.mean(np.sum(np.abs(tree.embed(a, lev) * tree.embed(b, lev)),
+                                            axis=1)))
 
-        pairs = [(xi[N], inst.theta), (inst.alpha[N], inst.theta)]
-        pairs += [(inst.psi_rows[i], xi[i]) for i in range(N)]
-        pairs += [(inst.beta(N, j), bwd.nu.level(j)) for j in range(N)]
-        pairs += [(bwd.Y.level(i), inst.alpha[i]) for i in range(N)]
-        pairs += [(bwd.Z.value(i, j), inst.beta(i, j)) for i in range(N) for j in range(N)]
-        total = sum(size(a, b) for a, b in pairs)
-        assert abs(check_duality_1(inst).gap) <= 0.1 * np.finfo(float).eps * total
+            pairs = [(xi[N], inst.theta), (inst.alpha[N], inst.theta)]
+            pairs += [(inst.psi_rows[i], xi[i]) for i in range(N)]
+            pairs += [(inst.beta(N, j), bwd.nu.level(j)) for j in range(N)]
+            pairs += [(bwd.Y.level(i), inst.alpha[i]) for i in range(N)]
+            pairs += [(bwd.Z.value(i, j), inst.beta(i, j)) for i in range(N) for j in range(N)]
+            total = sum(size(a, b) for a, b in pairs)
+            gap = abs(check_duality_1(inst).gap)
+            assert gap <= 0.1 * np.finfo(float).eps * total, steps
+            del inst, xi, bwd, pairs  # the solves at the cap are the largest the suite makes
 
 
 class TestTransposeOracle:
