@@ -30,7 +30,8 @@ object's per-grid table (``FrozenCoefficients.family``); the solvers and
 checks get it from the ``FrozenCoefficients.kernel`` objects and apply it
 in one batched product (``kernel_terms``; a summed column, as in theta and
 F_i, through ``kernel_sum``) with the bits of the per-pair products that
-state-dependent slots and plain callables still take.
+state-dependent slots and plain callables still take.  A state-dependent
+jacobian is made on each read, so a bundle stores no jacobian.
 
 Each equation is written down once, as free-term rows plus kernels
 (``_lambda0_equation``, ``_xi_equation``, ``_pq_rows`` with ``_pq_kernels``) or as a sum
@@ -186,13 +187,11 @@ class FrozenCoefficients:
     b, sigma).  A constant slot's jacobians are read off the object's
     ``grid_jacobians`` table: ``family`` gives a row or column of pairs as
     one (R, d, e) array, ``d`` one pair.  A state-dependent jacobian has
-    no family; ``d`` caches it per (name, slot, i, j)."""
+    no family; ``d`` makes it on each read, and nothing is stored."""
 
     def __init__(self, scenario: Scenario, tree: Tree, fwd: ForwardPath, bwd, u):
         self.objects = scenario.catalog
         self.tree, self.fwd, self.bwd, self.u = tree, fwd, bwd, u
-        self._cache = {}
-        self._tables = {}  # (name, slot) -> the object's table, or None
 
     def _state(self, name: str, slot: str, i: int, j: int) -> np.ndarray:
         """The state argument of ``name`` in ``slot`` at (t_i, t_j), read
@@ -206,18 +205,13 @@ class FrozenCoefficients:
         return (self.fwd.X if slot == "x" else self.u).level(j)
 
     def _get(self, key, make):
-        if key not in self._cache:
-            self._cache[key] = make()
-        return self._cache[key]
+        """The state-dependent jacobian ``key`` = (name, slot, i, j), made now."""
+        return make()
 
     def _table(self, name: str, slot: str):
         """The object's jacobian table of a constant slot, else None."""
-        key = (name, slot)
-        if key not in self._tables:
-            obj = self.objects[name]
-            self._tables[key] = (obj.grid_jacobians(slot, self.tree)
-                                 if slot in obj.constant_slots else None)
-        return self._tables[key]
+        obj = self.objects[name]
+        return obj.grid_jacobians(slot, self.tree) if slot in obj.constant_slots else None
 
     def value(self, name: str, i: int, j: int) -> np.ndarray:
         """Value of object ``name`` at (t_i, t_j), not cached."""
@@ -227,7 +221,7 @@ class FrozenCoefficients:
 
     def d(self, name: str, slot: str, i: int, j: int):
         """Jacobian of object ``name`` in ``slot`` at (t_i, t_j): a constant
-        ``ScaledMatrix`` from the table, or a state-dependent one, cached."""
+        ``ScaledMatrix`` from the table, or a state-dependent one, made anew."""
         table = self._table(name, slot)
         if table is not None:
             return ScaledMatrix(None, table[i, j])

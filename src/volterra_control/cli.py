@@ -17,12 +17,13 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .lattice import AdaptedProcess, TimeGrid
+from .lattice import MAX_EXACT_STEPS, AdaptedProcess, TimeGrid
 from .scenario import Scenario, ScenarioError, load_scenario
 from .verify import (
     check_duality_1, check_duality_2, check_pointwise_nc, convergence_test,
@@ -31,21 +32,48 @@ from .verify import (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one stderr line, exit 2
+        self.exit(2, f"usage error: {message}\n")
+
+
+def _checked(kind, ok, wanted: str):
+    """An argparse type: ``kind(text)`` if ``ok`` holds for it, else a
+    usage error saying what was ``wanted``."""
+    def parse(text):
+        try:
+            value = kind(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"wanted {wanted}, got {text!r}")
+    return parse
+
+
 def _parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="volterra-control",
         description="lattice experiments for Volterra control problems")
     p.add_argument("command", choices=COMMANDS)
     p.add_argument("--scenario", required=True, help="scenario JSON file")
-    p.add_argument("--N", type=int, default=None, help="override grid steps")
-    p.add_argument("--out", default="reports", help="report directory")
-    p.add_argument("--seed", type=int, default=None, help="override the seed")
-    p.add_argument("--tol", type=float, default=None,
-                   help="override the pass/fail tolerance")
+    p.add_argument("--N", type=_checked(int, lambda n: 1 <= n <= MAX_EXACT_STEPS,
+                                        f"an integer in 1..{MAX_EXACT_STEPS}"),
+                   default=None, help="override grid steps")
+    # every existing part of the path must be a directory
+    p.add_argument("--out", type=_checked(Path, lambda out: all(
+                       a.is_dir() for a in (out, *out.parents) if a.exists()),
+                       "a directory path"),
+                   default="reports", help="report directory")
+    p.add_argument("--seed", type=_checked(int, lambda n: n >= 0, "an integer >= 0"),
+                   default=None, help="override the seed")
+    p.add_argument("--tol", type=_checked(float, lambda x: math.isfinite(x) and x >= 0,
+                                          "a finite number >= 0"),
+                   default=None, help="override the pass/fail tolerance")
     p.add_argument("--mode", choices=("transpose", "continuum"),
                    default="transpose", help="duality convention")
-    p.add_argument("--eps-sweep", type=int, default=6,
-                   help="perturbation sweep down to eps = 2^-k")
+    p.add_argument("--eps-sweep", type=_checked(int, lambda k: k >= 2, "an integer >= 2"),
+                   default=6, help="perturbation sweep down to eps = 2^-k")
     return p
 
 
@@ -111,7 +139,7 @@ def _run_optimize(scenario, tree, args, seed):
 def _run_converge(scenario, tree, args, seed):
     u = scenario.default_control(tree)
     v = _random_direction(scenario, tree, seed)
-    eps = [2.0 ** -k for k in range(1, max(args.eps_sweep, 2) + 1)]
+    eps = [2.0 ** -k for k in range(1, args.eps_sweep + 1)]
     rep = convergence_test(scenario, u, v, eps, tree)
     passed = rep.monotone()
     report = {"eps": rep.eps, "err_x": rep.err_x, "err_yz": rep.err_yz,
@@ -179,7 +207,7 @@ def main(argv=None) -> int:
                           "mode": args.mode, "eps_sweep": args.eps_sweep},
         }
         # a non-finite report value fails the run instead of writing NaN
-        path = _write_reports(Path(args.out), args.command, config, report,
+        path = _write_reports(args.out, args.command, config, report,
                               header, rows)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)

@@ -800,6 +800,10 @@ def load_scenario(path) -> Scenario:
         doc = json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise ScenarioError(f"scenario file not found: {path}")
+    except OSError as exc:
+        raise ScenarioError(f"scenario file cannot be read: {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"scenario file is not UTF-8 text: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario file does not parse: {exc}") from exc
     scenario = Scenario.from_json(doc)

@@ -306,8 +306,8 @@ def convergence_test(scenario: Scenario, u: AdaptedProcess, v: AdaptedProcess,
     fwd, bwd = solve_state(scenario, u, tree)
     x1, y1, z1 = solve_variational(scenario, fwd, bwd, u, v, tree)
     N = tree.N
-    err_x, err_yz = [], []
-    for eps in eps_sequence:
+
+    def errors(eps):  # the perturbed state lives only in this call
         v_eps = feasible_direction(scenario, u, v, eps)
         fwd_e, bwd_e = solve_state(scenario, u + eps * v_eps, tree)
         ex = 0.0
@@ -324,6 +324,11 @@ def convergence_test(scenario: Scenario, u: AdaptedProcess, v: AdaptedProcess,
                         - z1.value(i, s)
                     val += tree.dt * float(np.mean(np.sum(dz ** 2, axis=1)))
             eyz = max(eyz, val)
+        return ex, eyz
+
+    err_x, err_yz = [], []
+    for eps in eps_sequence:
+        ex, eyz = errors(eps)
         err_x.append(ex)
         err_yz.append(eyz)
     return ConvergenceReport(eps=list(eps_sequence), err_x=err_x, err_yz=err_yz)
@@ -563,8 +568,9 @@ def projected_gradient(scenario: Scenario, u0: AdaptedProcess,
     history = [cost]
     trial_step, prev = step, None
     for _ in range(max_iter):
-        bundle = assemble_adjoint(scenario, *state, u, tree)
-        hu = hamiltonian_gradient(scenario, bundle, *state, u, tree)
+        # the bundle lives only while the gradient reads it
+        hu = hamiltonian_gradient(scenario, assemble_adjoint(scenario, *state, u, tree),
+                                  *state, u, tree)
         if ((u + (-step) * hu).map(project) - u).sup_norm() / step < grad_tol:
             return u, history
         if prev is not None:

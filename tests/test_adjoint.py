@@ -348,17 +348,24 @@ class TestAssembleAdjoint:
         # from a family; densified it must give the same bundle up to
         # rounding, through the per-pair path
         def run():
-            s, tree, u, fwd, bwd, bundle = run_pipeline("lq_multi")
-            hu = hamiltonian_gradient(s, bundle, fwd, bwd, u, tree)
-            kinds = {type(jac) for jac in bundle.frozen._cache.values()
-                     if np.ndim(jac) != 2}
+            kinds = []  # the type of each catalog jacobian made pair by pair
+            with pytest.MonkeyPatch.context() as mp:
+                for cls in (scenario_module.AffineCoefficient, scenario_module.TerminalMap):
+                    def counted(self, *args, _jacobian=cls.jacobian, **kwargs):
+                        jac = _jacobian(self, *args, **kwargs)
+                        kinds.append(type(jac))
+                        return jac
+                    mp.setattr(cls, "jacobian", counted)
+                s, tree, u, fwd, bwd, bundle = run_pipeline("lq_multi")
+                hu = hamiltonian_gradient(s, bundle, fwd, bwd, u, tree)
+                res = adjoint_residuals(s, bundle, tree)
             families = {bundle.frozen.family(name, slot, slice(0, 2), 2) is not None
                         for name, slot in (("b", "x"), ("sigma", "u"), ("g", "z"),
                                            ("psi", "x"))}
-            return adjoint_residuals(s, bundle, tree), hu, kinds, families
+            return res, hu, set(kinds), families
 
         res, hu, kinds, families = run()
-        assert kinds == set() and families == {True}  # no per-pair matrix cached
+        assert kinds == set() and families == {True}  # no per-pair matrix made
         for cls in (scenario_module.AffineCoefficient, scenario_module.TerminalMap):
             def dense(self, slot, t, s, _jacobian=cls.jacobian, **args):
                 return as_table(_jacobian(self, slot, t, s, **args), len(args[slot]))

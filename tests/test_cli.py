@@ -55,6 +55,20 @@ MALFORMED = [
 ]
 
 
+# (what replaces a valid argument, the text the one stderr line names);
+# "{tmp}" is the test's directory, which holds a plain file and a
+# scenario that is not UTF-8 text
+USAGE_ERRORS = [
+    (["--N", "19"], "--N"), (["--N", "0"], "--N"), (["--N", "-3"], "--N"),
+    (["--seed", "-1"], "--seed"),
+    (["--tol", "nan"], "--tol"), (["--tol", "inf"], "--tol"), (["--tol", "-1"], "--tol"),
+    (["--eps-sweep", "1"], "--eps-sweep"),
+    (["--scenario", "{tmp}"], "{tmp}"),
+    (["--scenario", "{tmp}/latin1.json"], "{tmp}/latin1.json"),
+    (["--out", "{tmp}/file"], "--out"), (["--out", "{tmp}/file/reports"], "--out"),
+]
+
+
 class TestExitCodes:
     def test_check_duality_on_lq_fixture(self, tmp_path, capsys):
         code = run(tmp_path, "check-duality", "--scenario",
@@ -67,6 +81,25 @@ class TestExitCodes:
         code = run(tmp_path, "check-duality", "--scenario", "/missing.json")
         assert code == 2
         assert "scenario error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["converge", "check-duality", "simulate"])
+    @pytest.mark.parametrize("bad,named", USAGE_ERRORS,
+                             ids=[" ".join(bad) for bad, _ in USAGE_ERRORS])
+    def test_bad_override_or_path_is_a_usage_error(self, tmp_path, capsys, command,
+                                                   bad, named):
+        (tmp_path / "file").write_text("not a directory")
+        (tmp_path / "latin1.json").write_bytes('{"seed": "\u00e9"}'.encode("latin-1"))
+        option, value = bad[0], bad[1].format(tmp=tmp_path)
+        argv = {"--scenario": str(fixture_path("lq")), "--N": "4",
+                "--out": str(tmp_path / "reports"), option: value}
+        code = main([command, *(x for kv in argv.items() for x in kv)])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "Traceback" not in err
+        [line] = err.splitlines()
+        assert named.format(tmp=tmp_path) in line, line
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "latin1.json"]
+        assert (tmp_path / "file").read_text() == "not a directory"
 
     def test_unknown_command_usage_error(self, tmp_path):
         assert main(["frobnicate", "--scenario", "x"]) == 2

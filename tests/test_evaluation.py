@@ -200,12 +200,17 @@ def test_forward_builds_each_bracket_once_per_level(monkeypatch):
 
 
 def test_constant_jacobians_built_once_across_runs(monkeypatch):
-    calls = []
+    calls, jacobians = [], []
 
     def counted(self, t, s, _call=scenario_module.Kernel.__call__):
         calls.append((t, s))
         return _call(self, t, s)
     monkeypatch.setattr(scenario_module.Kernel, "__call__", counted)
+    for cls in (scenario_module.AffineCoefficient, scenario_module.TerminalMap):
+        def counted_jacobian(self, *args, _jacobian=cls.jacobian, **kwargs):
+            jacobians.append(self.name)
+            return _jacobian(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "jacobian", counted_jacobian)
     s = load_scenario(fixture_path("lq_multi"))  # affine: every jacobian constant
     tree = s.tree(STEPS)
     u = _control(s, tree)
@@ -214,8 +219,8 @@ def test_constant_jacobians_built_once_across_runs(monkeypatch):
     first = assemble_adjoint(s, fwd, bwd, u, tree).frozen
     # one table of k(t_i, t_j) per kernel (b, sigma, g), made by __call__
     assert len(calls) == 3 * (tree.N + 1) ** 2
-    # the state cache holds only the cost gradients, no matrix
-    assert first._cache and all(np.ndim(jac) == 2 for jac in first._cache.values())
+    # no matrix is made pair by pair: only the cost gradients depend on the state
+    assert jacobians == []
     tables = {name: dict(obj._grids) for name, obj in s.catalog.items()
               if hasattr(obj, "grid_jacobians")}
     assert all(tables.values())
@@ -227,6 +232,23 @@ def test_constant_jacobians_built_once_across_runs(monkeypatch):
         assert all(grids[key] is table for key, table in made.items())
     assert np.shares_memory(first.family("g", "y", slice(0, 3), 3),
                             second.family("g", "y", 2, slice(2, 5)))
+
+
+def test_state_dependent_jacobians_are_made_on_each_read_with_the_same_bits():
+    # coupled: g is quadratic in x and y and b in u, so these jacobians have
+    # no family; nothing stores them, and a second read repeats the first
+    s = load_scenario(fixture_path("coupled"))
+    tree = s.tree(STEPS)
+    u = _control(s, tree)
+    fwd = simulate_forward(s, u, tree)
+    fro = FrozenCoefficients(s, tree, fwd, solve_bsvie(s, fwd, u, tree), u)
+    for name, slot in (("g", "x"), ("g", "y"), ("b", "u")):
+        assert fro.family(name, slot, 0, slice(0, tree.N)) is None
+        for i in range(tree.N):
+            for j in range(i, tree.N):
+                first, second = fro.d(name, slot, i, j), fro.d(name, slot, i, j)
+                assert first is not second, (name, slot, i, j)
+                assert first.tobytes() == second.tobytes(), (name, slot, i, j)
 
 
 def test_solve_leaves_json_and_report_hash_unchanged(tmp_path):

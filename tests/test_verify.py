@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,17 @@ def adapted_rng(tree, dim, seed, scale=1.0):
     rng = np.random.default_rng(seed)
     return AdaptedProcess([rng.standard_normal((1 << i, dim)) * scale
                            for i in range(tree.N)])
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes allocated while ``fn()`` runs, as tracemalloc sees them
+    (numpy reports its array buffers to it)."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestDualityIdentities:
@@ -242,6 +254,16 @@ class TestConvergence:
         assert abs(rep.slope("x") - 2.0) <= 0.2
         assert abs(rep.slope("yz") - 2.0) <= 0.2
 
+    @pytest.mark.parametrize("fixture", ["lq", "annulus"])
+    def test_each_perturbed_state_is_released_before_the_next(self, fixture):
+        # one perturbed state at a time: three eps peak as high as one
+        s = load_scenario(fixture_path(fixture))
+        tree = s.tree(10)
+        u, v = s.default_control(tree), adapted_rng(tree, s.l, 9)
+        one = traced_peak(lambda: convergence_test(s, u, v, [0.5], tree))
+        three = traced_peak(lambda: convergence_test(s, u, v, [0.5, 0.25, 0.125], tree))
+        assert three <= 1.02 * one
+
 
 class TestGateaux:
     def test_zero_direction_both_zero(self):
@@ -431,6 +453,17 @@ class TestProjectedGradient:
         assert step_map.sup_norm() / 0.5 < 1e-9
         rep = check_pointwise_nc(s, u_star, tree, state=hu)
         assert rep.certified(s.tolerances.nc_tol * (1.0 + rep.sup_gradient))
+
+    @pytest.mark.parametrize("fixture", ["annulus", "lq", "coupled"])
+    def test_one_adjoint_bundle_alive_at_a_time(self, fixture):
+        # a bundle is released once its gradient is read, so iterations
+        # with their line searches peak near one pipeline, not two bundles
+        s = load_scenario(fixture_path(fixture))
+        tree = s.tree(10)
+        u0 = s.default_control(tree)
+        one = traced_peak(lambda: full_pipeline(s, u0, tree))
+        run = traced_peak(lambda: projected_gradient(s, u0, max_iter=3, tree=tree))
+        assert run <= 1.3 * one
 
     def test_quadratics_without_projection_names_the_region(self):
         doc = json.loads(fixture_path("annulus").read_text())
