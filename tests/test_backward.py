@@ -165,13 +165,44 @@ class TestSolveBsvie:
     def test_diagonal_fixed_point_failure_names_node(self):
         doc = json.loads(fixture_path("lq").read_text())
         doc["coefficients"]["g"]["y"] = [[4.0]]  # dt * Lip = 2 at N = 2
-        s = Scenario.from_json(doc)
-        tree = s.tree(2)
-        u = AdaptedProcess.constant([0.1], tree.N - 1)
+        # m = 3: coupled's G_y times 4, dt * k * ||G_y||_inf = 0.5 * 1 * 2.4 = 1.2
+        coupled = json.loads(fixture_path("coupled").read_text())
+        g = coupled["coefficients"]["g"]
+        g["y"] = (4.0 * np.array(g["y"])).tolist()
+        for doc in (doc, coupled):
+            s = Scenario.from_json(doc)
+            tree = s.tree(2)
+            u = AdaptedProcess.constant([0.1] * s.l, tree.N - 1)
+            fwd = simulate_forward(s, u, tree)
+            with pytest.raises(PicardError,
+                               match=r"level 1, node \d+ .*finer grid"):
+                solve_bsvie(s, fwd, u, tree)
+
+    @pytest.mark.parametrize("steps", [None, 12])
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_diagonal_defect_is_at_rounding(self, name, steps):
+        # each level's defect |Y_r - E_r[lam_r(r + 1)] - dt g(t_r, t_r, ..., Y_r, ...)|,
+        # row r's run recomputed pair by pair from the solution: a few
+        # roundings of Y_r where g is affine in y (one direct solve), below
+        # picard_tol where it has a quadratic y term (coupled)
+        s = load_scenario(fixture_path(name))
+        tree = s.tree(steps)
+        u = s.default_control(tree)
         fwd = simulate_forward(s, u, tree)
-        with pytest.raises(PicardError,
-                           match=r"level 1, node \d+ .*finer grid"):
-            solve_bsvie(s, fwd, u, tree)
+        bwd = solve_bsvie(s, fwd, u, tree)
+        affine = "y" in s.coeffs.g.constant_slots
+        eps, defects = np.finfo(float).eps, []
+        for r in range(tree.N):
+            lam_run, _ = recompute_bsvie_row(s, fwd, u, bwd, r, tree)
+            y = bwd.Y.level(r)
+            defects.append(float(np.abs(y - lam_run[r]).max()))
+            if affine:
+                assert defects[-1] <= 4 * eps * (1.0 + np.abs(y).max()), r
+        assert bwd.residual_history == [max(defects)]
+        if affine:
+            assert bwd.residual_history[0] <= 4 * eps * (1.0 + bwd.Y.sup_norm())
+        else:
+            assert bwd.residual_history[0] < s.tolerances.picard_tol
 
     def test_diagonal_matches_lambda(self):
         s = load_scenario(fixture_path("lq"))

@@ -9,10 +9,12 @@ from hypothesis import given, settings, strategies as st
 from oracles import as_table, grid_points, zero_process, zero_two_param
 from volterra_control.adjoint import solve_fredholm
 from volterra_control.backward import (_row_run, kernel_sum, kernel_terms,
-                                       solve_linear_backward)
+                                       solve_bsvie, solve_linear_backward)
+from volterra_control.forward import simulate_forward
 from volterra_control.lattice import (MAX_EXACT_STEPS, AdaptedProcess, ScaledMatrix,
                                       TimeGrid, Tree, TwoParamProcess, apply, scaled,
                                       stack, transpose)
+from volterra_control.scenario import fixture_path, load_scenario
 from volterra_control.verify import (_pair, check_duality_1, check_duality_2,
                                      smooth_duality_instance)
 
@@ -396,9 +398,10 @@ class TestImplicitSolve:
 
     def test_no_implicit_step_calls_lapack(self, monkeypatch):
         calls = []
-        solve = np.linalg.solve
-        monkeypatch.setattr(np.linalg, "solve",
-                            lambda *args: calls.append(1) or solve(*args))
+        for name in ("solve", "inv"):
+            fn = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name,
+                                lambda *args, fn=fn: calls.append(1) or fn(*args))
         tree = Tree.build(1.0, 4)
         for d in (1, 2, 3):
             rhs = np.ones((1 << 4, d))
@@ -409,6 +412,11 @@ class TestImplicitSolve:
         for mode in ("transpose", "continuum"):
             check_duality_1(inst, mode)
             check_duality_2(inst, mode)
+        for name in ("lq", "coupled"):  # the BSVIE's diagonal steps, d = 1 and 3
+            s = load_scenario(fixture_path(name))
+            tree = s.tree(4)
+            u = s.default_control(tree)
+            solve_bsvie(s, simulate_forward(s, u, tree), u, tree)
         assert not calls
 
     @settings(max_examples=30, deadline=None)
