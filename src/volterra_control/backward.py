@@ -8,10 +8,10 @@ of a row stack (see ``lattice``):
   needs the diagonal Y(t_r) only for r >= i, and only r = i is
   implicit, so all N + 1 rows descend together: at level r row r takes
   its implicit step and fixes Y(t_r), and every other row its explicit
-  step with that Y(t_r).  Z(t, s) thus exists for every s.  The implicit
-  step solves its y-linear part directly, one constant
-  ``Tree.implicit_solve`` per pass (``_diagonal_step``); only a g with
-  a quadratic y term takes more than one pass.
+  step with that Y(t_r).  Z(t, s) thus exists for every s.  The
+  implicit step's fixed-point sweeps start, where g is affine in y, at
+  its direct solution (one constant ``Tree.implicit_solve``), so one
+  sweep confirms it.
 * ``solve_linear_backward``: the linear backward Volterra family in
   M-solution form used by the adjoint system and the duality checks.
   Each row descends to its diagonal by itself (the B coupling reads the
@@ -59,9 +59,10 @@ class PicardError(RuntimeError):
 @dataclass
 class BackwardPath:
     """C-adapted BSVIE solution: diagonal Y and full Z rows.
-    ``residual_history`` holds the largest defect max |Y_r - E_r[lam_r(r +
-    1)] - dt g(t_r, t_r, X_r, Y_r, Z(t_r, t_r), u_r)| of the diagonal
-    equations (a single entry)."""
+    ``residual_history`` holds the largest final gap of the diagonal
+    steps' sweeps (a single entry): the defect max |y - E_r[lam_r(r + 1)]
+    - dt g(t_r, t_r, X_r, y, Z(t_r, t_r), u_r)| of the iterate y before
+    Y_r, which for g affine in y is the direct solution."""
 
     Y: AdaptedProcess
     Z: TwoParamProcess
@@ -101,37 +102,22 @@ def _diverged(level: int, node: int, why: str) -> PicardError:
                        f"({why}); use a finer grid (dt * Lip must stay below 1)")
 
 
-def _diagonal_step(tree: Tree, g, k: float, mean: np.ndarray, terms, tols,
-                   level: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Solve y = mean + dt k (((x_part + G_y y + Q_y (y*y)) + z_term) +
-    u_term), the diagonal equation of one level, at all nodes, for the
-    level's bracket terms (x_part, z_term, u_term).
+def _implicit_step(y: np.ndarray, mean: np.ndarray, step, tol: float, max_iter: int,
+                   level: int) -> tuple[np.ndarray, float]:
+    """Solve y = mean + step(y) at one level by fixed-point iteration from
+    the start value y, all nodes at once (a contraction for dt * Lip < 1).
 
-    Each pass solves the y-linear part by one constant ``Tree.implicit_solve``
-    of (I - dt k G_y): the first with Q_y (y*y) taken at y = mean, each
-    further one adding the solve of the last defect r = mean + dt g(y) - y
-    to y (in exact arithmetic the same step, Q_y (y*y) taken at the last
-    pass's y).  Passes repeat while max |r| is not below ``picard_tol``, so
-    an affine g takes one.  Returns (y, its bracket x_part + G_y y +
-    Q_y (y*y), max |r|).  Raises PicardError naming the level and the node
-    where the defect is not finite (the first one) or stays at or above
-    ``picard_tol`` (its largest).
+    Returns (y, final gap).  Raises PicardError naming the level and the
+    node with the largest gap (the first NaN one once the iterates
+    overflow) when the gap is not below ``tol`` within ``max_iter`` steps.
     """
-    x_part, z_term, u_term = terms
-    lhs = ScaledMatrix(None, k * g.matrices["y"])
     with np.errstate(over="ignore", invalid="ignore"):
-        base = x_part if "y" in g.constant_slots else x_part + apply(g.quads["y"], mean * mean)
-        y = tree.implicit_solve(lhs, mean + tree.dt * (k * ((base + z_term) + u_term)))
-        for _ in range(tols.picard_max_iter):
-            y_part = g.bracket(x_part, y=y)
-            defect = mean + tree.dt * (k * ((y_part + z_term) + u_term)) - y
-            worst = float(np.abs(defect).max())
-            if worst < tols.picard_tol:
-                return y, y_part, worst
-            if not np.isfinite(worst):
-                break
-            y = y + tree.implicit_solve(lhs, defect)
-    gaps = np.abs(defect).max(axis=1)
+        for _ in range(max_iter):
+            y_prev, y = y, mean + step(y)
+            gap = float(np.abs(y - y_prev).max())
+            if gap < tol:
+                return y, gap
+        gaps = np.abs(y - y_prev).max(axis=1)
     node = int(np.argmax(gaps))
     raise _diverged(level, node, f"gap {gaps[node]:.3g}")
 
@@ -164,18 +150,21 @@ def solve_bsvie(scenario: Scenario, fwd, u: AdaptedProcess,
 
     down to r = 0, with the diagonal Y_r = lam_r(r).  The N + 1 rows
     descend as one row stack: at level r one ``repr_step`` gives every
-    row's mean and Z(t_i, t_r), the implicit step of row r fixes Y_r
-    (``_diagonal_step``), and every other row takes its explicit step
-    with that Y_r.  ``residual_history`` holds the largest defect of the
-    implicit steps; a level where dt |k(t_r, t_r)| ||G_y||_inf >= 1 raises
-    PicardError naming it (and node 0, as the bound holds at every node).
+    row's mean and Z(t_i, t_r), the implicit step of row r fixes Y_r, and
+    every other row takes its explicit step with that Y_r.  The implicit
+    step sweeps from Y_r's direct solution where g is affine in y (one
+    sweep then reaches picard_tol), else from the mean.
+    ``residual_history`` holds the worst final gap of the implicit steps.
+    A level where dt |k(t_r, t_r)| rho(G_y) >= 1, rho the spectral radius,
+    raises PicardError naming it (and node 0, as the bound holds at every
+    node): there the sweeps of an affine g would not contract, and
+    I - dt k G_y may be singular.
 
     g is k(t_i, t_r) times a bracket summed in slot order, const + x + y +
     z + u (``AffineCoefficient.bracket``); only its z term and k depend on
-    the row, so each level builds the u term once, and the (const + x) + y
-    prefix comes from the implicit step's last defect.  Every sum keeps its
-    order, so g has the bits of ``value``, and every row the bits of its
-    own descent.
+    the row, so each level builds the u term once and the (const + x) + y
+    prefix once Y_r is fixed.  Every sum keeps its order, so g has the
+    bits of ``value``, and every row the bits of its own descent.
     """
     tree = tree or scenario.tree()
     co, tols = scenario.coeffs, scenario.tolerances
@@ -186,19 +175,26 @@ def solve_bsvie(scenario: Scenario, fwd, u: AdaptedProcess,
     z_levels = [None] * N
     worst = 0.0
     k_table = g.kernel.on_grid(tree)
-    lips = tree.dt * np.abs(k_table.diagonal()) * np.linalg.norm(g.matrices["y"], np.inf)
+    rho = float(np.abs(np.linalg.eigvals(g.matrices["y"])).max())
+    lips = tree.dt * np.abs(k_table.diagonal()) * rho
     for r in range(N - 1, -1, -1):
         if lips[r] >= 1.0:  # the same bound at every node
-            raise _diverged(r, 0, f"dt * |k| * |G_y| = {lips[r]:.3g}")
+            raise _diverged(r, 0, f"dt * |k| * rho(G_y) = {lips[r]:.3g}")
         runs, z_levels[r] = tree.repr_step(runs)
         z = z_levels[r]
         u_term = g.term("u", u.level(r))
         kernels = k_table[:, r]
         x_part, z_term = g.bracket(x=fwd.X.level(r)), g.term("z", z[..., r])
-        y[r], y_part, defect = _diagonal_step(tree, g, kernels[r], runs[..., r],
-                                              (x_part, z_term, u_term), tols, r)
-        worst = max(worst, defect)
-        update = g.bracket(y_part[..., None], z=z)
+        start = runs[..., r]
+        if "y" in g.constant_slots:  # affine in y: start at the solution
+            start = tree.implicit_solve(ScaledMatrix(None, kernels[r] * g.matrices["y"]),
+                                        start + tree.dt * (kernels[r] * ((x_part + z_term) + u_term)))
+        y[r], gap = _implicit_step(
+            start, runs[..., r], lambda y_r: tree.dt * (
+                kernels[r] * ((g.bracket(x_part, y=y_r) + z_term) + u_term)),
+            tols.picard_tol, tols.picard_max_iter, r)
+        worst = max(worst, gap)
+        update = g.bracket(g.bracket(x_part, y=y[r])[..., None], z=z)
         update += u_term[..., None]
         update *= kernels
         update *= tree.dt

@@ -43,11 +43,9 @@ dense per-node table of shape (2**i, d, e), or a factored
 ``ScaledMatrix(scale, M)``, one (d, e) matrix M times a level-i (2**i,)
 per-node factor, or constant when the scale is None.  ``Tree.matvec``,
 ``Tree.tmatvec`` and ``Tree.implicit_solve`` apply either form, and
-``transpose`` takes either.  Every implicit step, the BSVIE's diagonal
-step included, is one ``implicit_solve``: a constant matrix is eliminated
-once, on its entries, and its steps applied to whole rows of the
-right-hand side; any other is eliminated at all nodes at once, with the
-bits of the constant one where it is constant.  A family is R
+``transpose`` takes either; every implicit step, the direct start of
+the BSVIE's diagonal sweeps included, is one elimination over all
+nodes, a constant matrix broadcast over them.  A family is R
 constant matrices held as one (R, d, e) array, such as the jacobians of
 one coefficient at a column of time pairs; ``apply``, the one place that
 applies a constant matrix or a family, gives the row stack of its R
@@ -382,23 +380,19 @@ class Tree:
 
     def implicit_solve(self, mat, rhs: np.ndarray) -> np.ndarray:
         """Per-node solve of (I - dt mat) x = rhs at the level of rhs, for a
-        matrix field in either form at most as fine as rhs.  A constant
-        matrix is eliminated once, on scalars (``_eliminate_constant``; for
-        d = 1 the one division rhs / (1 - dt m)), with the bits of its
-        per-node table; any other is eliminated at all nodes at once
-        (``_eliminate`` on the nodes-last (d, d, n) system).  A zero pivot
-        raises ``np.linalg.LinAlgError`` naming the level and the node
-        (node 0 for a constant matrix)."""
+        matrix field in either form at most as fine as rhs: ``_eliminate``
+        solves the nodes-last (d, d, n) system at all nodes at once, n = 1
+        for a constant matrix (broadcast over the nodes), and for d = 1 it
+        is one division.  A zero pivot raises ``np.linalg.LinAlgError``
+        naming the level and the node (node 0 for a constant matrix)."""
         level, mat_level = self.level_of(rhs), self.level_of(mat)
         if mat_level > level:
             raise ValueError(f"matrix at level {mat_level} is finer than the "
                              f"right-hand side at level {level}")
-        if isinstance(mat, ScaledMatrix) and mat.scale is None:
-            lhs = np.eye(rhs.shape[-1]) - self.dt * mat.matrix
-            return _eliminate_constant(lhs, rhs.T, level).T
         reps = 1 << (level - mat_level)
         if isinstance(mat, ScaledMatrix):
-            lhs = np.multiply.outer(mat.matrix, mat.scale.repeat(reps))
+            scale = np.ones(1) if mat.scale is None else mat.scale.repeat(reps)
+            lhs = np.multiply.outer(mat.matrix, scale)
         else:
             lhs = np.moveaxis(mat, 0, -1).repeat(reps, axis=-1)
         lhs *= self.dt
@@ -446,52 +440,15 @@ def scaled(values: np.ndarray, factors) -> np.ndarray:
     return np.multiply.outer(factors, field(values).T).T
 
 
-def _singular(level: int, node: int) -> np.linalg.LinAlgError:
-    return np.linalg.LinAlgError(f"singular implicit step at level {level}, node {node}")
-
-
-def _eliminate_constant(lhs: np.ndarray, rhs: np.ndarray, level: int) -> np.ndarray:
-    """Solve lhs x_k = rhs[:, k] at every node k of a level, for one (d, d)
-    lhs and a (d, n) rhs: ``_eliminate`` with its pivot search, swaps and
-    multipliers made once on the matrix's entries as Python floats (the
-    same double arithmetic) and applied to whole rows of a copy of rhs,
-    with the bits of ``_eliminate`` at each node.  For d = 1 it is the one
-    division rhs / lhs."""
-    d = len(lhs)
-    if d == 1:
-        if not lhs[0, 0]:
-            raise _singular(level, 0)
-        return rhs / lhs[0, 0]
-    a, x = lhs.tolist(), np.array(rhs, dtype=float, order="C")
-    for c in range(d):
-        best = c  # the first entry of largest magnitude
-        for r in range(c + 1, d):
-            if abs(a[r][c]) > abs(a[best][c]):
-                best = r
-        if best != c:  # columns < c are not read again
-            a[c], a[best] = a[best], a[c]
-            x[[c, best]] = x[[best, c]]
-        if not a[c][c]:
-            raise _singular(level, 0)
-        for r in range(c + 1, d):
-            factor = a[r][c] * (1.0 / a[c][c])
-            a[r][c + 1:] = [v - factor * w for v, w in zip(a[r][c + 1:], a[c][c + 1:])]
-            x[r] -= factor * x[c]
-    for c in range(d - 1, -1, -1):
-        x[c] /= a[c][c]
-        for r in range(c):
-            x[r] -= a[r][c] * x[c]
-    return x
-
-
 def _eliminate(lhs: np.ndarray, rhs: np.ndarray, level: int) -> np.ndarray:
     """Solve lhs[..., k] x_k = rhs[:, k] at every node k of a level, for a
-    nodes-last (d, d, n) lhs and a (d, n) rhs, both overwritten: Gaussian
-    elimination with partial pivoting, d column steps of whole-array
-    operations.  The pivot is the first entry of largest magnitude (as
-    LAPACK's ``idamax`` picks), the multipliers are products with its
-    reciprocal, and the back substitution divides by each diagonal entry and
-    then eliminates its column.  Returns rhs, holding x."""
+    nodes-last (d, d, n) lhs (or (d, d, 1), one matrix for every node) and
+    a (d, n) rhs, both overwritten: Gaussian elimination with partial
+    pivoting, d column steps of whole-array operations.  The pivot is the
+    first entry of largest magnitude (as LAPACK's ``idamax`` picks), the
+    multipliers are products with its reciprocal, and the back substitution
+    divides by each diagonal entry and then eliminates its column.  Returns
+    rhs, holding x."""
     d = rhs.shape[0]
     for c in range(d):
         if c + 1 < d:
@@ -511,7 +468,9 @@ def _eliminate(lhs: np.ndarray, rhs: np.ndarray, level: int) -> np.ndarray:
                         rows[c] = upper
         pivot = lhs[c, c]
         if not pivot.all():
-            raise _singular(level, int(np.flatnonzero(pivot == 0)[0]))
+            node = int(np.flatnonzero(pivot == 0)[0])
+            raise np.linalg.LinAlgError(
+                f"singular implicit step at level {level}, node {node}")
         if c + 1 < d:
             inv = 1.0 / pivot
             for r in range(c + 1, d):

@@ -33,8 +33,8 @@ import numpy as np
 from volterra_control.adjoint import (FredholmSolution, _lambda0_equation, _pq_kernels,
                                       _pq_rows, _theta_equation, _xi_equation)
 from volterra_control.backward import (BackwardPath, BackwardSolution, PicardError,
-                                       _row_run, backward_run_residual, solve_bsvie,
-                                       solve_linear_backward)
+                                       _implicit_step, _row_run, backward_run_residual,
+                                       solve_bsvie, solve_linear_backward)
 from volterra_control.cones import adjacent_cone, cone_min_linear
 from volterra_control.forward import SimulationError, simulate_forward
 from volterra_control.lattice import (AdaptedProcess, ScaledMatrix, Tree,
@@ -256,11 +256,10 @@ def per_pair_forward(scenario, u, tree) -> AdaptedProcess:
 
 def per_pair_bsvie(scenario, fwd, u, tree) -> BackwardPath:
     """The two-pass BSVIE solve with g evaluated by ``value`` at every
-    (t_i, t_r) of every row.  Row i's diagonal step solves the y-linear
-    part of Y_i = mean + dt g(t_i, t_i, X_i, Y_i, Z(t_i, t_i), u_i) with
-    the matrix A = I - dt k(t_i, t_i) G_y: first A y = mean + dt g0(mean),
-    g0 the g whose G_y is zero, then y += A^-1 r while the residual
-    r = mean + dt g(y) - y is not below picard_tol."""
+    (t_i, t_r) of every row and in every sweep of the implicit steps.  Row
+    i's sweeps start, where g is affine in y, at the solution of Y_i =
+    mean + dt g(t_i, t_i, X_i, Y_i, Z(t_i, t_i), u_i), (I - dt k(t_i, t_i)
+    G_y) y = mean + dt g0, g0 the g whose G_y is zero, else at the mean."""
     co, tols, N = scenario.coeffs, scenario.tolerances, tree.N
     g = _bsvie_driver(scenario, tree, fwd, u)
     g0 = AffineCoefficient(co.g.name, co.g.slots, co.g.kernel,
@@ -282,19 +281,15 @@ def per_pair_bsvie(scenario, fwd, u, tree) -> BackwardPath:
         run(i, N, i + 1)
         mean, z = tree.repr_step(lam[i][i + 1])
         z_rows[i][i] = z
-        lhs = ScaledMatrix(None, co.g.kernel(tree.t(i), tree.t(i)) * co.g.matrices["y"])
-        y_i = tree.implicit_solve(lhs, mean + tree.dt * g0.value(
-            tree.t(i), tree.t(i), x=fwd.X.level(i), y=mean, z=z, u=u.level(i)))
-        for _ in range(tols.picard_max_iter):
-            residual = mean + tree.dt * g(i, i, y_i, z) - y_i
-            defect = float(np.abs(residual).max())
-            if defect < tols.picard_tol:
-                break
-            y_i = y_i + tree.implicit_solve(lhs, residual)
-        else:
-            raise PicardError(f"row {i}: defect {defect:.3g}")
+        start = mean
+        if "y" in co.g.constant_slots:
+            lhs = ScaledMatrix(None, co.g.kernel(tree.t(i), tree.t(i)) * co.g.matrices["y"])
+            start = tree.implicit_solve(lhs, mean + tree.dt * g0.value(
+                tree.t(i), tree.t(i), x=fwd.X.level(i), y=mean, z=z, u=u.level(i)))
+        y_i, gap = _implicit_step(start, mean, lambda y_i: tree.dt * g(i, i, y_i, z),
+                                  tols.picard_tol, tols.picard_max_iter, i)
         y[i] = lam[i][i] = y_i
-        worst = max(worst, defect)
+        worst = max(worst, gap)
     for i in range(1, N + 1):
         run(i, i, 0)
     return BackwardPath(Y=AdaptedProcess(y), Z=two_param(z_rows),
@@ -450,38 +445,14 @@ def leaf_adjoint_residuals(scenario: Scenario, bundle, tree: Tree) -> dict:
             "m_identity": leaf_msolution_identity_residual(tree, pq)}
 
 
-def _implicit_step(mean: np.ndarray, step, tol: float, max_iter: int,
-                   level: int) -> tuple[np.ndarray, float]:
-    """Solve y = mean + step(y) at one level by fixed-point iteration from
-    y = mean, all nodes at once (a contraction for dt * Lip < 1).
-
-    Returns (y, final gap).  Raises PicardError naming the level and the
-    node with the largest gap (the first NaN one once the iterates
-    overflow) when the gap is not below ``tol`` within ``max_iter`` steps.
-    """
-    y = mean
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(max_iter):
-            y_prev, y = y, mean + step(y)
-            gap = float(np.abs(y - y_prev).max())
-            if gap < tol:
-                return y, gap
-        gaps = np.abs(y - y_prev).max(axis=1)
-    node = int(np.argmax(gaps))
-    raise PicardError(
-        f"implicit step failed to contract at level {level}, node {node} "
-        f"(gap {gaps[node]:.3g}); use a finer grid (dt * Lip must stay "
-        f"below 1)")
-
-
 def solve_bsde(tree: Tree, terminal: np.ndarray, driver,
                picard_tol: float = 1e-12, picard_max_iter: int = 200):
     """Backward recursion Y_j = E_j[Y_{j+1}] + driver(t_j, Y_j, Z_j) dt.
 
     The BSDE that a BSVIE reduces to when neither its generator nor its
     terminal map depends on t.  Z_j is the representation integrand of
-    Y_{j+1}; the driver step is implicit in y and solved by fixed-point
-    iteration (``_implicit_step``).  Returns (Y levels 0..N, Z levels 0..N-1).
+    Y_{j+1}; the driver step is implicit in y and solved by the BSVIE
+    solver's ``_implicit_step``.  Returns (Y levels 0..N, Z levels 0..N-1).
     """
     if tree.level_of(terminal) != tree.N:
         raise ValueError("terminal value must be a leaf field")
@@ -491,7 +462,7 @@ def solve_bsde(tree: Tree, terminal: np.ndarray, driver,
     for j in range(tree.N - 1, -1, -1):
         mean, z = tree.repr_step(y_levels[j + 1])
         y_levels[j], _ = _implicit_step(
-            mean, lambda y: tree.dt * driver(tree.t(j), y, z),
+            mean, mean, lambda y: tree.dt * driver(tree.t(j), y, z),
             picard_tol, picard_max_iter, j)
         z_levels[j] = z
     return AdaptedProcess(y_levels), AdaptedProcess(z_levels)

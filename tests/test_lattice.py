@@ -412,7 +412,7 @@ class TestImplicitSolve:
         for mode in ("transpose", "continuum"):
             check_duality_1(inst, mode)
             check_duality_2(inst, mode)
-        for name in ("lq", "coupled"):  # the BSVIE's diagonal steps, d = 1 and 3
+        for name in ("lq", "lq_multi"):  # the BSVIE's direct diagonal starts, d = 1 and 3
             s = load_scenario(fixture_path(name))
             tree = s.tree(4)
             u = s.default_control(tree)
