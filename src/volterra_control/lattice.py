@@ -383,12 +383,17 @@ class Tree:
         matrix field in either form at most as fine as rhs: ``_eliminate``
         solves the nodes-last (d, d, n) system at all nodes at once, n = 1
         for a constant matrix (broadcast over the nodes), and for d = 1 it
-        is one division.  A zero pivot raises ``np.linalg.LinAlgError``
+        is one division; a constant 1x1 matrix is that division alone, with
+        the same bits.  A zero pivot raises ``np.linalg.LinAlgError``
         naming the level and the node (node 0 for a constant matrix)."""
         level, mat_level = self.level_of(rhs), self.level_of(mat)
         if mat_level > level:
             raise ValueError(f"matrix at level {mat_level} is finer than the "
                              f"right-hand side at level {level}")
+        if isinstance(mat, ScaledMatrix) and mat.scale is None and rhs.shape[-1] == 1:
+            pivot = 1.0 - self.dt * mat.matrix[0, 0]
+            if pivot:  # a zero one goes on to _eliminate, which locates it
+                return field(rhs) / pivot
         reps = 1 << (level - mat_level)
         if isinstance(mat, ScaledMatrix):
             scale = np.ones(1) if mat.scale is None else mat.scale.repeat(reps)
