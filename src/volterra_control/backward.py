@@ -155,10 +155,11 @@ def solve_bsvie(scenario: Scenario, fwd, u: AdaptedProcess,
     step sweeps from Y_r's direct solution where g is affine in y (one
     sweep then reaches picard_tol), else from the mean.
     ``residual_history`` holds the worst final gap of the implicit steps.
-    A level where dt |k(t_r, t_r)| rho(G_y) >= 1, rho the spectral radius,
-    raises PicardError naming it (and node 0, as the bound holds at every
-    node): there the sweeps of an affine g would not contract, and
-    I - dt k G_y may be singular.
+    Where g is affine in y, a level with dt |k(t_r, t_r)| rho(G_y) >= 1,
+    rho the spectral radius, raises PicardError naming it (and node 0, as
+    the bound holds at every node): there the sweeps would not contract,
+    and I - dt k G_y may be singular.  A quadratic y term moves the
+    sweeps' rate with y, so there only the sweeps themselves decide.
 
     g is k(t_i, t_r) times a bracket summed in slot order, const + x + y +
     z + u (``AffineCoefficient.bracket``); only its z term and k depend on
@@ -175,18 +176,20 @@ def solve_bsvie(scenario: Scenario, fwd, u: AdaptedProcess,
     z_levels = [None] * N
     worst = 0.0
     k_table = g.kernel.on_grid(tree)
-    rho = float(np.abs(np.linalg.eigvals(g.matrices["y"])).max())
-    lips = tree.dt * np.abs(k_table.diagonal()) * rho
+    affine = "y" in g.constant_slots
+    if affine:
+        rho = float(np.abs(np.linalg.eigvals(g.matrices["y"])).max())
+        lips = tree.dt * np.abs(k_table.diagonal()) * rho
     for r in range(N - 1, -1, -1):
-        if lips[r] >= 1.0:  # the same bound at every node
-            raise _diverged(r, 0, f"dt * |k| * rho(G_y) = {lips[r]:.3g}")
         runs, z_levels[r] = tree.repr_step(runs)
         z = z_levels[r]
         u_term = g.term("u", u.level(r))
         kernels = k_table[:, r]
         x_part, z_term = g.bracket(x=fwd.X.level(r)), g.term("z", z[..., r])
         start = runs[..., r]
-        if "y" in g.constant_slots:  # affine in y: start at the solution
+        if affine:  # start at the solution
+            if lips[r] >= 1.0:  # the same bound at every node
+                raise _diverged(r, 0, f"dt * |k| * rho(G_y) = {lips[r]:.3g}")
             start = tree.implicit_solve(ScaledMatrix(None, kernels[r] * g.matrices["y"]),
                                         start + tree.dt * (kernels[r] * ((x_part + z_term) + u_term)))
         y[r], gap = _implicit_step(

@@ -188,6 +188,19 @@ class TestSolveBsvie:
         g["y"] = [[0.0, 3.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
         if not quad_y:
             del g["quad_y"]
+        self._assert_matches_picard_at_n2(doc)
+
+    def test_quadratic_y_term_contracts_past_the_linear_bound(self):
+        # dt * k * G_y = 0.5 * 1 * 2.5 = 1.25 at N = 2, but with the quadratic
+        # term -0.1 y^2 the sweeps' rate 0.5 * (2.5 - 0.2 y) is below 1 in
+        # modulus at the solution (y about 11 at level 1 and 20 at level 0),
+        # so they contract
+        doc = json.loads(fixture_path("lq").read_text())
+        doc["coefficients"]["g"].update(y=[[2.5]], quad_y=[[-0.1]], const=[5.0])
+        self._assert_matches_picard_at_n2(doc)
+
+    @staticmethod
+    def _assert_matches_picard_at_n2(doc):
         s = Scenario.from_json(doc)
         tree = s.tree(2)
         u = AdaptedProcess.constant([0.1] * s.l, tree.N - 1)

@@ -412,7 +412,9 @@ class TestImplicitSolve:
         for mode in ("transpose", "continuum"):
             check_duality_1(inst, mode)
             check_duality_2(inst, mode)
-        for name in ("lq", "lq_multi"):  # the BSVIE's direct diagonal starts, d = 1 and 3
+        # the BSVIE's direct diagonal starts, d = 1 and 3, and coupled,
+        # whose quadratic y term sweeps from the mean
+        for name in ("lq", "lq_multi", "coupled"):
             s = load_scenario(fixture_path(name))
             tree = s.tree(4)
             u = s.default_control(tree)
