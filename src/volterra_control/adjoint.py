@@ -38,7 +38,7 @@ Each equation is written down once, as free-term rows plus kernels
 (``_theta_equation``), which the solver in ``assemble_adjoint`` and the
 check in ``adjoint_residuals`` both read.  lambda0 is the one-row case of
 the xi Fredholm equation: both are solved by ``solve_fredholm``, checked
-with their stored runs by ``fredholm_row_residual`` and kept as level
+with their stored runs by ``fredholm_residuals`` and kept as level
 stacks, of which lambda0, Lambda, xi_i and E_r[xi_i] are views (p_i and
 E_r[p_i] of the (p, q) stacks).  mu, theta's run, and nu come with the
 (p, q) solve, which takes theta as its boundary term.
@@ -47,11 +47,11 @@ Every equation is assembled and checked in O(N 2^N) node operations per
 dimension, except F_i, which adds i + 1 leaf fields g_x(k,i)' xi_k (one
 ``kernel_sum`` per row).  Each F_i is the term list [its level-i part,
 its leaf part]; the bundle keeps the rows it was solved with, so the
-check states them and re-derives theta only.  Each row check sums its
-terms, advancing the total by ``Tree.ito_step`` up to level N - 1;
-``Tree.level_defect`` compares the last dW step plus the leaf terms with
-the stored row on both sibling halves of the leaves in one scratch, and
-no leaf-size sum is formed.
+check states them and re-derives theta only.  Each check ascends all
+rows of its equation level by level (``Tree.row_defects``), in groups of
+rows whose stack is at most a leaf field: per group one dW step and one
+family product.  Each row ends in its own last dW step plus leaf terms
+against its stored row, no leaf-size sum formed, with the bits of its sum.
 """
 
 from __future__ import annotations
@@ -61,11 +61,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .backward import (BackwardSolution, backward_row_residual,
-                       backward_run_residual, family_of, kernel_sum, kernel_terms,
-                       msolution_identity_residual, solve_linear_backward)
+from .backward import (BackwardSolution, backward_residuals, backward_run_residual,
+                       family_of, kernel_sum, kernel_terms, msolution_identity_residuals,
+                       solve_linear_backward)
 from .forward import ForwardPath
-from .lattice import AdaptedProcess, ScaledMatrix, Tree, apply, transpose
+from .lattice import AdaptedProcess, ScaledMatrix, Tree, apply, stack, transpose
 from .scenario import Scenario
 
 
@@ -152,34 +152,40 @@ def solve_fredholm(tree: Tree, alpha_rows, A=None, B=None, D=None,
     return FredholmSolution(levels)
 
 
-def fredholm_row_residual(tree: Tree, sol: FredholmSolution, i: int, alpha_rows,
-                          A=None, B=None, D=None, beta=None,
-                          include_diag_A: bool = True) -> float:
-    """Node-wise defect of row i of the defining discrete equation
-    (``Tree.level_defect`` of its terms, the dW_j terms as steps) and of
-    its stored run, each E_r[xi_i] the pair mean of the next
-    (``Tree.run_defect``).  The A and D terms read the runs, so without B
-    all rows cost O(N 2^N) per dimension; the B terms take E_j[B(j,i)'
-    xi_j] from the leaves, apart from the solver's tower-property step."""
-    N = tree.N
-    hi = min(i, N - 1) if include_diag_A else i - 1
-    run = [sol.cond_exp(i, r) for r in range(i, N + 1)]
+def fredholm_residuals(tree: Tree, sol: FredholmSolution, alpha_rows, A=None, B=None,
+                       D=None, beta=None, include_diag_A: bool = True) -> np.ndarray:
+    """Node-wise defect of each row of the defining discrete equation
+    (``Tree.row_defects``) and of its run (``Tree.run_defect``): row i
+    gains alpha_i and its A terms on level i and steps by D(i,r)' E_r[xi_i]
+    (one product per group), with B from level 0 by E_r[B(r,i)' xi_r] below
+    level i; the beta sum is a leaf.  Without B all rows cost O(N 2^N)."""
+    N, levels, runs = tree.N, sol.levels, np.zeros(sol.levels[-1].shape[-1])
+    D = D or (lambda i, r: ScaledMatrix(None, np.zeros((levels[0].shape[1],) * 2)))  # zero steps
 
-    def terms():  # coarse to fine, the dW_j terms as steps (h, j)
-        for j in range(i):
-            if B is not None:
-                yield tree.cond_expect(tree.tmatvec(B(j, i), sol.cond_exp(j, N)), j), j
+    def own(i):  # alpha_i, then dt A(j,i)' E_i[xi_j] over the A-range, made one at a time
+        hi = min(i, N - 1) if include_diag_A else i - 1
         yield np.asarray(alpha_rows[i], dtype=float)
-        if A is not None and hi >= 0:
-            yield from kernel_terms(tree, A, range(hi + 1), i, sol.levels[i][..., :hi + 1],
-                                    tree.dt, transpose=True)
-        if D is not None:
-            yield from zip(kernel_terms(tree, D, i, range(i, N), run[:-1], transpose=True),
-                           range(i, N))
-        if beta is not None:
-            yield tree.ito_sum(lambda j: tree.embed(beta(i, j), j), 0, N)
+        yield from [] if A is None else kernel_terms(
+            tree, A, range(hi + 1), i, levels[i][..., :hi + 1], tree.dt, transpose=True)
 
-    return max(tree.level_defect(run[-1], terms(), N), tree.run_defect(run))
+    def add(values, rows, r):  # row r joins; the runs on level r are checked
+        a, top = rows.start, min(rows.stop, r + 1)
+        for term in own(r) if r in rows else ():
+            values[..., r - a] += term
+        runs[a:top] = np.maximum(runs[a:top], tree.run_defect(  # no rows if top <= a
+            [levels[r][..., a:top], levels[r + 1][..., a:top]]))
+
+    def steps(rows, r):  # by D from row i's level, by B below it
+        a, top = rows.start, max(rows.start, min(rows.stop, r + 1))
+        by_d = kernel_terms(tree, D, range(a, top), r, levels[r][..., a:top], transpose=True,
+                            as_stack=B is None)
+        return by_d if B is None else stack([*by_d, *(tree.cond_expect(tree.tmatvec(
+            B(r, i), levels[N][..., r]), r) for i in range(top, rows.stop))])
+
+    return np.maximum(runs, tree.row_defects(  # add() fills in runs on the way
+        [0] * len(runs) if B is not None else range(len(runs)), [N] * len(runs),
+        lambda i: levels[N][..., i], add, steps, lambda i: [*(own(i) if i == N else ()), *(
+            () if beta is None else [tree.ito_sum(lambda j: tree.embed(beta(i, j), j), 0, N)])]))
 
 
 class FrozenCoefficients:
@@ -381,9 +387,8 @@ def adjoint_residuals(scenario: Scenario, bundle: AdjointBundle,
                       tree: Tree | None = None) -> dict:
     """Node-wise defects of the four adjoint equations plus the M-identity,
     each re-evaluated from the stored fields with the generic lattice
-    operations, independently of the solver sweeps: every row's sum up to
-    level N - 1, then its last dW step and leaf terms against the stored
-    row on both sibling halves of the leaves in one scratch.  The stored
+    operations, independently of the solver sweeps: one grouped ascent
+    of the rows per equation, the largest of its per-row defects.  The stored
     runs count as part of their solution: Lambda, E_r[xi_i] and the (p, q)
     runs E_r[p_i] and ``z_stacks``.  theta is re-derived from its
     definition; the F rows are the ones the bundle states."""
@@ -393,12 +398,11 @@ def adjoint_residuals(scenario: Scenario, bundle: AdjointBundle,
 
     # first equation: the one-row Fredholm statement with its runs Lambda
     lam_rows, lam_kernels = _lambda0_equation(tree, fro)
-    res1 = fredholm_row_residual(tree, bundle.lam, 0, lam_rows, **lam_kernels)
+    res1 = float(fredholm_residuals(tree, bundle.lam, lam_rows, **lam_kernels).max())
 
     # second equation rows
     alpha_rows, xi_kernels = _xi_equation(tree, fro, bundle.lam)
-    res2 = max(fredholm_row_residual(tree, bundle.xi, i, alpha_rows, **xi_kernels)
-               for i in range(N))
+    res2 = float(fredholm_residuals(tree, bundle.xi, alpha_rows, **xi_kernels).max())
 
     theta = _theta_equation(tree, fro, bundle.lambda0, bundle.xi.levels[-1])
 
@@ -418,8 +422,8 @@ def adjoint_residuals(scenario: Scenario, bundle: AdjointBundle,
 
     # fourth equation rows, the runs hamiltonian_gradient reads, M-identity
     pq_kernels = _pq_kernels(fro, theta)
-    res4 = max(max(backward_row_residual(tree, pq, i, bundle.F, **pq_kernels)
-                   for i in range(N)), backward_run_residual(tree, pq))
-    res_m = msolution_identity_residual(tree, pq)
+    res4 = max(float(backward_residuals(tree, pq, bundle.F, **pq_kernels).max()),
+               backward_run_residual(tree, pq))
+    res_m = float(msolution_identity_residuals(tree, pq).max())
     return {"lambda0": res1, "xi": res2, "mu_nu": res3, "pq": res4,
             "m_identity": res_m}

@@ -25,8 +25,8 @@ run starts from its leaf terms, and each other term (free terms too)
 joins it on its own level, the finer of its kernel value's and its
 vector's, so no term is carried up to the leaves and averaged back down.
 Every row keeps the order of its sums, so the batched steps give each
-row the bits of its own descent.  The row checks sum a row's terms in
-their own order and compare them with the stored rows by ``level_defect``.
+row the bits of its own descent.  The row checks ascend all rows of an
+equation in groups (``Tree.row_defects``), each row's terms in its order.
 
 Discrete conventions (used identically by the primal solvers, so that
 every duality identity is an exact transpose statement):
@@ -315,23 +315,23 @@ def family_of(kernel, i, j):
 
 
 def kernel_terms(tree: Tree, kernel, i, j, vecs, factor=None,
-                 transpose: bool = False) -> list:
+                 transpose: bool = False, as_stack: bool = False) -> list:
     """kernel(i_k, j_k) vecs_k (transposed with ``transpose``) times
     ``factor`` over a row or column of pairs (i or j a range), ``vecs`` a
     row stack (row k for pair k), a list of fields or one field: one
     batched product for a family on a stack or field, else pair by pair as
-    iterated (plain callables, state-dependent jacobians), same bits.
-    ``kernel_sum`` adds the transposed terms of a column."""
+    iterated (plain callables, state-dependent jacobians), same bits, as
+    one row stack with ``as_stack``.  ``kernel_sum`` adds a column's."""
     span = i if type(i) is range else j
     if not span:
         return []
     cut = slice(span.start, span.stop)
     family = family_of(kernel, cut, j) if span is i else family_of(kernel, i, cut)
     if family is not None and type(vecs) is not list:
-        stack = apply(family.mT if transpose else family, vecs)
+        rows = apply(family.mT if transpose else family, vecs)
         if factor is not None:
-            stack *= factor
-        return [row.T for row in stack.T]
+            rows *= factor
+        return rows if as_stack else [row.T for row in rows.T]
     each = vecs if isinstance(vecs, list) else [
         vecs if vecs.ndim == 2 else vecs[..., k] for k in range(len(span))]
     if family is None:
@@ -340,7 +340,8 @@ def kernel_terms(tree: Tree, kernel, i, j, vecs, factor=None,
                for k, vec in zip(span, each))
     else:
         out = (apply(mat.T if transpose else mat, vec) for mat, vec in zip(family, each))
-    return out if factor is None else (factor * term for term in out)
+    out = out if factor is None else (factor * term for term in out)
+    return stack(list(out)) if as_stack else out
 
 
 def kernel_sum(tree: Tree, kernel, rows: range, j: int, stack: np.ndarray) -> np.ndarray:
@@ -354,38 +355,43 @@ def kernel_sum(tree: Tree, kernel, rows: range, j: int, stack: np.ndarray) -> np
                           tree.level_of(stack))
 
 
-def backward_row_residual(tree: Tree, sol: BackwardSolution, i: int, psi_rows,
-                          A=None, B=None, D=None, theta=None,
-                          include_diag_A: bool = True,
-                          include_diag_B: bool = False) -> float:
-    """Node-wise residual of row i of the defining discrete equation: the
-    ``Tree.level_defect`` of its terms against Y_i, the dW_j terms as
-    steps and each free term before the first step past its level."""
-    N, dt = tree.N, tree.dt
-    a_cols, b_cols = (range(i if diag else i + 1, N)
-                      for diag in (include_diag_A, include_diag_B))
+def backward_residuals(tree: Tree, sol: BackwardSolution, psi_rows,
+                       A=None, B=None, D=None, theta=None,
+                       include_diag_A: bool = True,
+                       include_diag_B: bool = False) -> np.ndarray:
+    """Node-wise residual of each row of the defining discrete equation
+    (``Tree.row_defects``): row i gains its B terms on level i, on each
+    level j >= i its A and D terms (one product per group), free and finer
+    B terms, then steps by -Z(i,j) dW_j; A(i,N) theta and leaf terms last."""
+    N, dt, free = tree.N, tree.dt, [[] for _ in range(tree.N + 1)]
+    for i, row in enumerate(psi_rows):  # each free term on its own level, or on i
+        for level, term in ((max(tree.level_of(term), i), term) for term in row):
+            free[level].append((i, tree.embed(term, level)))
 
-    def terms():
-        if B is not None:
-            if theta is not None:
-                yield tree.matvec(B(i, N), sol.nu.level(i))
-            yield from kernel_terms(tree, B, i, b_cols, sol.Z.levels[i][..., b_cols.start:], dt)
-        a_terms = dict(zip(a_cols, [] if A is None else kernel_terms(
-            tree, A, i, a_cols, [sol.Y.level(j) for j in a_cols], dt)))
-        d_terms = [] if D is None else list(kernel_terms(
-            tree, D, i, range(i, N), [sol.Z.value(i, j) for j in range(i, N)], dt))
-        for j in range(i, N):
-            if j in a_terms:
-                yield a_terms.pop(j)
-            if D is not None:
-                yield d_terms[j - i]
-            yield from (term for term in psi_rows[i] if max(tree.level_of(term), i) == j)
-            yield -sol.Z.value(i, j), j
-        if A is not None and theta is not None:
-            yield tree.matvec(A(i, N), theta)
-        yield from (term for term in psi_rows[i] if tree.level_of(term) == N)
+    def add(values, rows, r):
+        a = rows.start
+        if r in rows and B is not None:
+            cols = range(r if include_diag_B else r + 1, N)
+            for term in ([] if theta is None else [tree.matvec(B(r, N), sol.nu.level(r))]) + list(
+                    kernel_terms(tree, B, r, cols, sol.Z.levels[r][..., cols.start:], dt)):
+                if tree.level_of(term) > r:  # B(r,j) on a finer level: the term joins there
+                    free[tree.level_of(term)].append((r, term))
+                else:
+                    values[..., r - a] += term
+        for kernel, top, vecs in ((A, r + include_diag_A, sol.Y.level(r)),
+                                  (D, r + 1, sol.Z.levels[r][..., a:])):
+            top = min(top, rows.stop)
+            if kernel is not None and top > a:
+                values[..., :top - a] += kernel_terms(tree, kernel, range(a, top), r, vecs[
+                    ..., :top - a] if vecs.ndim > 2 else vecs, dt, as_stack=True)
+        for i, term in free[r]:
+            if i in rows:
+                values[..., i - a] += term
 
-    return tree.level_defect(sol.Y.level(i), terms(), N)
+    return tree.row_defects(range(N), [N] * N, sol.Y.level, add,
+                            lambda rows, r: -sol.Z.levels[r][..., rows.start:rows.stop],
+                            lambda i: ([] if A is None or theta is None else [
+                                tree.matvec(A(i, N), theta)]) + [t for k, t in free[N] if k == i])
 
 
 def backward_run_residual(tree: Tree, sol: BackwardSolution) -> float:
@@ -400,12 +406,15 @@ def backward_run_residual(tree: Tree, sol: BackwardSolution) -> float:
     return worst
 
 
-def msolution_identity_residual(tree: Tree, sol: BackwardSolution) -> float:
-    """max_i node-wise defect of Y_i = E[Y_i] + sum_{j<i} Z(i,j) dW_j, the
-    dW_j terms steps of ``Tree.level_defect``."""
-    worst = 0.0
-    for i in range(sol.Y.last_level + 1):
-        y = sol.Y.level(i)
-        steps = ((sol.Z.value(i, j), j) for j in range(i))
-        worst = max(worst, tree.level_defect(y, [tree.cond_expect(y, 0), *steps], i))
-    return worst
+def msolution_identity_residuals(tree: Tree, sol: BackwardSolution) -> np.ndarray:
+    """Node-wise defect of Y_i = E[Y_i] + sum_{j<i} Z(i,j) dW_j for each
+    row i (``Tree.row_defects``, the dW_j terms as steps)."""
+    means = stack([tree.cond_expect(y, 0) for y in sol.Y.levels])  # where the rows start
+
+    def add(values, group, r):
+        if not r:
+            values += means[..., group.start:group.stop]
+
+    return tree.row_defects([0] * means.shape[-1], range(means.shape[-1]), sol.Y.level, add,
+                            lambda group, r: sol.Z.levels[r][..., group.start:group.stop],
+                            lambda i: [] if i else [means[..., 0]])

@@ -35,8 +35,8 @@ one per level: ``TwoParamProcess`` is the view class over them, its
 value at (t_i, t_j) row i of the level-j stack.  ``ito_step`` writes
 its step one sibling half at a time, and ``repr_step`` its integrand,
 into a given field (a view of a level stack); ``step_defect``,
-``level_defect`` and ``run_defect`` compare a stored field with a sum
-or a pair mean they never form, through one scratch.
+``row_defects`` (R row sums, in groups of rows) and ``run_defect``
+compare stored fields with sums or pair means they never form.
 
 A matrix field (a kernel or a jacobian) comes in one of two forms: a
 dense per-node table of shape (2**i, d, e), or a factored
@@ -58,7 +58,7 @@ broadcast product in place of numpy's matmul, with the same values.
 
 from __future__ import annotations
 
-import itertools
+import bisect
 import math
 import numbers
 from dataclasses import dataclass
@@ -269,46 +269,53 @@ class Tree:
         nodes, for level-(j+1) ``leaves`` and a target on a level <= j + 1
         (fields or row stacks in either order), with the bits of the defect
         of that sum, in one scratch of the down then the up children."""
-        scratch = np.empty((2,) + h.T.shape)
+        scratch, sides = np.empty((2,) + h.T.shape), (h.ndim, *range(h.ndim))  # halves first
         np.multiply(h.T, self._dw[j][:2].reshape((2,) + (1,) * h.ndim), out=scratch)
         scratch += values.T
         for leaf in leaves:
-            scratch += np.moveaxis(_halves(leaf), -1, 0)
-        tgt = np.moveaxis(_halves(target), -1, 0) if self.level_of(target) > j else target.T
+            scratch += _halves(leaf).transpose(sides)
+        tgt = _halves(target).transpose(sides) if self.level_of(target) > j else target.T
         view = scratch.reshape(scratch.shape[:-1] + (tgt.shape[-1], -1))  # a block per node
         np.subtract(tgt[..., None], view, out=view)
         return float(np.abs(scratch, out=scratch).max())
 
-    def level_defect(self, target: np.ndarray, terms, to_level: int) -> float:
-        """max |target - level_sum(terms, to_level)| over the nodes, for a
-        target on a level <= to_level: the terms below to_level go to
-        ``level_sum``, the first on to_level (a zero step if not a step) and
-        later ones to ``step_defect``; in nondecreasing level order with the
-        bits of the formed sum's defect (zeros can change a zero's sign)."""
-        terms, tail = iter(terms), []
-        if not to_level:
-            return float(np.abs(target - self.level_sum(terms, 0)).max())
+    def row_defects(self, join, finish, target, add, steps, leaves) -> np.ndarray:
+        """Per-row max |target(i) - S_i| of R row sums from zero on level
+        join[i] to level finish[i] (both nondecreasing in i): on level r a
+        group of at most max(1, 2**(N - r - 1)) rows (a leaf field) gains
+        ``add(values, rows, r)`` in its (2**r, d, rows) stack and steps by
+        ``steps(rows, r)``; a row ends in ``step_defect`` with ``leaves(i)``."""
+        worst, done = np.zeros(len(join)), bisect.bisect_right(finish, 0)
+        for i in range(done):
+            worst[i] = np.abs(target(i) - self.level_sum(leaves(i), 0)).max()
+        groups = [(done, np.zeros((1, target(0).shape[1], len(join) - done), order="F"))]
+        for r in range(self.N):
+            cap, stepped = max(1, 1 << (self.N - r - 1)), []
+            joined, done = bisect.bisect_right(join, r), bisect.bisect_right(finish, r + 1)
+            for start, values in groups:
+                for a in range(start, start + values.shape[-1], cap):
+                    b, group = min(a + cap, start + values.shape[-1]), values[..., a - start:]
+                    j, f = max(a, min(b, joined)), max(a, min(b, done))
+                    if j > a:
+                        add(group[..., :j - a], range(a, j), r)
+                        h = steps(range(a, j), r)
+                    for i in range(a, f):  # a row that has not joined steps by zero
+                        worst[i] = self.step_defect(target(i), group[..., i - a], (
+                            h if i < j else group)[..., i - a], r, leaves(i))
+                    if f < b:
+                        out = np.empty((2 << r, values.shape[1], b - f), order="F")
+                        out[..., max(j - f, 0):] = 0.0
+                        if f < j:
+                            self.ito_step(group[..., f - a:j - a], h[..., f - a:], r,
+                                          out=out[..., :j - f])
+                        stepped.append((f, out))
+            groups = stepped
+        return worst
 
-        def head():  # the terms up to the first one on to_level
-            for term in terms:
-                if (term[1] + 1 if isinstance(term, tuple)
-                        else self.level_of(term)) == to_level:
-                    tail.append(term)
-                    return
-                yield term
-
-        below = head()
-        first = next(below, None)
-        values = (np.zeros((1 << (to_level - 1),) + target.shape[1:]) if first is None
-                  else self.level_sum(itertools.chain([first], below), to_level - 1))
-        h = tail.pop(0)[0] if tail and isinstance(tail[0], tuple) else np.zeros_like(values)
-        leaves = [self.level_sum([term], to_level) for term in itertools.chain(tail, terms)]
-        return self.step_defect(target, values, h, to_level - 1, leaves)
-
-    def run_defect(self, run) -> float:
-        """max over k of |run[k] - E[run[k+1]]| at every node, for fields or
-        row stacks on consecutive levels: each pair mean, with the bits of
-        ``cond_expect``, is formed in one scratch."""
+    def run_defect(self, run):
+        """max over k of |run[k] - E[run[k+1]]| at every node (per row of
+        row stacks) for runs on consecutive levels: each pair mean, with the
+        bits of ``cond_expect``, is formed in one scratch."""
         worst, scratch = 0.0, np.empty(run[-2].size if len(run) > 1 else 0)
         for coarse, fine in zip(run, run[1:]):
             pairs = _halves(fine)
@@ -316,7 +323,7 @@ class Tree:
             np.add(pairs[..., 0], pairs[..., 1], out=out)
             out *= 0.5
             np.subtract(coarse.T, out, out=out)
-            worst = max(worst, float(np.abs(out, out=out).max()))
+            worst = np.maximum(worst, np.abs(out, out=out).max(axis=(-2, -1)))
         return worst
 
     def repr_step(self, values: np.ndarray, out: np.ndarray | None = None):
@@ -498,7 +505,7 @@ def _halves(values: np.ndarray) -> np.ndarray:
     """The nodes-last view of a field or row stack as sibling pairs,
     (..., 2**(i-1), 2), in its own memory order (a view one can write)."""
     last = values.T
-    return last.reshape(last.shape[:-1] + (-1, 2))
+    return last.reshape(last.shape[:-1] + (last.shape[-1] // 2, 2))
 
 
 def _blocks(values: np.ndarray, block: int) -> np.ndarray:

@@ -349,7 +349,7 @@ def per_row_linear_backward(tree: Tree, psi_rows, A=None, B=None, D=None,
 def leaf_fredholm_row_residual(tree: Tree, sol: FredholmSolution, i: int, alpha_rows,
                                A=None, B=None, D=None, beta=None,
                                include_diag_A: bool = True) -> float:
-    """``fredholm_row_residual`` as one ``level_sum`` of row i's terms up
+    """Row i of ``fredholm_residuals`` as one ``level_sum`` of its terms up
     to the leaves, every kernel applied pair by pair and every dW_j term
     formed by ``dw_term``, then its defect against xi_i, and the run
     defects each formed in full."""
@@ -381,7 +381,7 @@ def leaf_backward_row_residual(tree: Tree, sol: BackwardSolution, i: int, psi_ro
                                A=None, B=None, D=None, theta=None,
                                include_diag_A: bool = True,
                                include_diag_B: bool = False) -> float:
-    """``backward_row_residual`` as one ``level_sum`` of row i's terms up
+    """Row i of ``backward_residuals`` as one ``level_sum`` of its terms up
     to the leaves, pair by pair, against Y_i embedded in the leaves; the
     terms go in the check's order."""
     N = tree.N
@@ -406,16 +406,16 @@ def leaf_backward_row_residual(tree: Tree, sol: BackwardSolution, i: int, psi_ro
     return float(np.abs(tree.embed(sol.Y.level(i), N) - tree.level_sum(terms(), N)).max())
 
 
-def leaf_msolution_identity_residual(tree: Tree, sol: BackwardSolution) -> float:
-    """``msolution_identity_residual`` with each row's sum formed."""
-    worst = 0.0
+def leaf_msolution_identity_residuals(tree: Tree, sol: BackwardSolution) -> list:
+    """``msolution_identity_residuals`` with each row's sum formed."""
+    out = []
     for i in range(sol.Y.last_level + 1):
         y = sol.Y.level(i)
         recon = tree.level_sum(
             [tree.cond_expect(y, 0)]
             + [tree.dw_term(sol.Z.value(i, j), j) for j in range(i)], i)
-        worst = max(worst, float(np.abs(y - recon).max()))
-    return worst
+        out.append(float(np.abs(y - recon).max()))
+    return out
 
 
 def leaf_adjoint_residuals(scenario: Scenario, bundle, tree: Tree) -> dict:
@@ -442,7 +442,7 @@ def leaf_adjoint_residuals(scenario: Scenario, bundle, tree: Tree) -> dict:
     res4 = max(max(leaf_backward_row_residual(tree, pq, i, p_rows, **pq_kernels)
                    for i in range(N)), backward_run_residual(tree, pq))
     return {"lambda0": res1, "xi": res2, "mu_nu": res3, "pq": res4,
-            "m_identity": leaf_msolution_identity_residual(tree, pq)}
+            "m_identity": max(leaf_msolution_identity_residuals(tree, pq))}
 
 
 def solve_bsde(tree: Tree, terminal: np.ndarray, driver,

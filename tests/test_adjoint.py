@@ -1,19 +1,21 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from oracles import (as_table, backward_solution, dense_fredholm_solve,
-                     fredholm_solution, leaf_adjoint_residuals,
-                     leaf_fredholm_row_residual, random_duality_instance,
-                     zero_process, zero_two_param)
+                     fredholm_solution, leaf_adjoint_residuals, leaf_backward_row_residual,
+                     leaf_fredholm_row_residual, leaf_msolution_identity_residuals,
+                     random_duality_instance, zero_process, zero_two_param)
 
 from volterra_control.adjoint import (
     AdjointBundle, FredholmSolution, _pq_kernels, adjoint_residuals,
-    assemble_adjoint, fredholm_row_residual, hamiltonian_gradient, solve_fredholm,
+    assemble_adjoint, fredholm_residuals, hamiltonian_gradient, solve_fredholm,
     solve_lambda0,
 )
-from volterra_control.backward import solve_bsvie, solve_linear_backward
+from volterra_control.backward import (backward_residuals, msolution_identity_residuals,
+                                       solve_bsvie, solve_linear_backward)
 from volterra_control.forward import simulate_forward
 from volterra_control import scenario as scenario_module
 from volterra_control.lattice import AdaptedProcess, Tree, TwoParamProcess
@@ -138,7 +140,7 @@ class TestSolveFredholm:
                                    tree.cond_expect(sol.xi[i], r), atol=1e-12)
             kernels = {"A": kA, "B": kB, "D": kD, "beta": kbeta,
                        "include_diag_A": include_diag_A}
-            res = fredholm_row_residual(tree, sol, i, alphas, **kernels)
+            res = fredholm_residuals(tree, sol, alphas, **kernels)[i]
             assert res <= 1e-12
             # row N's leaf terms come after its last step: the same sum
             assert res == pytest.approx(
@@ -180,12 +182,83 @@ class TestSolveFredholm:
         alphas = [rng.standard_normal((1 << i, 1)) for i in range(tree.N + 1)]
         beta = lambda i, j: np.full((1 << j, 1), 0.1 * (i + j))
         sol = solve_fredholm(tree, alphas, beta=beta)
-        assert fredholm_row_residual(tree, sol, 1, alphas, beta=beta) <= 1e-14
+        assert fredholm_residuals(tree, sol, alphas, beta=beta)[1] <= 1e-14
         runs = [[sol.cond_exp(i, r) for r in range(i, tree.N + 1)]
                 for i in range(tree.N + 1)]
         runs[1][2] = runs[1][2] + 1e-3  # E_3[xi_1]
         bumped = fredholm_solution(runs)
-        assert fredholm_row_residual(tree, bumped, 1, alphas, beta=beta) >= 5e-4
+        assert fredholm_residuals(tree, bumped, alphas, beta=beta)[1] >= 5e-4
+
+
+class TestGroupedRowChecks:
+    """The row checks ascend all rows of an equation level by level, in
+    groups of at most max(1, 2**(N - r - 1)) rows, each row finished by its
+    own step_defect: every row's defect has the bits of its sum formed at
+    the leaves pair by pair (``tests/oracles.py``).  N = 1..3 take width 1
+    at the top levels (at every level for N = 1), lambda(0)'s single row
+    and M-identity rows that finish on levels 0-2; at N = 7 the groups
+    split on levels 4, 5 and 6."""
+
+    @staticmethod
+    def kernels(rng, m, N):
+        # plain callables (per-pair products), constant per-node tables
+        mats = {name: rng.uniform(-0.4, 0.4, (N + 1, N + 1, 1, m, m)) for name in "ABD"}
+        betas = {(i, j): rng.standard_normal((1 << j, m))
+                 for i in range(N + 1) for j in range(N)}
+        return {"A": lambda i, j: mats["A"][i, j], "B": lambda i, j: mats["B"][i, j],
+                "D": lambda i, j: mats["D"][i, j], "beta": lambda i, j: betas[i, j]}
+
+    @pytest.mark.parametrize("N,m,include_diag_A", [(1, 1, True), (2, 2, False), (3, 1, True),
+                                                    (7, 2, True), (7, 1, False)])
+    def test_fredholm_rows(self, N, m, include_diag_A):
+        tree = Tree.build(1.0, N)
+        rng = np.random.default_rng(N + 10 * m)
+        kernels = self.kernels(rng, m, N)
+        alphas = [rng.standard_normal((1 << i, m)) for i in range(N + 1)]
+        cases = [(alphas[:1], {"D": kernels["D"], "beta": kernels["beta"]}),  # lambda(0)'s row
+                 (alphas[:N], {"A": kernels["A"], "D": kernels["D"]}),  # xi's rows
+                 (alphas, dict(kernels))]  # every kind of term, row N included
+        for rows, kw in cases:
+            kw["include_diag_A"] = include_diag_A
+            sol = solve_fredholm(tree, rows, **kw)
+            got = fredholm_residuals(tree, sol, rows, **kw)
+            assert got.tolist() == [leaf_fredholm_row_residual(tree, sol, i, rows, **kw)
+                                    for i in range(len(rows))]
+            assert got.max() <= 1e-12
+
+    @pytest.mark.parametrize("N,m", [(1, 1), (2, 2), (3, 1), (7, 2)])
+    @pytest.mark.parametrize("include_diag_B", [False, True])
+    def test_backward_rows_and_m_identity(self, N, m, include_diag_B):
+        tree = Tree.build(1.0, N)
+        rng = np.random.default_rng(N + 10 * m + include_diag_B)
+        kw = {k: v for k, v in self.kernels(rng, m, N).items() if k != "beta"}
+        kw.update(theta=rng.standard_normal((tree.n_leaves, m)),
+                  include_diag_B=include_diag_B)
+        # a leaf term and one on the row's own level, as the F rows have
+        rows = [[rng.standard_normal((tree.n_leaves, m)), rng.standard_normal((1 << i, m))]
+                for i in range(N)]
+        sol = solve_linear_backward(tree, rows, **kw)
+        got = backward_residuals(tree, sol, rows, **kw)
+        assert got.tolist() == [leaf_backward_row_residual(tree, sol, i, rows, **kw)
+                                for i in range(N)]
+        assert got.max() <= 1e-12
+        m_identity = msolution_identity_residuals(tree, sol)
+        assert m_identity.tolist() == leaf_msolution_identity_residuals(tree, sol)
+        assert m_identity.max() <= 1e-12
+
+    def test_backward_b_terms_on_finer_levels(self):
+        # a duality instance's B(i, j) is scaled on level j > i: that B term
+        # joins row i on level j, after the row's A and D terms there
+        inst = random_duality_instance(1.0, 5, 2, seed=11)
+        tree, rows = inst.tree, [[row] for row in inst.psi_rows]
+        kw = {"A": inst.A, "B": inst.B, "D": inst.D, "theta": inst.theta}
+        assert any(tree.level_of(inst.B(0, j)) > 0 for j in range(1, tree.N))
+        sol = solve_linear_backward(tree, rows, **kw)
+        got = backward_residuals(tree, sol, rows, **kw)
+        assert got.max() <= 1e-12
+        assert got.tolist() == pytest.approx(
+            [leaf_backward_row_residual(tree, sol, i, rows, **kw) for i in range(tree.N)],
+            abs=1e-14)
 
 
 class TestSolveMuNu:
@@ -296,6 +369,20 @@ class TestAssembleAdjoint:
             s, tree, _, _, _, bundle = run_pipeline(name, steps=14)
             for entry, val in adjoint_residuals(s, bundle, tree).items():
                 assert val <= 1e-12, (name, entry, val)
+
+    def test_residual_checks_peak_below_three_mib(self):
+        # the grouped ascents hold no stack larger than a leaf field: on lq
+        # at N = 14 the peak was 1.16 MiB with one row at a time and 6.09
+        # MiB with every row of a level in one stack (page faults measured
+        # per op depend on the checkout, so the bytes stand in for them)
+        s, tree, _, _, _, bundle = run_pipeline("lq", steps=14)
+        tracemalloc.start()
+        try:
+            adjoint_residuals(s, bundle, tree)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2 ** 20
 
     @pytest.mark.parametrize("name,steps", [(name, steps) for name in FIXTURES
                                             for steps in (6, 9)] + [("lq_multi", 14)])

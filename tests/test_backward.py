@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from volterra_control.backward import (
-    PicardError, backward_row_residual,
-    msolution_identity_residual, solve_bsvie, solve_linear_backward,
+    PicardError, backward_residuals,
+    msolution_identity_residuals, solve_bsvie, solve_linear_backward,
 )
 from volterra_control.forward import simulate_forward
 from volterra_control.lattice import AdaptedProcess, Tree
@@ -14,7 +14,7 @@ from volterra_control.scenario import Scenario, fixture_path, load_scenario
 from volterra_control.verify import smooth_duality_instance
 
 from oracles import (backward_solution, dense_bsvie_oracle, leaf_backward_row_residual,
-                     leaf_msolution_identity_residual, picard_bsvie_oracle,
+                     leaf_msolution_identity_residuals, picard_bsvie_oracle,
                      projector, recompute_bsvie_row, repr_operator, solve_bsde,
                      zero_process)
 from test_scenario import FIXTURES
@@ -357,15 +357,15 @@ class TestSolveLinearBackward:
         kA, kB, kD = kernel(0.0), kernel(0.1), kernel(-0.1)
         sol = solve_linear_backward(tree, rows, A=kA, B=kB, D=kD, theta=theta)
         for i in range(tree.N):
-            res = backward_row_residual(tree, sol, i, rows, A=kA, B=kB, D=kD,
-                                        theta=theta)
+            res = backward_residuals(tree, sol, rows, A=kA, B=kB, D=kD,
+                                     theta=theta)[i]
             assert res <= 1e-12
             # the sum formed at the leaves, pair by pair
             assert res == pytest.approx(leaf_backward_row_residual(
                 tree, sol, i, rows, A=kA, B=kB, D=kD, theta=theta), abs=1e-15)
-        assert msolution_identity_residual(tree, sol) <= 1e-12
-        assert msolution_identity_residual(tree, sol) == leaf_msolution_identity_residual(
-            tree, sol)
+        assert msolution_identity_residuals(tree, sol).max() <= 1e-12
+        assert msolution_identity_residuals(tree, sol).tolist() == (
+            leaf_msolution_identity_residuals(tree, sol))
 
     def test_mu_nu_round_trip(self):
         tree = Tree.build(1.0, 6)

@@ -583,7 +583,7 @@ class TestInPlaceAndProductPaths:
 
 class TestStepsAndDefects:
     """A step (h, j) in ``level_sum`` is the term h dW_j; ``step_defect``,
-    ``level_defect`` and ``run_defect`` give the bits of the defect of the
+    ``row_defects`` and ``run_defect`` give the bits of the defect of the
     sum or pair mean they never form, and ``ito_step`` and ``repr_step``
     with ``out`` the bits of the plain calls: on fields and row stacks in
     either memory order, with exact zeros of both signs."""
@@ -624,12 +624,11 @@ class TestStepsAndDefects:
 
     @settings(max_examples=60, deadline=None)
     @given(kinds=st.lists(st.tuples(st.booleans(), LEVELS), min_size=1, max_size=8),
-           d=st.integers(1, 3), lift=st.integers(0, 1), coarse=st.integers(0, 6),
-           order=st.sampled_from("CF"), zeros=st.booleans(), seed=SEED)
-    def test_level_defect_is_the_defect_of_the_sum(self, kinds, d, lift, coarse,
-                                                   order, zeros, seed):
+           d=st.integers(1, 3), lift=st.integers(0, 1), order=st.sampled_from("CF"),
+           zeros=st.booleans(), seed=SEED)
+    def test_level_sum_takes_steps_as_dw_terms(self, kinds, d, lift, order, zeros, seed):
         # (step, level): a step (h, level - 1) onto ``level``, else a field;
-        # nondecreasing levels give the bits of the formed sum's defect
+        # in nondecreasing level order, the bits of the sum of the dW terms
         tree = Tree.build(1.0, 7)
         make = self.maker(np.random.default_rng(seed), d, None, order, zeros)
         kinds = sorted(((step and level > 0, level) for step, level in kinds),
@@ -640,13 +639,53 @@ class TestStepsAndDefects:
         formed = [tree.dw_term(*t) if isinstance(t, tuple) else t for t in terms]
         total = tree.level_sum(formed, to_level)
         assert tree.level_sum(iter(terms), to_level).tobytes() == total.tobytes()
-        target = make(min(coarse, to_level))
-        want = float(np.abs(tree.embed(target, to_level) - total).max())
-        assert tree.level_defect(target, iter(terms), to_level) == want
-        # any order: the same sum up to rounding
-        shuffled = terms[::-1]
-        assert abs(tree.level_defect(target, shuffled, to_level) - want) <= 1e-13 * (
-            1.0 + float(np.abs(total).max()))
+
+    @settings(max_examples=60, deadline=None)
+    @given(spans=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), min_size=1,
+                          max_size=9),
+           d=st.integers(1, 3), order=st.sampled_from("CF"), zeros=st.booleans(), seed=SEED)
+    def test_level_defect_is_the_defect_of_the_sum(self, spans, d, order, zeros, seed):
+        # row_defects' grouped ascent, each row finished by its own
+        # step_defect: rows from join to finish (nondecreasing), on each
+        # level 0-2 fields and a step (or none), 0-2 leaves; every row has
+        # the bits of its formed sum's defect, in groups of at most
+        # max(1, 2**(6 - r)) rows at N = 7
+        tree = Tree.build(1.0, 7)
+        rng = np.random.default_rng(seed)
+        make = self.maker(rng, d, None, order, zeros)
+        join, finish = sorted(min(s) for s in spans), sorted(max(s) for s in spans)
+        rows = range(len(spans))
+        fields = [{r: [make(r) for _ in range(rng.integers(0, 3))]
+                   for r in range(join[i], finish[i])} for i in rows]
+        steps = [{r: make(r) for r in range(join[i], finish[i]) if rng.random() < 0.8}
+                 for i in rows]
+        leaves = [[make(finish[i]) for _ in range(rng.integers(not finish[i], 3))]
+                  for i in rows]
+        targets = [make(rng.integers(0, finish[i] + 1)) for i in rows]
+        want = []
+        for i in rows:
+            formed = [np.zeros((1 << join[i], d))]
+            for r in range(join[i], finish[i]):
+                formed += fields[i][r]
+                if r in steps[i]:
+                    formed.append(tree.dw_term(steps[i][r], r))
+            total = tree.level_sum(formed + leaves[i], finish[i])
+            want.append(float(np.abs(tree.embed(targets[i], finish[i]) - total).max()))
+        widths = []
+
+        def add(values, group, r):
+            widths.append((r, len(group)))
+            for i in group:
+                for term in fields[i][r]:
+                    values[..., i - group.start] += term
+
+        def step(group, r):
+            return stack([steps[i].get(r, np.zeros((1 << r, d))) for i in group])
+
+        got = tree.row_defects(join, finish, targets.__getitem__, add, step,
+                               leaves.__getitem__)
+        assert got.tolist() == want
+        assert all(width <= max(1, 2 ** (6 - r)) for r, width in widths)
 
     @settings(max_examples=60, deadline=None)
     @given(d=st.integers(1, 3), R=st.one_of(st.none(), st.integers(1, 4)),
@@ -657,9 +696,10 @@ class TestStepsAndDefects:
         tree = Tree.build(1.0, 8)
         make = self.maker(np.random.default_rng(seed), d, R, order, zeros)
         run = [make(level) for level in range(start, start + length)]
-        want = max([float(np.abs(run[k] - tree.cond_expect(run[k + 1], start + k)).max())
-                    for k in range(length - 1)], default=0.0)
-        assert tree.run_defect(run) == want
+        # the nodes and the dimension: one maximum per row of a stack
+        want = np.max([np.abs(run[k] - tree.cond_expect(run[k + 1], start + k)).max(axis=(0, 1))
+                       for k in range(length - 1)], axis=0, initial=0.0)
+        assert np.array_equal(tree.run_defect(run), want)
         if start + length > 1:  # the last level has a martingale step
             mean, z = tree.repr_step(run[-1])
             out = make(start + length - 2)
