@@ -303,8 +303,8 @@ class Tree:
                         worst[i] = self.step_defect(target(i), group[..., i - a], (
                             h if i < j else group)[..., i - a], r, leaves(i))
                     if f < b:
-                        out = np.empty((2 << r, values.shape[1], b - f), order="F")
-                        out[..., max(j - f, 0):] = 0.0
+                        out = (np.zeros if j < b else np.empty)(  # rows yet to join are 0
+                            (2 << r, values.shape[1], b - f), order="F")
                         if f < j:
                             self.ito_step(group[..., f - a:j - a], h[..., f - a:], r,
                                           out=out[..., :j - f])
@@ -323,7 +323,7 @@ class Tree:
             np.add(pairs[..., 0], pairs[..., 1], out=out)
             out *= 0.5
             np.subtract(coarse.T, out, out=out)
-            worst = np.maximum(worst, np.abs(out, out=out).max(axis=(-2, -1)))
+            worst = np.maximum(worst, np.abs(out, out=out).max(-1).max(-1))
         return worst
 
     def repr_step(self, values: np.ndarray, out: np.ndarray | None = None):
