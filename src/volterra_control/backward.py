@@ -320,8 +320,8 @@ def kernel_terms(tree: Tree, kernel, i, j, vecs, factor=None,
     ``factor`` over a row or column of pairs (i or j a range), ``vecs`` a
     row stack (row k for pair k), a list of fields or one field: one
     batched product for a family on a stack or field, else pair by pair as
-    iterated (plain callables, state-dependent jacobians), same bits, as
-    one row stack with ``as_stack``.  ``kernel_sum`` adds a column's."""
+    iterated (plain callables, state-dependent jacobians), same bits; with
+    ``as_stack`` as one row stack.  ``kernel_sum`` sums a column's terms."""
     span = i if type(i) is range else j
     if not span:
         return []
